@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .errors import GuardRefusal, PermlabError
-from .reporting import dumps, json_ready
+from .reporting import dumps
 
 
 def _default_seed() -> int:

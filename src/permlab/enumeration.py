@@ -8,12 +8,14 @@ cannot ask for 12! of anything. Callers pass a larger guard deliberately.
 from __future__ import annotations
 
 from math import factorial
+from typing import Iterator
 
 import numpy as np
 
-from .errors import TooLargeForEnumeration
+from .errors import ParameterOutOfRange, TooLargeForEnumeration
 
 DEFAULT_GUARD = 10
+ROWS_PER_BLOCK = 8192
 
 _matrix_cache: dict[int, np.ndarray] = {}
 
@@ -33,6 +35,8 @@ def perm_matrix(n: int, guard: int | None = None) -> np.ndarray:
     read-only views; row r is the rank-r permutation.
     """
     check_guard(n, guard, "perm_matrix")
+    if n < 1:
+        raise ParameterOutOfRange(f"permutations need n >= 1, got n={n}")
     cached = _matrix_cache.get(n)
     if cached is not None:
         return cached
@@ -51,6 +55,13 @@ def perm_matrix(n: int, guard: int | None = None) -> np.ndarray:
     m.setflags(write=False)
     _matrix_cache[n] = m
     return m
+
+
+def row_blocks(n: int, guard: int | None = None) -> Iterator[np.ndarray]:
+    """:func:`perm_matrix` in consecutive slices of ``ROWS_PER_BLOCK`` rows,
+    so a sweep's temporaries stay small enough to sit in cache."""
+    p = perm_matrix(n, guard)
+    return (p[a:a + ROWS_PER_BLOCK] for a in range(0, len(p), ROWS_PER_BLOCK))
 
 
 def displacement_matrix(n: int, guard: int | None = None) -> np.ndarray:

@@ -142,9 +142,12 @@ def aic_check(p: PartitionStrategy, guard: int = PARTITION_GUARD) -> bool:
     Empty classes are not valid warnings: a message that is never sent
     rules nothing out.
     """
-    classes = class_members(p, guard)
+    return _aic_holds(p.n, class_members(p, guard))
+
+
+def _aic_holds(n: int, classes: list[list[tuple[int, ...]]]) -> bool:
+    """The Alice-In-Chains rule on the member image tuples of each class."""
     nonempty = [c for c in classes if c]
-    n = p.n
     for s in range(n):
         if all(any(all(img[i] != s for img in c) for c in nonempty)
                for i in range(n)):
@@ -208,7 +211,10 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     def leaf_ok() -> bool:
         if restriction != "aic":
             return True
-        return _aic_on_members(n, m, perms, assignment)
+        classes: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+        for rank, h in enumerate(assignment):
+            classes[h].append(perms[rank])
+        return _aic_holds(n, classes)
 
     def dfs(depth: int, field: int, used: int) -> None:
         nonlocal best_field, best_assignment, nodes
@@ -239,19 +245,6 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
         raise RuntimeError("search found no admissible partition")
     return FieldSearchResult(
         best_field, PartitionStrategy(n, m, best_assignment), nodes, restriction)
-
-
-def _aic_on_members(n: int, m: int, perms: list[tuple[int, ...]],
-                    assignment: list[int]) -> bool:
-    classes: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for rank, h in enumerate(assignment):
-        classes[h].append(perms[rank])
-    nonempty = [c for c in classes if c]
-    for s in range(n):
-        if all(any(all(img[i] != s for img in c) for c in nonempty)
-               for i in range(n)):
-            return True
-    return False
 
 
 @dataclass(frozen=True)

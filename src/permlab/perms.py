@@ -3,7 +3,8 @@
 A permutation sigma is stored by its image array (``image[i] = sigma(i)``).
 The displacement of position i is ``v(i) = (i - sigma(i)) mod n``; the shift
 histogram counts, for each class ``l``, how many positions are displaced by
-``l``. Class 0 counts the fixed points.
+``l``. Class 0 counts the fixed points. ``shift_counts`` computes the
+histograms of a whole ``(B, n)`` block of permutation rows at once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import NotABijection, PositionOutOfRange, RankOutOfRange
 from .rng import Rng
@@ -97,6 +100,21 @@ def shift_histogram(p: Permutation) -> ShiftHistogram:
     return ShiftHistogram(tuple(counts))
 
 
+def shift_counts(block: np.ndarray) -> np.ndarray:
+    """Shift histograms of a ``(B, n)`` block of permutation rows, ``(B, n)``
+    int64: entry ``[b, l]`` counts the positions of row b displaced by l.
+
+    Each displacement becomes a key ``b*n + v`` for one ``bincount``. The
+    keys are built in int64 with a sign fix-up rather than ``% n``, so a
+    large block needs one key array and no narrower intermediate.
+    """
+    lanes, n = block.shape
+    keys = np.arange(n, dtype=np.int64) - block   # i - sigma(i), in (-n, n)
+    keys += (keys < 0) * n
+    keys += (np.arange(lanes, dtype=np.int64) * n)[:, None]
+    return np.bincount(keys.ravel(), minlength=lanes * n).reshape(lanes, n)
+
+
 def argmax_shift(h: ShiftHistogram) -> int:
     """Most populous displacement class; ties go to the lowest index."""
     return h.counts.index(max(h.counts))
@@ -145,12 +163,6 @@ def lex_unrank(n: int, rank: int) -> Permutation:
         pos, rank = divmod(rank, f)
         image.append(remaining.pop(pos))
     return Permutation(tuple(image))
-
-
-def iter_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """All image tuples of order n in lexicographic order."""
-    import itertools
-    return itertools.permutations(range(n))
 
 
 def example_deck() -> Permutation:

@@ -12,10 +12,13 @@ counts:
 
 A vectorized engine (`BatchRng`) runs many independent lanes at once and
 produces, lane for lane, exactly the same draws as `Rng` would. The
-equivalence is pinned by tests.
+equivalence is pinned by tests. ``seeded_blocks`` is the seeded source of
+permutation blocks that every sampler draws from.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -130,3 +133,13 @@ def batch_seeds(master: int, start: int, count: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
+
+
+def seeded_blocks(master: int, n: int, start: int, count: int,
+                  batch: int = 2048) -> Iterator[tuple[np.ndarray, BatchRng]]:
+    """Permutations of trials ``start .. start+count-1`` in blocks of up to
+    ``batch`` rows, each with the ``BatchRng`` whose lanes continue those
+    trials' streams after the shuffle."""
+    for a in range(start, start + count, batch):
+        rng = BatchRng(batch_seeds(master, a, min(batch, start + count - a)))
+        yield rng.permutations(n), rng

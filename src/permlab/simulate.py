@@ -1,39 +1,44 @@
-"""Seeded Monte Carlo engines for the two search games.
+"""Seeded Monte Carlo and exhaustive engines for the two search games.
 
 Needle game: a uniform permutation is hidden, the adviser computes a hint
 from it, the seeker probes one position for the target. Locker game: the
 adviser may instead swap two positions' contents; the seeker opens position
 0, reads the hint off it, and (if needed) opens one more position.
 
-Every trial runs on its own splitmix64 stream keyed by (master seed, trial
-index), so totals are bitwise identical however trials are batched or
-distributed across workers. A vectorized engine accelerates the built-in
-strategies; it reproduces the scalar engine draw for draw.
+Each game has one kernel that scores a ``(B, n)`` block of permutation rows:
+``strategies.needle_wins`` and ``locker_wins`` here. Blocks come from one of
+three sources: seeded (``rng.seeded_blocks``), exhaustive (slices of
+``perm_matrix``; counts become exact fractions) or a caller's permutation
+stream. Every seeded trial runs on its own splitmix64 stream keyed by
+(master seed, trial index), so totals are bitwise identical however trials
+are batched or distributed across workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, log2
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .counting import typical_max_shift
-from .enumeration import check_guard, displacement_matrix
-from .errors import ParameterOutOfRange, UnknownStrategy
-from .perms import Permutation, argmax_shift, shift_histogram
-from .rng import BatchRng, Rng, batch_seeds, derive_seed
-from .strategies import Strategy, evaluate_success_exact, strategy_by_name
+from .enumeration import check_guard, row_blocks
+from .errors import NotABijection, ParameterOutOfRange
+from .perms import Permutation, shift_counts
+from .rng import BatchRng, batch_seeds, seeded_blocks
+from .strategies import Strategy, needle_wins, strategy_by_name
 
 EXHAUSTIVE_GUARD = 8
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _BATCH = 2048
 
 PermStream = Callable[[int], Sequence[int]]
+Blocks = Iterator[tuple[np.ndarray, BatchRng]]
 
 
 @dataclass(frozen=True)
@@ -123,291 +128,141 @@ def theory_reference_values(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# trial engines
+# kernels and sources
 # ---------------------------------------------------------------------------
 
-def _needle_chunk_scalar(cfg: GameConfig, start: int, width: int,
-                         perm_stream: PermStream | None) -> np.ndarray:
-    """Success counts for trials start..start+width-1 (per target in sweep
-    mode, single cell otherwise)."""
-    st = cfg.strategy_obj()
-    n = cfg.n
-    sweep = cfg.target_mode == "sweep"
-    counts = np.zeros(n if sweep else 1, dtype=np.int64)
-    for t in range(start, start + width):
-        rng = Rng(derive_seed(cfg.seed, t))
-        if perm_stream is None:
-            items = list(range(n))
-            rng.shuffle(items)
-        else:
-            items = list(perm_stream(t))
-        h = st.hint(Permutation(tuple(items)))
-        if sweep:
-            for s in range(n):
-                if items[st.guess(h, s)] == s:
-                    counts[s] += 1
-        else:
-            s = cfg.target if cfg.target_mode == "fixed" else rng.randbelow(n)
-            if items[st.guess(h, s)] == s:
-                counts[0] += 1
-    return counts
+def locker_wins(st: Strategy, block: np.ndarray,
+                targets: np.ndarray | None = None) -> np.ndarray:
+    """Locker-game successes on the rows of ``block``, counted as
+    ``needle_wins`` counts them. The adviser swaps the hint card into
+    position 0; the seeker wins at once when the target is the hint, else
+    probes ``st.guesses(hint, target)`` in the swapped row."""
+    rows = np.arange(len(block))
+    h = st.hints(block)
+    pos_h = np.argmax(block == h[:, None], axis=1)
+    swapped = block.copy()
+    swapped[rows, pos_h] = block[rows, 0]
+    swapped[rows, 0] = h
+
+    cells = range(st.n) if targets is None else [targets]
+    return np.array([np.count_nonzero((h == s)
+                                      | (swapped[rows, st.guesses(h, s)] == s))
+                     for s in cells], dtype=np.int64)
 
 
-def _locker_chunk_scalar(cfg: GameConfig, start: int, width: int,
-                         perm_stream: PermStream | None) -> np.ndarray:
-    n = cfg.n
-    sweep = cfg.target_mode == "sweep"
-    counts = np.zeros(n if sweep else 1, dtype=np.int64)
-    for t in range(start, start + width):
-        rng = Rng(derive_seed(cfg.seed, t))
-        if perm_stream is None:
-            items = list(range(n))
-            rng.shuffle(items)
-        else:
-            items = list(perm_stream(t))
-        h = argmax_shift(shift_histogram(Permutation(tuple(items))))
-        pos_h = items.index(h)
-        items[0], items[pos_h] = items[pos_h], items[0]  # no-op when pos_h == 0
-        if sweep:
-            for s in range(n):
-                if h == s or items[(s + h) % n] == s:
-                    counts[s] += 1
-        else:
-            s = cfg.target if cfg.target_mode == "fixed" else rng.randbelow(n)
-            if h == s or items[(s + h) % n] == s:
-                counts[0] += 1
-    return counts
+_KERNELS = {"needle": needle_wins, "locker": locker_wins}
 
 
-def _shift_hints_batch(perms: np.ndarray) -> np.ndarray:
-    lanes, n = perms.shape
-    v = (np.arange(n, dtype=np.int32)[None, :] - perms) % n
-    offsets = (np.arange(lanes, dtype=np.int64) * n)[:, None]
-    counts = np.bincount((v.astype(np.int64) + offsets).ravel(),
-                         minlength=lanes * n).reshape(lanes, n)
-    return np.argmax(counts, axis=1).astype(np.int64)  # first max = lowest class
+def _stream_blocks(perm_stream: PermStream, seed: int, n: int,
+                   trials: int) -> Blocks:
+    """Rows ``perm_stream(0 .. trials-1)``, each validated as a permutation
+    of order n, with the ``BatchRng`` of those trials' fresh streams."""
+    for a in range(0, trials, _BATCH):
+        b = min(_BATCH, trials - a)
+        rows = [Permutation(tuple(perm_stream(t))).image
+                for t in range(a, a + b)]
+        if any(len(r) != n for r in rows):
+            raise NotABijection(f"the permutation stream must yield order-{n} rows")
+        yield np.array(rows, dtype=np.int64), BatchRng(batch_seeds(seed, a, b))
 
 
-def _batch_hints(name: str, perms: np.ndarray) -> np.ndarray:
-    if name == "shift":
-        return _shift_hints_batch(perms)
-    if name == "naive":
-        return perms[:, 0].astype(np.int64)
-    if name == "baseline":
-        return np.zeros(perms.shape[0], dtype=np.int64)
-    raise UnknownStrategy(name)
+def _targets(cfg: GameConfig, rng: BatchRng) -> np.ndarray | None:
+    """Per-lane targets, drawn next from each trial's stream when uniform;
+    None (every target) in sweep mode."""
+    if cfg.target_mode == "sweep":
+        return None
+    if cfg.target_mode == "fixed":
+        return np.full(rng.lanes, cfg.target, dtype=np.int64)
+    return rng.randbelow(cfg.n)
 
 
-def _batch_guesses(name: str, n: int, hints: np.ndarray, s) -> np.ndarray:
-    if name == "shift":
-        return (s + hints) % n
-    if name == "naive":
-        return np.where(np.asarray(s) == hints, 0, 1)
-    if name == "baseline":
-        return np.broadcast_to(np.asarray(s), hints.shape)
-    raise UnknownStrategy(name)
+def _wins(game: str, cfg: GameConfig, st: Strategy, blocks: Blocks) -> np.ndarray:
+    """Successes over ``blocks``: per target in sweep mode, else one total."""
+    wins = np.zeros(cfg.n if cfg.target_mode == "sweep" else 1, dtype=np.int64)
+    for block, rng in blocks:
+        wins += _KERNELS[game](st, block, _targets(cfg, rng))
+    return wins
 
 
-def _needle_chunk_vector(cfg: GameConfig, start: int, width: int) -> np.ndarray:
-    n = cfg.n
-    name = cfg.strategy_name()
-    sweep = cfg.target_mode == "sweep"
-    counts = np.zeros(n if sweep else 1, dtype=np.int64)
-    done = 0
-    while done < width:
-        b = min(_BATCH, width - done)
-        rng = BatchRng(batch_seeds(cfg.seed, start + done, b))
-        perms = rng.permutations(n)
-        rows = np.arange(b)
-        hints = _batch_hints(name, perms)
-        if sweep:
-            for s in range(n):
-                g = _batch_guesses(name, n, hints, s)
-                counts[s] += int((perms[rows, g] == s).sum())
-        else:
-            if cfg.target_mode == "fixed":
-                svec = np.full(b, cfg.target, dtype=np.int64)
-            else:
-                svec = rng.randbelow(n)
-            g = _batch_guesses(name, n, hints, svec)
-            counts[0] += int((perms[rows, g] == svec).sum())
-        done += b
-    return counts
+def _chunk_wins(game: str, cfg: GameConfig, start: int, width: int) -> np.ndarray:
+    """Seeded trials start..start+width-1; top level so process pools can
+    pickle it, with the strategy crossing as its name."""
+    return _wins(game, cfg, cfg.strategy_obj(),
+                 seeded_blocks(cfg.seed, cfg.n, start, width, _BATCH))
 
 
-def _locker_chunk_vector(cfg: GameConfig, start: int, width: int) -> np.ndarray:
-    n = cfg.n
-    sweep = cfg.target_mode == "sweep"
-    counts = np.zeros(n if sweep else 1, dtype=np.int64)
-    done = 0
-    while done < width:
-        b = min(_BATCH, width - done)
-        rng = BatchRng(batch_seeds(cfg.seed, start + done, b))
-        perms = rng.permutations(n)
-        rows = np.arange(b)
-        hints = _shift_hints_batch(perms)
-        pos_h = np.argmax(perms == hints[:, None].astype(np.int32), axis=1)
-        swapped = perms.copy()
-        first = swapped[rows, 0].copy()
-        swapped[rows, 0] = swapped[rows, pos_h]
-        swapped[rows, pos_h] = first
-        if sweep:
-            for s in range(n):
-                hit = (hints == s) | (swapped[rows, (s + hints) % n] == s)
-                counts[s] += int(hit.sum())
-        else:
-            if cfg.target_mode == "fixed":
-                svec = np.full(b, cfg.target, dtype=np.int64)
-            else:
-                svec = rng.randbelow(n)
-            hit = (hints == svec) | (swapped[rows, (svec + hints) % n] == svec)
-            counts[0] += int(hit.sum())
-        done += b
-    return counts
-
-
-_VECTOR_STRATEGIES = ("shift", "naive", "baseline")
-
-
-def _simulate_chunk(game: str, cfg_fields: dict, start: int, width: int) -> np.ndarray:
-    """Top-level chunk job (picklable for process pools)."""
-    cfg = GameConfig(**cfg_fields)
-    if game == "needle":
-        if cfg.strategy_name() in _VECTOR_STRATEGIES and isinstance(cfg.strategy, str):
-            return _needle_chunk_vector(cfg, start, width)
-        return _needle_chunk_scalar(cfg, start, width, None)
-    return _locker_chunk_vector(cfg, start, width)
-
-
-def _run_trials(game: str, cfg: GameConfig,
-                perm_stream: PermStream | None) -> np.ndarray:
-    """Dispatch trials over workers; the result never depends on the split."""
-    if perm_stream is not None:
-        scalar = _needle_chunk_scalar if game == "needle" else _locker_chunk_scalar
-        return scalar(cfg, 0, cfg.trials, perm_stream)
-    if not isinstance(cfg.strategy, str):
-        if game == "needle":
-            return _needle_chunk_scalar(cfg, 0, cfg.trials, None)
-        return _locker_chunk_vector(cfg, 0, cfg.trials)
-
-    chunks = _chunk_ranges(cfg.trials, cfg.workers)
-    fields = {
-        "n": cfg.n, "trials": cfg.trials, "seed": cfg.seed,
-        "strategy": cfg.strategy, "target_mode": cfg.target_mode,
-        "target": cfg.target, "exhaustive": cfg.exhaustive,
-        "workers": cfg.workers,
-    }
-    if cfg.workers == 1 or len(chunks) == 1:
-        parts = [_simulate_chunk(game, fields, a, w) for a, w in chunks]
-    else:
+def _seeded_wins(game: str, cfg: GameConfig) -> np.ndarray:
+    """Dispatch seeded trials over workers; the result never depends on the
+    split. Chunks are cut at whole batches, and the pool never outnumbers
+    the cores or the chunks."""
+    if not isinstance(cfg.strategy, str):   # a Strategy's closures do not pickle
+        return _chunk_wins(game, cfg, 0, cfg.trials)
+    cap = min(cfg.workers, os.cpu_count() or 1)
+    per = -(-cfg.trials // (cap * _BATCH)) * _BATCH
+    starts = range(0, cfg.trials, per)
+    jobs = ([game] * len(starts), [cfg] * len(starts), starts,
+            [min(per, cfg.trials - a) for a in starts])
+    if min(cap, len(starts)) > 1:
         try:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                parts = list(pool.map(
-                    _simulate_chunk, [game] * len(chunks), [fields] * len(chunks),
-                    [a for a, _ in chunks], [w for _, w in chunks]))
+            with ProcessPoolExecutor(max_workers=min(cap, len(starts))) as pool:
+                return np.sum(list(pool.map(_chunk_wins, *jobs)), axis=0)
         except (OSError, RuntimeError):   # process pools unavailable
-            parts = [_simulate_chunk(game, fields, a, w) for a, w in chunks]
-    return np.sum(parts, axis=0)
-
-
-def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
-    per = max(1, -(-trials // max(workers, 1)))
-    return [(a, min(per, trials - a)) for a in range(0, trials, per)]
+            pass
+    return np.sum(list(map(_chunk_wins, *jobs)), axis=0)
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _report_from_counts(game: str, cfg: GameConfig, counts: np.ndarray,
-                        ) -> SimulationReport:
-    n = cfg.n
+def _report(game: str, cfg: GameConfig, wins: np.ndarray, runs: int,
+            exact: bool) -> SimulationReport:
+    """Report ``wins`` (per target in sweep mode) over ``runs`` permutations
+    per target; an exact run also carries each rate as a fraction."""
+    def rate(w: int, t: int) -> Fraction | None:
+        return Fraction(w, t) if exact else None
+
+    per_target = None
     if cfg.target_mode == "sweep":
-        per = []
-        for s in range(n):
-            succ = int(counts[s])
-            low, high = wilson_interval(succ, cfg.trials)
-            per.append(TargetStat(s, cfg.trials, succ, succ / cfg.trials,
-                                  low, high))
-        successes = int(counts.sum())
-        trials = cfg.trials * n
-        per_target = tuple(per)
-    else:
-        successes = int(counts[0])
-        trials = cfg.trials
-        per_target = None
+        per_target = tuple(
+            TargetStat(s, runs, w, w / runs, *wilson_interval(w, runs),
+                       exact=rate(w, runs))
+            for s, w in enumerate(wins.tolist()))
+    successes, trials = int(wins.sum()), runs * len(wins)
     low, high = wilson_interval(successes, trials)
     return SimulationReport(
-        game, n, trials, cfg.seed, cfg.strategy_name(), cfg.target_mode,
+        game, cfg.n, trials, cfg.seed, cfg.strategy_name(), cfg.target_mode,
         cfg.target, cfg.exhaustive, successes, successes / trials, low, high,
-        None, per_target, theory_reference_values(n))
+        rate(successes, trials), per_target, theory_reference_values(cfg.n))
 
 
-def _exhaustive_needle(cfg: GameConfig) -> SimulationReport:
-    st = cfg.strategy_obj()
-    ev = evaluate_success_exact(st, guard=EXHAUSTIVE_GUARD)
-    n, total = cfg.n, factorial(cfg.n)
-    per = tuple(
-        TargetStat(s, total, int(f * total), float(f),
-                   *wilson_interval(int(f * total), total), exact=f)
-        for s, f in enumerate(ev.per_target))
-    if cfg.target_mode == "sweep":
-        exact = ev.overall
-        successes, trials, per_target = int(exact * total * n), total * n, per
-    elif cfg.target_mode == "fixed":
-        exact = ev.per_target[cfg.target]
-        successes, trials, per_target = int(exact * total), total, None
+def _simulate(game: str, cfg: GameConfig,
+              perm_stream: PermStream | None) -> SimulationReport:
+    cfg.validate()
+    if game == "locker" and cfg.strategy_name() != "shift":
+        raise ParameterOutOfRange(
+            "the locker game is defined for the shift strategy only, "
+            f"not {cfg.strategy_name()!r}")
+    st = cfg.strategy_obj()   # surfaces UnknownStrategy before any work
+    if cfg.exhaustive:
+        check_guard(cfg.n, EXHAUSTIVE_GUARD, f"exhaustive {game} sweep")
+        wins = sum(_KERNELS[game](st, block)
+                   for block in row_blocks(cfg.n, EXHAUSTIVE_GUARD))
+        if cfg.target_mode == "fixed":
+            wins = wins[cfg.target:cfg.target + 1]
+        return _report(game, cfg, wins, factorial(cfg.n), exact=True)
+    if perm_stream is not None:
+        wins = _wins(game, cfg, st, _stream_blocks(perm_stream, cfg.seed,
+                                                   cfg.n, cfg.trials))
     else:
-        exact = ev.overall
-        successes, trials, per_target = int(exact * total * n), total * n, None
-    low, high = wilson_interval(successes, trials)
-    return SimulationReport(
-        "needle", n, trials, cfg.seed, cfg.strategy_name(), cfg.target_mode,
-        cfg.target, True, successes, float(exact), low, high, exact,
-        per_target, theory_reference_values(n))
-
-
-def _exhaustive_locker(cfg: GameConfig) -> SimulationReport:
-    import itertools
-    n = cfg.n
-    check_guard(n, EXHAUSTIVE_GUARD, "exhaustive locker sweep")
-    wins = [0] * n
-    for img in itertools.permutations(range(n)):
-        h = argmax_shift(shift_histogram(Permutation(img)))
-        items = list(img)
-        pos_h = items.index(h)
-        items[0], items[pos_h] = items[pos_h], items[0]
-        for s in range(n):
-            if h == s or items[(s + h) % n] == s:
-                wins[s] += 1
-    total = factorial(n)
-    per = tuple(
-        TargetStat(s, total, w, w / total, *wilson_interval(w, total),
-                   exact=Fraction(w, total))
-        for s, w in enumerate(wins))
-    if cfg.target_mode == "fixed":
-        exact = per[cfg.target].exact
-        successes, trials, per_target = wins[cfg.target], total, None
-    else:
-        exact = Fraction(sum(wins), total * n)
-        successes, trials = sum(wins), total * n
-        per_target = per if cfg.target_mode == "sweep" else None
-    low, high = wilson_interval(successes, trials)
-    return SimulationReport(
-        "locker", n, trials, cfg.seed, "shift", cfg.target_mode, cfg.target,
-        True, successes, float(exact), low, high, exact, per_target,
-        theory_reference_values(n))
+        wins = _seeded_wins(game, cfg)
+    return _report(game, cfg, wins, cfg.trials, exact=False)
 
 
 def simulate_needle(cfg: GameConfig,
                     perm_stream: PermStream | None = None) -> SimulationReport:
     """Monte Carlo (or exhaustive-exact) success rate of a strategy."""
-    cfg.validate()
-    cfg.strategy_obj()   # surfaces UnknownStrategy before any work
-    if cfg.exhaustive:
-        return _exhaustive_needle(cfg)
-    return _report_from_counts("needle", cfg,
-                               _run_trials("needle", cfg, perm_stream))
+    return _simulate("needle", cfg, perm_stream)
 
 
 def simulate_locker(cfg: GameConfig,
@@ -415,11 +270,7 @@ def simulate_locker(cfg: GameConfig,
     """Locker game with the shift-hint adaptation: the adviser swaps the
     hint's card into position 0; the seeker reads it there and probes
     (target + hint) mod n if the first card was not already the target."""
-    cfg.validate()
-    if cfg.exhaustive:
-        return _exhaustive_locker(cfg)
-    return _report_from_counts("locker", cfg,
-                               _run_trials("locker", cfg, perm_stream))
+    return _simulate("locker", cfg, perm_stream)
 
 
 @dataclass(frozen=True)
@@ -463,36 +314,21 @@ def max_shift_distribution(n: int, trials: int = 10_000, seed: int = 0,
                            exhaustive: bool = False,
                            perm_stream: PermStream | None = None,
                            ) -> MaxShiftReport:
+    if n < 1 or trials < 1:
+        raise ParameterOutOfRange("n and trials must be positive")
     if exhaustive:
         check_guard(n, EXHAUSTIVE_GUARD, "exhaustive max-shift sweep")
-        v = displacement_matrix(n)
-        best = np.zeros(len(v), dtype=np.int64)
-        for l in range(n):
-            np.maximum(best, (v == l).sum(axis=1), out=best)
-        hist = np.bincount(best, minlength=n + 1)
-        trials = len(v)
+        blocks = row_blocks(n, EXHAUSTIVE_GUARD)
         mode = "exhaustive"
     elif perm_stream is not None:
-        maxima = []
-        for t in range(trials):
-            p = Permutation(tuple(perm_stream(t)))
-            maxima.append(max(shift_histogram(p).counts))
-        hist = np.bincount(np.array(maxima), minlength=n + 1)
+        blocks = (b for b, _ in _stream_blocks(perm_stream, seed, n, trials))
         mode = "stream"
     else:
-        hist = np.zeros(n + 1, dtype=np.int64)
-        done = 0
-        while done < trials:
-            b = min(_BATCH, trials - done)
-            rng = BatchRng(batch_seeds(seed, done, b))
-            perms = rng.permutations(n)
-            vals = (np.arange(n, dtype=np.int32)[None, :] - perms) % n
-            offsets = (np.arange(b, dtype=np.int64) * n)[:, None]
-            counts = np.bincount((vals.astype(np.int64) + offsets).ravel(),
-                                 minlength=b * n).reshape(b, n)
-            hist += np.bincount(counts.max(axis=1), minlength=n + 1)[:n + 1]
-            done += b
+        blocks = (b for b, _ in seeded_blocks(seed, n, 0, trials, _BATCH))
         mode = "sampled"
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for block in blocks:
+        hist += np.bincount(shift_counts(block).max(axis=1), minlength=n + 1)
     values = np.arange(n + 1)
     mean = float((hist * values).sum() / hist.sum())
     cum = np.cumsum(hist)

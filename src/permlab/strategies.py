@@ -1,8 +1,13 @@
 """Hint+guess strategies for the needle-in-a-haystack game.
 
-A strategy is a pair of deterministic functions: ``hint`` maps the hidden
-permutation to a message in 0..m-1, ``guess`` maps (message, target) to the
+A strategy is a pair of deterministic functions: a hint maps the hidden
+permutation to a message in 0..m-1, a guess maps (message, target) to the
 single position probed. Success means the probed position holds the target.
+Both are defined over blocks: ``hints`` maps a ``(B, n)`` block of
+permutation rows to ``(B,)`` messages and ``guesses`` maps ``(B,)`` messages
+and a target (one int or ``(B,)``) to ``(B,)`` positions; ``hint`` and
+``guess`` are their one-row forms. ``needle_wins`` scores a block, and
+every needle-game count in the package comes from it.
 
 Concrete strategies:
 
@@ -15,17 +20,18 @@ Concrete strategies:
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable
 
-from .enumeration import check_guard
-from .errors import NotLatin, UnknownStrategy
+import numpy as np
+
+from .enumeration import check_guard, row_blocks
+from .errors import NotLatin, ParameterOutOfRange, UnknownStrategy
 from .fields import PartitionStrategy, aic_check  # noqa: F401  (re-export)
-from .perms import Permutation, argmax_shift, shift_histogram
+from .perms import Permutation, shift_counts
 
 EVAL_GUARD = 8
 
@@ -37,8 +43,26 @@ class Strategy:
     name: str
     n: int
     m: int
-    hint: Callable[[Permutation], int]
-    guess: Callable[[int, int], int]
+    hints: Callable[[np.ndarray], np.ndarray]
+    guesses: Callable[[np.ndarray, np.ndarray | int], np.ndarray]
+
+    def hint(self, p: Permutation) -> int:
+        return int(self.hints(np.array([p.image]))[0])
+
+    def guess(self, h: int, s: int) -> int:
+        return int(self.guesses(np.array([h]), s)[0])
+
+
+def needle_wins(st: Strategy, block: np.ndarray,
+                targets: np.ndarray | None = None) -> np.ndarray:
+    """Successes of ``st`` on the rows of ``block``: one count per target
+    0..n-1 when ``targets`` is None, else one count for the per-row
+    ``targets`` given."""
+    rows = np.arange(len(block))
+    h = st.hints(block)
+    cells = range(st.n) if targets is None else [targets]
+    return np.array([np.count_nonzero(block[rows, st.guesses(h, s)] == s)
+                     for s in cells], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -75,57 +99,55 @@ class LatinSquare:
 
 
 def shift_strategy(n: int) -> Strategy:
-    def hint(p: Permutation) -> int:
-        return argmax_shift(shift_histogram(p))
+    def hints(block: np.ndarray) -> np.ndarray:
+        return np.argmax(shift_counts(block), axis=1)  # first max = lowest class
 
-    def guess(h: int, s: int) -> int:
+    def guesses(h, s):
         return (s + h) % n
 
-    return Strategy("shift", n, n, hint, guess)
+    return Strategy("shift", n, n, hints, guesses)
 
 
 def naive_strategy(n: int) -> Strategy:
     if n < 2:
-        raise ValueError("naive strategy needs n >= 2")
+        raise ParameterOutOfRange("naive strategy needs n >= 2")
 
-    def hint(p: Permutation) -> int:
-        return p.image[0]
+    def hints(block: np.ndarray) -> np.ndarray:
+        return block[:, 0].astype(np.int64)
 
-    def guess(h: int, s: int) -> int:
+    def guesses(h, s):
         # any fixed second position works; 1 keeps runs reproducible
-        return 0 if s == h else 1
+        return np.where(s == h, 0, 1)
 
-    return Strategy("naive", n, n, hint, guess)
+    return Strategy("naive", n, n, hints, guesses)
 
 
 def baseline_strategy(n: int) -> Strategy:
     """No advice: a single dummy message and a probe at the target itself."""
-    return Strategy("baseline", n, 1, lambda p: 0, lambda h, s: s)
+    return Strategy("baseline", n, 1,
+                    lambda block: np.zeros(len(block), dtype=np.int64),
+                    lambda h, s: np.broadcast_to(s, h.shape))
 
 
 def latin_strategy(square: LatinSquare) -> Strategy:
     n = square.n
-    inverses = tuple(tuple(_invert(row)) for row in square.rows)
+    rows = np.array(square.rows, dtype=np.int64)
+    inverses = np.argsort(rows, axis=1)   # inverses[r][v] = position of v in row r
 
-    def hint(p: Permutation) -> int:
-        best_row, best = 0, -1
-        for r, row in enumerate(square.rows):
-            agree = sum(1 for i in range(n) if row[i] == p.image[i])
-            if agree > best:
-                best_row, best = r, agree
+    def hints(block: np.ndarray) -> np.ndarray:
+        best_row = np.zeros(len(block), dtype=np.int64)
+        best = np.full(len(block), -1, dtype=np.int64)
+        for r, row in enumerate(rows):
+            agree = np.count_nonzero(block == row, axis=1)
+            closer = agree > best   # strict, so the first closest row wins
+            best_row[closer] = r
+            np.maximum(best, agree, out=best)
         return best_row
 
-    def guess(h: int, s: int) -> int:
-        return inverses[h][s]
+    def guesses(h, s):
+        return inverses[h, s]
 
-    return Strategy("latin", n, n, hint, guess)
-
-
-def _invert(row: Sequence[int]) -> list[int]:
-    inv = [0] * len(row)
-    for i, v in enumerate(row):
-        inv[v] = i
-    return inv
+    return Strategy("latin", n, n, hints, guesses)
 
 
 def strategy_by_name(name: str, n: int) -> Strategy:
@@ -163,16 +185,10 @@ def evaluate_success_exact(st: Strategy, guard: int = EVAL_GUARD) -> ExactEvalua
     """Sweep every permutation and every target; exact rational results."""
     n = st.n
     check_guard(n, guard, "evaluate_success_exact")
-    wins = [0] * n
-    for img in itertools.permutations(range(n)):
-        p = Permutation(img)
-        h = st.hint(p)
-        for s in range(n):
-            if img[st.guess(h, s)] == s:
-                wins[s] += 1
+    wins = sum(needle_wins(st, block) for block in row_blocks(n, guard))
     total = factorial(n)
-    per_target = tuple(Fraction(w, total) for w in wins)
-    overall = Fraction(sum(wins), total * n)
+    per_target = tuple(Fraction(int(w), total) for w in wins)
+    overall = Fraction(int(wins.sum()), total * n)
     minimum = min(per_target)
     return ExactEvaluation(st.name, n, per_target, overall, minimum,
                            per_target.index(minimum))

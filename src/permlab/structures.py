@@ -30,10 +30,11 @@ from math import factorial
 import numpy as np
 
 from . import counting
-from .enumeration import check_guard, displacement_matrix, perm_matrix
+from .enumeration import perm_matrix, row_blocks
 from .errors import (EqualIndices, HypothesisViolated, ParameterOutOfRange,
                      ShiftZero)
-from .rng import BatchRng, Rng, batch_seeds, derive_seed
+from .perms import shift_counts
+from .rng import Rng, derive_seed, seeded_blocks
 
 
 @dataclass(frozen=True)
@@ -296,11 +297,11 @@ def joint_shift_table(n: int, i: int, j: int,
         raise EqualIndices("shift classes i and j must differ")
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterOutOfRange(f"classes ({i}, {j}) not in 0..{n - 1}")
-    v = displacement_matrix(n, guard)
-    si = (v == i).sum(axis=1)
-    sj = (v == j).sum(axis=1)
-    pairs = si.astype(np.int64) * (n + 1) + sj
-    counts = np.bincount(pairs, minlength=(n + 1) * (n + 1))
+    counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
+    for block in row_blocks(n, guard):
+        c = shift_counts(block)
+        counts += np.bincount(c[:, i] * (n + 1) + c[:, j],
+                              minlength=(n + 1) * (n + 1))
     total = factorial(n)
     table: dict[tuple[int, int], Fraction] = {}
     for ti in range(n + 1):
@@ -365,19 +366,13 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
     if trials < 1:
         raise ParameterOutOfRange("trials must be positive")
     cnt_i = cnt_j = cnt_ij = 0
-    idx = np.arange(n, dtype=np.int32)
-    done = 0
-    while done < trials:
-        width = min(batch, trials - done)
-        rng = BatchRng(batch_seeds(seed, done, width))
-        perms = rng.permutations(n)
-        v = (idx[None, :] - perms) % n
-        zi = (v == i).sum(axis=1) == t
-        zj = (v == j).sum(axis=1) == t
+    for perms, _ in seeded_blocks(seed, n, 0, trials, batch):
+        c = shift_counts(perms)
+        zi = c[:, i] == t
+        zj = c[:, j] == t
         cnt_i += int(zi.sum())
         cnt_j += int(zj.sum())
         cnt_ij += int((zi & zj).sum())
-        done += width
     p_i, p_j, p_ij = cnt_i / trials, cnt_j / trials, cnt_ij / trials
     cov = p_ij - p_i * p_j
     se_i = math.sqrt(p_i * (1 - p_i) / trials)

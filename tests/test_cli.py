@@ -234,6 +234,43 @@ class TestDist:
         assert lines[1]["trials"] == 500
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+class TestUsageErrors:
+    """Inputs a run cannot honour end in exit 2, one stderr line, and strict
+    JSON on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "locker", "--n", "5", "--trials", "10",
+         "--strategy", "bogus", "--workers", "1"),
+        ("simulate", "locker", "--n", "5", "--trials", "10",
+         "--strategy", "naive", "--workers", "1"),
+        ("exact", "--strategy", "naive", "--n", "1"),
+        ("exact", "--strategy", "shift", "--n", "0"),
+        ("dist", "--n", "5", "--trials", "0"),
+        ("dist", "--n", "0"),
+    ], ids=["locker-bogus", "locker-naive", "exact-naive-n1", "exact-n0",
+            "dist-trials0", "dist-n0"])
+    def test_exit_2(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        for line in captured.out.splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+
+    def test_dist_output_is_strict_json(self, capsys):
+        code = main(["dist", "--n", "5", "--trials", "1", "--seed", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        docs = [json.loads(line, parse_constant=_reject_constant)
+                for line in out.splitlines()]
+        assert docs[1]["trials"] == 1
+
+
 class TestConsoleScript:
     def test_entry_point(self):
         proc = subprocess.run(

@@ -1,47 +1,208 @@
-"""Game simulators: engine equivalence, exactness, determinism, fixtures."""
+"""Game simulators: kernels against a scalar oracle, exactness,
+determinism, fixtures."""
 
 import itertools
+import os
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
-from permlab.errors import ParameterOutOfRange, TooLargeForEnumeration, UnknownStrategy
-from permlab.perms import Permutation, example_deck
+import permlab.simulate as simulate_mod
+from permlab.errors import (NotABijection, ParameterOutOfRange,
+                            TooLargeForEnumeration, UnknownStrategy)
+from permlab.perms import Permutation, argmax_shift, example_deck, shift_histogram
+from permlab.rng import Rng, derive_seed
 from permlab.simulate import (GameConfig, MaxShiftReport, SimulationReport,
                               max_shift_distribution, simulate_locker,
                               simulate_needle, wilson_interval,
-                              worst_case_target, _locker_chunk_scalar,
-                              _locker_chunk_vector, _needle_chunk_scalar,
-                              _needle_chunk_vector)
-from permlab.strategies import (baseline_strategy, evaluate_success_exact,
+                              worst_case_target)
+from permlab.strategies import (LatinSquare, baseline_strategy,
+                                evaluate_success_exact, latin_strategy,
                                 naive_strategy, shift_strategy)
+
+# ---------------------------------------------------------------------------
+# scalar oracle: one trial at a time, on Rng and tuple-level strategies that
+# share no code with the block kernels
+# ---------------------------------------------------------------------------
+
+LATIN5 = ((0, 2, 4, 1, 3), (1, 3, 0, 2, 4), (2, 4, 1, 3, 0), (3, 0, 2, 4, 1),
+          (4, 1, 3, 0, 2))
+
+
+def scalar_strategy(name, n):
+    """(hint, guess) on image tuples, as the strategies were first written."""
+    if name == "shift":
+        return (lambda img: argmax_shift(shift_histogram(Permutation(img))),
+                lambda h, s: (s + h) % n)
+    if name == "naive":
+        return lambda img: img[0], lambda h, s: 0 if s == h else 1
+    if name == "baseline":
+        return lambda img: 0, lambda h, s: s
+    assert name == "latin" and n == len(LATIN5)
+
+    def hint(img):
+        best_row, best = 0, -1
+        for r, row in enumerate(LATIN5):
+            agree = sum(1 for i in range(n) if row[i] == img[i])
+            if agree > best:
+                best_row, best = r, agree
+        return best_row
+
+    return hint, lambda h, s: LATIN5[h].index(s)
+
+
+def batched_strategy(name, n):
+    if name == "latin":
+        return latin_strategy(LatinSquare(LATIN5))
+    return {"shift": shift_strategy, "naive": naive_strategy,
+            "baseline": baseline_strategy}[name](n)
+
+
+def _trial_items(cfg, t, rng, perm_stream):
+    if perm_stream is None:
+        items = list(range(cfg.n))
+        rng.shuffle(items)
+        return items
+    return list(Permutation(tuple(perm_stream(t))).image)
+
+
+def _needle_chunk_scalar(cfg, start, width, perm_stream, name):
+    """Success counts for trials start..start+width-1 (per target in sweep
+    mode, single cell otherwise)."""
+    hint, guess = scalar_strategy(name, cfg.n)
+    n = cfg.n
+    sweep = cfg.target_mode == "sweep"
+    counts = np.zeros(n if sweep else 1, dtype=np.int64)
+    for t in range(start, start + width):
+        rng = Rng(derive_seed(cfg.seed, t))
+        items = _trial_items(cfg, t, rng, perm_stream)
+        h = hint(tuple(items))
+        if sweep:
+            for s in range(n):
+                if items[guess(h, s)] == s:
+                    counts[s] += 1
+        else:
+            s = cfg.target if cfg.target_mode == "fixed" else rng.randbelow(n)
+            if items[guess(h, s)] == s:
+                counts[0] += 1
+    return counts
+
+
+def _locker_chunk_scalar(cfg, start, width, perm_stream):
+    n = cfg.n
+    sweep = cfg.target_mode == "sweep"
+    counts = np.zeros(n if sweep else 1, dtype=np.int64)
+    for t in range(start, start + width):
+        rng = Rng(derive_seed(cfg.seed, t))
+        items = _trial_items(cfg, t, rng, perm_stream)
+        h = argmax_shift(shift_histogram(Permutation(tuple(items))))
+        pos_h = items.index(h)
+        items[0], items[pos_h] = items[pos_h], items[0]  # no-op when pos_h == 0
+        if sweep:
+            for s in range(n):
+                if h == s or items[(s + h) % n] == s:
+                    counts[s] += 1
+        else:
+            s = cfg.target if cfg.target_mode == "fixed" else rng.randbelow(n)
+            if h == s or items[(s + h) % n] == s:
+                counts[0] += 1
+    return counts
+
+
+def _report_counts(report):
+    if report.per_target is None:
+        return [report.successes]
+    return [ts.successes for ts in report.per_target]
+
+
+def _stream(n):
+    def perm_stream(t):
+        items = list(range(n))
+        Rng(derive_seed(77, t)).shuffle(items)
+        return items
+    return perm_stream
+
+
+def _cfg(mode, **fields):
+    target = 3 if mode == "fixed" else None
+    return GameConfig(target_mode=mode, target=target, **fields)
 
 
 class TestEngineEquivalence:
-    """The vectorized engine must replay the scalar engine draw for draw."""
+    """The block kernels must replay the scalar oracle draw for draw."""
 
-    @pytest.mark.parametrize("strategy", ["shift", "naive", "baseline"])
-    @pytest.mark.parametrize("mode", ["uniform", "sweep"])
+    @pytest.mark.parametrize("strategy", ["shift", "naive", "baseline", "latin"])
+    @pytest.mark.parametrize("mode", ["uniform", "sweep", "fixed"])
     def test_needle(self, strategy, mode):
-        cfg = GameConfig(n=7, trials=500, seed=1234, strategy=strategy,
-                         target_mode=mode)
-        scalar = _needle_chunk_scalar(cfg, 0, 500, None)
-        vector = _needle_chunk_vector(cfg, 0, 500)
-        assert scalar.tolist() == vector.tolist()
+        named = strategy if strategy != "latin" else batched_strategy("latin", 5)
+        cfg = _cfg(mode, n=5, trials=2500, seed=1234, strategy=named)
+        kernel = simulate_needle(cfg)
+        assert _report_counts(kernel) == \
+            _needle_chunk_scalar(cfg, 0, 2500, None, strategy).tolist()
 
-    @pytest.mark.parametrize("mode", ["uniform", "sweep"])
+    @pytest.mark.parametrize("mode", ["uniform", "sweep", "fixed"])
     def test_locker(self, mode):
-        cfg = GameConfig(n=7, trials=500, seed=99, target_mode=mode)
-        scalar = _locker_chunk_scalar(cfg, 0, 500, None)
-        vector = _locker_chunk_vector(cfg, 0, 500)
-        assert scalar.tolist() == vector.tolist()
+        cfg = _cfg(mode, n=7, trials=2500, seed=99)
+        assert _report_counts(simulate_locker(cfg)) == \
+            _locker_chunk_scalar(cfg, 0, 2500, None).tolist()
 
     def test_fixed_target(self):
         cfg = GameConfig(n=6, trials=300, seed=5, strategy="shift",
                          target_mode="fixed", target=4)
-        assert _needle_chunk_scalar(cfg, 0, 300, None).tolist() == \
-            _needle_chunk_vector(cfg, 0, 300).tolist()
+        assert _report_counts(simulate_needle(cfg)) == \
+            _needle_chunk_scalar(cfg, 0, 300, None, "shift").tolist()
+
+    @pytest.mark.parametrize("strategy", ["shift", "naive", "baseline", "latin"])
+    @pytest.mark.parametrize("mode", ["uniform", "sweep", "fixed"])
+    def test_needle_stream(self, strategy, mode):
+        cfg = _cfg(mode, n=5, trials=2100, seed=8,
+                   strategy=batched_strategy(strategy, 5))
+        kernel = simulate_needle(cfg, perm_stream=_stream(5))
+        assert _report_counts(kernel) == \
+            _needle_chunk_scalar(cfg, 0, 2100, _stream(5), strategy).tolist()
+
+    @pytest.mark.parametrize("mode", ["uniform", "sweep", "fixed"])
+    def test_locker_stream(self, mode):
+        cfg = _cfg(mode, n=6, trials=2100, seed=8)
+        kernel = simulate_locker(cfg, perm_stream=_stream(6))
+        assert _report_counts(kernel) == \
+            _locker_chunk_scalar(cfg, 0, 2100, _stream(6)).tolist()
+
+    @pytest.mark.parametrize("run", [simulate_needle, simulate_locker])
+    def test_stream_row_not_a_bijection(self, run):
+        rows = {0: (0, 1, 2, 3), 1: (0, 1, 1, 3)}
+        with pytest.raises(NotABijection):
+            run(GameConfig(n=4, trials=2, seed=0), perm_stream=rows.__getitem__)
+        with pytest.raises(NotABijection):
+            max_shift_distribution(4, trials=2, perm_stream=rows.__getitem__)
+
+    @pytest.mark.parametrize("strategy", ["shift", "naive", "baseline", "latin"])
+    def test_exhaustive_needle_against_itertools(self, strategy):
+        for n in ((5,) if strategy == "latin" else (2, 4, 6)):
+            hint, guess = scalar_strategy(strategy, n)
+            wins = [0] * n
+            for img in itertools.permutations(range(n)):
+                h = hint(img)
+                for s in range(n):
+                    wins[s] += img[guess(h, s)] == s
+            st = batched_strategy(strategy, n)
+            report = simulate_needle(GameConfig(
+                n=n, trials=1, strategy=st, target_mode="sweep",
+                exhaustive=True))
+            assert _report_counts(report) == wins
+            assert evaluate_success_exact(st).per_target == tuple(
+                Fraction(w, factorial(n)) for w in wins)
+
+    def test_exhaustive_locker_against_itertools(self):
+        for n in range(1, 7):
+            cfg = GameConfig(n=n, trials=1, target_mode="sweep",
+                             exhaustive=True)
+            wins = np.zeros(n, dtype=np.int64)
+            for t, img in enumerate(itertools.permutations(range(n))):
+                wins += _locker_chunk_scalar(cfg, t, 1, lambda _: img)
+            assert _report_counts(simulate_locker(cfg)) == wins.tolist()
 
 
 class TestDeterminism:
@@ -63,6 +224,35 @@ class TestDeterminism:
             simulate_locker(GameConfig(n=16, trials=2_500, seed=3, workers=w))
             for w in (1, 3)]
         assert reports[0] == reports[1]
+
+    def test_pool_clamped_to_cores_and_chunks(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for a process pool: records its size, runs serially."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulate_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        huge = simulate_needle(GameConfig(n=9, trials=5000, seed=4,
+                                          workers=100_000_000_000))
+        assert sizes == [3]    # 4 cores, but 5000 trials are 3 batches
+        assert huge == simulate_needle(GameConfig(n=9, trials=5000, seed=4,
+                                                  workers=1))
+        simulate_needle(GameConfig(n=9, trials=50_000, seed=4,
+                                   workers=100_000_000_000))
+        assert sizes == [3, 4]
 
 
 class TestNeedleStatistics:
@@ -152,6 +342,11 @@ class TestLockerProtocol:
         allowance = 3 / 64 + 3 * (needle.std_err + locker.std_err)
         assert gap <= allowance
 
+    def test_refuses_other_strategies(self):
+        for name in ("naive", "bogus"):
+            with pytest.raises(ParameterOutOfRange):
+                simulate_locker(GameConfig(n=5, trials=10, strategy=name))
+
 
 class TestWorstCaseTarget:
     def test_requires_sweep(self):
@@ -216,6 +411,13 @@ class TestMaxShiftDistribution:
             1 for a, b, se in zip(means, means[1:], ses)
             if b < a - se)
         assert inversions <= 1
+
+
+class TestMaxShiftDistributionInputs:
+    @pytest.mark.parametrize("n,trials", [(0, 10), (-3, 10), (5, 0), (5, -1)])
+    def test_empty_runs_refused(self, n, trials):
+        with pytest.raises(ParameterOutOfRange):
+            max_shift_distribution(n, trials=trials)
 
 
 class TestWilson:
