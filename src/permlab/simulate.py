@@ -202,9 +202,10 @@ def _seeded_wins(game: str, cfg: GameConfig) -> np.ndarray:
     starts = range(0, cfg.trials, per)
     jobs = ([game] * len(starts), [cfg] * len(starts), starts,
             [min(per, cfg.trials - a) for a in starts])
-    if min(cap, len(starts)) > 1:
+    workers = min(cap, len(starts))
+    if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=min(cap, len(starts))) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 return np.sum(list(pool.map(_chunk_wins, *jobs)), axis=0)
         except (OSError, RuntimeError):   # process pools unavailable
             pass
