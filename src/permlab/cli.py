@@ -189,6 +189,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_field(args) -> int:
+    # the header follows the work, so a refused run prints nothing
     from .fields import (PartitionStrategy, brute_force_field,
                          field_of_partition, success_upper_bound, DEFAULT_BUDGET)
     if args.brute:
@@ -196,11 +197,11 @@ def _cmd_field(args) -> int:
             raise PermlabError("--brute needs --n and --m")
         budget = args.budget if args.budget is not None else DEFAULT_BUDGET
         restriction = "aic" if args.aic else None
+        result = brute_force_field(args.n, args.m, restriction=restriction,
+                                   budget=budget, guard=args.guard)
         _print(_header("field", {"brute": True, "n": args.n, "m": args.m,
                                  "aic": args.aic, "budget": budget,
                                  "guard": args.guard}))
-        result = brute_force_field(args.n, args.m, restriction=restriction,
-                                   budget=budget, guard=args.guard)
         _print(dumps({"field": result.field, "nodes": result.nodes,
                       "restriction": result.restriction,
                       "witness": json.loads(result.witness.to_json())}))
@@ -212,10 +213,11 @@ def _cmd_field(args) -> int:
         raise PermlabError("field needs --partition FILE or --brute")
     with open(args.partition, "r", encoding="utf-8") as fh:
         part = PartitionStrategy.from_json(fh.read())
+    body = {"n": part.n, "m": part.m,
+            "field": field_of_partition(part, args.guard),
+            "success_upper_bound": success_upper_bound(part, args.guard)}
     _print(_header("field", {"partition": args.partition, "guard": args.guard}))
-    _print(dumps({"n": part.n, "m": part.m,
-                  "field": field_of_partition(part, args.guard),
-                  "success_upper_bound": success_upper_bound(part, args.guard)}))
+    _print(dumps(body))
     return 0
 
 

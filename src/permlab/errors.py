@@ -38,6 +38,10 @@ class IndexOutOfRange(PermlabError):
     """A class/position/element index is out of range for a partition."""
 
 
+class MalformedPartition(PermlabError):
+    """A partition document is not a JSON object with integer n, m, assignment."""
+
+
 class ShiftZero(PermlabError):
     """A nonzero shift is required."""
 

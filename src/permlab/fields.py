@@ -25,7 +25,8 @@ from fractions import Fraction
 from math import factorial
 
 from .enumeration import check_guard
-from .errors import BudgetExceeded, IndexOutOfRange
+from .errors import (BudgetExceeded, IndexOutOfRange, MalformedPartition,
+                     ParameterOutOfRange)
 from .perms import Permutation
 
 PARTITION_GUARD = 8
@@ -53,9 +54,25 @@ class PartitionStrategy:
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionStrategy":
-        data = json.loads(text)
-        return cls(int(data["n"]), int(data["m"]),
-                   tuple(int(a) for a in data["assignment"]))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MalformedPartition(f"partition file is not JSON: {exc}")
+        if not isinstance(data, dict):
+            raise MalformedPartition("partition file must hold a JSON object")
+        n, m, assignment = (data.get(key) for key in ("n", "m", "assignment"))
+        if not (_is_int(n) and _is_int(m) and isinstance(assignment, list)
+                and all(_is_int(a) for a in assignment)):
+            raise MalformedPartition(
+                'partition needs integers "n" and "m" and an integer list '
+                '"assignment"')
+        if n < 0:
+            raise MalformedPartition(f"partition order n={n} is negative")
+        return cls(n, m, tuple(assignment))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def class_members(p: PartitionStrategy, guard: int = PARTITION_GUARD,
@@ -174,39 +191,42 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     harmless because the field ignores labels). ``restriction="aic"`` keeps
     only partitions passing :func:`aic_check`. Raises
     :class:`~permlab.errors.BudgetExceeded` after ``budget`` search nodes.
+
+    A class is two ints with a ``width``-bit field per cell (i, k): the
+    deficit intensity[k] - mag[i][k], and ``tight``, the top bit of each field
+    whose deficit is 0. Magneticity never exceeds intensity, so a permutation
+    raises intensity exactly on its tight cells and a child's gain is a
+    popcount, read without a push. The parent loop applies the child's prune
+    or leaf test, so only children that recurse are pushed (a delta cached per
+    rank and tight pattern is added) and popped; every child counts as a node.
     """
     if restriction not in (None, "aic"):
         raise ValueError(f"unknown restriction {restriction!r}")
+    if n < 1 or m < 1:
+        raise ParameterOutOfRange(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if restriction == "aic" and (n < 2 or m < 2):
+        # a single nonempty class puts every target at every position
+        raise ParameterOutOfRange(
+            "no partition passes the aic rule unless n >= 2 and m >= 2")
     check_guard(n, guard, "brute_force_field")
     perms = list(itertools.permutations(range(n)))
     total = len(perms)
 
-    mag = [[[0] * n for _ in range(n)] for _ in range(m)]
-    intensity = [[0] * n for _ in range(m)]
+    width = (total // n).bit_length() + 1  # deficits <= (n-1)!, plus a top bit
+    ones = sum(1 << (f * width) for f in range(n * n))
+    tops = ones << (width - 1)
+    column = [sum(1 << ((k * n + i) * width) for i in range(n))
+              for k in range(n)]
+    cells = [[(1 << ((k * n + i) * width), k) for i, k in enumerate(img)]
+             for img in perms]
+    under = [sum(bit for bit, _ in row) << (width - 1) for row in cells]
+    deltas: list[dict[int, int]] = [{} for _ in perms]
+    deficit = [0] * m
+    tight = [tops] * m
     assignment = [0] * total
     best_field = -1
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
-
-    def push(idx: int, h: int) -> tuple[int, list[int]]:
-        gained = 0
-        raised = []
-        mh, ih = mag[h], intensity[h]
-        for i, k in enumerate(perms[idx]):
-            cell = mh[i]
-            cell[k] += 1
-            if cell[k] > ih[k]:
-                ih[k] += 1
-                gained += 1
-                raised.append(k)
-        return gained, raised
-
-    def pop(idx: int, h: int, raised: list[int]) -> None:
-        mh, ih = mag[h], intensity[h]
-        for i, k in enumerate(perms[idx]):
-            mh[i][k] -= 1
-        for k in raised:
-            ih[k] -= 1
 
     def leaf_ok() -> bool:
         if restriction != "aic":
@@ -218,30 +238,44 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
 
     def dfs(depth: int, field: int, used: int) -> None:
         nonlocal best_field, best_assignment, nodes
-        if depth == total:
-            if field > best_field and leaf_ok():
-                best_field = field
-                best_assignment = tuple(assignment)
-            return
-        if field + n * (total - depth) <= best_field:
-            return
-        limit = min(m, used + 1)  # first-use canonical labels
-        for h in range(limit):
+        mask = under[depth]
+        cached = deltas[depth]
+        slack = n * (total - depth - 1)
+        last = depth == total - 1
+        for h in range(m if used >= m else used + 1):  # first-use labels
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(
                     f"field search exceeded {budget} nodes; "
                     f"re-run with a larger --budget")
-            gained, raised = push(depth, h)
+            pattern = tight[h] & mask
+            child = field + pattern.bit_count()
+            if last:
+                if child > best_field:
+                    assignment[depth] = h
+                    if leaf_ok():
+                        best_field = child
+                        best_assignment = tuple(assignment)
+                continue
+            if child + slack <= best_field:
+                continue
+            delta = cached.get(pattern)
+            if delta is None:
+                delta = cached[pattern] = sum(
+                    column[k] - bit if pattern & (bit << (width - 1))
+                    else -bit for bit, k in cells[depth])
+            old_deficit, old_tight = deficit[h], tight[h]
+            deficit[h] = d = old_deficit + delta
+            # a field's top bit survives (d | tops) - ones iff its deficit > 0
+            tight[h] = ~((d | tops) - ones) & tops
             assignment[depth] = h
-            dfs(depth + 1, field + gained, max(used, h + 1))
-            pop(depth, h, raised)
-        assignment[depth] = 0
+            dfs(depth + 1, child, used + 1 if h == used else used)
+            deficit[h], tight[h] = old_deficit, old_tight
 
     dfs(0, 0, 0)
     if best_assignment is None:
-        # only possible if every leaf failed the restriction; cannot happen
-        # for aic (the one-class-per-first-image partition always passes)
+        # cannot happen: for n, m >= 2 the split "s at position 0 or not"
+        # passes aic
         raise RuntimeError("search found no admissible partition")
     return FieldSearchResult(
         best_field, PartitionStrategy(n, m, best_assignment), nodes, restriction)

@@ -207,6 +207,8 @@ def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
                                  exact, None, None, bound)
     if mode != "sampled":
         raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
+    if trials < 1:
+        raise ParameterOutOfRange("trials must be positive")
     hits = 0
     for trial in range(trials):
         rng = Rng(derive_seed(seed, trial))
@@ -273,6 +275,8 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
                                  exact, None, None, bound)
     if mode != "sampled":
         raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
+    if trials < 1:
+        raise ParameterOutOfRange("trials must be positive")
     hits = 0
     pool_size = len(complement)
     for trial in range(trials):

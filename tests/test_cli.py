@@ -251,16 +251,48 @@ class TestUsageErrors:
         ("exact", "--strategy", "shift", "--n", "0"),
         ("dist", "--n", "5", "--trials", "0"),
         ("dist", "--n", "0"),
+        ("structure", "compatible", "--n", "5", "--t", "1", "--s", "1",
+         "--mode", "sampled", "--trials", "0"),
+        ("structure", "feasible", "--n", "12", "--t", "1", "--k", "1",
+         "--s", "1", "--mode", "sampled", "--trials", "0"),
     ], ids=["locker-bogus", "locker-naive", "exact-naive-n1", "exact-n0",
-            "dist-trials0", "dist-n0"])
+            "dist-trials0", "dist-n0", "compatible-trials0",
+            "feasible-trials0"])
     def test_exit_2(self, capsys, argv):
+        out = self.usage_error_stdout(capsys, argv)
+        for line in out.splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+
+    @staticmethod
+    def usage_error_stdout(capsys, argv):
+        """Run argv, check exit 2 with one ``error:`` line; return stdout."""
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
-        for line in captured.out.splitlines():
-            json.loads(line, parse_constant=_reject_constant)
+        return captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ("field", "--brute", "--n", "3", "--m", "0"),
+        ("field", "--brute", "--n", "3", "--m", "-1"),
+        ("field", "--brute", "--n", "0", "--m", "2"),
+        ("field", "--brute", "--n", "3", "--m", "1", "--aic"),
+    ], ids=["m0", "m-negative", "n0", "aic-one-class"])
+    def test_field_refusal_prints_nothing(self, capsys, argv):
+        assert self.usage_error_stdout(capsys, argv) == ""
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[0, 0, 0, 0, 0, 0]",
+        '{"n": 3, "assignment": [0, 0, 0, 0, 0, 0]}',
+    ], ids=["not-json", "array", "no-m"])
+    @pytest.mark.parametrize("command", ["field", "dedup"])
+    def test_malformed_partition_file(self, capsys, tmp_path, command, text):
+        path = tmp_path / "part.json"
+        path.write_text(text)
+        argv = (command, "--partition", str(path))
+        assert self.usage_error_stdout(capsys, argv) == ""
 
     def test_dist_output_is_strict_json(self, capsys):
         code = main(["dist", "--n", "5", "--trials", "1", "--seed", "2"])
@@ -279,6 +311,18 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert '"ratio": "1/2"' in proc.stdout
+
+    def test_malformed_partition_no_traceback(self, tmp_path):
+        path = tmp_path / "part.json"
+        path.write_text('{"n": 3, "assignment": [0, 0, 0, 0, 0, 0]}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "permlab.cli", "field", "--partition",
+             str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_usage_error_exit_2(self):
         proc = subprocess.run(

@@ -6,9 +6,10 @@ from math import factorial
 
 import pytest
 
-from permlab.errors import BudgetExceeded, IndexOutOfRange, TooLargeForEnumeration
-from permlab.fields import (DedupResult, PartitionStrategy, aic_check,
-                            brute_force_field, class_members,
+from permlab.errors import (BudgetExceeded, IndexOutOfRange, MalformedPartition,
+                            ParameterOutOfRange, TooLargeForEnumeration)
+from permlab.fields import (DedupResult, PartitionStrategy, _aic_holds,
+                            aic_check, brute_force_field, class_members,
                             deduplicate_magnets, field_of_partition,
                             magnet_and_intensity, magnet_table, magneticity,
                             partition_from_hint, success_upper_bound)
@@ -17,6 +18,77 @@ from permlab.rng import Rng, derive_seed
 from permlab.strategies import evaluate_success_exact, naive_strategy
 
 F3_BY_M = {1: 6, 2: 10, 3: 12, 4: 14, 5: 16, 6: 18}  # from the search itself
+# the first optimum the (4, 2) search meets, recorded from the recursive
+# search with per-cell magneticity lists that the packed search replaced
+WITNESS_N4M2 = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 1)
+
+
+def reference_field_search(n, m, restriction=None, budget=2_000_000):
+    """The recursive search with per-cell magneticity lists, kept as the
+    oracle: (field, nodes, witness assignment)."""
+    perms = list(itertools.permutations(range(n)))
+    total = len(perms)
+
+    mag = [[[0] * n for _ in range(n)] for _ in range(m)]
+    intensity = [[0] * n for _ in range(m)]
+    assignment = [0] * total
+    best_field = -1
+    best_assignment = None
+    nodes = 0
+
+    def push(idx, h):
+        gained = 0
+        raised = []
+        mh, ih = mag[h], intensity[h]
+        for i, k in enumerate(perms[idx]):
+            cell = mh[i]
+            cell[k] += 1
+            if cell[k] > ih[k]:
+                ih[k] += 1
+                gained += 1
+                raised.append(k)
+        return gained, raised
+
+    def pop(idx, h, raised):
+        mh, ih = mag[h], intensity[h]
+        for i, k in enumerate(perms[idx]):
+            mh[i][k] -= 1
+        for k in raised:
+            ih[k] -= 1
+
+    def leaf_ok():
+        if restriction != "aic":
+            return True
+        classes = [[] for _ in range(m)]
+        for rank, h in enumerate(assignment):
+            classes[h].append(perms[rank])
+        return _aic_holds(n, classes)
+
+    def dfs(depth, field, used):
+        nonlocal best_field, best_assignment, nodes
+        if depth == total:
+            if field > best_field and leaf_ok():
+                best_field = field
+                best_assignment = tuple(assignment)
+            return
+        if field + n * (total - depth) <= best_field:
+            return
+        limit = min(m, used + 1)
+        for h in range(limit):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"field search exceeded {budget} nodes")
+            gained, raised = push(depth, h)
+            assignment[depth] = h
+            dfs(depth + 1, field + gained, max(used, h + 1))
+            pop(depth, h, raised)
+        assignment[depth] = 0
+
+    dfs(0, 0, 0)
+    if best_assignment is None:
+        raise RuntimeError("search found no admissible partition")
+    return best_field, nodes, best_assignment
 
 
 def naive_partition(n):
@@ -43,6 +115,22 @@ class TestPartitionSerialization:
             PartitionStrategy(3, 2, (0,) * 5)      # wrong length
         with pytest.raises(IndexOutOfRange):
             PartitionStrategy(3, 2, (0, 0, 0, 0, 0, 2))  # class out of range
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[0, 1]",
+        '{"n": 3, "assignment": [0, 0, 0, 0, 0, 0]}',
+        '{"n": 3, "m": "2", "assignment": [0, 0, 0, 0, 0, 0]}',
+        '{"n": 3.0, "m": 2, "assignment": [0, 0, 0, 0, 0, 0]}',
+        '{"n": 3, "m": true, "assignment": [0, 0, 0, 0, 0, 0]}',
+        '{"n": 3, "m": 2, "assignment": {"0": 0}}',
+        '{"n": 3, "m": 2, "assignment": [0, 0, 0, 0, 0, null]}',
+        '{"n": -1, "m": 2, "assignment": [0]}',
+    ], ids=["not-json", "array", "no-m", "m-string", "n-float", "m-bool",
+            "assignment-object", "assignment-null", "n-negative"])
+    def test_from_json_rejects_malformed(self, text):
+        with pytest.raises(MalformedPartition):
+            PartitionStrategy.from_json(text)
 
 
 class TestMagneticity:
@@ -154,8 +242,11 @@ class TestBruteForce:
             assert field_of_partition(part) <= best
 
     def test_sampled_partitions_below_max_n4(self):
-        best = brute_force_field(4, 2, budget=10_000_000).field
+        result = brute_force_field(4, 2, budget=10_000_000)
+        best = result.field
         assert best == 40
+        assert result.nodes == 6_084_377
+        assert result.witness.assignment == WITNESS_N4M2
         rng = Rng(derive_seed(77, 0))
         for _ in range(30):
             assignment = tuple(rng.randbelow(2) for _ in range(24))
@@ -165,6 +256,47 @@ class TestBruteForce:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             brute_force_field(3, 3, budget=10)
+
+    def test_budget_boundary(self):
+        # (3, 3) visits 128 nodes: a budget of 127 refuses, 128 completes
+        with pytest.raises(BudgetExceeded):
+            brute_force_field(3, 3, budget=127)
+        assert brute_force_field(3, 3, budget=128).nodes == 128
+
+    @pytest.mark.parametrize("restriction", [None, "aic"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_reference_search(self, n, m, restriction):
+        try:
+            want = reference_field_search(n, m, restriction)
+        except RuntimeError:
+            # no partition passes aic; the search now refuses up front
+            with pytest.raises(ParameterOutOfRange):
+                brute_force_field(n, m, restriction)
+            return
+        got = brute_force_field(n, m, restriction)
+        assert (got.field, got.nodes, got.witness.assignment) == want
+        assert field_of_partition(got.witness) == got.field
+
+    @pytest.mark.parametrize("budget", [1, 40, 100, 127, 128])
+    @pytest.mark.parametrize("restriction", [None, "aic"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_budget_matches_reference(self, m, restriction, budget):
+        def outcome(search):
+            try:
+                return search(3, m, restriction, budget=budget)
+            except BudgetExceeded:
+                return "refused"
+        got = outcome(brute_force_field)
+        want = outcome(reference_field_search)
+        if got != "refused":
+            got = (got.field, got.nodes, got.witness.assignment)
+        assert got == want
+
+    @pytest.mark.parametrize("n, m", [(3, 0), (3, -1), (0, 2), (-1, 2)])
+    def test_rejects_empty_order_or_class_count(self, n, m):
+        with pytest.raises(ParameterOutOfRange):
+            brute_force_field(n, m)
 
     def test_guard_refusal(self):
         with pytest.raises(TooLargeForEnumeration):

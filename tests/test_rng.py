@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as hs
 
-from permlab.rng import BatchRng, Rng, batch_seeds, derive_seed, mix64
+from permlab.rng import (_MIX1, _MIX2, GOLDEN, MASK64, BatchRng, Rng,
+                         batch_seeds, derive_seed, mix64)
 
 # splitmix64 reference outputs for seed 0 (published test vector)
 SEED0_OUTPUTS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -71,3 +72,37 @@ def test_randbelow_rejects_nonpositive():
         Rng(0).randbelow(0)
     with pytest.raises(ValueError):
         BatchRng(np.array([1], dtype=np.uint64)).randbelow(-2)
+
+
+def _unmix64(u):
+    """Inverse of ``mix64``: each xorshift and odd multiply is a bijection."""
+    def unxorshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unxorshift(u, 31)
+    z = unxorshift((z * pow(_MIX2, -1, 1 << 64)) & MASK64, 27)
+    return unxorshift((z * pow(_MIX1, -1, 1 << 64)) & MASK64, 30)
+
+
+def test_unmix64_inverts_mix64():
+    for z in (0, 1, GOLDEN, MASK64, derive_seed(3, 7)):
+        assert _unmix64(mix64(z)) == z
+
+
+def test_batch_randbelow_redraws_only_rejected_lane():
+    # for k = 3 the acceptance limit is 2^64 - 1, so only u = 2^64 - 1 is
+    # redrawn; lane 2 is seeded so that its next draw is exactly that value
+    seeds = [derive_seed(11, i) for i in range(4)]
+    seeds[2] = (_unmix64(MASK64) - GOLDEN) & MASK64
+    assert Rng(seeds[2]).next_u64() == MASK64
+    batch = BatchRng(np.array(seeds, dtype=np.uint64))
+    scalars = [Rng(s) for s in seeds]
+    assert batch.randbelow(3).tolist() == [r.randbelow(3) for r in scalars]
+    advanced = [(int(b) - s) & MASK64 for b, s in zip(batch.states, seeds)]
+    assert advanced == [GOLDEN, GOLDEN, (2 * GOLDEN) & MASK64, GOLDEN]
+    assert batch.states.tolist() == [r.state for r in scalars]
+    for k in (3, 7, 52):
+        assert batch.randbelow(k).tolist() == [r.randbelow(k) for r in scalars]
