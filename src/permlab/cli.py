@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Every run prints JSON lines: a header holding the tool version, the resolved
-configuration and a timestamp, then one result object per line. Re-running
-the printed configuration reproduces the document byte for byte apart from
-the timestamp; the worker count is an execution detail and never changes any
-output. Exit codes: 0 success, 2 usage error, 3 guard or budget refusal.
+configuration and a timestamp, then one result object per line. The header
+is printed only after the work, so a refused run writes nothing to stdout.
+Re-running the printed configuration reproduces the document byte for byte
+apart from the timestamp; the worker count is an execution detail and never
+changes any output. Exit codes: 0 success, 2 usage error, 3 guard or budget
+refusal.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .errors import GuardRefusal, PermlabError
-from .reporting import dumps
+from .reporting import dumps, ratio_text
 
 
 def _default_seed() -> int:
@@ -130,9 +132,9 @@ def _cmd_simulate(args) -> int:
               "seed": cfg.seed, "strategy": cfg.strategy,
               "target_mode": cfg.target_mode, "target": cfg.target,
               "exhaustive": cfg.exhaustive}
-    _print(_header("simulate", config))
     run = simulate_needle if args.game == "needle" else simulate_locker
     report = run(cfg)
+    _print(_header("simulate", config))
     _print(dumps(report))
     if report.per_target is not None:
         worst = min(report.per_target, key=lambda ts: (ts.estimate, ts.target))
@@ -152,34 +154,34 @@ def _cmd_simulate(args) -> int:
 def _cmd_exact(args) -> int:
     from .strategies import evaluate_success_exact, strategy_by_name
     st = strategy_by_name(args.strategy, args.n)
+    ev = evaluate_success_exact(st, guard=args.guard)
     _print(_header("exact", {"strategy": args.strategy, "n": args.n,
                              "guard": args.guard}))
-    ev = evaluate_success_exact(st, guard=args.guard)
     _print(dumps(ev))
     return 0
 
 
 def _cmd_pmf(args) -> int:
     from .counting import shift_count_pmf
-    _print(_header("pmf", {"n": args.n}))
     rows = [{"k": k, "probability": shift_count_pmf(args.n, k)}
             for k in range(args.n + 1)]
+    _print(_header("pmf", {"n": args.n}))
     _print(dumps({"n": args.n, "pmf": rows}))
     if args.csv:
         _print("k,ratio,decimal")
         for row in rows:
             p = row["probability"]
-            _print(f"{row['k']},{p.numerator}/{p.denominator},{float(p)!r}")
+            _print(f"{row['k']},{ratio_text(p)},{float(p)!r}")
     return 0
 
 
 def _cmd_dist(args) -> int:
     from .simulate import max_shift_distribution
     seed = args.seed if args.seed is not None else _default_seed()
-    _print(_header("dist", {"n": args.n, "trials": args.trials, "seed": seed,
-                            "exhaustive": args.exhaustive}))
     report = max_shift_distribution(args.n, trials=args.trials, seed=seed,
                                     exhaustive=args.exhaustive)
+    _print(_header("dist", {"n": args.n, "trials": args.trials, "seed": seed,
+                            "exhaustive": args.exhaustive}))
     _print(dumps(report))
     if args.csv:
         _print("max_shift,count")
@@ -189,7 +191,6 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_field(args) -> int:
-    # the header follows the work, so a refused run prints nothing
     from .fields import (PartitionStrategy, brute_force_field,
                          field_of_partition, success_upper_bound, DEFAULT_BUDGET)
     if args.brute:
@@ -230,7 +231,6 @@ def _cmd_structure(args) -> int:
               "set_i": args.set_i, "set_j": args.set_j, "set_k": args.set_k,
               "mode": args.mode, "trials": args.trials, "seed": seed,
               "guard": args.guard}
-    _print(_header("structure", config))
     n = args.n
     if kind in ("phi", "phistar", "pset"):
         I = S.IndexSet.of(n, _parse_index_list(args.set_i))
@@ -243,22 +243,23 @@ def _cmd_structure(args) -> int:
             K = S.IndexSet.of(n, _parse_index_list(args.set_k))
             count = S.count_optional_displacements(K, I, J, args.s,
                                                    guard=args.guard)
-        _print(dumps({"kind": kind, "count": count}))
+        body = {"kind": kind, "count": count}
     elif kind == "compatible":
-        _print(dumps(S.compatible_pair_stats(n, args.t, args.s, mode=args.mode,
-                                             trials=args.trials, seed=seed)))
+        body = S.compatible_pair_stats(n, args.t, args.s, mode=args.mode,
+                                       trials=args.trials, seed=seed)
     elif kind == "feasible":
-        _print(dumps(S.feasible_set_stats(n, args.t, args.k, args.s,
-                                          mode=args.mode, trials=args.trials,
-                                          seed=seed)))
+        body = S.feasible_set_stats(n, args.t, args.k, args.s, mode=args.mode,
+                                    trials=args.trials, seed=seed)
     elif kind == "joint":
         p = S.joint_shift_pmf(n, args.i, args.j, args.t, guard=args.guard)
-        _print(dumps({"kind": "joint", "n": n, "i": args.i, "j": args.j,
-                      "t": args.t, "probability": p}))
+        body = {"kind": "joint", "n": n, "i": args.i, "j": args.j,
+                "t": args.t, "probability": p}
     else:
-        _print(dumps(S.covariance_estimate(n, args.t, args.i, args.j,
-                                           trials=args.trials, seed=seed,
-                                           mode=args.mode, guard=args.guard)))
+        body = S.covariance_estimate(n, args.t, args.i, args.j,
+                                     trials=args.trials, seed=seed,
+                                     mode=args.mode, guard=args.guard)
+    _print(_header("structure", config))
+    _print(dumps(body))
     return 0
 
 
@@ -266,10 +267,10 @@ def _cmd_dedup(args) -> int:
     from .fields import PartitionStrategy, class_members, deduplicate_magnets
     with open(args.partition, "r", encoding="utf-8") as fh:
         part = PartitionStrategy.from_json(fh.read())
-    _print(_header("dedup", {"partition": args.partition, "guard": args.guard}))
     classes = class_members(part, args.guard)
     result = deduplicate_magnets(classes, guard=args.guard)
     out_classes = [[list(p.image) for p in c] for c in result.classes]
+    _print(_header("dedup", {"partition": args.partition, "guard": args.guard}))
     _print(dumps({"classes": out_classes, "steps": result.steps,
                   "step_count": len(result.steps)}))
     if args.out:

@@ -14,10 +14,30 @@ from fractions import Fraction
 import numpy as np
 
 
+def _decimal(x: int) -> str:
+    """Decimal digits of ``x`` at any size.
+
+    ``str`` refuses ints past ``sys.get_int_max_str_digits()`` (4300 digits
+    by default, never below 640), so a big ``x`` is split at a power of ten
+    into halves that ``str`` accepts.
+    """
+    if x.bit_length() <= 2000:            # at most 603 digits
+        return str(x)
+    if x < 0:
+        return "-" + _decimal(-x)
+    k = x.bit_length() * 3 // 20          # about half the digits
+    high, low = divmod(x, 10 ** k)
+    return _decimal(high) + _decimal(low).rjust(k, "0")
+
+
+def ratio_text(q: Fraction) -> str:
+    """``q`` as ``"p/q"`` in full, whatever its size."""
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+
+
 def json_ready(obj):
     if isinstance(obj, Fraction):
-        return {"ratio": f"{obj.numerator}/{obj.denominator}",
-                "value": float(obj)}
+        return {"ratio": ratio_text(obj), "value": float(obj)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: json_ready(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

@@ -14,6 +14,21 @@ A vectorized engine (`BatchRng`) runs many independent lanes at once and
 produces, lane for lane, exactly the same draws as `Rng` would. The
 equivalence is pinned by tests. ``seeded_blocks`` is the seeded source of
 permutation blocks that every sampler draws from.
+
+``BatchRng.permutations`` shuffles in a position-major ``(n, lanes)``
+buffer, so the row of the position being fixed is contiguous and each swap
+is one gather and one scatter on the flat buffer. It takes its draws
+``_CHUNK`` Fisher-Yates steps at a time from splitmix64's counter form: the
+state after k draws is ``seed + k * GOLDEN``, so a chunk's raw draws are one
+broadcast add and the mix applied in place on a small ``(_CHUNK, lanes)``
+buffer that stays in cache. While no draw of the chunk is rejected, one
+remainder by the per-step bounds gives every swap index. If any lane would
+reject a draw in the chunk (a draw with bound k is rejected with chance
+below k/2^64), the chunk is replayed step by step through ``randbelow``,
+which redraws exactly the rejected lanes, so the stream is the one
+``Rng.shuffle`` consumes. The ``_CHUNK`` positions a
+chunk fixes are final, and they are copied transposed into the row-major
+result while still in cache.
 """
 
 from __future__ import annotations
@@ -27,6 +42,13 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# Fisher-Yates steps drawn at once: two (_CHUNK, 2048) uint64 buffers, 2 MB
+_CHUNK = 64
+# counter-form strides: row c is the state advance after c + 1 draws
+# (uint64 products wrap mod 2^64)
+_STRIDES = (np.arange(1, _CHUNK + 1, dtype=np.uint64)
+            * np.uint64(GOLDEN))[:, None]
+
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer: a fixed 64-bit avalanche of ``z``."""
@@ -34,6 +56,17 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return (z ^ (z >> 31)) & MASK64
+
+
+def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
+    """``mix64`` of every entry of uint64 ``z``, in place; ``tmp`` is scratch
+    of the same shape."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -91,9 +124,8 @@ class BatchRng:
     def _next(self, idx: np.ndarray | slice) -> np.ndarray:
         self.states[idx] += np.uint64(GOLDEN)
         z = self.states[idx].copy()
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        _mix_into(z, np.empty_like(z))
+        return z
 
     def randbelow(self, k: int) -> np.ndarray:
         """Per-lane uniform integer in [0, k), one accepted draw per lane."""
@@ -112,16 +144,40 @@ class BatchRng:
     def permutations(self, n: int) -> np.ndarray:
         """One permutation of 0..n-1 per lane (rows), Fisher-Yates order.
 
-        Row ``t`` equals what ``Rng.shuffle`` produces on lane ``t``'s stream.
+        Row ``t`` equals what ``Rng.shuffle`` produces on lane ``t``'s stream,
+        and the lanes end in the states that shuffle leaves.
         """
         lanes = self.lanes
-        out = np.tile(np.arange(n, dtype=np.int32), (lanes, 1))
-        rows = np.arange(lanes)
-        for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            left = out[rows, i].copy()
-            out[rows, i] = out[rows, j]
-            out[rows, j] = left
+        out = np.empty((lanes, n), dtype=np.int32)
+        buf = np.arange(n, dtype=np.int32).repeat(lanes)  # [i*lanes + t]
+        lane_ids = np.arange(lanes, dtype=np.int64)
+        draws = np.empty((_CHUNK, lanes), dtype=np.uint64)
+        tmp = np.empty_like(draws)
+        fixed = np.empty((_CHUNK, lanes), dtype=np.int32)
+        for top in range(n - 1, 0, -_CHUNK):
+            low = max(top - _CHUNK, 0)          # this chunk fixes low+1..top
+            steps = top - low
+            bounds = np.arange(top + 1, low + 1, -1, dtype=np.uint64)
+            z = draws[:steps]
+            np.add(self.states, _STRIDES[:steps], out=z)
+            _mix_into(z, tmp[:steps])
+            # largest accepted draw per step: 2^64 - 1 - (2^64 mod bound)
+            ok_max = MASK64 - (MASK64 % bounds + np.uint64(1)) % bounds
+            if (z.max(axis=1, initial=0) > ok_max).any():
+                picks = (self.randbelow(i + 1) * lanes + lane_ids
+                         for i in range(top, low, -1))
+            else:
+                self.states += _STRIDES[steps - 1]
+                z %= bounds[:, None]
+                picks = z.view(np.int64)
+                picks *= lanes
+                picks += lane_ids
+            for i, pick in zip(range(top, low, -1), picks):
+                np.take(buf, pick, out=fixed[i - low - 1])
+                buf[pick] = buf[i * lanes:(i + 1) * lanes]
+            out[:, low + 1:top + 1] = fixed[:steps].T
+        if n:
+            out[:, 0] = buf[:lanes]
         return out
 
 
@@ -130,9 +186,8 @@ def batch_seeds(master: int, start: int, count: int) -> np.ndarray:
     idx = np.arange(start, start + count, dtype=np.uint64)
     z = (np.uint64(master & MASK64)
          ^ ((idx + np.uint64(1)) * np.uint64(GOLDEN)))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    _mix_into(z, np.empty_like(z))
+    return z
 
 
 def seeded_blocks(master: int, n: int, start: int, count: int,

@@ -31,6 +31,7 @@ import numpy as np
 from .enumeration import check_guard, row_blocks
 from .errors import NotLatin, ParameterOutOfRange, UnknownStrategy
 from .fields import PartitionStrategy, aic_check  # noqa: F401  (re-export)
+from .fields import _is_int
 from .perms import Permutation, shift_counts
 
 EVAL_GUARD = 8
@@ -92,10 +93,16 @@ class LatinSquare:
 
     @classmethod
     def from_json(cls, text: str) -> "LatinSquare":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise NotLatin("latin square file must hold a JSON matrix")
-        return cls(tuple(tuple(int(v) for v in row) for row in data))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:   # bad JSON, or an int past str's digit limit
+            raise NotLatin(f"latin square file is not readable JSON: {exc}")
+        if not (isinstance(data, list)
+                and all(isinstance(row, list) and all(map(_is_int, row))
+                        for row in data)):
+            raise NotLatin("latin square file must hold a JSON matrix of "
+                           "integers")
+        return cls(tuple(tuple(row) for row in data))
 
 
 def shift_strategy(n: int) -> Strategy:

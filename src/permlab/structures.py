@@ -75,6 +75,8 @@ def _require_same_n(*sets: IndexSet) -> int:
 
 
 def _require_nonzero_shift(n: int, s: int) -> int:
+    if n < 1:
+        raise ParameterOutOfRange(f"order n must be positive, got {n}")
     s %= n
     if s == 0:
         raise ShiftZero("shift s must be nonzero modulo n")
@@ -236,6 +238,8 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
     Note {0..t-1} itself is never a valid I when s < t (it meets its own
     shift I-s), so I ranges over all t-sets in lex order.
     """
+    if t < 0:
+        raise ParameterOutOfRange(f"pair size t must be non-negative, got {t}")
     s = _require_nonzero_shift(n, s)
     for I in combinations(range(n), t):
         iset = IndexSet.of(n, I)

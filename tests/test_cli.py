@@ -1,10 +1,14 @@
 """The permlab command line: grammar, documents, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hs
 
 from permlab.cli import main
 
@@ -255,13 +259,15 @@ class TestUsageErrors:
          "--mode", "sampled", "--trials", "0"),
         ("structure", "feasible", "--n", "12", "--t", "1", "--k", "1",
          "--s", "1", "--mode", "sampled", "--trials", "0"),
+        ("structure", "phistar", "--n", "-2"),
+        ("structure", "phi", "--n", "0"),
+        ("structure", "feasible", "--n", "2", "--t", "-1"),
     ], ids=["locker-bogus", "locker-naive", "exact-naive-n1", "exact-n0",
             "dist-trials0", "dist-n0", "compatible-trials0",
-            "feasible-trials0"])
+            "feasible-trials0", "phistar-n-negative", "phi-n0",
+            "feasible-t-negative"])
     def test_exit_2(self, capsys, argv):
-        out = self.usage_error_stdout(capsys, argv)
-        for line in out.splitlines():
-            json.loads(line, parse_constant=_reject_constant)
+        assert self.usage_error_stdout(capsys, argv) == ""
 
     @staticmethod
     def usage_error_stdout(capsys, argv):
@@ -294,6 +300,51 @@ class TestUsageErrors:
         argv = (command, "--partition", str(path))
         assert self.usage_error_stdout(capsys, argv) == ""
 
+    @pytest.mark.parametrize("text", [
+        "{bad",
+        '[[0, "x"], [1, 0]]',
+        "[[0, true], [true, 0]]",
+        "[[0, 1.0], [1, 0]]",
+        "[[0, 1], 7]",
+        '{"rows": [[0, 1], [1, 0]]}',
+        "[[0, 1" + "0" * 5000 + "], [1, 0]]",
+    ], ids=["not-json", "string-entry", "bool-entry", "float-entry",
+            "row-not-list", "object", "5000-digit-entry"])
+    @pytest.mark.parametrize("command", [
+        ("simulate", "needle", "--n", "2", "--trials", "10", "--workers", "1"),
+        ("exact", "--n", "2"),
+    ], ids=["simulate", "exact"])
+    def test_malformed_latin_file(self, capsys, tmp_path, command, text):
+        path = tmp_path / "square.json"
+        path.write_text(text)
+        argv = command + ("--strategy", f"latin:{path}")
+        assert self.usage_error_stdout(capsys, argv) == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("exact", "--strategy", "shift", "--n", "12"),
+        ("simulate", "needle", "--n", "12", "--exhaustive", "--workers", "1"),
+        ("dist", "--n", "12", "--exhaustive"),
+        ("structure", "joint", "--n", "12", "--i", "0", "--j", "1"),
+        ("structure", "cov", "--n", "12", "--i", "0", "--j", "1"),
+    ], ids=["exact", "simulate-exhaustive", "dist-exhaustive",
+            "structure-joint", "structure-cov"])
+    def test_guard_refusal_prints_nothing(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("refused: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_dedup_guard_refusal_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "part.json"
+        path.write_text(json.dumps(
+            {"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1]}))
+        code = main(["dedup", "--partition", str(path), "--guard", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+
     def test_dist_output_is_strict_json(self, capsys):
         code = main(["dist", "--n", "5", "--trials", "1", "--seed", "2"])
         out = capsys.readouterr().out
@@ -301,6 +352,37 @@ class TestUsageErrors:
         docs = [json.loads(line, parse_constant=_reject_constant)
                 for line in out.splitlines()]
         assert docs[1]["trials"] == 1
+
+
+class TestBigRatios:
+    """Exact ratios render in full past Python's int-to-str digit limit."""
+
+    @pytest.fixture
+    def restore_int_digits(self):
+        old = sys.get_int_max_str_digits()
+        yield
+        sys.set_int_max_str_digits(old)
+
+    def test_cov_marginal_parses_back(self, capsys, restore_int_digits):
+        from permlab.counting import shift_count_pmf
+        sys.set_int_max_str_digits(4300)   # the default, whatever the host
+        code = main(["structure", "cov", "--mode", "sampled", "--n", "1700",
+                     "--t", "1", "--i", "0", "--j", "1", "--trials", "16"])
+        out = capsys.readouterr().out
+        assert code == 0
+        ratio = json.loads(out.splitlines()[1])["exact_marginal"]["ratio"]
+        sys.set_int_max_str_digits(0)
+        p, q = ratio.split("/")
+        assert len(q) > 4300
+        assert Fraction(int(p), int(q)) == shift_count_pmf(1700, 1)
+
+    @pytest.mark.parametrize("digits", [1, 603, 604, 4300, 4301, 20000])
+    def test_ratio_text_in_full(self, restore_int_digits, digits):
+        from permlab.reporting import ratio_text
+        q = Fraction(-(10 ** digits - 7), 10 ** digits + 3)
+        text = ratio_text(q)
+        sys.set_int_max_str_digits(0)
+        assert text == f"{q.numerator}/{q.denominator}"
 
 
 class TestConsoleScript:
@@ -330,3 +412,108 @@ class TestConsoleScript:
              "--n", "4"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+# small values of every option, so that each example runs in milliseconds
+_SMALL = hs.integers(min_value=-2, max_value=7).map(str)
+_LATIN = {"good": "[[0,1,2],[2,0,1],[1,2,0]]", "bad-json": "{bad",
+          "bad-entry": '[[0,"x"],[1,0]]', "not-latin": "[[0,0],[1,1]]"}
+_PARTITION = {"good": '{"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1]}',
+              "bad-json": "{bad", "no-m": '{"n": 3, "assignment": [0]}',
+              "short": '{"n": 3, "m": 2, "assignment": [0, 1]}'}
+
+
+@hs.composite
+def _argvs(draw, files):
+    """A command line of any subcommand, with options drawn at random."""
+
+    def opts(*names, values=_SMALL):
+        out = []
+        for name in names:
+            if draw(hs.booleans()):
+                out += [name, draw(values)]
+        return out
+
+    def flags(*names):
+        return [name for name in names if draw(hs.booleans())]
+
+    def file_of(kind):
+        return str(draw(hs.sampled_from(sorted(files[kind].values()))))
+
+    n = ["--n", draw(_SMALL)]
+    command = draw(hs.sampled_from(["simulate", "exact", "pmf", "dist",
+                                    "field", "structure", "dedup",
+                                    "example52"]))
+    strategy = hs.sampled_from(["shift", "naive", "baseline", "bogus",
+                                "latin:missing.json"])
+    if command == "simulate":
+        strategy = hs.one_of(strategy, hs.sampled_from(
+            sorted(f"latin:{path}" for path in files["latin"].values())))
+        return (["simulate", draw(hs.sampled_from(["needle", "locker"]))]
+                + n + opts("--trials", "--seed", "--target")
+                + opts("--strategy", values=strategy)
+                + opts("--target-mode", values=hs.sampled_from(
+                    ["uniform", "fixed", "sweep"]))
+                + flags("--exhaustive") + ["--workers", "1"])
+    if command == "exact":
+        return ["exact"] + n + opts("--guard") + opts("--strategy",
+                                                      values=strategy)
+    if command == "pmf":
+        return ["pmf"] + n
+    if command == "dist":
+        return ["dist"] + n + opts("--trials", "--seed") + flags("--exhaustive")
+    if command == "field":
+        if draw(hs.booleans()):
+            return ["field", "--partition", file_of("partition")]
+        small = hs.integers(min_value=-1, max_value=3).map(str)
+        return (["field", "--brute"] + opts("--n", "--m", values=small)
+                + opts("--budget", "--guard") + flags("--aic"))
+    if command == "structure":
+        index_list = hs.lists(hs.integers(-1, 7), max_size=3).map(
+            lambda xs: ",".join(map(str, xs)))
+        return (["structure", draw(hs.sampled_from(
+                    ["phi", "phistar", "pset", "compatible", "feasible",
+                     "joint", "cov"]))]
+                + n + opts("--s", "--t", "--k", "--i", "--j", "--trials",
+                           "--seed", "--guard")
+                + opts("--set-i", "--set-j", "--set-k", values=index_list)
+                + opts("--mode", values=hs.sampled_from(["exact", "sampled"])))
+    if command == "dedup":
+        return ["dedup", "--partition", file_of("partition")] + opts("--guard")
+    return ["example52"]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for kind, texts in (("latin", _LATIN), ("partition", _PARTITION)):
+        files[kind] = {}
+        for name, text in texts.items():
+            files[kind][name] = root / f"{kind}-{name}.json"
+            files[kind][name].write_text(text)
+    return files
+
+
+class TestFuzz:
+    """Every command line ends in exit 0, 2 or 3, never in a traceback, and
+    everything on stdout is strict JSON (no ``--csv``, whose rows are not
+    JSON)."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=hs.data())
+    def test_every_run_ends_cleanly(self, cli_files, data):
+        argv = data.draw(_argvs(cli_files))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse rejects the grammar
+                code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert out.getvalue() == "", argv
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_reject_constant)

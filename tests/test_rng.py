@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as hs
 
-from permlab.rng import (_MIX1, _MIX2, GOLDEN, MASK64, BatchRng, Rng,
+from permlab.rng import (_CHUNK, _MIX1, _MIX2, GOLDEN, MASK64, BatchRng, Rng,
                          batch_seeds, derive_seed, mix64)
 
 # splitmix64 reference outputs for seed 0 (published test vector)
@@ -106,3 +106,66 @@ def test_batch_randbelow_redraws_only_rejected_lane():
     assert batch.states.tolist() == [r.state for r in scalars]
     for k in (3, 7, 52):
         assert batch.randbelow(k).tolist() == [r.randbelow(k) for r in scalars]
+
+
+def reference_permutations(rng, n):
+    """The row-major Fisher-Yates loop ``BatchRng.permutations`` replaced:
+    one ``randbelow`` per step and a 2-D fancy-index swap."""
+    out = np.tile(np.arange(n, dtype=np.int32), (rng.lanes, 1))
+    rows = np.arange(rng.lanes)
+    for i in range(n - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        left = out[rows, i].copy()
+        out[rows, i] = out[rows, j]
+        out[rows, j] = left
+    return out
+
+
+def assert_permutations_match_reference(seeds, n):
+    fast = BatchRng(np.array(seeds, dtype=np.uint64))
+    slow = BatchRng(np.array(seeds, dtype=np.uint64))
+    got = fast.permutations(n)
+    assert got.dtype == np.int32 and got.shape == (len(seeds), n)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, reference_permutations(slow, n))
+    assert np.array_equal(fast.states, slow.states)
+    return fast
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               2 * _CHUNK + 1, 1000])
+@pytest.mark.parametrize("lanes", [1, 7, 2048])
+def test_batch_permutations_equal_reference_loop(n, lanes):
+    seeds = batch_seeds(n * 31 + lanes, 0, lanes).tolist()
+    fast = assert_permutations_match_reference(seeds, n)
+    # no draw was rejected, so each lane advanced by exactly n - 1 draws
+    assert ((np.array(seeds, dtype=np.uint64)
+             + np.uint64((n - 1) * GOLDEN & MASK64)) == fast.states).all()
+
+
+def _seed_rejecting_draw(d):
+    """A seed whose draw number ``d`` (0-based) is 2^64 - 1, which
+    ``randbelow(k)`` rejects for every k that is not a power of two."""
+    return (_unmix64(MASK64) - (d + 1) * GOLDEN) & MASK64
+
+
+@pytest.mark.parametrize("draws", [
+    [_CHUNK],                      # first step of the second chunk
+    [_CHUNK + _CHUNK // 2],        # a middle step
+    [2 * _CHUNK - 1],              # the last step of a chunk
+    [_CHUNK + 3, _CHUNK + 40],     # two lanes rejecting in one chunk
+    [0],                           # the very first draw
+], ids=["first", "middle", "last", "two-lanes", "draw0"])
+def test_batch_permutations_replay_rejected_chunk(draws):
+    n = 3 * _CHUNK + 5
+    # draw d of a shuffle of n has bound n - d; rejection needs a bound
+    # that does not divide 2^64
+    assert all((n - d) & (n - d - 1) for d in draws)
+    seeds = batch_seeds(17, 0, 9).tolist()
+    forced = {2 + 3 * k: d for k, d in enumerate(draws)}
+    for lane, d in forced.items():
+        seeds[lane] = _seed_rejecting_draw(d)
+    fast = assert_permutations_match_reference(seeds, n)
+    for lane, s in enumerate(seeds):
+        used = (n - 1) + (lane in forced)   # a rejection costs one more draw
+        assert int(fast.states[lane]) == (s + used * GOLDEN) & MASK64
