@@ -22,15 +22,23 @@ from .errors import GuardRefusal, PermlabError
 from .reporting import dumps, ratio_text
 
 
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:   # not an integer, or past str's digit limit
+        raise PermlabError(f"{what} must be an integer") from None
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("PERMLAB_SEED", "0"))
+    return _integer(os.environ.get("PERMLAB_SEED", "0"), "PERMLAB_SEED")
 
 
 def _parse_index_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    return tuple(_integer(x, "an entry of --set-i, --set-j or --set-k")
+                 for x in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,6 +171,8 @@ def _cmd_exact(args) -> int:
 
 def _cmd_pmf(args) -> int:
     from .counting import shift_count_pmf
+    if args.n < 0:
+        raise PermlabError(f"order n must be non-negative, got {args.n}")
     rows = [{"k": k, "probability": shift_count_pmf(args.n, k)}
             for k in range(args.n + 1)]
     _print(_header("pmf", {"n": args.n}))
@@ -337,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except PermlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

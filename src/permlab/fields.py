@@ -56,8 +56,9 @@ class PartitionStrategy:
     def from_json(cls, text: str) -> "PartitionStrategy":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedPartition(f"partition file is not JSON: {exc}")
+        except ValueError as exc:   # bad JSON, or an int past str's digit limit
+            raise MalformedPartition(
+                f"partition file is not readable JSON: {exc}")
         if not isinstance(data, dict):
             raise MalformedPartition("partition file must hold a JSON object")
         n, m, assignment = (data.get(key) for key in ("n", "m", "assignment"))

@@ -42,6 +42,8 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# seeded trials per block, in every sampler
+LANES_PER_BLOCK = 2048
 # Fisher-Yates steps drawn at once: two (_CHUNK, 2048) uint64 buffers, 2 MB
 _CHUNK = 64
 # counter-form strides: row c is the state advance after c + 1 draws
@@ -190,11 +192,12 @@ def batch_seeds(master: int, start: int, count: int) -> np.ndarray:
     return z
 
 
-def seeded_blocks(master: int, n: int, start: int, count: int,
-                  batch: int = 2048) -> Iterator[tuple[np.ndarray, BatchRng]]:
+def seeded_blocks(master: int, n: int, start: int,
+                  count: int) -> Iterator[tuple[np.ndarray, BatchRng]]:
     """Permutations of trials ``start .. start+count-1`` in blocks of up to
-    ``batch`` rows, each with the ``BatchRng`` whose lanes continue those
-    trials' streams after the shuffle."""
-    for a in range(start, start + count, batch):
-        rng = BatchRng(batch_seeds(master, a, min(batch, start + count - a)))
+    ``LANES_PER_BLOCK`` rows, each with the ``BatchRng`` whose lanes continue
+    those trials' streams after the shuffle."""
+    for a in range(start, start + count, LANES_PER_BLOCK):
+        b = min(LANES_PER_BLOCK, start + count - a)
+        rng = BatchRng(batch_seeds(master, a, b))
         yield rng.permutations(n), rng

@@ -30,12 +30,11 @@ from .counting import typical_max_shift
 from .enumeration import check_guard, row_blocks
 from .errors import NotABijection, ParameterOutOfRange
 from .perms import Permutation, shift_counts
-from .rng import BatchRng, batch_seeds, seeded_blocks
+from .rng import LANES_PER_BLOCK, BatchRng, batch_seeds, seeded_blocks
 from .strategies import Strategy, needle_wins, strategy_by_name
 
 EXHAUSTIVE_GUARD = 8
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-_BATCH = 2048
 
 PermStream = Callable[[int], Sequence[int]]
 Blocks = Iterator[tuple[np.ndarray, BatchRng]]
@@ -157,8 +156,8 @@ def _stream_blocks(perm_stream: PermStream, seed: int, n: int,
                    trials: int) -> Blocks:
     """Rows ``perm_stream(0 .. trials-1)``, each validated as a permutation
     of order n, with the ``BatchRng`` of those trials' fresh streams."""
-    for a in range(0, trials, _BATCH):
-        b = min(_BATCH, trials - a)
+    for a in range(0, trials, LANES_PER_BLOCK):
+        b = min(LANES_PER_BLOCK, trials - a)
         rows = [Permutation(tuple(perm_stream(t))).image
                 for t in range(a, a + b)]
         if any(len(r) != n for r in rows):
@@ -188,7 +187,7 @@ def _chunk_wins(game: str, cfg: GameConfig, start: int, width: int) -> np.ndarra
     """Seeded trials start..start+width-1; top level so process pools can
     pickle it, with the strategy crossing as its name."""
     return _wins(game, cfg, cfg.strategy_obj(),
-                 seeded_blocks(cfg.seed, cfg.n, start, width, _BATCH))
+                 seeded_blocks(cfg.seed, cfg.n, start, width))
 
 
 def _seeded_wins(game: str, cfg: GameConfig) -> np.ndarray:
@@ -198,7 +197,7 @@ def _seeded_wins(game: str, cfg: GameConfig) -> np.ndarray:
     if not isinstance(cfg.strategy, str):   # a Strategy's closures do not pickle
         return _chunk_wins(game, cfg, 0, cfg.trials)
     cap = min(cfg.workers, os.cpu_count() or 1)
-    per = -(-cfg.trials // (cap * _BATCH)) * _BATCH
+    per = -(-cfg.trials // (cap * LANES_PER_BLOCK)) * LANES_PER_BLOCK
     starts = range(0, cfg.trials, per)
     jobs = ([game] * len(starts), [cfg] * len(starts), starts,
             [min(per, cfg.trials - a) for a in starts])
@@ -325,7 +324,7 @@ def max_shift_distribution(n: int, trials: int = 10_000, seed: int = 0,
         blocks = (b for b, _ in _stream_blocks(perm_stream, seed, n, trials))
         mode = "stream"
     else:
-        blocks = (b for b, _ in seeded_blocks(seed, n, 0, trials, _BATCH))
+        blocks = (b for b, _ in seeded_blocks(seed, n, 0, trials))
         mode = "sampled"
     hist = np.zeros(n + 1, dtype=np.int64)
     for block in blocks:

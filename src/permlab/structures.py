@@ -12,6 +12,9 @@ points in place (sigma(i) = i) and where they push points s ahead
   every position in K either fixed or pushed; closed form 2^|K| (n-|I u J u K|)!
   whenever K is feasible, exhaustive otherwise.
 
+Both sweeps are one: an (n, n) table of the values each position may take,
+checked against the rows of ``enumeration.row_blocks``.
+
 A pair (I, J) is *compatible* for s when I, J, I-s, J+s are pairwise
 disjoint; K is *feasible* when it also avoids itself shifted and all four of
 those sets. The sampled estimators report how common compatibility and
@@ -26,11 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import counting
-from .enumeration import perm_matrix, row_blocks
+from .enumeration import row_blocks
 from .errors import (EqualIndices, HypothesisViolated, ParameterOutOfRange,
                      ShiftZero)
 from .perms import shift_counts
@@ -83,18 +87,22 @@ def _require_nonzero_shift(n: int, s: int) -> int:
     return s
 
 
+def _blocked(I: IndexSet, J: IndexSet, s: int) -> set[int] | None:
+    """I u J u (I-s) u (J+s) when those four are pairwise disjoint, else
+    None; ``s`` is already checked."""
+    union: set[int] = set()
+    for part in (I.as_set(), J.as_set(),
+                 shift_set(I, -s).as_set(), shift_set(J, s).as_set()):
+        if union & part:
+            return None
+        union |= part
+    return union
+
+
 def is_compatible(I: IndexSet, J: IndexSet, s: int) -> bool:
     """True iff I, J, I-s, J+s are pairwise disjoint."""
     n = _require_same_n(I, J)
-    s = _require_nonzero_shift(n, s)
-    parts = [I.as_set(), J.as_set(),
-             shift_set(I, -s).as_set(), shift_set(J, s).as_set()]
-    union = set()
-    for part in parts:
-        if union & part:
-            return False
-        union |= part
-    return True
+    return _blocked(I, J, _require_nonzero_shift(n, s)) is not None
 
 
 def is_feasible(K: IndexSet, I: IndexSet, J: IndexSet, s: int) -> bool:
@@ -102,14 +110,11 @@ def is_feasible(K: IndexSet, I: IndexSet, J: IndexSet, s: int) -> bool:
     I, J, I-s and J+s."""
     n = _require_same_n(K, I, J)
     s = _require_nonzero_shift(n, s)
-    if not is_compatible(I, J, s):
+    blocked = _blocked(I, J, s)
+    if blocked is None:
         return False
     k = K.as_set()
-    if k & shift_set(K, s).as_set():
-        return False
-    blocked = (I.as_set() | J.as_set()
-               | shift_set(I, -s).as_set() | shift_set(J, s).as_set())
-    return not (k & blocked)
+    return not (k & shift_set(K, s).as_set() or k & blocked)
 
 
 def count_required_displacements(I: IndexSet, J: IndexSet, s: int) -> int:
@@ -125,6 +130,20 @@ def count_required_displacements(I: IndexSet, J: IndexSet, s: int) -> int:
     return factorial(n - len(I.as_set() | J.as_set()))
 
 
+def _count_rows(n: int, allowed: np.ndarray, guard: int | None) -> int:
+    """Permutations holding, at every position i, a value v with
+    ``allowed[i, v]``; positions whose row of ``allowed`` is all true are
+    not read."""
+    cols = np.flatnonzero(~allowed.all(axis=1))
+    total = 0
+    for block in row_blocks(n, guard):
+        ok = np.ones(len(block), dtype=bool)
+        for i in cols:
+            ok &= allowed[i].take(block[:, i])
+        total += int(np.count_nonzero(ok))
+    return total
+
+
 def count_exact_displacements(I: IndexSet, J: IndexSet, s: int,
                               guard: int | None = None) -> int:
     """Permutations fixed exactly on I and pushed by s exactly on J.
@@ -133,17 +152,12 @@ def count_exact_displacements(I: IndexSet, J: IndexSet, s: int,
     """
     n = _require_same_n(I, J)
     s = _require_nonzero_shift(n, s)
-    p = perm_matrix(n, guard)
-    idx = np.arange(n, dtype=np.int8)
-    fixed = p == idx[None, :]
-    pushed = p == ((idx + s) % n)[None, :]
-    want_fixed = np.zeros(n, dtype=bool)
-    want_fixed[list(I.elements)] = True
-    want_pushed = np.zeros(n, dtype=bool)
-    want_pushed[list(J.elements)] = True
-    rows = ((fixed == want_fixed[None, :]).all(axis=1)
-            & (pushed == want_pushed[None, :]).all(axis=1))
-    return int(rows.sum())
+    fixed = np.eye(n, dtype=bool)          # [i, v]: v fixes i
+    pushed = np.roll(fixed, s, axis=1)     # [i, v]: v pushes i by s
+    # row i allows the values that fix i iff i is in I, push it iff in J
+    in_i = np.isin(np.arange(n), I.elements)[:, None]
+    in_j = np.isin(np.arange(n), J.elements)[:, None]
+    return _count_rows(n, (fixed == in_i) & (pushed == in_j), guard)
 
 
 def count_optional_displacements(K: IndexSet, I: IndexSet, J: IndexSet, s: int,
@@ -158,16 +172,13 @@ def count_optional_displacements(K: IndexSet, I: IndexSet, J: IndexSet, s: int,
     if is_feasible(K, I, J, s):
         rest = n - len(I.as_set() | J.as_set() | K.as_set())
         return (1 << len(K)) * factorial(rest)
-    p = perm_matrix(n, guard)
-    idx = np.arange(n, dtype=np.int8)
-    rows = np.ones(len(p), dtype=bool)
-    for i in I.elements:
-        rows &= p[:, i] == i
-    for j in J.elements:
-        rows &= p[:, j] == (j + s) % n
-    for k in K.elements:
-        rows &= (p[:, k] == k) | (p[:, k] == (k + s) % n)
-    return int(rows.sum())
+    # pins on one position intersect, so a clash leaves it no value
+    fixed = np.eye(n, dtype=bool)          # [i, v]: v fixes i
+    pushed = np.roll(fixed, s, axis=1)     # [i, v]: v pushes i by s
+    allowed = np.ones((n, n), dtype=bool)
+    for S, values in ((I, fixed), (J, pushed), (K, fixed | pushed)):
+        allowed[list(S.elements)] &= values[list(S.elements)]
+    return _count_rows(n, allowed, guard)
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,39 @@ class ProbabilityReport:
     closed_form_bound: Fraction
 
 
+def _estimate(kind: str, params: dict, bound: Fraction, mode: str,
+              trials: int, seed: int, outcomes: Iterable[Sequence[int]],
+              pool: Sequence[int], size: int,
+              hit: Callable[[Sequence[int]], bool]) -> ProbabilityReport:
+    """How often ``hit`` holds: over all ``outcomes`` in exact mode, or over
+    ``trials`` draws of ``size`` entries from ``pool`` in sampled mode, trial
+    i drawn by a partial Fisher-Yates shuffle on ``derive_seed(seed, i)``."""
+    if mode == "exact":
+        hits = total = 0
+        for x in outcomes:
+            total += 1
+            hits += hit(x)
+        exact = Fraction(hits, total)
+        return ProbabilityReport(kind, params, float(exact), exact, None, None,
+                                 bound)
+    if mode != "sampled":
+        raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
+    if trials < 1:
+        raise ParameterOutOfRange("trials must be positive")
+    hits = 0
+    for trial in range(trials):
+        rng = Rng(derive_seed(seed, trial))
+        drawn = list(pool)
+        for i in range(size):
+            j = i + rng.randbelow(len(drawn) - i)
+            drawn[i], drawn[j] = drawn[j], drawn[i]
+        hits += hit(drawn[:size])
+    est = hits / trials
+    se = math.sqrt(est * (1 - est) / trials)
+    return ProbabilityReport(kind, {**params, "seed": seed}, est, None, se,
+                             trials, bound)
+
+
 def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
                           trials: int = 100_000, seed: int = 0,
                           ) -> ProbabilityReport:
@@ -194,42 +238,12 @@ def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
     s = _require_nonzero_shift(n, s)
     bound = (1 - Fraction(4 * t, n - 2 * t)) ** (2 * t)
     params = {"n": n, "t": t, "s": s, "mode": mode}
-    if mode == "exact":
-        hits = total = 0
-        universe = range(n)
-        for I in combinations(universe, t):
-            iset = IndexSet.of(n, I)
-            rest = [x for x in universe if x not in I]
-            for J in combinations(rest, t):
-                total += 1
-                if is_compatible(iset, IndexSet.of(n, J), s):
-                    hits += 1
-        exact = Fraction(hits, total)
-        return ProbabilityReport("compatible_pair", params, float(exact),
-                                 exact, None, None, bound)
-    if mode != "sampled":
-        raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
-    if trials < 1:
-        raise ParameterOutOfRange("trials must be positive")
-    hits = 0
-    for trial in range(trials):
-        rng = Rng(derive_seed(seed, trial))
-        I, J = _sample_disjoint_pair(n, t, rng)
-        if is_compatible(I, J, s):
-            hits += 1
-    est = hits / trials
-    se = math.sqrt(est * (1 - est) / trials)
-    params["seed"] = seed
-    return ProbabilityReport("compatible_pair", params, est, None, se,
-                             trials, bound)
-
-
-def _sample_disjoint_pair(n: int, t: int, rng: Rng) -> tuple[IndexSet, IndexSet]:
-    pool = list(range(n))
-    for i in range(2 * t):
-        j = i + rng.randbelow(n - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return IndexSet.of(n, pool[:t]), IndexSet.of(n, pool[t:2 * t])
+    pairs = (I + J for I in combinations(range(n), t)
+             for J in combinations([x for x in range(n) if x not in I], t))
+    return _estimate("compatible_pair", params, bound, mode, trials, seed,
+                     pairs, range(n), 2 * t,
+                     lambda x: is_compatible(IndexSet.of(n, x[:t]),
+                                             IndexSet.of(n, x[t:]), s))
 
 
 def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSet]:
@@ -268,56 +282,30 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
     bound = (1 - Fraction(2 * t + k, n - 2 * t - k)) ** k
     params = {"n": n, "t": t, "k": k, "s": s, "mode": mode,
               "I": list(I.elements), "J": list(J.elements)}
-    if mode == "exact":
-        hits = total = 0
-        for K in combinations(complement, k):
-            total += 1
-            if is_feasible(IndexSet.of(n, K), I, J, s):
-                hits += 1
-        exact = Fraction(hits, total)
-        return ProbabilityReport("feasible_set", params, float(exact),
-                                 exact, None, None, bound)
-    if mode != "sampled":
-        raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
-    if trials < 1:
-        raise ParameterOutOfRange("trials must be positive")
-    hits = 0
-    pool_size = len(complement)
-    for trial in range(trials):
-        rng = Rng(derive_seed(seed, trial))
-        pool = list(complement)
-        for i in range(k):
-            j = i + rng.randbelow(pool_size - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        if is_feasible(IndexSet.of(n, pool[:k]), I, J, s):
-            hits += 1
-    est = hits / trials
-    se = math.sqrt(est * (1 - est) / trials)
-    params["seed"] = seed
-    return ProbabilityReport("feasible_set", params, est, None, se,
-                             trials, bound)
+    return _estimate("feasible_set", params, bound, mode, trials, seed,
+                     combinations(complement, k), complement, k,
+                     lambda K: is_feasible(IndexSet.of(n, K), I, J, s))
+
+
+def _require_classes(n: int, i: int, j: int) -> None:
+    if i == j:
+        raise EqualIndices("shift classes i and j must differ")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ParameterOutOfRange(f"classes ({i}, {j}) not in 0..{n - 1}")
 
 
 def joint_shift_table(n: int, i: int, j: int,
                       guard: int | None = None) -> dict[tuple[int, int], Fraction]:
     """Exact joint distribution of the sizes of shift classes i and j."""
-    if i == j:
-        raise EqualIndices("shift classes i and j must differ")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ParameterOutOfRange(f"classes ({i}, {j}) not in 0..{n - 1}")
+    _require_classes(n, i, j)
     counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
     for block in row_blocks(n, guard):
         c = shift_counts(block)
         counts += np.bincount(c[:, i] * (n + 1) + c[:, j],
                               minlength=(n + 1) * (n + 1))
     total = factorial(n)
-    table: dict[tuple[int, int], Fraction] = {}
-    for ti in range(n + 1):
-        for tj in range(n + 1):
-            c = int(counts[ti * (n + 1) + tj])
-            if c:
-                table[(ti, tj)] = Fraction(c, total)
-    return table
+    return {divmod(key, n + 1): Fraction(int(c), total)
+            for key, c in enumerate(counts) if c}
 
 
 def joint_shift_pmf(n: int, i: int, j: int, t: int,
@@ -350,7 +338,7 @@ class IndicatorStat:
 
 def covariance_estimate(n: int, t: int, i: int, j: int,
                         trials: int = 100_000, seed: int = 0,
-                        mode: str = "sampled", batch: int = 4096,
+                        mode: str = "sampled",
                         guard: int | None = None) -> IndicatorStat:
     """Covariance of the two indicator variables, sampled or exact.
 
@@ -358,10 +346,7 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
     results do not depend on batching) and reports standard errors; exact
     mode sweeps all n! permutations and reports zero standard errors.
     """
-    if i == j:
-        raise EqualIndices("shift classes i and j must differ")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ParameterOutOfRange(f"classes ({i}, {j}) not in 0..{n - 1}")
+    _require_classes(n, i, j)
     marginal = counting.shift_count_pmf(n, t)
     if mode == "exact":
         e_zz = joint_shift_pmf(n, i, j, t, guard)
@@ -374,7 +359,7 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
     if trials < 1:
         raise ParameterOutOfRange("trials must be positive")
     cnt_i = cnt_j = cnt_ij = 0
-    for perms, _ in seeded_blocks(seed, n, 0, trials, batch):
+    for perms, _ in seeded_blocks(seed, n, 0, trials):
         c = shift_counts(perms)
         zi = c[:, i] == t
         zj = c[:, j] == t

@@ -68,6 +68,11 @@ class TestPmf:
         assert rows[3]["probability"]["ratio"] == "0/1"   # k=3 impossible
         assert "k,ratio,decimal" in out
 
+    def test_order_zero(self, capsys):
+        code, lines, _ = run_cli(capsys, "pmf", "--n", "0")
+        assert code == 0
+        assert lines[1]["pmf"][0]["probability"]["ratio"] == "1/1"
+
 
 class TestField:
     def test_brute_aic(self, capsys):
@@ -262,11 +267,23 @@ class TestUsageErrors:
         ("structure", "phistar", "--n", "-2"),
         ("structure", "phi", "--n", "0"),
         ("structure", "feasible", "--n", "2", "--t", "-1"),
+        ("PERMLAB_SEED=abc", "dist", "--n", "5"),
+        ("PERMLAB_SEED=1" + "0" * 5000, "dist", "--n", "5"),
+        ("structure", "phi", "--n", "4", "--set-i", "a"),
+        ("structure", "pset", "--n", "4", "--set-j", "1,,2"),
+        ("structure", "pset", "--n", "4", "--set-k", "1.5"),
+        ("pmf", "--n", "-2"),
     ], ids=["locker-bogus", "locker-naive", "exact-naive-n1", "exact-n0",
             "dist-trials0", "dist-n0", "compatible-trials0",
             "feasible-trials0", "phistar-n-negative", "phi-n0",
-            "feasible-t-negative"])
-    def test_exit_2(self, capsys, argv):
+            "feasible-t-negative", "env-seed-not-integer",
+            "env-seed-5000-digits", "set-i-not-integer", "set-j-empty-entry",
+            "set-k-float", "pmf-n-negative"])
+    def test_exit_2(self, capsys, monkeypatch, argv):
+        if "=" in argv[0]:   # a leading NAME=value sets the environment
+            name, value = argv[0].split("=", 1)
+            monkeypatch.setenv(name, value)
+            argv = argv[1:]
         assert self.usage_error_stdout(capsys, argv) == ""
 
     @staticmethod
@@ -292,12 +309,18 @@ class TestUsageErrors:
         "{not json",
         "[0, 0, 0, 0, 0, 0]",
         '{"n": 3, "assignment": [0, 0, 0, 0, 0, 0]}',
-    ], ids=["not-json", "array", "no-m"])
+        '{"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1' + "0" * 5000 + "]}",
+    ], ids=["not-json", "array", "no-m", "5000-digit-entry"])
     @pytest.mark.parametrize("command", ["field", "dedup"])
     def test_malformed_partition_file(self, capsys, tmp_path, command, text):
         path = tmp_path / "part.json"
         path.write_text(text)
         argv = (command, "--partition", str(path))
+        assert self.usage_error_stdout(capsys, argv) == ""
+
+    @pytest.mark.parametrize("command", ["field", "dedup"])
+    def test_partition_is_a_directory(self, capsys, tmp_path, command):
+        argv = (command, "--partition", str(tmp_path))
         assert self.usage_error_stdout(capsys, argv) == ""
 
     @pytest.mark.parametrize("text", [
@@ -469,8 +492,9 @@ def _argvs(draw, files):
         return (["field", "--brute"] + opts("--n", "--m", values=small)
                 + opts("--budget", "--guard") + flags("--aic"))
     if command == "structure":
-        index_list = hs.lists(hs.integers(-1, 7), max_size=3).map(
-            lambda xs: ",".join(map(str, xs)))
+        token = hs.one_of(hs.integers(-1, 7).map(str),
+                          hs.sampled_from(["a", "1.5", ""]))
+        index_list = hs.lists(token, max_size=3).map(",".join)
         return (["structure", draw(hs.sampled_from(
                     ["phi", "phistar", "pset", "compatible", "feasible",
                      "joint", "cov"]))]

@@ -126,8 +126,10 @@ class TestPartitionSerialization:
         '{"n": 3, "m": 2, "assignment": {"0": 0}}',
         '{"n": 3, "m": 2, "assignment": [0, 0, 0, 0, 0, null]}',
         '{"n": -1, "m": 2, "assignment": [0]}',
+        '{"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1' + "0" * 5000 + "]}",
     ], ids=["not-json", "array", "no-m", "m-string", "n-float", "m-bool",
-            "assignment-object", "assignment-null", "n-negative"])
+            "assignment-object", "assignment-null", "n-negative",
+            "5000-digit-entry"])
     def test_from_json_rejects_malformed(self, text):
         with pytest.raises(MalformedPartition):
             PartitionStrategy.from_json(text)

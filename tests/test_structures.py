@@ -7,7 +7,10 @@ from math import factorial
 
 import pytest
 
+import numpy as np
+
 from permlab.counting import shift_count_pmf
+from permlab.enumeration import perm_matrix
 from permlab.errors import (EqualIndices, HypothesisViolated,
                             ParameterOutOfRange, ShiftZero,
                             TooLargeForEnumeration)
@@ -57,6 +60,41 @@ def brute_optional(n, K, I, J, s):
         if all(img[k] in (k, (k + s) % n) for k in K):
             hits += 1
     return hits
+
+
+def mask_exact(n, I, J, s):
+    """Reference: fixed exactly on I and pushed exactly on J, by boolean
+    masks over the whole permutation matrix."""
+    p = perm_matrix(n)
+    idx = np.arange(n, dtype=np.int8)
+    fixed = p == idx[None, :]
+    pushed = p == ((idx + s) % n)[None, :]
+    want_fixed = np.zeros(n, dtype=bool)
+    want_fixed[list(I)] = True
+    want_pushed = np.zeros(n, dtype=bool)
+    want_pushed[list(J)] = True
+    rows = ((fixed == want_fixed[None, :]).all(axis=1)
+            & (pushed == want_pushed[None, :]).all(axis=1))
+    return int(rows.sum())
+
+
+def mask_optional(n, K, I, J, s):
+    """Reference: I fixed, J pushed, K fixed-or-pushed, by boolean masks over
+    the whole permutation matrix."""
+    p = perm_matrix(n)
+    rows = np.ones(len(p), dtype=bool)
+    for i in I:
+        rows &= p[:, i] == i
+    for j in J:
+        rows &= p[:, j] == (j + s) % n
+    for k in K:
+        rows &= (p[:, k] == k) | (p[:, k] == (k + s) % n)
+    return int(rows.sum())
+
+
+def small_sets(n):
+    """Every subset of 0..n-1 with at most two elements."""
+    return [c for size in range(3) for c in itertools.combinations(range(n), size)]
 
 
 class TestIndexSet:
@@ -218,6 +256,40 @@ class TestOptionalCount:
         closed = (1 << len(K)) * factorial(n - 4)
         assert got == brute_optional(n, (1, 5), (0,), (2,), s)
         assert got < closed
+
+
+class TestSweepAgainstMasks:
+    """The row-block sweep against the whole-matrix mask sweeps, for every s
+    and every I, J, K of at most two positions, n <= 6."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_exact_and_required(self, n):
+        for s in range(1, n):
+            for I, J in itertools.product(small_sets(n), repeat=2):
+                Is, Js = iset(n, *I), iset(n, *J)
+                assert count_exact_displacements(Is, Js, s) == \
+                    mask_exact(n, I, J, s), (n, s, I, J)
+                assert count_optional_displacements(iset(n), Is, Js, s) == \
+                    count_required_displacements(Is, Js, s), (n, s, I, J)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_optional(self, n):
+        for s in range(1, n):
+            for K, I, J in itertools.product(small_sets(n), repeat=3):
+                got = count_optional_displacements(
+                    iset(n, *K), iset(n, *I), iset(n, *J), s)
+                assert got == mask_optional(n, K, I, J, s), (n, s, K, I, J)
+
+    def test_clashing_pins_give_zero(self):
+        # a position both fixed and pushed, or two positions held to one
+        # value (1 fixed where 0 is pushed; 5 pushed onto 0 and 1 fixed,
+        # leaving 0 neither value)
+        n, s = 6, 1
+        assert count_exact_displacements(iset(n, 0), iset(n, 0), s) == 0
+        for I, J, K in [((0,), (0,), (0, 3)), ((1,), (0,), (1,)),
+                        ((1,), (5,), (0,))]:
+            assert count_optional_displacements(
+                iset(n, *K), iset(n, *I), iset(n, *J), s) == 0, (I, J, K)
 
 
 class TestCompatiblePairStats:
