@@ -1,9 +1,9 @@
-"""Displacement-pattern counting: closed forms, sweeps, and near-independence.
+"""Displacement-pattern counting: closed forms and near-independence.
 
 The size of the set of permutations that keep I in place and push J ahead
-by s has a clean factorial form; the "exactly I and exactly J" variant does
-not, but a full sweep settles it at desk scale. Layering both shows why two
-shift-class sizes are almost uncorrelated.
+by s has a clean factorial form; the "exactly I and exactly J" variant
+needs inclusion-exclusion over the rook numbers of a menage-type board.
+Layering both shows why two shift-class sizes are almost uncorrelated.
 """
 
 import math

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 
 from . import __version__
@@ -129,6 +130,12 @@ def _print(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
+def _open_out(path: str | None):
+    """The ``--out`` file, if any, opened before the document is printed, so
+    an unwritable path fails with stdout still empty."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext()
+
+
 def _cmd_simulate(args) -> int:
     from .simulate import GameConfig, simulate_locker, simulate_needle
     seed = args.seed if args.seed is not None else _default_seed()
@@ -210,14 +217,14 @@ def _cmd_field(args) -> int:
         restriction = "aic" if args.aic else None
         result = brute_force_field(args.n, args.m, restriction=restriction,
                                    budget=budget, guard=args.guard)
-        _print(_header("field", {"brute": True, "n": args.n, "m": args.m,
-                                 "aic": args.aic, "budget": budget,
-                                 "guard": args.guard}))
-        _print(dumps({"field": result.field, "nodes": result.nodes,
-                      "restriction": result.restriction,
-                      "witness": json.loads(result.witness.to_json())}))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
+            _print(_header("field", {"brute": True, "n": args.n, "m": args.m,
+                                     "aic": args.aic, "budget": budget,
+                                     "guard": args.guard}))
+            _print(dumps({"field": result.field, "nodes": result.nodes,
+                          "restriction": result.restriction,
+                          "witness": json.loads(result.witness.to_json())}))
+            if fh:
                 fh.write(result.witness.to_json() + "\n")
         return 0
     if not args.partition:
@@ -256,10 +263,12 @@ def _cmd_structure(args) -> int:
         body = {"kind": kind, "count": count}
     elif kind == "compatible":
         body = S.compatible_pair_stats(n, args.t, args.s, mode=args.mode,
-                                       trials=args.trials, seed=seed)
+                                       trials=args.trials, seed=seed,
+                                       guard=args.guard)
     elif kind == "feasible":
         body = S.feasible_set_stats(n, args.t, args.k, args.s, mode=args.mode,
-                                    trials=args.trials, seed=seed)
+                                    trials=args.trials, seed=seed,
+                                    guard=args.guard)
     elif kind == "joint":
         p = S.joint_shift_pmf(n, args.i, args.j, args.t, guard=args.guard)
         body = {"kind": "joint", "n": n, "i": args.i, "j": args.j,
@@ -280,11 +289,12 @@ def _cmd_dedup(args) -> int:
     classes = class_members(part, args.guard)
     result = deduplicate_magnets(classes, guard=args.guard)
     out_classes = [[list(p.image) for p in c] for c in result.classes]
-    _print(_header("dedup", {"partition": args.partition, "guard": args.guard}))
-    _print(dumps({"classes": out_classes, "steps": result.steps,
-                  "step_count": len(result.steps)}))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_out(args.out) as fh:
+        _print(_header("dedup", {"partition": args.partition,
+                                 "guard": args.guard}))
+        _print(dumps({"classes": out_classes, "steps": result.steps,
+                      "step_count": len(result.steps)}))
+        if fh:
             json.dump({"n": part.n, "classes": out_classes}, fh)
             fh.write("\n")
     return 0
@@ -347,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except PermlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:   # an input file to read or an --out to write
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,13 +7,19 @@ points in place (sigma(i) = i) and where they push points s ahead
 * ``count_required_displacements`` -- all of I fixed, all of J pushed (free
   elsewhere); a closed-form factorial count;
 * ``count_exact_displacements``  -- fixed exactly on I, pushed exactly on J;
-  exact by exhaustive sweep;
+  inclusion-exclusion over the rook numbers of the forbidden cells;
 * ``count_optional_displacements`` -- all of I fixed, all of J pushed, and
   every position in K either fixed or pushed; closed form 2^|K| (n-|I u J u K|)!
-  whenever K is feasible, exhaustive otherwise.
+  whenever K is feasible, otherwise a sum of required counts over the ways
+  to split K into fixed and pushed positions.
 
-Both sweeps are one: an (n, n) table of the values each position may take,
-checked against the rows of ``enumeration.row_blocks``.
+The cells of two displacement diagonals form closed chains in which each
+cell shares a row or a column with its two neighbours and with no other
+cell (the menage board; Touchard 1934, Kaplansky 1943). The rook
+polynomial of such a chain comes from a two-state transfer along it, and
+the exact count and the joint shift table follow by inclusion-exclusion.
+Every count is an exact integer, and the counts that once swept all n!
+permutations keep that sweep's guard.
 
 A pair (I, J) is *compatible* for s when I, J, I-s, J+s are pairwise
 disjoint; K is *feasible* when it also avoids itself shifted and all four of
@@ -25,20 +31,23 @@ the sizes of two shift classes are.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import combinations, product
+from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from . import counting
-from .enumeration import row_blocks
+from .enumeration import DEFAULT_GUARD, check_guard
 from .errors import (EqualIndices, HypothesisViolated, ParameterOutOfRange,
-                     ShiftZero)
+                     ShiftZero, TooLargeForEnumeration)
 from .perms import shift_counts
 from .rng import Rng, derive_seed, seeded_blocks
+
+# The exact counts keep the guard, and the refusal text, of the n! sweep
+# over ``perm_matrix`` that they replace.
+_GUARDED = "perm_matrix"
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,12 @@ def shift_set(L: IndexSet, l: int) -> IndexSet:
     return IndexSet(L.n, tuple((e + l) % L.n for e in L.elements))
 
 
+def _moved(S: Iterable[int], l: int, n: int) -> frozenset[int]:
+    """The positions of S moved by l modulo n, as :func:`shift_set` gives
+    them but without building a checked ``IndexSet``."""
+    return frozenset((e + l) % n for e in S)
+
+
 def _require_same_n(*sets: IndexSet) -> int:
     ns = {S.n for S in sets}
     if len(ns) != 1:
@@ -92,7 +107,7 @@ def _blocked(I: IndexSet, J: IndexSet, s: int) -> set[int] | None:
     None; ``s`` is already checked."""
     union: set[int] = set()
     for part in (I.as_set(), J.as_set(),
-                 shift_set(I, -s).as_set(), shift_set(J, s).as_set()):
+                 _moved(I.elements, -s, I.n), _moved(J.elements, s, J.n)):
         if union & part:
             return None
         union |= part
@@ -114,7 +129,7 @@ def is_feasible(K: IndexSet, I: IndexSet, J: IndexSet, s: int) -> bool:
     if blocked is None:
         return False
     k = K.as_set()
-    return not (k & shift_set(K, s).as_set() or k & blocked)
+    return not (k & _moved(k, s, n) or k & blocked)
 
 
 def count_required_displacements(I: IndexSet, J: IndexSet, s: int) -> int:
@@ -125,60 +140,110 @@ def count_required_displacements(I: IndexSet, J: IndexSet, s: int) -> int:
     """
     n = _require_same_n(I, J)
     s = _require_nonzero_shift(n, s)
-    if I.as_set() & J.as_set() or I.as_set() & shift_set(J, s).as_set():
+    if _clash(I.as_set(), J.as_set(), n, s):
         return 0
     return factorial(n - len(I.as_set() | J.as_set()))
 
 
-def _count_rows(n: int, allowed: np.ndarray, guard: int | None) -> int:
-    """Permutations holding, at every position i, a value v with
-    ``allowed[i, v]``; positions whose row of ``allowed`` is all true are
-    not read."""
-    cols = np.flatnonzero(~allowed.all(axis=1))
-    total = 0
-    for block in row_blocks(n, guard):
-        ok = np.ones(len(block), dtype=bool)
-        for i in cols:
-            ok &= allowed[i].take(block[:, i])
-        total += int(np.count_nonzero(ok))
-    return total
+def _clash(fixed: frozenset[int], pushed: frozenset[int], n: int,
+           s: int) -> bool:
+    """True when no permutation fixes all of ``fixed`` and pushes all of
+    ``pushed`` by s: a position would be both, or a value taken twice."""
+    return bool(fixed & pushed or fixed & _moved(pushed, s, n))
+
+
+# A rook polynomial is a Counter mapping (p, q) to the placements of p rooks
+# on cells of one kind and q on cells of the other, no two in a line.
+def _times(a: Counter, b: Counter) -> Counter:
+    out: Counter = Counter()
+    for (p1, q1), c1 in a.items():
+        for (p2, q2), c2 in b.items():
+            out[p1 + p2, q1 + q2] += c1 * c2
+    return out
+
+
+def _open_chain(cells: Sequence[tuple[int, int] | None]) -> Counter:
+    """Rook polynomial of an open chain of cells, each sharing a row or a
+    column with the next and with no other. ``cells[c]`` is the monomial a
+    rook on cell c counts toward, (1, 0) or (0, 1); None marks a removed
+    cell."""
+    empty, held = Counter({(0, 0): 1}), Counter()   # by the last cell's state
+    for cell in cells:
+        empty, held = empty + held, (Counter() if cell is None
+                                     else _times(empty, Counter([cell])))
+    return empty + held
+
+
+def _closed_chain(cells: Sequence[tuple[int, int] | None]) -> Counter:
+    """Rook polynomial of a closed chain: the placements that leave cell 0
+    empty, plus those holding it and so leaving both its neighbours empty."""
+    out = _open_chain(cells[1:])
+    if cells[0] is not None:
+        out += _times(_open_chain(cells[2:-1]), Counter([cells[0]]))
+    return out
+
+
+def _exactly(at_least: Sequence[int]) -> list[int]:
+    """From N_p, the sum over permutations of C(hits, p), the number of
+    permutations with exactly a hits, for every a (binomial inversion)."""
+    return [sum((-1) ** (p - a) * comb(p, a) * at_least[p]
+                for p in range(a, len(at_least)))
+            for a in range(len(at_least))]
 
 
 def count_exact_displacements(I: IndexSet, J: IndexSet, s: int,
                               guard: int | None = None) -> int:
     """Permutations fixed exactly on I and pushed by s exactly on J.
 
-    No closed form; counted by a full sweep of the n! permutations.
+    With I and J pinned, the m other positions must avoid both their fixed
+    cell (r, r) and their pushed cell (r, r + s). Along each of the
+    gcd(n, s) cycles of x -> x + s those cells form a closed chain, from
+    which the pins remove the cells of their rows and columns. With r_k the
+    rook numbers of what is left, the count is sum_k (-1)^k r_k (m - k)!.
     """
     n = _require_same_n(I, J)
     s = _require_nonzero_shift(n, s)
-    fixed = np.eye(n, dtype=bool)          # [i, v]: v fixes i
-    pushed = np.roll(fixed, s, axis=1)     # [i, v]: v pushes i by s
-    # row i allows the values that fix i iff i is in I, push it iff in J
-    in_i = np.isin(np.arange(n), I.elements)[:, None]
-    in_j = np.isin(np.arange(n), J.elements)[:, None]
-    return _count_rows(n, (fixed == in_i) & (pushed == in_j), guard)
+    check_guard(n, guard, _GUARDED)
+    if _clash(I.as_set(), J.as_set(), n, s):
+        return 0
+    rows = I.as_set() | J.as_set()
+    cols = I.as_set() | _moved(J.elements, s, n)
+    g = math.gcd(n, s)
+    rooks = Counter({(0, 0): 1})
+    for x in range(g):
+        chain = []
+        for y in range(x, x + n * s // g, s):
+            y %= n
+            free = y not in rows
+            chain.append((1, 0) if free and y not in cols else None)
+            chain.append((1, 0) if free and (y + s) % n not in cols else None)
+        rooks = _times(rooks, _closed_chain(chain))
+    m = n - len(rows)
+    return sum((-1) ** k * c * factorial(m - k) for (k, _), c in rooks.items())
 
 
 def count_optional_displacements(K: IndexSet, I: IndexSet, J: IndexSet, s: int,
                                  guard: int | None = None) -> int:
     """Permutations fixing I, pushing J, and fixing-or-pushing every k in K.
 
-    Feasible K: closed form 2^|K| * (n - |I u J u K|)!. Infeasible K falls
-    back to an exhaustive sweep (guarded).
+    Feasible K: closed form 2^|K| * (n - |I u J u K|)!. Otherwise (guarded),
+    as no position is both fixed and pushed when s != 0, the count is the
+    sum over the splits of K into fixed and pushed parts of the required
+    counts, each (n - |I u J u K|)! unless the split clashes.
     """
     n = _require_same_n(K, I, J)
     s = _require_nonzero_shift(n, s)
     if is_feasible(K, I, J, s):
         rest = n - len(I.as_set() | J.as_set() | K.as_set())
         return (1 << len(K)) * factorial(rest)
-    # pins on one position intersect, so a clash leaves it no value
-    fixed = np.eye(n, dtype=bool)          # [i, v]: v fixes i
-    pushed = np.roll(fixed, s, axis=1)     # [i, v]: v pushes i by s
-    allowed = np.ones((n, n), dtype=bool)
-    for S, values in ((I, fixed), (J, pushed), (K, fixed | pushed)):
-        allowed[list(S.elements)] &= values[list(S.elements)]
-    return _count_rows(n, allowed, guard)
+    check_guard(n, guard, _GUARDED)
+    k = K.as_set()
+    splits = 0
+    for pushed in product((False, True), repeat=len(K)):
+        k_pushed = {x for x, p in zip(K.elements, pushed) if p}
+        splits += not _clash(I.as_set() | (k - k_pushed),
+                             J.as_set() | k_pushed, n, s)
+    return splits * factorial(n - len(I.as_set() | J.as_set() | k))
 
 
 @dataclass(frozen=True)
@@ -196,17 +261,24 @@ class ProbabilityReport:
 
 def _estimate(kind: str, params: dict, bound: Fraction, mode: str,
               trials: int, seed: int, outcomes: Iterable[Sequence[int]],
-              pool: Sequence[int], size: int,
+              count: int, guard: int | None, pool: Sequence[int], size: int,
               hit: Callable[[Sequence[int]], bool]) -> ProbabilityReport:
-    """How often ``hit`` holds: over all ``outcomes`` in exact mode, or over
-    ``trials`` draws of ``size`` entries from ``pool`` in sampled mode, trial
-    i drawn by a partial Fisher-Yates shuffle on ``derive_seed(seed, i)``."""
+    """How often ``hit`` holds: over all ``count`` ``outcomes`` in exact
+    mode, or over ``trials`` draws of ``size`` entries from ``pool`` in
+    sampled mode, trial i drawn by a partial Fisher-Yates shuffle on
+    ``derive_seed(seed, i)``. Exact mode refuses, before it enumerates
+    anything, more outcomes than the factorial of the guard."""
     if mode == "exact":
-        hits = total = 0
-        for x in outcomes:
-            total += 1
-            hits += hit(x)
-        exact = Fraction(hits, total)
+        g = DEFAULT_GUARD if guard is None else guard
+        limit = f = 1     # min(g!, a factorial >= count): no g! for a huge g
+        while f < g and limit < count:
+            f += 1
+            limit *= f
+        if count > limit:
+            raise TooLargeForEnumeration(
+                f"exact {kind} enumerates more than {g}! outcomes; "
+                f"re-run with a larger --guard")
+        exact = Fraction(sum(map(hit, outcomes)), count)
         return ProbabilityReport(kind, params, float(exact), exact, None, None,
                                  bound)
     if mode != "sampled":
@@ -229,7 +301,7 @@ def _estimate(kind: str, params: dict, bound: Fraction, mode: str,
 
 def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
                           trials: int = 100_000, seed: int = 0,
-                          ) -> ProbabilityReport:
+                          guard: int | None = None) -> ProbabilityReport:
     """Probability that uniformly chosen disjoint I, J of size t are
     compatible for shift s, with the closed-form lower bound
     (1 - 4t/(n-2t))^(2t) attached for comparison."""
@@ -241,7 +313,7 @@ def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
     pairs = (I + J for I in combinations(range(n), t)
              for J in combinations([x for x in range(n) if x not in I], t))
     return _estimate("compatible_pair", params, bound, mode, trials, seed,
-                     pairs, range(n), 2 * t,
+                     pairs, comb(n, t) * comb(n - t, t), guard, range(n), 2 * t,
                      lambda x: is_compatible(IndexSet.of(n, x[:t]),
                                              IndexSet.of(n, x[t:]), s))
 
@@ -257,7 +329,7 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
     s = _require_nonzero_shift(n, s)
     for I in combinations(range(n), t):
         iset = IndexSet.of(n, I)
-        if iset.as_set() & shift_set(iset, -s).as_set():
+        if iset.as_set() & _moved(I, -s, n):
             continue
         rest = [x for x in range(n) if x not in I]
         for J in combinations(rest, t):
@@ -270,7 +342,7 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
 
 def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
                        trials: int = 100_000, seed: int = 0,
-                       ) -> ProbabilityReport:
+                       guard: int | None = None) -> ProbabilityReport:
     """Probability that a uniform K of size k inside the complement of the
     canonical compatible (I, J) is feasible, with the closed-form lower
     bound (1 - (2t+k)/(n-2t-k))^k attached."""
@@ -283,7 +355,8 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
     params = {"n": n, "t": t, "k": k, "s": s, "mode": mode,
               "I": list(I.elements), "J": list(J.elements)}
     return _estimate("feasible_set", params, bound, mode, trials, seed,
-                     combinations(complement, k), complement, k,
+                     combinations(complement, k), comb(len(complement), k),
+                     guard, complement, k,
                      lambda K: is_feasible(IndexSet.of(n, K), I, J, s))
 
 
@@ -296,16 +369,29 @@ def _require_classes(n: int, i: int, j: int) -> None:
 
 def joint_shift_table(n: int, i: int, j: int,
                       guard: int | None = None) -> dict[tuple[int, int], Fraction]:
-    """Exact joint distribution of the sizes of shift classes i and j."""
+    """Exact joint distribution of the sizes of shift classes i and j.
+
+    Class l holds the cells (x, x - l). The cells of classes i and j form
+    gcd(n, i - j) equal closed chains of 2n/g cells, alternating between the
+    classes, so R_{p,q} -- placements of p rooks in class i and q in class j
+    -- is the g-th power of one chain's polynomial. Permutations through a
+    chosen placement number R_{p,q} (n - p - q)!, and binomial inversion in
+    p and then q leaves the counts with exactly a and b.
+    """
     _require_classes(n, i, j)
-    counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
-    for block in row_blocks(n, guard):
-        c = shift_counts(block)
-        counts += np.bincount(c[:, i] * (n + 1) + c[:, j],
-                              minlength=(n + 1) * (n + 1))
+    check_guard(n, guard, _GUARDED)
+    g = math.gcd(n, i - j)
+    chain = _closed_chain([(1, 0), (0, 1)] * (n // g))
+    rooks = Counter({(0, 0): 1})
+    for _ in range(g):
+        rooks = _times(rooks, chain)
+    at_least = [[0] * (n + 1) for _ in range(n + 1)]
+    for (p, q), c in rooks.items():
+        at_least[p][q] = c * factorial(n - p - q)
+    by_b = [_exactly(column) for column in zip(*map(_exactly, at_least))]
     total = factorial(n)
-    return {divmod(key, n + 1): Fraction(int(c), total)
-            for key, c in enumerate(counts) if c}
+    return {(a, b): Fraction(by_b[b][a], total)
+            for a in range(n + 1) for b in range(n + 1) if by_b[b][a]}
 
 
 def joint_shift_pmf(n: int, i: int, j: int, t: int,
@@ -344,7 +430,7 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
 
     Sampled mode draws ``trials`` seeded permutations (trial index keyed, so
     results do not depend on batching) and reports standard errors; exact
-    mode sweeps all n! permutations and reports zero standard errors.
+    mode reads :func:`joint_shift_table` and reports zero standard errors.
     """
     _require_classes(n, i, j)
     marginal = counting.shift_count_pmf(n, t)

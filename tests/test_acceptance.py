@@ -125,29 +125,28 @@ def test_06_pmf_exact():
 
 
 def _oracle_counts(n):
-    """Vectorized enumeration oracle over the full group, built from the raw
-    permutation matrix (independent of the closed-form code paths)."""
+    """Enumeration oracle over the full group, built from the raw
+    permutation matrix (independent of the closed-form code paths). The
+    rows where position x holds value v are the bits of one int, so each
+    count is a few ANDs and a popcount."""
     p = perm_matrix(n)
-    idx = np.arange(n, dtype=np.int8)
-    fixed = p == idx[None, :]
-
-    def required(I, J, s):
-        rows = np.ones(len(p), dtype=bool)
-        for i in I:
-            rows &= fixed[:, i]
-        for j in J:
-            rows &= p[:, j] == (j + s) % n
-        return int(rows.sum())
+    holds = [[int.from_bytes(np.packbits(p[:, x] == v, bitorder="little")
+                             .tobytes(), "little") for v in range(n)]
+             for x in range(n)]
+    every = (1 << len(p)) - 1
 
     def optional(K, I, J, s):
-        rows = np.ones(len(p), dtype=bool)
+        rows = every
         for i in I:
-            rows &= fixed[:, i]
+            rows &= holds[i][i]
         for j in J:
-            rows &= p[:, j] == (j + s) % n
+            rows &= holds[j][(j + s) % n]
         for k in K:
-            rows &= fixed[:, k] | (p[:, k] == (k + s) % n)
-        return int(rows.sum())
+            rows &= holds[k][k] | holds[k][(k + s) % n]
+        return rows.bit_count()
+
+    def required(I, J, s):
+        return optional((), I, J, s)
 
     return required, optional
 

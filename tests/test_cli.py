@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,17 @@ class TestDedup:
         assert len(body["classes"]) == 2
         assert sum(len(c) for c in body["classes"]) == 6
         assert body["step_count"] == len(body["steps"])
+
+    def test_out_file(self, capsys, tmp_path):
+        path = tmp_path / "part.json"
+        path.write_text(json.dumps(
+            {"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1]}))
+        out = tmp_path / "classes.json"
+        code, lines, _ = run_cli(capsys, "dedup", "--partition", str(path),
+                                 "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text()) == {"n": 3,
+                                               "classes": lines[1]["classes"]}
 
 
 class TestSimulate:
@@ -318,6 +330,20 @@ class TestUsageErrors:
         argv = (command, "--partition", str(path))
         assert self.usage_error_stdout(capsys, argv) == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("field", "--brute", "--n", "3", "--m", "2"),
+        ("dedup", "--partition", "PART"),
+    ], ids=["field-brute", "dedup"])
+    def test_unwritable_out_prints_nothing(self, capsys, tmp_path, argv):
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps(
+            {"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1]}))
+        argv = tuple(str(part) if a == "PART" else a for a in argv)
+        out = tmp_path / "missing-dir" / "x.json"
+        assert self.usage_error_stdout(capsys, argv + ("--out", str(out))) \
+            == ""
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("command", ["field", "dedup"])
     def test_partition_is_a_directory(self, capsys, tmp_path, command):
         argv = (command, "--partition", str(tmp_path))
@@ -349,8 +375,10 @@ class TestUsageErrors:
         ("dist", "--n", "12", "--exhaustive"),
         ("structure", "joint", "--n", "12", "--i", "0", "--j", "1"),
         ("structure", "cov", "--n", "12", "--i", "0", "--j", "1"),
+        ("structure", "pset", "--n", "11", "--s", "2", "--set-i", "0",
+         "--set-j", "5", "--set-k", "1,3"),
     ], ids=["exact", "simulate-exhaustive", "dist-exhaustive",
-            "structure-joint", "structure-cov"])
+            "structure-joint", "structure-cov", "structure-pset-infeasible"])
     def test_guard_refusal_prints_nothing(self, capsys, argv):
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -358,6 +386,24 @@ class TestUsageErrors:
         assert captured.err.startswith("refused: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("structure", "compatible", "--n", "40", "--t", "4", "--mode", "exact"),
+        ("structure", "feasible", "--n", "60", "--t", "1", "--k", "28",
+         "--mode", "exact"),
+    ], ids=["compatible", "feasible"])
+    def test_exact_estimate_refused_up_front(self, capsys, argv):
+        # ~5.4e9 pairs and ~3e16 sets: refused before any is enumerated
+        start = time.perf_counter()
+        code = main(list(argv))
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("refused: ")
+        assert "--guard" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert elapsed < 1.0
 
     def test_dedup_guard_refusal_prints_nothing(self, capsys, tmp_path):
         path = tmp_path / "part.json"

@@ -10,10 +10,11 @@ import pytest
 import numpy as np
 
 from permlab.counting import shift_count_pmf
-from permlab.enumeration import perm_matrix
+from permlab.enumeration import perm_matrix, row_blocks
 from permlab.errors import (EqualIndices, HypothesisViolated,
                             ParameterOutOfRange, ShiftZero,
                             TooLargeForEnumeration)
+from permlab.perms import shift_counts
 from permlab.structures import (IndexSet, canonical_compatible_pair,
                                 compatible_pair_stats,
                                 count_exact_displacements,
@@ -90,6 +91,56 @@ def mask_optional(n, K, I, J, s):
     for k in K:
         rows &= (p[:, k] == k) | (p[:, k] == (k + s) % n)
     return int(rows.sum())
+
+
+def sweep_rows(n, allowed):
+    """Reference: permutations holding, at every position i, a value v with
+    ``allowed[i, v]``, by a sweep over the row blocks of all n!
+    permutations; positions whose row of ``allowed`` is all true are not
+    read."""
+    cols = np.flatnonzero(~allowed.all(axis=1))
+    total = 0
+    for block in row_blocks(n):
+        ok = np.ones(len(block), dtype=bool)
+        for i in cols:
+            ok &= allowed[i].take(block[:, i])
+        total += int(np.count_nonzero(ok))
+    return total
+
+
+def sweep_exact(n, I, J, s):
+    """Reference: fixed exactly on I and pushed exactly on J, by a sweep."""
+    fixed = np.eye(n, dtype=bool)          # [i, v]: v fixes i
+    pushed = np.roll(fixed, s, axis=1)     # [i, v]: v pushes i by s
+    # row i allows the values that fix i iff i is in I, push it iff in J
+    in_i = np.isin(np.arange(n), I)[:, None]
+    in_j = np.isin(np.arange(n), J)[:, None]
+    return sweep_rows(n, (fixed == in_i) & (pushed == in_j))
+
+
+def sweep_optional(n, K, I, J, s):
+    """Reference: I fixed, J pushed, K fixed-or-pushed, by a sweep; pins on
+    one position intersect, so a clash leaves it no value."""
+    fixed = np.eye(n, dtype=bool)
+    pushed = np.roll(fixed, s, axis=1)
+    allowed = np.ones((n, n), dtype=bool)
+    for S, values in ((I, fixed), (J, pushed), (K, fixed | pushed)):
+        allowed[list(S)] &= values[list(S)]
+    return sweep_rows(n, allowed)
+
+
+def sweep_joint_counts(n):
+    """Reference: ``counts(i, j)`` maps (a, b) to the permutations whose
+    shift classes i and j have sizes a and b, from one sweep of the shift
+    histograms of all n! permutations."""
+    hist = np.concatenate([shift_counts(block) for block in row_blocks(n)])
+
+    def counts(i, j):
+        keys = np.bincount(hist[:, i] * (n + 1) + hist[:, j],
+                           minlength=(n + 1) * (n + 1))
+        return {divmod(key, n + 1): int(c)
+                for key, c in enumerate(keys) if c}
+    return counts
 
 
 def small_sets(n):
@@ -259,8 +310,8 @@ class TestOptionalCount:
 
 
 class TestSweepAgainstMasks:
-    """The row-block sweep against the whole-matrix mask sweeps, for every s
-    and every I, J, K of at most two positions, n <= 6."""
+    """The counts against the whole-matrix mask sweeps, for every s and
+    every I, J, K of at most two positions, n <= 6."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_exact_and_required(self, n):
@@ -290,6 +341,64 @@ class TestSweepAgainstMasks:
                         ((1,), (5,), (0,))]:
             assert count_optional_displacements(
                 iset(n, *K), iset(n, *I), iset(n, *J), s) == 0, (I, J, K)
+
+
+class TestFormulasAgainstSweeps:
+    """The rook-polynomial counts against the row-block sweeps they
+    replaced, for every s and every I, J of at most two positions."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_exact(self, n):
+        for s in range(1, n):
+            for I, J in itertools.product(small_sets(n), repeat=2):
+                assert count_exact_displacements(iset(n, *I), iset(n, *J), s) \
+                    == sweep_exact(n, I, J, s), (n, s, I, J)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_optional_split(self, n):
+        # K of at most two positions; only an infeasible K is split
+        for s in range(1, n):
+            for K, I, J in itertools.product(small_sets(n), repeat=3):
+                Ks, Is, Js = iset(n, *K), iset(n, *I), iset(n, *J)
+                if is_feasible(Ks, Is, Js, s):
+                    continue
+                assert count_optional_displacements(Ks, Is, Js, s) == \
+                    sweep_optional(n, K, I, J, s), (n, s, K, I, J)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_joint_table(self, n):
+        counts = sweep_joint_counts(n)
+        for i, j in itertools.permutations(range(n), 2):
+            want = {ab: Fraction(c, factorial(n))
+                    for ab, c in counts(i, j).items()}
+            assert joint_shift_table(n, i, j) == want, (n, i, j)
+
+    def test_menage_numbers(self):
+        # no point fixed and none pushed by 1: the menage numbers U_n
+        # (OEIS A000179)
+        menage = [1, 2, 13, 80, 579, 4738, 43387, 439792, 4890741, 59216642]
+        assert [count_exact_displacements(iset(n), iset(n), 1, guard=12)
+                for n in range(3, 13)] == menage
+
+    def test_joint_marginals_at_n30(self):
+        n = 30
+        table = joint_shift_table(n, 0, 1, guard=n)
+        for size in range(n + 1):
+            for axis in (0, 1):
+                marginal = sum(p for ab, p in table.items()
+                               if ab[axis] == size)
+                assert marginal == shift_count_pmf(n, size), (size, axis)
+
+    def test_guards_stay(self):
+        with pytest.raises(TooLargeForEnumeration):
+            joint_shift_table(11, 0, 1)
+        with pytest.raises(TooLargeForEnumeration):
+            count_optional_displacements(iset(11, 1, 3), iset(11, 0),
+                                         iset(11, 5), 2)
+        # a feasible K has a closed form and needs no guard
+        assert count_optional_displacements(iset(11, 3), iset(11, 0),
+                                            iset(11, 5), 2) == \
+            2 * factorial(8)
 
 
 class TestCompatiblePairStats:
