@@ -3,16 +3,20 @@
 Full sweeps are guarded: n! rows are materialized only up to an explicit
 guard (default 10, about 3.6M rows) and refused beyond it so that a typo
 cannot ask for 12! of anything. Callers pass a larger guard deliberately.
+A guard raised past what the machine holds is refused too, before anything
+is allocated.
 """
 
 from __future__ import annotations
 
+import os
 from math import factorial
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+from .errors import OutOfMemory, ParameterOutOfRange, TooLargeForEnumeration
 
-from .errors import ParameterOutOfRange, TooLargeForEnumeration
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_GUARD = 10
 ROWS_PER_BLOCK = 8192
@@ -28,11 +32,22 @@ def check_guard(n: int, guard: int | None, what: str) -> None:
             f"(pass a larger guard explicitly to override)")
 
 
+def memory_bytes() -> int:
+    """The most memory this process may use: the machine's physical memory,
+    or the soft address-space limit if that is lower."""
+    import resource
+    total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return total if soft == resource.RLIM_INFINITY else min(total, soft)
+
+
 def perm_matrix(n: int, guard: int | None = None) -> np.ndarray:
     """All permutations of 0..n-1 as an (n!, n) int8 matrix in lex order.
 
     Built recursively column-block by column-block; cached per n. Rows are
-    read-only views; row r is the rank-r permutation.
+    read-only views; row r is the rank-r permutation. Refused, before any
+    allocation, when the matrices of orders up to n not yet cached would
+    not fit in :func:`memory_bytes`.
     """
     check_guard(n, guard, "perm_matrix")
     if n < 1:
@@ -40,6 +55,14 @@ def perm_matrix(n: int, guard: int | None = None) -> np.ndarray:
     cached = _matrix_cache.get(n)
     if cached is not None:
         return cached
+    need = sum(factorial(k) * k for k in range(1, n + 1)
+               if k not in _matrix_cache)
+    have = memory_bytes()
+    if need > have:
+        raise OutOfMemory(
+            f"perm_matrix needs {need} bytes for all {n}! permutations; "
+            f"this process may use {have}")
+    import numpy as np
     if n == 1:
         m = np.zeros((1, 1), dtype=np.int8)
     else:
@@ -66,6 +89,7 @@ def row_blocks(n: int, guard: int | None = None) -> Iterator[np.ndarray]:
 
 def displacement_matrix(n: int, guard: int | None = None) -> np.ndarray:
     """Per-row displacement vectors ``(i - sigma(i)) mod n`` (int16)."""
+    import numpy as np
     p = perm_matrix(n, guard)
     idx = np.arange(n, dtype=np.int16)
     return (idx[None, :] - p.astype(np.int16)) % np.int16(n)

@@ -76,3 +76,7 @@ class TooLargeForEnumeration(GuardRefusal):
 
 class BudgetExceeded(GuardRefusal):
     """A search exceeded its node budget (override with a larger budget)."""
+
+
+class OutOfMemory(GuardRefusal):
+    """The work needs more memory than this process may use."""

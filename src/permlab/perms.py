@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from math import factorial
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import NotABijection, PositionOutOfRange, RankOutOfRange
-from .rng import Rng
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .rng import Rng
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,7 @@ def shift_counts(block: np.ndarray) -> np.ndarray:
     keys are built in int64 with a sign fix-up rather than ``% n``, so a
     large block needs one key array and no narrower intermediate.
     """
+    import numpy as np
     lanes, n = block.shape
     keys = np.arange(n, dtype=np.int64) - block   # i - sigma(i), in (-n, n)
     keys += (keys < 0) * n
@@ -172,5 +174,6 @@ def example_deck() -> Permutation:
     clubs 0-12, diamonds 13-25, hearts 26-38, spades 39-51, each suit in
     the order 2,3,...,10,J,Q,K,A.
     """
+    from importlib import resources
     text = resources.files("permlab.data").joinpath("example_deck.json").read_text()
     return make_permutation(json.loads(text))

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
-
-import numpy as np
 
 
 def _decimal(x: int) -> str:
@@ -45,6 +44,9 @@ def json_ready(obj):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_ready(v) for v in obj]
+    np = sys.modules.get("numpy")   # no numpy value exists until it is imported
+    if np is None:
+        return obj
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):

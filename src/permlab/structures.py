@@ -39,15 +39,19 @@ from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from . import counting
-from .enumeration import DEFAULT_GUARD, check_guard
+from .enumeration import DEFAULT_GUARD
 from .errors import (EqualIndices, HypothesisViolated, ParameterOutOfRange,
                      ShiftZero, TooLargeForEnumeration)
-from .perms import shift_counts
-from .rng import Rng, derive_seed, seeded_blocks
 
-# The exact counts keep the guard, and the refusal text, of the n! sweep
-# over ``perm_matrix`` that they replace.
-_GUARDED = "perm_matrix"
+
+def _check_order(n: int, guard: int | None, what: str) -> None:
+    """Refuse an exact count at an order n past the guard (default
+    ``DEFAULT_GUARD``)."""
+    g = DEFAULT_GUARD if guard is None else guard
+    if n > g:
+        raise TooLargeForEnumeration(
+            f"{what} at n={n} is past the guard n <= {g}; "
+            f"re-run with a larger --guard")
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,7 @@ def count_exact_displacements(I: IndexSet, J: IndexSet, s: int,
     """
     n = _require_same_n(I, J)
     s = _require_nonzero_shift(n, s)
-    check_guard(n, guard, _GUARDED)
+    _check_order(n, guard, "the exact displacement count")
     if _clash(I.as_set(), J.as_set(), n, s):
         return 0
     rows = I.as_set() | J.as_set()
@@ -236,7 +240,7 @@ def count_optional_displacements(K: IndexSet, I: IndexSet, J: IndexSet, s: int,
     if is_feasible(K, I, J, s):
         rest = n - len(I.as_set() | J.as_set() | K.as_set())
         return (1 << len(K)) * factorial(rest)
-    check_guard(n, guard, _GUARDED)
+    _check_order(n, guard, "the optional displacement count")
     k = K.as_set()
     splits = 0
     for pushed in product((False, True), repeat=len(K)):
@@ -285,6 +289,7 @@ def _estimate(kind: str, params: dict, bound: Fraction, mode: str,
         raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
     if trials < 1:
         raise ParameterOutOfRange("trials must be positive")
+    from .rng import Rng, derive_seed
     hits = 0
     for trial in range(trials):
         rng = Rng(derive_seed(seed, trial))
@@ -321,23 +326,69 @@ def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
 def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSet]:
     """The lexicographically first compatible (I, J) with |I| = |J| = t.
 
-    Note {0..t-1} itself is never a valid I when s < t (it meets its own
-    shift I-s), so I ranges over all t-sets in lex order.
+    Each a in I takes the positions {a - s, a} and each b in J the positions
+    {b, b + s}, and (I, J) is compatible exactly when these 2t pairs are
+    disjoint. Both are pairs {x, x + s} along the cycles of x -> x + s, where
+    a run of m usable pairs in a row holds at most (m + 1) // 2 disjoint
+    ones and a whole cycle of length L at most L // 2. The search picks the
+    elements of I, then those of J, in ascending order, and drops a prefix
+    as soon as the free positions cannot hold what it still needs: the rest
+    of its own set, above its last element, and the rest of all 2t pairs,
+    anywhere. That test is exact for J, so only I ever backtracks.
     """
     if t < 0:
         raise ParameterOutOfRange(f"pair size t must be non-negative, got {t}")
     s = _require_nonzero_shift(n, s)
-    for I in combinations(range(n), t):
-        iset = IndexSet.of(n, I)
-        if iset.as_set() & _moved(I, -s, n):
+    g = math.gcd(n, s)
+    cycles = [[(c + i * s) % n for i in range(n // g)] for c in range(g)]
+    taken: set[int] = set()
+
+    def room(above: int, top: int) -> int:
+        """The most disjoint free pairs {x, x + s} with (x + top) mod n
+        above ``above``."""
+        total = 0
+        for cycle in cycles:
+            ok = [(x + top) % n > above and x not in taken
+                  and (x + s) % n not in taken for x in cycle]
+            if all(ok):
+                total += len(cycle) // 2
+                continue
+            cut, run = ok.index(False), 0
+            for usable in ok[cut + 1:] + ok[:cut + 1]:
+                if usable:
+                    run += 1
+                else:
+                    total, run = total + (run + 1) // 2, 0
+        return total
+
+    def pair(k: int, e: int) -> set[int]:
+        """The positions taken by e as element k of the search."""
+        x = e - s if k < t else e
+        return {x % n, (x + s) % n}
+
+    if room(-1, 0) < 2 * t:
+        raise HypothesisViolated(
+            f"no compatible pair of size {t} exists for n={n}, s={s}")
+    chosen: list[int] = []   # the elements of I, then those of J
+    e = 0                    # the next candidate for element len(chosen)
+    while len(chosen) < 2 * t:
+        k = len(chosen)
+        if e == n:           # none fits here: move the last element on
+            e = chosen.pop()
+            taken.difference_update(pair(k - 1, e))
+            e += 1
             continue
-        rest = [x for x in range(n) if x not in I]
-        for J in combinations(rest, t):
-            jset = IndexSet.of(n, J)
-            if is_compatible(iset, jset, s):
-                return iset, jset
-    raise HypothesisViolated(
-        f"no compatible pair of size {t} exists for n={n}, s={s}")
+        cells = pair(k, e)
+        if not cells & taken:
+            taken.update(cells)
+            top, end = (s, t) if k < t else (0, 2 * t)
+            if room(-1, 0) >= 2 * t - k - 1 and room(e, top) >= end - k - 1:
+                chosen.append(e)
+                e = 0 if k + 1 == t else e + 1
+                continue
+            taken.difference_update(cells)
+        e += 1
+    return IndexSet(n, tuple(chosen[:t])), IndexSet(n, tuple(chosen[t:]))
 
 
 def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
@@ -379,7 +430,7 @@ def joint_shift_table(n: int, i: int, j: int,
     p and then q leaves the counts with exactly a and b.
     """
     _require_classes(n, i, j)
-    check_guard(n, guard, _GUARDED)
+    _check_order(n, guard, "the joint shift table")
     g = math.gcd(n, i - j)
     chain = _closed_chain([(1, 0), (0, 1)] * (n // g))
     rooks = Counter({(0, 0): 1})
@@ -444,6 +495,8 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
         raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
     if trials < 1:
         raise ParameterOutOfRange("trials must be positive")
+    from .perms import shift_counts
+    from .rng import seeded_blocks
     cnt_i = cnt_j = cnt_ij = 0
     for perms, _ in seeded_blocks(seed, n, 0, trials):
         c = shift_counts(perms)

@@ -388,6 +388,20 @@ class TestUsageErrors:
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
+        ("structure", "phi", "--n", "11", "--set-i", "0", "--set-j", "2"),
+        ("structure", "joint", "--n", "12", "--i", "0", "--j", "1"),
+        ("structure", "pset", "--n", "11", "--s", "2", "--set-i", "0",
+         "--set-j", "5", "--set-k", "1,3"),
+    ], ids=["phi", "joint", "pset"])
+    def test_count_refusal_names_the_guard(self, capsys, argv):
+        # these counts enumerate nothing, so the refusal names no sweep
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "--guard" in err
+        assert "perm_matrix" not in err and "permutations" not in err
+
+    @pytest.mark.parametrize("argv", [
         ("structure", "compatible", "--n", "40", "--t", "4", "--mode", "exact"),
         ("structure", "feasible", "--n", "60", "--t", "1", "--k", "28",
          "--mode", "exact"),
@@ -474,6 +488,39 @@ class TestConsoleScript:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_feasible_pair_found_at_once(self):
+        # the canonical (I, J) search once scanned every 6-set of 0..39
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "permlab.cli", "structure", "feasible",
+             "--n", "40", "--t", "6", "--k", "1", "--s", "1", "--mode",
+             "sampled", "--trials", "10"],
+            capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert time.perf_counter() - start < 2.0
+        assert json.loads(proc.stdout.splitlines()[1])["trials"] == 10
+
+    def test_matrix_past_address_space_refused(self):
+        # 12! x 12 int8 entries are 5.7 GB; the child may map 2 GB, so the
+        # refusal must come before numpy tries to allocate them
+        import resource
+
+        def cap():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            soft = 2 * 10 ** 9
+            if hard != resource.RLIM_INFINITY:
+                soft = min(soft, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "permlab.cli", "exact", "--strategy",
+             "naive", "--n", "12", "--guard", "12"],
+            capture_output=True, text=True, preexec_fn=cap, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("refused: perm_matrix needs ")
+        assert proc.stderr.count("\n") == 1
 
     def test_usage_error_exit_2(self):
         proc = subprocess.run(

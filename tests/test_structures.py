@@ -432,6 +432,56 @@ class TestCompatiblePairStats:
             compatible_pair_stats(6, 3, 1)
 
 
+def scan_compatible_pair(n, t, s):
+    """Oracle: the lex-first compatible pair by a scan over all t-sets."""
+    s %= n
+    for I in itertools.combinations(range(n), t):
+        iset_ = IndexSet.of(n, I)
+        if iset_.as_set() & {(e - s) % n for e in I}:
+            continue
+        rest = [x for x in range(n) if x not in I]
+        for J in itertools.combinations(rest, t):
+            jset = IndexSet.of(n, J)
+            if is_compatible(iset_, jset, s):
+                return iset_, jset
+    raise HypothesisViolated(
+        f"no compatible pair of size {t} exists for n={n}, s={s}")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypothesisViolated as exc:
+        return "refused", str(exc)
+
+
+class TestCanonicalPair:
+    def test_matches_scan(self):
+        refused = 0
+        for n in range(1, 13):
+            for t in range(4):
+                for s in range(1, n):
+                    want = outcome(scan_compatible_pair, n, t, s)
+                    assert outcome(canonical_compatible_pair, n, t, s) == want, \
+                        (n, t, s)
+                    refused += want[0] == "refused"
+        assert 0 < refused < 264   # both branches are compared
+
+    @pytest.mark.parametrize("n,t,s", [(40, 6, 1), (28, 7, 3), (25, 6, 7),
+                                       (1000, 250, 7)])
+    def test_large_and_tight(self, n, t, s):
+        # 4t = n or close to it: the pairs must tile whole cycles
+        I, J = canonical_compatible_pair(n, t, s)
+        assert len(I) == len(J) == t
+        assert is_compatible(I, J, s)
+
+    @pytest.mark.parametrize("n,t,s", [(21, 5, 9), (24, 6, 8), (999, 249, 333)])
+    def test_no_pair_on_odd_cycles(self, n, t, s):
+        # gcd(n, s) cycles of odd length L hold gcd * (L - 1) / 2 < 2t pairs
+        with pytest.raises(HypothesisViolated):
+            canonical_compatible_pair(n, t, s)
+
+
 class TestFeasibleSetStats:
     def test_k_zero_probability_one(self):
         r = feasible_set_stats(20, 2, 0, 1, mode="exact")
