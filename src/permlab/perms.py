@@ -5,6 +5,13 @@ The displacement of position i is ``v(i) = (i - sigma(i)) mod n``; the shift
 histogram counts, for each class ``l``, how many positions are displaced by
 ``l``. Class 0 counts the fixed points. ``shift_counts`` computes the
 histograms of a whole ``(B, n)`` block of permutation rows at once.
+
+Samplers that only need one reduction per row of a block's histograms (the
+shift hint's argmax, the largest class, the sizes of two classes) call
+``shift_reduce``, which runs ``shift_counts`` on row tiles of about
+``TILE`` histogram cells and keeps only each tile's reduced rows. A
+2048 x 10000 block's whole histogram would take three 164 MB int64
+temporaries; a tile's take 512 KB each.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import factorial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import NotABijection, PositionOutOfRange, RankOutOfRange
 
@@ -20,6 +27,9 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .rng import Rng
+
+# histogram cells per tile of ``shift_reduce``: 2^16 int64 cells, 512 KB
+TILE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,7 +117,9 @@ def shift_counts(block: np.ndarray) -> np.ndarray:
 
     Each displacement becomes a key ``b*n + v`` for one ``bincount``. The
     keys are built in int64 with a sign fix-up rather than ``% n``, so a
-    large block needs one key array and no narrower intermediate.
+    large block needs one key array and no narrower intermediate. Its
+    temporaries are as large as the block; samplers that reduce each row
+    call :func:`shift_reduce` instead.
     """
     import numpy as np
     lanes, n = block.shape
@@ -115,6 +127,18 @@ def shift_counts(block: np.ndarray) -> np.ndarray:
     keys += (keys < 0) * n
     keys += (np.arange(lanes, dtype=np.int64) * n)[:, None]
     return np.bincount(keys.ravel(), minlength=lanes * n).reshape(lanes, n)
+
+
+def shift_reduce(block: np.ndarray,
+                 reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``reduce(shift_counts(block))`` for a ``reduce`` that maps each row
+    of histograms on its own (``c.argmax(axis=1)``, ``c[:, cols]``), run on
+    tiles of ``max(1, TILE // n)`` rows so only a tile's histograms exist
+    at once."""
+    import numpy as np
+    rows = max(1, TILE // block.shape[1])
+    return np.concatenate([reduce(shift_counts(block[a:a + rows]))
+                           for a in range(0, len(block), rows)])
 
 
 def argmax_shift(h: ShiftHistogram) -> int:

@@ -37,6 +37,9 @@ from typing import Iterator
 
 import numpy as np
 
+from . import enumeration
+from .errors import OutOfMemory
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -196,7 +199,24 @@ def seeded_blocks(master: int, n: int, start: int,
                   count: int) -> Iterator[tuple[np.ndarray, BatchRng]]:
     """Permutations of trials ``start .. start+count-1`` in blocks of up to
     ``LANES_PER_BLOCK`` rows, each with the ``BatchRng`` whose lanes continue
-    those trials' streams after the shuffle."""
+    those trials' streams after the shuffle.
+
+    Refused at the call, before any allocation, when a block's two
+    ``lanes x n`` int32 arrays (the shuffle buffer and the rows) would not
+    fit in :func:`enumeration.memory_bytes`.
+    """
+    lanes = min(LANES_PER_BLOCK, count)
+    need = 2 * lanes * n * np.dtype(np.int32).itemsize
+    have = enumeration.memory_bytes()
+    if need > have:
+        raise OutOfMemory(
+            f"sampling needs {need} bytes for blocks of {lanes} permutations "
+            f"of order {n}; this process may use {have}")
+    return _blocks(master, n, start, count)
+
+
+def _blocks(master: int, n: int, start: int,
+            count: int) -> Iterator[tuple[np.ndarray, BatchRng]]:
     for a in range(start, start + count, LANES_PER_BLOCK):
         b = min(LANES_PER_BLOCK, start + count - a)
         rng = BatchRng(batch_seeds(master, a, b))

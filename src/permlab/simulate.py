@@ -6,19 +6,22 @@ adviser may instead swap two positions' contents; the seeker opens position
 0, reads the hint off it, and (if needed) opens one more position.
 
 Each game has one kernel that scores a ``(B, n)`` block of permutation rows:
-``strategies.needle_wins`` and ``locker_wins`` here. Blocks come from one of
-three sources: seeded (``rng.seeded_blocks``), exhaustive (slices of
-``perm_matrix``; counts become exact fractions) or a caller's permutation
-stream. Every seeded trial runs on its own splitmix64 stream keyed by
-(master seed, trial index), so totals are bitwise identical however trials
-are batched or distributed across workers.
+``strategies.needle_wins`` and ``locker_wins`` here. The shift hint and
+``max_shift_distribution`` reduce each row's shift histogram through
+``perms.shift_reduce``, so only a tile of rows' histograms exists at once,
+and ``locker_wins`` reads the one swapped cell each row probes rather than
+copying the block. Blocks come from one of three sources: seeded
+(``rng.seeded_blocks``, refused before any allocation when a block would not
+fit in memory), exhaustive (slices of ``perm_matrix``; counts become exact
+fractions) or a caller's permutation stream. Every seeded trial runs on its
+own splitmix64 stream keyed by (master seed, trial index), so totals are
+bitwise identical however trials are batched or distributed across workers.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, log2
@@ -29,7 +32,7 @@ import numpy as np
 from .counting import typical_max_shift
 from .enumeration import check_guard, row_blocks
 from .errors import NotABijection, ParameterOutOfRange
-from .perms import Permutation, shift_counts
+from .perms import Permutation, shift_reduce
 from .rng import LANES_PER_BLOCK, BatchRng, batch_seeds, seeded_blocks
 from .strategies import Strategy, needle_wins, strategy_by_name
 
@@ -135,17 +138,20 @@ def locker_wins(st: Strategy, block: np.ndarray,
     """Locker-game successes on the rows of ``block``, counted as
     ``needle_wins`` counts them. The adviser swaps the hint card into
     position 0; the seeker wins at once when the target is the hint, else
-    probes ``st.guesses(hint, target)`` in the swapped row."""
+    probes ``st.guesses(hint, target)`` in the swapped row. Cell g of a
+    swapped row is the hint at 0, the row's first card where the hint sat,
+    and the row's own card elsewhere."""
     rows = np.arange(len(block))
     h = st.hints(block)
     pos_h = np.argmax(block == h[:, None], axis=1)
-    swapped = block.copy()
-    swapped[rows, pos_h] = block[rows, 0]
-    swapped[rows, 0] = h
+
+    def swapped(g: np.ndarray) -> np.ndarray:
+        return np.where(g == 0, h,
+                        np.where(g == pos_h, block[:, 0], block[rows, g]))
 
     cells = range(st.n) if targets is None else [targets]
     return np.array([np.count_nonzero((h == s)
-                                      | (swapped[rows, st.guesses(h, s)] == s))
+                                      | (swapped(st.guesses(h, s)) == s))
                      for s in cells], dtype=np.int64)
 
 
@@ -203,6 +209,7 @@ def _seeded_wins(game: str, cfg: GameConfig) -> np.ndarray:
             [min(per, cfg.trials - a) for a in starts])
     workers = min(cap, len(starts))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return np.sum(list(pool.map(_chunk_wins, *jobs)), axis=0)
@@ -328,7 +335,8 @@ def max_shift_distribution(n: int, trials: int = 10_000, seed: int = 0,
         mode = "sampled"
     hist = np.zeros(n + 1, dtype=np.int64)
     for block in blocks:
-        hist += np.bincount(shift_counts(block).max(axis=1), minlength=n + 1)
+        hist += np.bincount(shift_reduce(block, lambda c: c.max(axis=1)),
+                            minlength=n + 1)
     values = np.arange(n + 1)
     mean = float((hist * values).sum() / hist.sum())
     cum = np.cumsum(hist)

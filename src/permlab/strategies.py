@@ -32,7 +32,7 @@ from .enumeration import check_guard, row_blocks
 from .errors import NotLatin, ParameterOutOfRange, UnknownStrategy
 from .fields import PartitionStrategy, aic_check  # noqa: F401  (re-export)
 from .fields import _is_int
-from .perms import Permutation, shift_counts
+from .perms import Permutation, shift_reduce
 
 EVAL_GUARD = 8
 
@@ -107,7 +107,8 @@ class LatinSquare:
 
 def shift_strategy(n: int) -> Strategy:
     def hints(block: np.ndarray) -> np.ndarray:
-        return np.argmax(shift_counts(block), axis=1)  # first max = lowest class
+        # first max = lowest class
+        return shift_reduce(block, lambda c: c.argmax(axis=1))
 
     def guesses(h, s):
         return (s + h) % n

@@ -495,13 +495,13 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
         raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
     if trials < 1:
         raise ParameterOutOfRange("trials must be positive")
-    from .perms import shift_counts
+    from .perms import shift_reduce
     from .rng import seeded_blocks
     cnt_i = cnt_j = cnt_ij = 0
     for perms, _ in seeded_blocks(seed, n, 0, trials):
-        c = shift_counts(perms)
-        zi = c[:, i] == t
-        zj = c[:, j] == t
+        sizes = shift_reduce(perms, lambda c: c[:, [i, j]])
+        zi = sizes[:, 0] == t
+        zj = sizes[:, 1] == t
         cnt_i += int(zi.sum())
         cnt_j += int(zj.sum())
         cnt_ij += int((zi & zj).sum())

@@ -1,4 +1,5 @@
-"""The n! matrix: refused before it allocates more than the machine holds."""
+"""The n! matrix and seeded sampling blocks: refused before they allocate
+more than the machine holds."""
 
 from math import factorial
 
@@ -7,6 +8,7 @@ import pytest
 from permlab import enumeration
 from permlab.cli import main
 from permlab.errors import GuardRefusal
+from permlab.rng import LANES_PER_BLOCK, seeded_blocks
 
 
 def bytes_up_to(n, cached=()):
@@ -53,3 +55,48 @@ def test_cli_refusal(monkeypatch, capsys, empty_cache):
     assert captured.out == ""
     assert captured.err.startswith("refused: perm_matrix needs ")
     assert captured.err.count("\n") == 1
+
+
+class TestSeededSampling:
+    """Seeded blocks refuse, at the call, a shuffle that cannot fit."""
+
+    @staticmethod
+    def need(lanes, n):
+        return 2 * lanes * n * 4     # the int32 shuffle buffer and the rows
+
+    def test_refused_one_byte_short(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "memory_bytes",
+                            lambda: self.need(LANES_PER_BLOCK, 100) - 1)
+        with pytest.raises(GuardRefusal, match="sampling needs"):
+            seeded_blocks(0, 100, 0, 5000)   # before the first block is drawn
+
+    def test_drawn_when_it_fits(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "memory_bytes",
+                            lambda: self.need(LANES_PER_BLOCK, 100))
+        blocks = [b for b, _ in seeded_blocks(0, 100, 0, 5000)]
+        assert [len(b) for b in blocks] == [2048, 2048, 904]
+
+    def test_short_runs_count_their_own_lanes(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "memory_bytes",
+                            lambda: self.need(3, 100))
+        assert len(next(seeded_blocks(0, 100, 0, 3))[0]) == 3
+        with pytest.raises(GuardRefusal):
+            seeded_blocks(0, 100, 0, 4)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "needle", "--n", "1000", "--trials", "2048",
+         "--workers", "1"],
+        ["simulate", "locker", "--n", "1000", "--trials", "2048",
+         "--workers", "1"],
+        ["dist", "--n", "1000", "--trials", "2048"],
+        ["structure", "cov", "--mode", "sampled", "--n", "1000",
+         "--trials", "2048"],
+    ])
+    def test_cli_refusal(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(enumeration, "memory_bytes", lambda: 10 ** 6)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("refused: sampling needs ")
+        assert captured.err.count("\n") == 1

@@ -155,3 +155,9 @@ def test_demo_and_readme_imports_resolve():
     for where, module, name in found:
         assert hasattr(importlib.import_module(module), name), \
             (where, module, name)
+
+
+def test_simulate_starts_no_process_pool():
+    code = ("import sys, permlab.simulate\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+    assert _python(code).strip() == "False"

@@ -1,19 +1,24 @@
 """Core permutation type, shift statistics, and the worked-deck fixture."""
 
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as hs
 
+from permlab import perms
+from permlab.enumeration import row_blocks
 from permlab.errors import NotABijection, PositionOutOfRange, RankOutOfRange
-from permlab.perms import (Permutation, apply_transposition, argmax_shift,
-                           example_deck, fixed_points, identity_permutation,
-                           lex_rank, lex_unrank, make_permutation,
-                           random_permutation, rotate_values, shift_histogram,
-                           shift_vector)
+from permlab.perms import (TILE, Permutation, apply_transposition,
+                           argmax_shift, example_deck, fixed_points,
+                           identity_permutation, lex_rank, lex_unrank,
+                           make_permutation, random_permutation,
+                           rotate_values, shift_counts, shift_histogram,
+                           shift_reduce, shift_vector)
 from permlab.rng import BatchRng, Rng, batch_seeds
+from permlab.strategies import shift_strategy
 
 # Published sequences for the worked 52-card deck.
 DECK_V = (3, 36, 1, 17, 29, 50, 37, 34, 15, 6, 11, 2, 29, 29, 3, 34, 45, 9,
@@ -104,6 +109,65 @@ class TestShiftStatistics:
                 for l in range(n):
                     rotated = shift_histogram(rotate_values(p, l)).counts
                     assert rotated == tuple(base[(j + l) % n] for j in range(n))
+
+
+# the per-row reductions the samplers take of a block's histograms
+REDUCTIONS = {
+    "argmax": lambda c: c.argmax(axis=1),
+    "max": lambda c: c.max(axis=1),
+    "columns": lambda c: c[:, [1, 0]],
+}
+
+
+def seeded(seed, lanes, n):
+    return BatchRng(batch_seeds(seed, 0, lanes)).permutations(n)
+
+
+def assert_tiled_equals_whole(block):
+    whole = shift_counts(block)
+    for name, reduce in REDUCTIONS.items():
+        tiled = shift_reduce(block, reduce)
+        assert tiled.dtype == reduce(whole).dtype, name
+        assert np.array_equal(tiled, reduce(whole)), name
+
+
+class TestShiftReduce:
+    """``shift_reduce`` tiles rows; its results are the whole block's."""
+
+    @pytest.mark.parametrize("lanes", [1, 7, 2047])
+    def test_lanes_off_the_tile_edge(self, lanes):
+        n = 96                           # 682 rows per tile
+        assert lanes % (TILE // n)
+        assert_tiled_equals_whole(seeded(3, lanes, n))
+
+    @pytest.mark.parametrize("lanes", [1, 5, 22, 23, 24])
+    def test_small_tiles(self, monkeypatch, lanes):
+        monkeypatch.setattr(perms, "TILE", 7 * 11)   # 7 rows of n = 11
+        assert_tiled_equals_whole(seeded(4, lanes, 11))
+
+    def test_one_row_per_tile(self):
+        n = TILE + 3
+        assert_tiled_equals_whole(seeded(5, 3, n))
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_exhaustive_row_blocks(self, n):
+        for block in row_blocks(n):
+            assert_tiled_equals_whole(block)
+
+    def test_hint_allocates_a_tile_not_the_block(self):
+        lanes, n = 256, 4096
+        block = seeded(6, lanes, n)
+        hints = shift_strategy(n).hints
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = hints(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, shift_counts(block).argmax(axis=1))
+        # one int64 whole-block histogram is 8 MB
+        assert peak < lanes * n * 8 // 4
 
 
 class TestTransposition:

@@ -1,6 +1,7 @@
 """Game simulators: kernels against a scalar oracle, exactness,
 determinism, fixtures."""
 
+import concurrent.futures
 import itertools
 import os
 from fractions import Fraction
@@ -9,15 +10,15 @@ from math import factorial
 import numpy as np
 import pytest
 
-import permlab.simulate as simulate_mod
+from permlab.enumeration import row_blocks
 from permlab.errors import (NotABijection, ParameterOutOfRange,
                             TooLargeForEnumeration, UnknownStrategy)
 from permlab.perms import Permutation, argmax_shift, example_deck, shift_histogram
-from permlab.rng import Rng, derive_seed
+from permlab.rng import BatchRng, Rng, batch_seeds, derive_seed
 from permlab.simulate import (GameConfig, MaxShiftReport, SimulationReport,
-                              max_shift_distribution, simulate_locker,
-                              simulate_needle, wilson_interval,
-                              worst_case_target)
+                              locker_wins, max_shift_distribution,
+                              simulate_locker, simulate_needle,
+                              wilson_interval, worst_case_target)
 from permlab.strategies import (LatinSquare, baseline_strategy,
                                 evaluate_success_exact, latin_strategy,
                                 naive_strategy, shift_strategy)
@@ -109,6 +110,20 @@ def _locker_chunk_scalar(cfg, start, width, perm_stream):
             if h == s or items[(s + h) % n] == s:
                 counts[0] += 1
     return counts
+
+
+def copied_locker_wins(st, block):
+    """Locker successes per target on a swapped copy of the block, as the
+    kernel was first written."""
+    rows = np.arange(len(block))
+    h = st.hints(block)
+    pos_h = np.argmax(block == h[:, None], axis=1)
+    swapped = block.copy()
+    swapped[rows, pos_h] = block[rows, 0]
+    swapped[rows, 0] = h
+    return np.array([np.count_nonzero((h == s)
+                                      | (swapped[rows, st.guesses(h, s)] == s))
+                     for s in range(st.n)], dtype=np.int64)
 
 
 def _report_counts(report):
@@ -243,7 +258,9 @@ class TestDeterminism:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(simulate_mod, "ProcessPoolExecutor", RecordingPool)
+        # simulate imports the pool class where it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         huge = simulate_needle(GameConfig(n=9, trials=5000, seed=4,
                                           workers=100_000_000_000))
@@ -341,6 +358,20 @@ class TestLockerProtocol:
         gap = needle.estimate - locker.estimate
         allowance = 3 / 64 + 3 * (needle.std_err + locker.std_err)
         assert gap <= allowance
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    def test_kernel_equals_swapped_copy(self, n):
+        st = shift_strategy(n)
+        blocks = [BatchRng(batch_seeds(8, 0, 300)).permutations(n)]
+        if n <= 7:
+            blocks += list(row_blocks(n))      # int8 rows, every permutation
+        for block in blocks:
+            assert np.array_equal(locker_wins(st, block),
+                                  copied_locker_wins(st, block))
+            targets = np.arange(len(block)) % n
+            assert locker_wins(st, block, targets)[0] == sum(
+                copied_locker_wins(st, block[targets == s])[s]
+                for s in range(n))
 
     def test_refuses_other_strategies(self):
         for name in ("naive", "bogus"):
