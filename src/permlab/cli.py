@@ -19,7 +19,8 @@ from contextlib import nullcontext
 from datetime import datetime, timezone
 
 from . import __version__
-from .errors import GuardRefusal, PermlabError
+from .enumeration import SWEEP_GUARD
+from .errors import GuardRefusal, PermlabError, TooLargeForEnumeration
 from .reporting import dumps, ratio_text
 
 
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="uniform")
     sim.add_argument("--target", type=int, default=None)
     sim.add_argument("--exhaustive", action="store_true",
-                     help="exact full sweep instead of sampling (n <= 8)")
+                     help=f"exact sweep, not sampling (n <= {SWEEP_GUARD})")
     sim.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     sim.add_argument("--csv", action="store_true",
                      help="emit per-target CSV rows after the JSON document")
@@ -68,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("exact", help="exact strategy evaluation by enumeration")
     ex.add_argument("--strategy", default="shift")
     ex.add_argument("--n", type=int, required=True)
-    ex.add_argument("--guard", type=int, default=8,
+    ex.add_argument("--guard", type=int, default=SWEEP_GUARD,
                     help="largest n the full sweep will accept")
 
     pmf = sub.add_parser("pmf", help="exact shift-class size distribution")
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     fld.add_argument("--aic", action="store_true",
                      help="restrict the search to Alice-In-Chains partitions")
     fld.add_argument("--budget", type=int, default=None)
-    fld.add_argument("--guard", type=int, default=8)
+    fld.add_argument("--guard", type=int, default=SWEEP_GUARD)
     fld.add_argument("--out", help="write the witness partition JSON here")
 
     st = sub.add_parser("structure", help="displacement-pattern statistics")
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dd = sub.add_parser("dedup", help="magnet deduplication rewrite")
     dd.add_argument("--partition", required=True)
-    dd.add_argument("--guard", type=int, default=8)
+    dd.add_argument("--guard", type=int, default=SWEEP_GUARD)
     dd.add_argument("--out", help="write rewritten classes JSON here")
 
     sub.add_parser("example52", help="replay the 52-card worked example")
@@ -137,7 +138,8 @@ def _open_out(path: str | None):
 
 
 def _cmd_simulate(args) -> int:
-    from .simulate import GameConfig, simulate_locker, simulate_needle
+    from .simulate import (GameConfig, simulate_locker, simulate_needle,
+                           worst_case_target)
     seed = args.seed if args.seed is not None else _default_seed()
     cfg = GameConfig(n=args.n, trials=args.trials, seed=seed,
                      strategy=args.strategy, target_mode=args.target_mode,
@@ -148,17 +150,18 @@ def _cmd_simulate(args) -> int:
               "target_mode": cfg.target_mode, "target": cfg.target,
               "exhaustive": cfg.exhaustive}
     run = simulate_needle if args.game == "needle" else simulate_locker
-    report = run(cfg)
+    worst = (worst_case_target(cfg, args.game)
+             if cfg.target_mode == "sweep" else None)
+    report = worst.report if worst else run(cfg)
     _print(_header("simulate", config))
     _print(dumps(report))
-    if report.per_target is not None:
-        worst = min(report.per_target, key=lambda ts: (ts.estimate, ts.target))
-        _print(dumps({"worst_target": worst.target,
-                      "minimum": worst.estimate,
-                      "minimum_exact": worst.exact,
+    if worst is not None:
+        _print(dumps({"worst_target": worst.worst_target,
+                      "minimum": worst.minimum,
+                      "minimum_exact": worst.minimum_exact,
                       "wilson_95_low": worst.wilson_95_low,
                       "wilson_95_high": worst.wilson_95_high}))
-    if args.csv and report.per_target is not None:
+    if args.csv and worst is not None:
         _print("target,trials,successes,estimate,wilson_95_low,wilson_95_high")
         for ts in report.per_target:
             _print(f"{ts.target},{ts.trials},{ts.successes},"
@@ -352,7 +355,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except GuardRefusal as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+        lift = isinstance(exc, TooLargeForEnumeration) and "guard" in args
+        hint = "; re-run with a larger --guard" if lift else ""
+        print(f"refused: {exc}{hint}", file=sys.stderr)
         return 3
     except PermlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,15 +1,17 @@
-"""Shared machinery for exhaustive sweeps over the symmetric group.
+"""Exhaustive sweeps over the symmetric group.
 
-Full sweeps are guarded: n! rows are materialized only up to an explicit
-guard (default 10, about 3.6M rows) and refused beyond it so that a typo
-cannot ask for 12! of anything. Callers pass a larger guard deliberately.
-A guard raised past what the machine holds is refused too, before anything
-is allocated.
+``row_blocks`` is the one exhaustive source: all n! permutations in lex
+order as int8 blocks of at most 7! rows, so a sweep holds one block whatever
+n is. An order past the guard (default 10; ``SWEEP_GUARD`` for the commands'
+sweeps) is refused before any row is built, so that a typo cannot ask for
+12! of anything. Callers pass a larger guard deliberately.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cache
+from itertools import permutations
 from math import factorial
 from typing import TYPE_CHECKING, Iterator
 
@@ -19,17 +21,18 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_GUARD = 10
-ROWS_PER_BLOCK = 8192
+SWEEP_GUARD = 8      # exact, simulate/dist --exhaustive, field, dedup
+_TAIL = 7            # a block is the 7! permutations of the last 7 positions
 
 _matrix_cache: dict[int, np.ndarray] = {}
 
 
 def check_guard(n: int, guard: int | None, what: str) -> None:
+    """Refuse ``what`` at n past the guard, ``DEFAULT_GUARD`` if None."""
     g = DEFAULT_GUARD if guard is None else guard
     if n > g:
         raise TooLargeForEnumeration(
-            f"{what} enumerates all {n}! permutations; guard is {g} "
-            f"(pass a larger guard explicitly to override)")
+            f"{what} at n={n} is past the guard n <= {g}")
 
 
 def memory_bytes() -> int:
@@ -41,50 +44,54 @@ def memory_bytes() -> int:
     return total if soft == resource.RLIM_INFINITY else min(total, soft)
 
 
-def perm_matrix(n: int, guard: int | None = None) -> np.ndarray:
-    """All permutations of 0..n-1 as an (n!, n) int8 matrix in lex order.
+@cache
+def _lex(c: int) -> np.ndarray:
+    """The c! permutations of 0..c-1 as a lex-ordered int8 matrix."""
+    import numpy as np
+    return np.array(list(permutations(range(c))), dtype=np.int8)
 
-    Built recursively column-block by column-block; cached per n. Rows are
-    read-only views; row r is the rank-r permutation. Refused, before any
-    allocation, when the matrices of orders up to n not yet cached would
-    not fit in :func:`memory_bytes`.
-    """
-    check_guard(n, guard, "perm_matrix")
-    if n < 1:
-        raise ParameterOutOfRange(f"permutations need n >= 1, got n={n}")
+
+def row_blocks(n: int, guard: int | None = None) -> Iterator[np.ndarray]:
+    """All permutations of 0..n-1 in lex order, as int8 blocks of at most 7!
+    rows: each lex prefix of the first n - 7 positions, followed by the
+    remaining values in lex order. Refused at the call, before any row is
+    built, past the guard."""
+    check_guard(n, guard, "an exhaustive sweep")
+    if not 1 <= n <= 127:   # values fit int8
+        raise ParameterOutOfRange(
+            f"an exhaustive sweep needs 1 <= n <= 127, got n={n}")
+    import numpy as np
+    tail = _lex(min(n, _TAIL))
+    head = n - tail.shape[1]
+    # cell (r, i) of a block is values[at[r, i]]: the prefix, then the rest
+    at = np.empty((len(tail), n), dtype=np.intp)
+    at[:, :head] = np.arange(head)
+    at[:, head:] = head + tail
+    rest = set(range(n)).difference
+    return (np.array(prefix + tuple(sorted(rest(prefix))), dtype=np.int8)[at]
+            for prefix in permutations(range(n), head))
+
+
+def perm_matrix(n: int, guard: int | None = None) -> np.ndarray:
+    """All of :func:`row_blocks` as one read-only (n!, n) int8 matrix; row r
+    is the rank-r permutation. Cached per n, and refused before it is
+    allocated when its n!·n bytes exceed :func:`memory_bytes`."""
+    blocks = row_blocks(n, guard)
     cached = _matrix_cache.get(n)
     if cached is not None:
         return cached
-    need = sum(factorial(k) * k for k in range(1, n + 1)
-               if k not in _matrix_cache)
-    have = memory_bytes()
+    need, have = factorial(n) * n, memory_bytes()
     if need > have:
         raise OutOfMemory(
             f"perm_matrix needs {need} bytes for all {n}! permutations; "
             f"this process may use {have}")
     import numpy as np
-    if n == 1:
-        m = np.zeros((1, 1), dtype=np.int8)
-    else:
-        sub = perm_matrix(n - 1, guard)
-        block = factorial(n - 1)
-        m = np.empty((factorial(n), n), dtype=np.int8)
-        values = np.arange(n, dtype=np.int8)
-        for a in range(n):
-            rest = np.concatenate([values[:a], values[a + 1:]])
-            rows = slice(a * block, (a + 1) * block)
-            m[rows, 0] = a
-            m[rows, 1:] = rest[sub]
+    m = np.empty((factorial(n), n), dtype=np.int8)
+    for i, block in enumerate(blocks):     # blocks are all one size
+        m[i * len(block):(i + 1) * len(block)] = block
     m.setflags(write=False)
     _matrix_cache[n] = m
     return m
-
-
-def row_blocks(n: int, guard: int | None = None) -> Iterator[np.ndarray]:
-    """:func:`perm_matrix` in consecutive slices of ``ROWS_PER_BLOCK`` rows,
-    so a sweep's temporaries stay small enough to sit in cache."""
-    p = perm_matrix(n, guard)
-    return (p[a:a + ROWS_PER_BLOCK] for a in range(0, len(p), ROWS_PER_BLOCK))
 
 
 def displacement_matrix(n: int, guard: int | None = None) -> np.ndarray:

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .enumeration import check_guard
+from .enumeration import SWEEP_GUARD, check_guard
 from .errors import (BudgetExceeded, IndexOutOfRange, MalformedPartition,
                      ParameterOutOfRange)
 from .perms import Permutation
 
-PARTITION_GUARD = 8
 DEFAULT_BUDGET = 2_000_000
 
 
@@ -76,10 +75,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def class_members(p: PartitionStrategy, guard: int = PARTITION_GUARD,
+def class_members(p: PartitionStrategy, guard: int = SWEEP_GUARD,
                   ) -> list[list[tuple[int, ...]]]:
     """Image tuples of each class, lex order within a class."""
-    check_guard(p.n, guard, "class_members")
+    check_guard(p.n, guard, "listing a partition's classes")
     classes: list[list[tuple[int, ...]]] = [[] for _ in range(p.m)]
     for rank, img in enumerate(itertools.permutations(range(p.n))):
         classes[p.assignment[rank]].append(img)
@@ -103,7 +102,7 @@ def _magnetism(members: list[tuple[int, ...]], n: int,
 
 
 def magneticity(p: PartitionStrategy, j: int, i: int, k: int,
-                guard: int = PARTITION_GUARD) -> int:
+                guard: int = SWEEP_GUARD) -> int:
     """How many members of class j place element k at position i."""
     if not (0 <= j < p.m and 0 <= i < p.n and 0 <= k < p.n):
         raise IndexOutOfRange(f"(j={j}, i={i}, k={k}) out of range")
@@ -112,7 +111,7 @@ def magneticity(p: PartitionStrategy, j: int, i: int, k: int,
 
 
 def magnet_and_intensity(p: PartitionStrategy, j: int, k: int,
-                         guard: int = PARTITION_GUARD) -> tuple[int, int]:
+                         guard: int = SWEEP_GUARD) -> tuple[int, int]:
     """Lowest position attaining the maximal magneticity for k, and that max."""
     if not (0 <= j < p.m and 0 <= k < p.n):
         raise IndexOutOfRange(f"(j={j}, k={k}) out of range")
@@ -131,7 +130,7 @@ class MagnetTable:
     intensities: tuple[tuple[int, ...], ...]  # [j][k] -> count
 
 
-def magnet_table(p: PartitionStrategy, guard: int = PARTITION_GUARD) -> MagnetTable:
+def magnet_table(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> MagnetTable:
     magnets, intensities = [], []
     for members in class_members(p, guard):
         _, mg, it = _magnetism(members, p.n)
@@ -140,19 +139,19 @@ def magnet_table(p: PartitionStrategy, guard: int = PARTITION_GUARD) -> MagnetTa
     return MagnetTable(p.n, p.m, tuple(magnets), tuple(intensities))
 
 
-def field_of_partition(p: PartitionStrategy, guard: int = PARTITION_GUARD) -> int:
+def field_of_partition(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> int:
     """Sum of the intensities of every element in every class."""
     table = magnet_table(p, guard)
     return sum(sum(row) for row in table.intensities)
 
 
-def success_upper_bound(p: PartitionStrategy, guard: int = PARTITION_GUARD) -> Fraction:
+def success_upper_bound(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> Fraction:
     """(1/n) * field / n!: the best success probability the partition allows."""
     return Fraction(field_of_partition(p, guard),
                     p.n * factorial(p.n))
 
 
-def aic_check(p: PartitionStrategy, guard: int = PARTITION_GUARD) -> bool:
+def aic_check(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> bool:
     """Alice-In-Chains rule: some target s exists such that for every
     position i, some actually-used message class contains no permutation
     placing s at i.
@@ -183,7 +182,7 @@ class FieldSearchResult:
 
 def brute_force_field(n: int, m: int, restriction: str | None = None,
                       budget: int = DEFAULT_BUDGET,
-                      guard: int = PARTITION_GUARD) -> FieldSearchResult:
+                      guard: int = SWEEP_GUARD) -> FieldSearchResult:
     """Maximum field over all partitions of the n! permutations into m classes.
 
     Depth-first search in base-m counter order over the assignment vector,
@@ -209,7 +208,7 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
         # a single nonempty class puts every target at every position
         raise ParameterOutOfRange(
             "no partition passes the aic rule unless n >= 2 and m >= 2")
-    check_guard(n, guard, "brute_force_field")
+    check_guard(n, guard, "the field search")
     perms = list(itertools.permutations(range(n)))
     total = len(perms)
 
@@ -303,7 +302,7 @@ class DedupResult:
     final_magnets: tuple[tuple[int, ...] | None, ...]  # None for empty classes
 
 
-def deduplicate_magnets(classes, guard: int = PARTITION_GUARD) -> DedupResult:
+def deduplicate_magnets(classes, guard: int = SWEEP_GUARD) -> DedupResult:
     """Rewrite each class until its n magnets are pairwise distinct.
 
     While two elements k1 < k2 share a magnet i1 (the smallest such pair is
@@ -321,7 +320,7 @@ def deduplicate_magnets(classes, guard: int = PARTITION_GUARD) -> DedupResult:
                    for p in raw}
         if members:
             n = len(next(iter(members)))
-            check_guard(n, guard, "deduplicate_magnets")
+            check_guard(n, guard, "magnet deduplication")
             class_steps, magnets = _dedup_one_class(ci, members, n)
             steps.extend(class_steps)
             out_magnets.append(tuple(magnets))
@@ -384,9 +383,9 @@ def _first_shared_pair(magnets: list[int]) -> tuple[int, int] | None:
 
 
 def partition_from_hint(n: int, m: int, hint_fn,
-                        guard: int = PARTITION_GUARD) -> PartitionStrategy:
+                        guard: int = SWEEP_GUARD) -> PartitionStrategy:
     """Partition whose class h holds the permutations with hint_fn(p) == h."""
-    check_guard(n, guard, "partition_from_hint")
+    check_guard(n, guard, "partitioning by hint")
     assignment = tuple(hint_fn(Permutation(img))
                        for img in itertools.permutations(range(n)))
     return PartitionStrategy(n, m, assignment)

@@ -12,10 +12,11 @@ Each game has one kernel that scores a ``(B, n)`` block of permutation rows:
 and ``locker_wins`` reads the one swapped cell each row probes rather than
 copying the block. Blocks come from one of three sources: seeded
 (``rng.seeded_blocks``, refused before any allocation when a block would not
-fit in memory), exhaustive (slices of ``perm_matrix``; counts become exact
-fractions) or a caller's permutation stream. Every seeded trial runs on its
-own splitmix64 stream keyed by (master seed, trial index), so totals are
-bitwise identical however trials are batched or distributed across workers.
+fit in memory), exhaustive (``enumeration.row_blocks``, lex blocks of at most
+7! rows whatever n is; counts become exact fractions) or a caller's
+permutation stream. Every seeded trial runs on its own splitmix64 stream
+keyed by (master seed, trial index), so totals are bitwise identical however
+trials are batched or distributed across workers.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .counting import typical_max_shift
-from .enumeration import check_guard, row_blocks
+from .enumeration import SWEEP_GUARD, row_blocks
 from .errors import NotABijection, ParameterOutOfRange
 from .perms import Permutation, shift_reduce
 from .rng import LANES_PER_BLOCK, BatchRng, batch_seeds, seeded_blocks
 from .strategies import Strategy, needle_wins, strategy_by_name
 
-EXHAUSTIVE_GUARD = 8
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 PermStream = Callable[[int], Sequence[int]]
@@ -252,9 +252,8 @@ def _simulate(game: str, cfg: GameConfig,
             f"not {cfg.strategy_name()!r}")
     st = cfg.strategy_obj()   # surfaces UnknownStrategy before any work
     if cfg.exhaustive:
-        check_guard(cfg.n, EXHAUSTIVE_GUARD, f"exhaustive {game} sweep")
         wins = sum(_KERNELS[game](st, block)
-                   for block in row_blocks(cfg.n, EXHAUSTIVE_GUARD))
+                   for block in row_blocks(cfg.n, SWEEP_GUARD))
         if cfg.target_mode == "fixed":
             wins = wins[cfg.target:cfg.target + 1]
         return _report(game, cfg, wins, factorial(cfg.n), exact=True)
@@ -324,8 +323,7 @@ def max_shift_distribution(n: int, trials: int = 10_000, seed: int = 0,
     if n < 1 or trials < 1:
         raise ParameterOutOfRange("n and trials must be positive")
     if exhaustive:
-        check_guard(n, EXHAUSTIVE_GUARD, "exhaustive max-shift sweep")
-        blocks = row_blocks(n, EXHAUSTIVE_GUARD)
+        blocks = row_blocks(n, SWEEP_GUARD)
         mode = "exhaustive"
     elif perm_stream is not None:
         blocks = (b for b, _ in _stream_blocks(perm_stream, seed, n, trials))

@@ -28,13 +28,11 @@ from typing import Callable
 
 import numpy as np
 
-from .enumeration import check_guard, row_blocks
+from .enumeration import SWEEP_GUARD, row_blocks
 from .errors import NotLatin, ParameterOutOfRange, UnknownStrategy
 from .fields import PartitionStrategy, aic_check  # noqa: F401  (re-export)
 from .fields import _is_int
 from .perms import Permutation, shift_reduce
-
-EVAL_GUARD = 8
 
 
 @dataclass(frozen=True)
@@ -189,10 +187,9 @@ class ExactEvaluation:
     worst_target: int
 
 
-def evaluate_success_exact(st: Strategy, guard: int = EVAL_GUARD) -> ExactEvaluation:
+def evaluate_success_exact(st: Strategy, guard: int = SWEEP_GUARD) -> ExactEvaluation:
     """Sweep every permutation and every target; exact rational results."""
     n = st.n
-    check_guard(n, guard, "evaluate_success_exact")
     wins = sum(needle_wins(st, block) for block in row_blocks(n, guard))
     total = factorial(n)
     per_target = tuple(Fraction(int(w), total) for w in wins)

@@ -39,19 +39,9 @@ from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from . import counting
-from .enumeration import DEFAULT_GUARD
+from .enumeration import DEFAULT_GUARD, check_guard
 from .errors import (EqualIndices, HypothesisViolated, ParameterOutOfRange,
                      ShiftZero, TooLargeForEnumeration)
-
-
-def _check_order(n: int, guard: int | None, what: str) -> None:
-    """Refuse an exact count at an order n past the guard (default
-    ``DEFAULT_GUARD``)."""
-    g = DEFAULT_GUARD if guard is None else guard
-    if n > g:
-        raise TooLargeForEnumeration(
-            f"{what} at n={n} is past the guard n <= {g}; "
-            f"re-run with a larger --guard")
 
 
 @dataclass(frozen=True)
@@ -207,7 +197,7 @@ def count_exact_displacements(I: IndexSet, J: IndexSet, s: int,
     """
     n = _require_same_n(I, J)
     s = _require_nonzero_shift(n, s)
-    _check_order(n, guard, "the exact displacement count")
+    check_guard(n, guard, "the exact displacement count")
     if _clash(I.as_set(), J.as_set(), n, s):
         return 0
     rows = I.as_set() | J.as_set()
@@ -240,7 +230,7 @@ def count_optional_displacements(K: IndexSet, I: IndexSet, J: IndexSet, s: int,
     if is_feasible(K, I, J, s):
         rest = n - len(I.as_set() | J.as_set() | K.as_set())
         return (1 << len(K)) * factorial(rest)
-    _check_order(n, guard, "the optional displacement count")
+    check_guard(n, guard, "the optional displacement count")
     k = K.as_set()
     splits = 0
     for pushed in product((False, True), repeat=len(K)):
@@ -280,8 +270,7 @@ def _estimate(kind: str, params: dict, bound: Fraction, mode: str,
             limit *= f
         if count > limit:
             raise TooLargeForEnumeration(
-                f"exact {kind} enumerates more than {g}! outcomes; "
-                f"re-run with a larger --guard")
+                f"exact {kind} enumerates more than {g}! outcomes")
         exact = Fraction(sum(map(hit, outcomes)), count)
         return ProbabilityReport(kind, params, float(exact), exact, None, None,
                                  bound)
@@ -430,7 +419,7 @@ def joint_shift_table(n: int, i: int, j: int,
     p and then q leaves the counts with exactly a and b.
     """
     _require_classes(n, i, j)
-    _check_order(n, guard, "the joint shift table")
+    check_guard(n, guard, "the joint shift table")
     g = math.gcd(n, i - j)
     chain = _closed_chain([(1, 0), (0, 1)] * (n // g))
     rooks = Counter({(0, 0): 1})

@@ -1,6 +1,9 @@
 """The permlab command line: grammar, documents, exit codes, reproducibility."""
 
+import argparse
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import subprocess
@@ -11,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hs
 
-from permlab.cli import main
+from permlab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -259,6 +262,23 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
+def _has_guard_flag(command):
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return "--guard" in commands.choices[command]._option_string_actions
+
+
+def _function_names():
+    """Every function the package defines whose name has an underscore."""
+    import permlab
+    names = set()
+    for module in permlab._SUBMODULES:
+        mod = importlib.import_module(f"permlab.{module}")
+        names |= {name for name, obj in vars(mod).items()
+                  if inspect.isfunction(obj) and "_" in name.strip("_")}
+    return names
+
+
 class TestUsageErrors:
     """Inputs a run cannot honour end in exit 2, one stderr line, and strict
     JSON on stdout."""
@@ -270,6 +290,7 @@ class TestUsageErrors:
          "--strategy", "naive", "--workers", "1"),
         ("exact", "--strategy", "naive", "--n", "1"),
         ("exact", "--strategy", "shift", "--n", "0"),
+        ("exact", "--strategy", "naive", "--n", "128", "--guard", "128"),
         ("dist", "--n", "5", "--trials", "0"),
         ("dist", "--n", "0"),
         ("structure", "compatible", "--n", "5", "--t", "1", "--s", "1",
@@ -286,6 +307,7 @@ class TestUsageErrors:
         ("structure", "pset", "--n", "4", "--set-k", "1.5"),
         ("pmf", "--n", "-2"),
     ], ids=["locker-bogus", "locker-naive", "exact-naive-n1", "exact-n0",
+            "exact-n128-past-int8",
             "dist-trials0", "dist-n0", "compatible-trials0",
             "feasible-trials0", "phistar-n-negative", "phi-n0",
             "feasible-t-negative", "env-seed-not-integer",
@@ -371,21 +393,42 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ("exact", "--strategy", "shift", "--n", "12"),
+        ("exact", "--strategy", "naive", "--n", "5", "--guard", "4"),
         ("simulate", "needle", "--n", "12", "--exhaustive", "--workers", "1"),
+        ("simulate", "locker", "--n", "9", "--exhaustive"),
         ("dist", "--n", "12", "--exhaustive"),
+        ("field", "--brute", "--n", "9", "--m", "2"),
+        ("field", "--partition", "PART", "--guard", "2"),
+        ("dedup", "--partition", "PART", "--guard", "2"),
+        ("structure", "phi", "--n", "11", "--set-i", "0", "--set-j", "2"),
         ("structure", "joint", "--n", "12", "--i", "0", "--j", "1"),
         ("structure", "cov", "--n", "12", "--i", "0", "--j", "1"),
         ("structure", "pset", "--n", "11", "--s", "2", "--set-i", "0",
          "--set-j", "5", "--set-k", "1,3"),
-    ], ids=["exact", "simulate-exhaustive", "dist-exhaustive",
-            "structure-joint", "structure-cov", "structure-pset-infeasible"])
-    def test_guard_refusal_prints_nothing(self, capsys, argv):
-        code = main(list(argv))
+        ("structure", "compatible", "--n", "40", "--t", "4"),
+        ("structure", "feasible", "--n", "60", "--t", "1", "--k", "28"),
+    ], ids=["exact", "exact-lowered-guard", "simulate-exhaustive",
+            "simulate-locker-exhaustive", "dist-exhaustive", "field-brute",
+            "field-partition", "dedup", "structure-phi", "structure-joint",
+            "structure-cov", "structure-pset-infeasible",
+            "structure-compatible", "structure-feasible"])
+    def test_guard_refusal_prints_nothing(self, capsys, tmp_path, argv):
+        # one text for every guard; it offers --guard exactly where the
+        # command has that flag, and names no function of the package
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps(
+            {"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1]}))
+        code = main([str(part) if a == "PART" else a for a in argv])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err.startswith("refused: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+        lifted = _has_guard_flag(argv[0])
+        assert ("--guard" in captured.err) == lifted
+        assert ("larger" in captured.err) == lifted
+        assert not [name for name in _function_names()
+                    if name in captured.err]
 
     @pytest.mark.parametrize("argv", [
         ("structure", "phi", "--n", "11", "--set-i", "0", "--set-j", "2"),
@@ -500,27 +543,6 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert time.perf_counter() - start < 2.0
         assert json.loads(proc.stdout.splitlines()[1])["trials"] == 10
-
-    def test_matrix_past_address_space_refused(self):
-        # 12! x 12 int8 entries are 5.7 GB; the child may map 2 GB, so the
-        # refusal must come before numpy tries to allocate them
-        import resource
-
-        def cap():
-            _, hard = resource.getrlimit(resource.RLIMIT_AS)
-            soft = 2 * 10 ** 9
-            if hard != resource.RLIM_INFINITY:
-                soft = min(soft, hard)
-            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "permlab.cli", "exact", "--strategy",
-             "naive", "--n", "12", "--guard", "12"],
-            capture_output=True, text=True, preexec_fn=cap, timeout=60)
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("refused: perm_matrix needs ")
-        assert proc.stderr.count("\n") == 1
 
     def test_usage_error_exit_2(self):
         proc = subprocess.run(

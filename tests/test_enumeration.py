@@ -1,8 +1,12 @@
-"""The n! matrix and seeded sampling blocks: refused before they allocate
-more than the machine holds."""
+"""Exhaustive blocks stream in bounded memory; the n! matrix and seeded
+sampling blocks are refused before they allocate more than the machine
+holds."""
 
+import re
+import tracemalloc
 from math import factorial
 
+import numpy as np
 import pytest
 
 from permlab import enumeration
@@ -10,9 +14,24 @@ from permlab.cli import main
 from permlab.errors import GuardRefusal
 from permlab.rng import LANES_PER_BLOCK, seeded_blocks
 
+BLOCK_ROWS = factorial(7)
 
-def bytes_up_to(n, cached=()):
-    return sum(factorial(k) * k for k in range(1, n + 1) if k not in cached)
+
+def recursive_matrix(n):
+    """The lex matrix as an earlier recursive builder made it: the (n-1)!
+    rows of each first value a are a followed by the other values indexed
+    by the order n-1 matrix. The oracle for ``row_blocks``."""
+    if n == 1:
+        return np.zeros((1, 1), dtype=np.int8)
+    sub = recursive_matrix(n - 1)
+    block = factorial(n - 1)
+    m = np.empty((factorial(n), n), dtype=np.int8)
+    values = np.arange(n, dtype=np.int8)
+    for a in range(n):
+        rest = np.concatenate([values[:a], values[a + 1:]])
+        m[a * block:(a + 1) * block, 0] = a
+        m[a * block:(a + 1) * block, 1:] = rest[sub]
+    return m
 
 
 @pytest.fixture
@@ -22,39 +41,90 @@ def empty_cache(monkeypatch):
     return cache
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_blocks_equal_the_recursive_builder(n):
+    blocks = list(enumeration.row_blocks(n))
+    assert all(b.dtype == np.int8 and len(b) <= BLOCK_ROWS for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), recursive_matrix(n))
+
+
+def test_past_the_guard_refused_before_any_row(monkeypatch):
+    def build(c):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(enumeration, "_lex", build)
+    with pytest.raises(GuardRefusal, match="past the guard n <= 10"):
+        enumeration.row_blocks(11)
+    with pytest.raises(GuardRefusal, match="past the guard n <= 9"):
+        enumeration.perm_matrix(10, guard=9)
+
+
+def test_sweep_memory_does_not_grow_with_n_factorial():
+    # the whole 10! x 10 int8 matrix is 36 MB
+    tracemalloc.start()
+    try:
+        rows = sum(len(b) for b in enumeration.row_blocks(10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == factorial(10)
+    assert peak < 10 ** 6
+
+
 def test_refused_one_byte_short(monkeypatch, empty_cache):
     monkeypatch.setattr(enumeration, "memory_bytes",
-                        lambda: bytes_up_to(7) - 1)
+                        lambda: factorial(7) * 7 - 1)
     with pytest.raises(GuardRefusal, match="perm_matrix needs"):
         enumeration.perm_matrix(7)
     assert empty_cache == {}
 
 
 def test_built_when_it_fits(monkeypatch, empty_cache):
-    monkeypatch.setattr(enumeration, "memory_bytes", lambda: bytes_up_to(7))
-    assert enumeration.perm_matrix(7).shape == (factorial(7), 7)
-    assert sorted(empty_cache) == list(range(1, 8))
+    monkeypatch.setattr(enumeration, "memory_bytes", lambda: factorial(8) * 8)
+    m = enumeration.perm_matrix(8)
+    assert np.array_equal(m, recursive_matrix(8))
+    assert not m.flags.writeable
+    assert list(empty_cache) == [8]
 
 
-def test_cached_orders_are_not_counted(monkeypatch, empty_cache):
-    enumeration.perm_matrix(6)
-    monkeypatch.setattr(enumeration, "memory_bytes",
-                        lambda: factorial(7) * 7)
-    assert enumeration.perm_matrix(7).shape == (factorial(7), 7)
-    monkeypatch.setattr(enumeration, "memory_bytes",
-                        lambda: factorial(8) * 8 - 1)
-    with pytest.raises(GuardRefusal):
-        enumeration.perm_matrix(8)
+def test_cached_matrix_needs_no_memory(monkeypatch, empty_cache):
+    m = enumeration.perm_matrix(6)
+    monkeypatch.setattr(enumeration, "memory_bytes", lambda: 0)
+    assert enumeration.perm_matrix(6) is m
 
 
-def test_cli_refusal(monkeypatch, capsys, empty_cache):
+@pytest.mark.parametrize("argv", [
+    ["exact", "--strategy", "naive", "--n", "8"],
+    ["exact", "--strategy", "shift", "--n", "9", "--guard", "9"],
+    ["simulate", "needle", "--exhaustive", "--n", "8", "--target-mode",
+     "sweep"],
+    ["simulate", "locker", "--exhaustive", "--n", "8"],
+    ["simulate", "needle", "--exhaustive", "--n", "9"],
+    ["dist", "--n", "8", "--exhaustive"],
+    ["dist", "--n", "9", "--exhaustive"],
+])
+def test_commands_build_no_matrix(capsys, empty_cache, argv):
+    assert main(argv) in (0, 3)    # n = 9 sweeps without --guard refuse
+    capsys.readouterr()
+    assert empty_cache == {}
+
+
+def untimed(out):
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out)
+
+
+def test_cli_sweep_needs_no_matrix(monkeypatch, capsys, empty_cache):
+    # the sweep streams blocks, so a process too small for the 9! matrix
+    # still runs it and prints the same document
+    argv = ["exact", "--strategy", "naive", "--n", "9", "--guard", "9"]
+    assert main(argv) == 0
+    unpatched = capsys.readouterr()
     monkeypatch.setattr(enumeration, "memory_bytes", lambda: 10 ** 6)
-    code = main(["exact", "--strategy", "naive", "--n", "9", "--guard", "9"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("refused: perm_matrix needs ")
-    assert captured.err.count("\n") == 1
+    assert main(argv) == 0
+    patched = capsys.readouterr()
+    assert patched.err == unpatched.err == ""
+    assert untimed(patched.out) == untimed(unpatched.out)
+    assert empty_cache == {}
 
 
 class TestSeededSampling:

@@ -4,6 +4,7 @@ determinism, fixtures."""
 import concurrent.futures
 import itertools
 import os
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from math import factorial
 
@@ -270,6 +271,37 @@ class TestDeterminism:
         simulate_needle(GameConfig(n=9, trials=50_000, seed=4,
                                    workers=100_000_000_000))
         assert sizes == [3, 4]
+
+    class UnstartablePool:
+        """Stands in for a process pool the platform cannot start."""
+
+        def __init__(self, max_workers):
+            raise OSError("no process pools here")
+
+    class BrokenPool:
+        """Stands in for a pool whose workers die during the map."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            raise BrokenProcessPool("a worker died")
+
+    @pytest.mark.parametrize("pool", [UnstartablePool, BrokenPool],
+                             ids=["oserror", "broken"])
+    @pytest.mark.parametrize("game", ["needle", "locker"])
+    def test_pool_failure_falls_back_to_serial(self, monkeypatch, pool, game):
+        run = simulate_needle if game == "needle" else simulate_locker
+        serial = run(GameConfig(n=9, trials=5000, seed=4, workers=1))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert run(GameConfig(n=9, trials=5000, seed=4, workers=4)) == serial
 
 
 class TestNeedleStatistics:
