@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Every run prints JSON lines: a header holding the tool version, the resolved
-configuration and a timestamp, then one result object per line. The header
-is printed only after the work, so a refused run writes nothing to stdout.
-Re-running the printed configuration reproduces the document byte for byte
-apart from the timestamp; the worker count is an execution detail and never
-changes any output. Exit codes: 0 success, 2 usage error, 3 guard or budget
-refusal.
+configuration and a timestamp, then one result object per line (and, with
+``--csv``, CSV rows). A command returns its lines; ``main`` alone writes
+stdout, in one call after the command returned, so a run that fails, even
+while rendering, writes nothing to stdout. Re-running the printed
+configuration reproduces the document byte for byte apart from the
+timestamp; the worker count is an execution detail and never changes any
+output. Exit codes: 0 success, 2 usage error, 3 guard or budget refusal.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 from datetime import datetime, timezone
 
 from . import __version__
@@ -29,10 +29,6 @@ def _integer(text: str, what: str) -> int:
         return int(text)
     except ValueError:   # not an integer, or past str's digit limit
         raise PermlabError(f"{what} must be an integer") from None
-
-
-def _default_seed() -> int:
-    return _integer(os.environ.get("PERMLAB_SEED", "0"), "PERMLAB_SEED")
 
 
 def _parse_index_list(text: str) -> tuple[int, ...]:
@@ -127,21 +123,10 @@ def _header(command: str, config: dict) -> str:
                   "timestamp": datetime.now(timezone.utc).isoformat()})
 
 
-def _print(line: str) -> None:
-    sys.stdout.write(line + "\n")
-
-
-def _open_out(path: str | None):
-    """The ``--out`` file, if any, opened before the document is printed, so
-    an unwritable path fails with stdout still empty."""
-    return open(path, "w", encoding="utf-8") if path else nullcontext()
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> list[str]:
     from .simulate import (GameConfig, simulate_locker, simulate_needle,
                            worst_case_target)
-    seed = args.seed if args.seed is not None else _default_seed()
-    cfg = GameConfig(n=args.n, trials=args.trials, seed=seed,
+    cfg = GameConfig(n=args.n, trials=args.trials, seed=args.seed,
                      strategy=args.strategy, target_mode=args.target_mode,
                      target=args.target, exhaustive=args.exhaustive,
                      workers=args.workers)
@@ -153,64 +138,58 @@ def _cmd_simulate(args) -> int:
     worst = (worst_case_target(cfg, args.game)
              if cfg.target_mode == "sweep" else None)
     report = worst.report if worst else run(cfg)
-    _print(_header("simulate", config))
-    _print(dumps(report))
+    lines = [_header("simulate", config), dumps(report)]
     if worst is not None:
-        _print(dumps({"worst_target": worst.worst_target,
-                      "minimum": worst.minimum,
-                      "minimum_exact": worst.minimum_exact,
-                      "wilson_95_low": worst.wilson_95_low,
-                      "wilson_95_high": worst.wilson_95_high}))
-    if args.csv and worst is not None:
-        _print("target,trials,successes,estimate,wilson_95_low,wilson_95_high")
-        for ts in report.per_target:
-            _print(f"{ts.target},{ts.trials},{ts.successes},"
-                   f"{ts.estimate!r},{ts.wilson_95_low!r},{ts.wilson_95_high!r}")
-    return 0
+        lines.append(dumps({"worst_target": worst.worst_target,
+                            "minimum": worst.minimum,
+                            "minimum_exact": worst.minimum_exact,
+                            "wilson_95_low": worst.wilson_95_low,
+                            "wilson_95_high": worst.wilson_95_high}))
+        if args.csv:
+            lines.append("target,trials,successes,estimate,wilson_95_low,"
+                         "wilson_95_high")
+            lines += [f"{ts.target},{ts.trials},{ts.successes},"
+                      f"{ts.estimate!r},{ts.wilson_95_low!r},"
+                      f"{ts.wilson_95_high!r}" for ts in report.per_target]
+    return lines
 
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args) -> list[str]:
     from .strategies import evaluate_success_exact, strategy_by_name
     st = strategy_by_name(args.strategy, args.n)
     ev = evaluate_success_exact(st, guard=args.guard)
-    _print(_header("exact", {"strategy": args.strategy, "n": args.n,
-                             "guard": args.guard}))
-    _print(dumps(ev))
-    return 0
+    return [_header("exact", {"strategy": args.strategy, "n": args.n,
+                              "guard": args.guard}), dumps(ev)]
 
 
-def _cmd_pmf(args) -> int:
+def _cmd_pmf(args) -> list[str]:
     from .counting import shift_count_pmf
     if args.n < 0:
         raise PermlabError(f"order n must be non-negative, got {args.n}")
-    rows = [{"k": k, "probability": shift_count_pmf(args.n, k)}
-            for k in range(args.n + 1)]
-    _print(_header("pmf", {"n": args.n}))
-    _print(dumps({"n": args.n, "pmf": rows}))
+    pmf = [shift_count_pmf(args.n, k) for k in range(args.n + 1)]
+    rows = [{"k": k, "probability": p} for k, p in enumerate(pmf)]
+    lines = [_header("pmf", {"n": args.n}), dumps({"n": args.n, "pmf": rows})]
     if args.csv:
-        _print("k,ratio,decimal")
-        for row in rows:
-            p = row["probability"]
-            _print(f"{row['k']},{ratio_text(p)},{float(p)!r}")
-    return 0
+        lines.append("k,ratio,decimal")
+        lines += [f"{k},{ratio_text(p)},{float(p)!r}" for k, p in enumerate(pmf)]
+    return lines
 
 
-def _cmd_dist(args) -> int:
+def _cmd_dist(args) -> list[str]:
     from .simulate import max_shift_distribution
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = max_shift_distribution(args.n, trials=args.trials, seed=seed,
+    report = max_shift_distribution(args.n, trials=args.trials, seed=args.seed,
                                     exhaustive=args.exhaustive)
-    _print(_header("dist", {"n": args.n, "trials": args.trials, "seed": seed,
-                            "exhaustive": args.exhaustive}))
-    _print(dumps(report))
+    lines = [_header("dist", {"n": args.n, "trials": args.trials,
+                              "seed": args.seed,
+                              "exhaustive": args.exhaustive}),
+             dumps(report)]
     if args.csv:
-        _print("max_shift,count")
-        for k in sorted(report.histogram):
-            _print(f"{k},{report.histogram[k]}")
-    return 0
+        lines.append("max_shift,count")
+        lines += [f"{k},{report.histogram[k]}" for k in sorted(report.histogram)]
+    return lines
 
 
-def _cmd_field(args) -> int:
+def _cmd_field(args) -> list[str]:
     from .fields import (PartitionStrategy, brute_force_field,
                          field_of_partition, success_upper_bound, DEFAULT_BUDGET)
     if args.brute:
@@ -220,16 +199,17 @@ def _cmd_field(args) -> int:
         restriction = "aic" if args.aic else None
         result = brute_force_field(args.n, args.m, restriction=restriction,
                                    budget=budget, guard=args.guard)
-        with _open_out(args.out) as fh:
-            _print(_header("field", {"brute": True, "n": args.n, "m": args.m,
-                                     "aic": args.aic, "budget": budget,
-                                     "guard": args.guard}))
-            _print(dumps({"field": result.field, "nodes": result.nodes,
-                          "restriction": result.restriction,
-                          "witness": json.loads(result.witness.to_json())}))
-            if fh:
-                fh.write(result.witness.to_json() + "\n")
-        return 0
+        witness = result.witness.to_json()
+        lines = [_header("field", {"brute": True, "n": args.n, "m": args.m,
+                                   "aic": args.aic, "budget": budget,
+                                   "guard": args.guard}),
+                 dumps({"field": result.field, "nodes": result.nodes,
+                        "restriction": result.restriction,
+                        "witness": json.loads(witness)})]
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(witness + "\n")
+        return lines
     if not args.partition:
         raise PermlabError("field needs --partition FILE or --brute")
     with open(args.partition, "r", encoding="utf-8") as fh:
@@ -237,21 +217,16 @@ def _cmd_field(args) -> int:
     body = {"n": part.n, "m": part.m,
             "field": field_of_partition(part, args.guard),
             "success_upper_bound": success_upper_bound(part, args.guard)}
-    _print(_header("field", {"partition": args.partition, "guard": args.guard}))
-    _print(dumps(body))
-    return 0
+    return [_header("field", {"partition": args.partition,
+                              "guard": args.guard}), dumps(body)]
 
 
-def _cmd_structure(args) -> int:
+def _cmd_structure(args) -> list[str]:
     from . import structures as S
-    seed = args.seed if args.seed is not None else _default_seed()
-    kind = args.kind
-    config = {"kind": kind, "n": args.n, "s": args.s, "t": args.t,
-              "k": args.k, "i": args.i, "j": args.j,
-              "set_i": args.set_i, "set_j": args.set_j, "set_k": args.set_k,
-              "mode": args.mode, "trials": args.trials, "seed": seed,
-              "guard": args.guard}
-    n = args.n
+    kind, n, seed = args.kind, args.n, args.seed
+    # the header echoes every option of the subcommand
+    config = {key: value for key, value in vars(args).items()
+              if key != "command"}
     if kind in ("phi", "phistar", "pset"):
         I = S.IndexSet.of(n, _parse_index_list(args.set_i))
         J = S.IndexSet.of(n, _parse_index_list(args.set_j))
@@ -280,35 +255,31 @@ def _cmd_structure(args) -> int:
         body = S.covariance_estimate(n, args.t, args.i, args.j,
                                      trials=args.trials, seed=seed,
                                      mode=args.mode, guard=args.guard)
-    _print(_header("structure", config))
-    _print(dumps(body))
-    return 0
+    return [_header("structure", config), dumps(body)]
 
 
-def _cmd_dedup(args) -> int:
+def _cmd_dedup(args) -> list[str]:
     from .fields import PartitionStrategy, class_members, deduplicate_magnets
     with open(args.partition, "r", encoding="utf-8") as fh:
         part = PartitionStrategy.from_json(fh.read())
     classes = class_members(part, args.guard)
     result = deduplicate_magnets(classes, guard=args.guard)
     out_classes = [[list(p.image) for p in c] for c in result.classes]
-    with _open_out(args.out) as fh:
-        _print(_header("dedup", {"partition": args.partition,
-                                 "guard": args.guard}))
-        _print(dumps({"classes": out_classes, "steps": result.steps,
-                      "step_count": len(result.steps)}))
-        if fh:
-            json.dump({"n": part.n, "classes": out_classes}, fh)
-            fh.write("\n")
-    return 0
+    lines = [_header("dedup", {"partition": args.partition,
+                               "guard": args.guard}),
+             dumps({"classes": out_classes, "steps": result.steps,
+                    "step_count": len(result.steps)})]
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"n": part.n, "classes": out_classes}) + "\n")
+    return lines
 
 
-def _cmd_example52(args) -> int:
+def _cmd_example52(args) -> list[str]:
     from .perms import (apply_transposition, argmax_shift, example_deck,
                         shift_histogram, shift_vector)
     from .simulate import GameConfig, simulate_locker
     deck = example_deck()
-    _print(_header("example52", {"n": deck.n}))
     hist = shift_histogram(deck)
     hint = argmax_shift(hist)
     wins = [s for s in range(deck.n)
@@ -318,7 +289,7 @@ def _cmd_example52(args) -> int:
     locker = simulate_locker(
         GameConfig(n=deck.n, trials=1, seed=0, target_mode="sweep"),
         perm_stream=lambda t: deck.image)
-    _print(dumps({
+    return [_header("example52", {"n": deck.n}), dumps({
         "n": deck.n,
         "permutation": list(deck.image),
         "shift_vector": list(shift_vector(deck)),
@@ -333,8 +304,7 @@ def _cmd_example52(args) -> int:
         "swapped_cards": [int(deck.image[0]), hint],
         "first_locker_after_swap": int(after.image[0]),
         "locker_sweep_successes": locker.successes,
-    }))
-    return 0
+    })]
 
 
 _DISPATCH = {
@@ -350,10 +320,14 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        if "seed" in args and args.seed is None:
+            args.seed = _integer(os.environ.get("PERMLAB_SEED", "0"),
+                                 "PERMLAB_SEED")
+        lines = _DISPATCH[args.command](args)
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        return 0
     except GuardRefusal as exc:
         lift = isinstance(exc, TooLargeForEnumeration) and "guard" in args
         hint = "; re-run with a larger --guard" if lift else ""

@@ -27,7 +27,7 @@ from math import factorial
 from .enumeration import SWEEP_GUARD, check_guard
 from .errors import (BudgetExceeded, IndexOutOfRange, MalformedPartition,
                      ParameterOutOfRange)
-from .perms import Permutation
+from .perms import Permutation, is_int
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -61,18 +61,14 @@ class PartitionStrategy:
         if not isinstance(data, dict):
             raise MalformedPartition("partition file must hold a JSON object")
         n, m, assignment = (data.get(key) for key in ("n", "m", "assignment"))
-        if not (_is_int(n) and _is_int(m) and isinstance(assignment, list)
-                and all(_is_int(a) for a in assignment)):
+        if not (is_int(n) and is_int(m) and isinstance(assignment, list)
+                and all(map(is_int, assignment))):
             raise MalformedPartition(
                 'partition needs integers "n" and "m" and an integer list '
                 '"assignment"')
         if n < 0:
             raise MalformedPartition(f"partition order n={n} is negative")
         return cls(n, m, tuple(assignment))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def class_members(p: PartitionStrategy, guard: int = SWEEP_GUARD,

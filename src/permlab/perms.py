@@ -32,6 +32,11 @@ if TYPE_CHECKING:
 TILE = 1 << 16
 
 
+def is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer (``bool`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection on 0..n-1, immutable and validated at construction."""

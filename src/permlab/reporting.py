@@ -2,7 +2,8 @@
 
 Exact rationals are rendered both ways ({"ratio": "p/q", "value": float});
 dataclasses and numpy scalars flatten to plain JSON types. Serialization is
-key-sorted so identical results are byte-identical documents.
+key-sorted so identical results are byte-identical documents, and exact
+integer counts render at any size, past Python's int-to-str digit limit.
 """
 
 from __future__ import annotations
@@ -57,4 +58,10 @@ def json_ready(obj):
 
 
 def dumps(obj) -> str:
-    return json.dumps(json_ready(obj), sort_keys=True)
+    ready = json_ready(obj)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)   # while encoding only: files parse under it
+    try:
+        return json.dumps(ready, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -30,9 +30,7 @@ import numpy as np
 
 from .enumeration import SWEEP_GUARD, row_blocks
 from .errors import NotLatin, ParameterOutOfRange, UnknownStrategy
-from .fields import PartitionStrategy, aic_check  # noqa: F401  (re-export)
-from .fields import _is_int
-from .perms import Permutation, shift_reduce
+from .perms import Permutation, is_int, shift_reduce
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ class LatinSquare:
         except ValueError as exc:   # bad JSON, or an int past str's digit limit
             raise NotLatin(f"latin square file is not readable JSON: {exc}")
         if not (isinstance(data, list)
-                and all(isinstance(row, list) and all(map(_is_int, row))
+                and all(isinstance(row, list) and all(map(is_int, row))
                         for row in data)):
             raise NotLatin("latin square file must hold a JSON matrix of "
                            "integers")

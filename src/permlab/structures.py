@@ -253,24 +253,27 @@ class ProbabilityReport:
     closed_form_bound: Fraction
 
 
+def _check_outcomes(kind: str, count: int, guard: int | None) -> None:
+    """Refuse exact ``kind`` past (guard)! outcomes, before building any."""
+    g = DEFAULT_GUARD if guard is None else guard
+    limit = f = 1     # min(g!, a factorial >= count): no g! for a huge g
+    while f < g and limit < count:
+        f += 1
+        limit *= f
+    if count > limit:
+        raise TooLargeForEnumeration(
+            f"exact {kind} enumerates more than {g}! outcomes")
+
+
 def _estimate(kind: str, params: dict, bound: Fraction, mode: str,
               trials: int, seed: int, outcomes: Iterable[Sequence[int]],
-              count: int, guard: int | None, pool: Sequence[int], size: int,
+              count: int, pool: Sequence[int], size: int,
               hit: Callable[[Sequence[int]], bool]) -> ProbabilityReport:
     """How often ``hit`` holds: over all ``count`` ``outcomes`` in exact
     mode, or over ``trials`` draws of ``size`` entries from ``pool`` in
     sampled mode, trial i drawn by a partial Fisher-Yates shuffle on
-    ``derive_seed(seed, i)``. Exact mode refuses, before it enumerates
-    anything, more outcomes than the factorial of the guard."""
+    ``derive_seed(seed, i)``."""
     if mode == "exact":
-        g = DEFAULT_GUARD if guard is None else guard
-        limit = f = 1     # min(g!, a factorial >= count): no g! for a huge g
-        while f < g and limit < count:
-            f += 1
-            limit *= f
-        if count > limit:
-            raise TooLargeForEnumeration(
-                f"exact {kind} enumerates more than {g}! outcomes")
         exact = Fraction(sum(map(hit, outcomes)), count)
         return ProbabilityReport(kind, params, float(exact), exact, None, None,
                                  bound)
@@ -304,12 +307,29 @@ def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
     s = _require_nonzero_shift(n, s)
     bound = (1 - Fraction(4 * t, n - 2 * t)) ** (2 * t)
     params = {"n": n, "t": t, "s": s, "mode": mode}
+    count = comb(n, t) * comb(n - t, t)
+    if mode == "exact":
+        _check_outcomes("compatible_pair", count, guard)
     pairs = (I + J for I in combinations(range(n), t)
              for J in combinations([x for x in range(n) if x not in I], t))
     return _estimate("compatible_pair", params, bound, mode, trials, seed,
-                     pairs, comb(n, t) * comb(n - t, t), guard, range(n), 2 * t,
+                     pairs, count, range(n), 2 * t,
                      lambda x: is_compatible(IndexSet.of(n, x[:t]),
                                              IndexSet.of(n, x[t:]), s))
+
+
+def _require_pair_room(n: int, t: int, s: int) -> int:
+    """``s`` mod n, once a compatible pair of size t is known to exist: with
+    nothing taken, each of the gcd(n, s) cycles of x -> x + s holds half its
+    length in disjoint pairs {x, x + s}, and the pair needs 2t of them."""
+    if t < 0:
+        raise ParameterOutOfRange(f"pair size t must be non-negative, got {t}")
+    s = _require_nonzero_shift(n, s)
+    g = math.gcd(n, s)
+    if g * (n // g // 2) < 2 * t:
+        raise HypothesisViolated(
+            f"no compatible pair of size {t} exists for n={n}, s={s}")
+    return s
 
 
 def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSet]:
@@ -325,9 +345,7 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
     of its own set, above its last element, and the rest of all 2t pairs,
     anywhere. That test is exact for J, so only I ever backtracks.
     """
-    if t < 0:
-        raise ParameterOutOfRange(f"pair size t must be non-negative, got {t}")
-    s = _require_nonzero_shift(n, s)
+    s = _require_pair_room(n, t, s)
     g = math.gcd(n, s)
     cycles = [[(c + i * s) % n for i in range(n // g)] for c in range(g)]
     taken: set[int] = set()
@@ -355,9 +373,6 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
         x = e - s if k < t else e
         return {x % n, (x + s) % n}
 
-    if room(-1, 0) < 2 * t:
-        raise HypothesisViolated(
-            f"no compatible pair of size {t} exists for n={n}, s={s}")
     chosen: list[int] = []   # the elements of I, then those of J
     e = 0                    # the next candidate for element len(chosen)
     while len(chosen) < 2 * t:
@@ -389,6 +404,9 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
     if k < 0 or 2 * k > n - 4 * t:
         raise HypothesisViolated(f"need 2k <= n - 4t, got k={k}, t={t}, n={n}")
     s = _require_nonzero_shift(n, s)
+    _require_pair_room(n, t, s)
+    if mode == "exact":   # before the pair search: any pair leaves n - 2t
+        _check_outcomes("feasible_set", comb(n - 2 * t, k), guard)
     I, J = canonical_compatible_pair(n, t, s)
     complement = sorted(set(range(n)) - I.as_set() - J.as_set())
     bound = (1 - Fraction(2 * t + k, n - 2 * t - k)) ** k
@@ -396,7 +414,7 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
               "I": list(I.elements), "J": list(J.elements)}
     return _estimate("feasible_set", params, bound, mode, trials, seed,
                      combinations(complement, k), comb(len(complement), k),
-                     guard, complement, k,
+                     complement, k,
                      lambda K: is_feasible(IndexSet.of(n, K), I, J, s))
 
 
@@ -473,13 +491,14 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
     mode reads :func:`joint_shift_table` and reports zero standard errors.
     """
     _require_classes(n, i, j)
-    marginal = counting.shift_count_pmf(n, t)
-    if mode == "exact":
+    if mode == "exact":   # the joint table refuses past the guard at once
         e_zz = joint_shift_pmf(n, i, j, t, guard)
+        marginal = counting.shift_count_pmf(n, t)
         cov = e_zz - marginal * marginal
         return IndicatorStat(n, t, i, j, "exact", None,
                              float(marginal), float(marginal), float(e_zz),
                              float(cov), 0.0, 0.0, 0.0, marginal)
+    marginal = counting.shift_count_pmf(n, t)
     if mode != "sampled":
         raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
     if trials < 1:

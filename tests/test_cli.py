@@ -1,6 +1,7 @@
 """The permlab command line: grammar, documents, exit codes, reproducibility."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import importlib
 import inspect
@@ -9,12 +10,16 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hs
 
+import permlab
+import permlab.cli
 from permlab.cli import build_parser, main
+from permlab.errors import PermlabError
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +284,42 @@ def _function_names():
     return names
 
 
+# command lines past a guard; PART stands for a small partition file
+_GUARD_REFUSALS = {
+    "exact": ("exact", "--strategy", "shift", "--n", "12"),
+    "exact-lowered-guard": ("exact", "--strategy", "naive", "--n", "5",
+                            "--guard", "4"),
+    "simulate-exhaustive": ("simulate", "needle", "--n", "12", "--exhaustive",
+                            "--workers", "1"),
+    "simulate-locker-exhaustive": ("simulate", "locker", "--n", "9",
+                                   "--exhaustive"),
+    "dist-exhaustive": ("dist", "--n", "12", "--exhaustive"),
+    "field-brute": ("field", "--brute", "--n", "9", "--m", "2"),
+    "field-partition": ("field", "--partition", "PART", "--guard", "2"),
+    "dedup": ("dedup", "--partition", "PART", "--guard", "2"),
+    "structure-phi": ("structure", "phi", "--n", "11", "--set-i", "0",
+                      "--set-j", "2"),
+    "structure-joint": ("structure", "joint", "--n", "12", "--i", "0",
+                        "--j", "1"),
+    "structure-cov": ("structure", "cov", "--n", "12", "--i", "0", "--j", "1"),
+    "structure-pset-infeasible": ("structure", "pset", "--n", "11", "--s", "2",
+                                  "--set-i", "0", "--set-j", "5",
+                                  "--set-k", "1,3"),
+    "structure-compatible": ("structure", "compatible", "--n", "40",
+                             "--t", "4"),
+    "structure-feasible": ("structure", "feasible", "--n", "60", "--t", "1",
+                           "--k", "28"),
+}
+
+
+def _with_partition(tmp_path, argv):
+    """``argv`` with PART replaced by a partition file of order 3."""
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(
+        {"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1]}))
+    return [str(part) if a == "PART" else a for a in argv]
+
+
 class TestUsageErrors:
     """Inputs a run cannot honour end in exit 2, one stderr line, and strict
     JSON on stdout."""
@@ -391,34 +432,12 @@ class TestUsageErrors:
         argv = command + ("--strategy", f"latin:{path}")
         assert self.usage_error_stdout(capsys, argv) == ""
 
-    @pytest.mark.parametrize("argv", [
-        ("exact", "--strategy", "shift", "--n", "12"),
-        ("exact", "--strategy", "naive", "--n", "5", "--guard", "4"),
-        ("simulate", "needle", "--n", "12", "--exhaustive", "--workers", "1"),
-        ("simulate", "locker", "--n", "9", "--exhaustive"),
-        ("dist", "--n", "12", "--exhaustive"),
-        ("field", "--brute", "--n", "9", "--m", "2"),
-        ("field", "--partition", "PART", "--guard", "2"),
-        ("dedup", "--partition", "PART", "--guard", "2"),
-        ("structure", "phi", "--n", "11", "--set-i", "0", "--set-j", "2"),
-        ("structure", "joint", "--n", "12", "--i", "0", "--j", "1"),
-        ("structure", "cov", "--n", "12", "--i", "0", "--j", "1"),
-        ("structure", "pset", "--n", "11", "--s", "2", "--set-i", "0",
-         "--set-j", "5", "--set-k", "1,3"),
-        ("structure", "compatible", "--n", "40", "--t", "4"),
-        ("structure", "feasible", "--n", "60", "--t", "1", "--k", "28"),
-    ], ids=["exact", "exact-lowered-guard", "simulate-exhaustive",
-            "simulate-locker-exhaustive", "dist-exhaustive", "field-brute",
-            "field-partition", "dedup", "structure-phi", "structure-joint",
-            "structure-cov", "structure-pset-infeasible",
-            "structure-compatible", "structure-feasible"])
+    @pytest.mark.parametrize("argv", list(_GUARD_REFUSALS.values()),
+                             ids=list(_GUARD_REFUSALS))
     def test_guard_refusal_prints_nothing(self, capsys, tmp_path, argv):
         # one text for every guard; it offers --guard exactly where the
         # command has that flag, and names no function of the package
-        part = tmp_path / "part.json"
-        part.write_text(json.dumps(
-            {"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1]}))
-        code = main([str(part) if a == "PART" else a for a in argv])
+        code = main(_with_partition(tmp_path, argv))
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err.startswith("refused: ")
@@ -429,6 +448,35 @@ class TestUsageErrors:
         assert ("larger" in captured.err) == lifted
         assert not [name for name in _function_names()
                     if name in captured.err]
+
+    @pytest.mark.parametrize("argv", [
+        tuple("1000000" if prev == "--n" else a   # raise --n, if it has one
+              for prev, a in zip(("",) + argv, argv))
+        for argv in _GUARD_REFUSALS.values()], ids=list(_GUARD_REFUSALS))
+    def test_large_n_refused_before_the_work(self, capsys, tmp_path,
+                                             monkeypatch, argv):
+        # field --partition and dedup take n from their file; every other
+        # command refuses n = 10^6 at once, with no pool and no n-long array
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        argv = _with_partition(tmp_path, argv)
+        for module in permlab._SUBMODULES:   # imports are not the work
+            importlib.import_module(f"permlab.{module}")
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 3, captured.err
+        assert captured.out == ""
+        assert elapsed < 1.0
+        assert peak < 1_000_000   # not even one byte per position
 
     @pytest.mark.parametrize("argv", [
         ("structure", "phi", "--n", "11", "--set-i", "0", "--set-j", "2"),
@@ -480,8 +528,49 @@ class TestUsageErrors:
         assert docs[1]["trials"] == 1
 
 
+class TestOneWriter:
+    """``main`` writes stdout once, after the command returned its lines."""
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "needle", "--n", "6", "--trials", "10", "--seed", "1",
+         "--target-mode", "sweep", "--csv", "--workers", "1"),
+        ("exact", "--strategy", "naive", "--n", "4"),
+        ("pmf", "--n", "4", "--csv"),
+        ("dist", "--n", "5", "--trials", "10", "--csv"),
+        ("field", "--brute", "--n", "3", "--m", "2", "--out", "OUT"),
+        ("field", "--partition", "PART"),
+        ("structure", "phistar", "--n", "6", "--set-i", "0", "--set-j", "1"),
+        ("dedup", "--partition", "PART", "--out", "OUT"),
+        ("example52",),
+    ], ids=["simulate", "exact", "pmf", "dist", "field-brute",
+            "field-partition", "structure", "dedup", "example52"])
+    def test_failure_after_the_header_prints_nothing(self, capsys, tmp_path,
+                                                     monkeypatch, argv):
+        rendered, dumps = [], permlab.cli.dumps
+
+        def dumps_once(obj):   # the header renders, the next document fails
+            rendered.append(obj)
+            if len(rendered) == 2:
+                raise PermlabError("cannot render")
+            return dumps(obj)
+
+        monkeypatch.setattr(permlab.cli, "dumps", dumps_once)
+        out = tmp_path / "out.json"
+        argv = [str(out) if a == "OUT" else a
+                for a in _with_partition(tmp_path, argv)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert len(rendered) == 2
+        assert rendered[0]["document"] == "permlab-report"
+        assert code == 2
+        assert captured.err == "error: cannot render\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestBigRatios:
-    """Exact ratios render in full past Python's int-to-str digit limit."""
+    """Exact ratios and counts render in full past Python's int-to-str digit
+    limit."""
 
     @pytest.fixture
     def restore_int_digits(self):
@@ -501,6 +590,27 @@ class TestBigRatios:
         p, q = ratio.split("/")
         assert len(q) > 4300
         assert Fraction(int(p), int(q)) == shift_count_pmf(1700, 1)
+
+    @pytest.mark.parametrize("kind, sets", [
+        ("phistar", ("--set-i", "0", "--set-j", "2")),
+        ("pset", ("--set-i", "0", "--set-j", "2", "--set-k", "5")),
+    ])
+    def test_count_past_digit_limit(self, capsys, restore_int_digits, kind,
+                                    sets):
+        from permlab.structures import (IndexSet, count_optional_displacements,
+                                        count_required_displacements)
+        sys.set_int_max_str_digits(4300)   # the default, whatever the host
+        code = main(["structure", kind, "--n", "1700", "--s", "1", *sets])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 4300   # lifted only to encode
+        sys.set_int_max_str_digits(0)
+        count = json.loads(out.splitlines()[1])["count"]
+        I, J, K = (IndexSet.of(1700, (e,)) for e in (0, 2, 5))
+        expected = (count_required_displacements(I, J, 1) if kind == "phistar"
+                    else count_optional_displacements(K, I, J, 1))
+        assert len(str(count)) > 4300
+        assert count == expected
 
     @pytest.mark.parametrize("digits", [1, 603, 604, 4300, 4301, 20000])
     def test_ratio_text_in_full(self, restore_int_digits, digits):

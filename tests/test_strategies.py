@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from permlab.errors import NotLatin, TooLargeForEnumeration, UnknownStrategy
-from permlab.fields import PartitionStrategy, partition_from_hint
+from permlab.fields import PartitionStrategy, aic_check, partition_from_hint
 from permlab.perms import (Permutation, argmax_shift, example_deck,
                            identity_permutation, shift_histogram)
-from permlab.strategies import (LatinSquare, aic_check, baseline_strategy,
+from permlab.strategies import (LatinSquare, baseline_strategy,
                                 evaluate_success_exact, latin_strategy,
                                 naive_strategy, shift_strategy,
                                 strategy_by_name)
