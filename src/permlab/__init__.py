@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "counting": ("derangements", "factorial", "rencontres",
                  "rencontres_upper_bound_holds", "shift_count_pmf",
-                 "typical_max_shift"),
+                 "shift_pmf", "typical_max_shift"),
     "fields": ("MagnetTable", "PartitionStrategy", "aic_check",
                "brute_force_field", "deduplicate_magnets",
                "field_of_partition", "magnet_and_intensity", "magnet_table",

@@ -163,10 +163,8 @@ def _cmd_exact(args) -> list[str]:
 
 
 def _cmd_pmf(args) -> list[str]:
-    from .counting import shift_count_pmf
-    if args.n < 0:
-        raise PermlabError(f"order n must be non-negative, got {args.n}")
-    pmf = [shift_count_pmf(args.n, k) for k in range(args.n + 1)]
+    from .counting import shift_pmf
+    pmf = shift_pmf(args.n)
     rows = [{"k": k, "probability": p} for k, p in enumerate(pmf)]
     lines = [_header("pmf", {"n": args.n}), dumps({"n": args.n, "pmf": rows})]
     if args.csv:

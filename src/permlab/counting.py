@@ -1,19 +1,19 @@
 """Exact counting: factorials, derangements, rencontres numbers, shift pmf.
 
 Everything here is integer or rational arithmetic; floats never enter a
-decision. Where the constant e appears (the nearest-integer form of the
-derangement count, the crowding threshold for the most common shift), it is
-bracketed by rational Taylor partial sums ``S_m <= e <= S_m + 3/(m+1)!`` at
-whatever order settles the comparison.
+decision. Where the constant e appears (the crowding threshold for the most
+common shift), it is bracketed by rational Taylor partial sums
+``S_m <= e <= S_m + 3/(m+1)!`` at whatever order settles the comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial as _factorial
 
-from .errors import KOutOfRange, NTooSmall, ROutOfRange
+from . import enumeration
+from .errors import (KOutOfRange, NTooSmall, OutOfMemory, ParameterOutOfRange,
+                     ROutOfRange)
 
 
 def factorial(n: int) -> int:
@@ -22,45 +22,37 @@ def factorial(n: int) -> int:
     return _factorial(n)
 
 
-@lru_cache(maxsize=None)
 def derangements(n: int) -> int:
     """Number of permutations of 0..n-1 with no fixed point.
 
-    Recurrence D_n = (n-1)(D_{n-1} + D_{n-2}), D_0 = 1, D_1 = 0.
+    D_n = sum over i of (-1)^i n!/i!, the Horner steps x -> j*x + (-1)^j
+    for j = 1..n applied to D_0 = 1, composed pairwise in a product tree so
+    that the big multiplications are few and balanced.
     """
     if n < 0:
         raise ValueError("negative order")
-    prev, cur = 1, 0   # D_0, D_1
-    if n == 0:
-        return prev
-    for m in range(2, n + 1):
-        prev, cur = cur, (m - 1) * (cur + prev)
-    return cur
+    p, q = _horner_steps(1, n + 1)
+    return p + q
+
+
+def _horner_steps(a: int, b: int) -> tuple[int, int]:
+    """(p, q) such that x -> p*x + q is x -> j*x + (-1)^j for j = a..b-1,
+    applied in that order."""
+    if b - a <= 32:
+        p, q = 1, 0
+        for j in range(a, b):
+            p, q = p * j, q * j + (-1 if j & 1 else 1)
+        return p, q
+    m = (a + b) // 2
+    p1, q1 = _horner_steps(a, m)
+    p2, q2 = _horner_steps(m, b)
+    return p1 * p2, p2 * q1 + q2
 
 
 def e_bounds(order: int) -> tuple[Fraction, Fraction]:
     """Rational bracket lo <= e <= hi from the Taylor series at ``order``."""
     partial = sum(Fraction(1, _factorial(i)) for i in range(order + 1))
     return partial, partial + Fraction(3, _factorial(order + 1))
-
-
-def derangements_by_rounding(n: int) -> int:
-    """D_n computed as the nearest integer to n!/e, using rational brackets.
-
-    The bracket is refined until both endpoints round the same way; n!/e is
-    irrational for n >= 1, so this terminates.
-    """
-    if n == 0:
-        return 1
-    f = _factorial(n)
-    order = n + 4
-    while True:
-        lo_e, hi_e = e_bounds(order)
-        lo_val = Fraction(f, 1) / hi_e + Fraction(1, 2)
-        hi_val = Fraction(f, 1) / lo_e + Fraction(1, 2)
-        if lo_val.__floor__() == hi_val.__floor__():
-            return lo_val.__floor__()
-        order += 4
 
 
 def rencontres(n: int, r: int) -> int:
@@ -75,7 +67,39 @@ def shift_count_pmf(n: int, k: int) -> Fraction:
     has size k; the same for every class, and equal to D_{n,k}/n!."""
     if not 0 <= k <= n:
         raise KOutOfRange(f"k={k} not in 0..{n}")
-    return Fraction(rencontres(n, k), _factorial(n))
+    return Fraction(derangements(n - k), _factorial(k) * _factorial(n - k))
+
+
+def _row_bytes(n: int) -> int:
+    """Bytes to allow for a pmf row and its document. Each of the row's
+    2(n+1) numerators and denominators is at most n! < 2^(n*b), b the bit
+    length of n; the document's decimal copies of them peak at about a byte
+    per bit of that bound, and twice that is allowed."""
+    return 4 * (n + 1) * n * n.bit_length()
+
+
+def shift_pmf(n: int) -> list[Fraction]:
+    """``shift_count_pmf(n, k)`` for k = 0..n, from one pass of the
+    derangement recurrence and one running factorial.
+
+    P(k) = D_{n-k}/(k!(n-k)!), which is C(n,k)D_{n-k}/n! with smaller
+    operands for the reduction. Refused before the work when a bound on the
+    row's bytes exceeds what this process may use.
+    """
+    if n < 0:
+        raise ParameterOutOfRange(f"order n must be non-negative, got {n}")
+    need, have = _row_bytes(n), enumeration.memory_bytes()
+    if need > have:
+        raise OutOfMemory(
+            f"the exact pmf at n={n} needs up to {need} bytes; "
+            f"this process may use {have}")
+    d = [1, 0]                          # D_0, D_1
+    for m in range(2, n + 1):
+        d.append((m - 1) * (d[-1] + d[-2]))
+    f = [1]                             # 0!, 1!, ..., n!
+    for m in range(1, n + 1):
+        f.append(f[-1] * m)
+    return [Fraction(d[n - k], f[k] * f[n - k]) for k in range(n + 1)]
 
 
 def rencontres_upper_bound_holds(n: int, r: int) -> bool:

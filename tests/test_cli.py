@@ -82,6 +82,26 @@ class TestPmf:
         assert code == 0
         assert lines[1]["pmf"][0]["probability"]["ratio"] == "1/1"
 
+    def test_memory_bound_covers_the_document(self, capsys):
+        # the bytes the refusal compares with memory cover the traced peak
+        # of the row, its JSON and CSV renderings and the written output
+        from permlab.counting import _row_bytes
+        main(["pmf", "--n", "2"])   # imports are not the work
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["pmf", "--n", "300", "--csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out) > 300_000
+        assert peak <= _row_bytes(300)
+
+    def test_n_2000_admitted_in_256_mb(self):
+        from permlab.counting import _row_bytes
+        assert _row_bytes(2000) < 2 ** 28
+
 
 class TestField:
     def test_brute_aic(self, capsys):
@@ -309,6 +329,7 @@ _GUARD_REFUSALS = {
                              "--t", "4"),
     "structure-feasible": ("structure", "feasible", "--n", "60", "--t", "1",
                            "--k", "28"),
+    "pmf": ("pmf", "--n", "1000000"),
 }
 
 

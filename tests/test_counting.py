@@ -2,15 +2,16 @@
 
 import itertools
 from fractions import Fraction
-from math import factorial as pyfactorial
+from math import comb, factorial as pyfactorial
 
 import pytest
 
-from permlab.counting import (derangements, derangements_by_rounding, e_bounds,
-                              factorial, rencontres,
-                              rencontres_upper_bound_holds, shift_count_pmf,
-                              typical_max_shift)
-from permlab.errors import KOutOfRange, NTooSmall, ROutOfRange
+from permlab import enumeration
+from permlab.counting import (_row_bytes, derangements, e_bounds, factorial,
+                              rencontres, rencontres_upper_bound_holds,
+                              shift_count_pmf, shift_pmf, typical_max_shift)
+from permlab.errors import (KOutOfRange, NTooSmall, OutOfMemory,
+                            ParameterOutOfRange, ROutOfRange)
 from permlab.perms import Permutation, shift_histogram
 
 
@@ -19,6 +20,33 @@ def count_fixed_points_brute(n, r):
     return sum(
         1 for img in itertools.permutations(range(n))
         if sum(1 for i, v in enumerate(img) if i == v) == r)
+
+
+def derangements_by_rounding(n):
+    """Oracle: D_n as the nearest integer to n!/e, using rational brackets.
+
+    The bracket is refined until both endpoints round the same way; n!/e is
+    irrational for n >= 1, so this terminates.
+    """
+    if n == 0:
+        return 1
+    f = pyfactorial(n)
+    order = n + 4
+    while True:
+        lo_e, hi_e = e_bounds(order)
+        lo_val = Fraction(f, 1) / hi_e + Fraction(1, 2)
+        hi_val = Fraction(f, 1) / lo_e + Fraction(1, 2)
+        if lo_val.__floor__() == hi_val.__floor__():
+            return lo_val.__floor__()
+        order += 4
+
+
+def derangements_by_recurrence(n_max):
+    """Oracle: D_0..D_{n_max} from D_m = (m-1)(D_{m-1} + D_{m-2})."""
+    d = [1, 0]
+    for m in range(2, n_max + 1):
+        d.append((m - 1) * (d[-1] + d[-2]))
+    return d[:n_max + 1]
 
 
 class TestFactorial:
@@ -54,6 +82,19 @@ class TestDerangements:
     def test_matches_nearest_integer_form(self):
         for n in range(0, 31):
             assert derangements(n) == derangements_by_rounding(n)
+
+    def test_matches_recurrence_past_the_leaves(self):
+        # the product tree splits ranges longer than 32 steps
+        d = derangements_by_recurrence(1100)
+        for n in [*range(0, 140), 255, 256, 257, 1023, 1024, 1100]:
+            assert derangements(n) == d[n], n
+
+    def test_agrees_with_the_pmf_row(self):
+        # shift_pmf runs the recurrence; P(k) * k! (n-k)! is D_{n-k}
+        row = shift_pmf(300)
+        for k, p in enumerate(row):
+            d = p * pyfactorial(k) * pyfactorial(300 - k)
+            assert d == derangements(300 - k), k
 
     def test_e_bracket_is_a_bracket(self):
         lo, hi = e_bounds(12)
@@ -129,6 +170,43 @@ class TestShiftCountPmf:
                 for k in range(n + 1):
                     assert Fraction(hits[(j, k)], pyfactorial(n)) == \
                         shift_count_pmf(n, k)
+
+
+class TestShiftPmf:
+    """The whole row, against C(n,k) D_{n-k} / n! term by term."""
+
+    @staticmethod
+    def oracle(n):
+        d = derangements_by_recurrence(n)
+        return [Fraction(comb(n, k) * d[n - k], pyfactorial(n))
+                for k in range(n + 1)]
+
+    @pytest.mark.parametrize("n", [*range(0, 41), 295, 333])
+    def test_matches_oracle(self, n):
+        row = shift_pmf(n)
+        assert row == self.oracle(n)
+        assert sum(row) == 1
+        assert row == [shift_count_pmf(n, k) for k in range(n + 1)]
+
+    def test_first_denominator_past_the_decimal_split(self):
+        # 295 is the first order whose reduced denominators need more than
+        # the 2000 bits at which reporting._decimal splits a number
+        widest = [max(p.denominator.bit_length() for p in shift_pmf(n))
+                  for n in (294, 295)]
+        assert widest[0] <= 2000 < widest[1]
+
+    def test_negative_order(self):
+        with pytest.raises(ParameterOutOfRange):
+            shift_pmf(-1)
+
+    def test_refused_past_memory(self, monkeypatch):
+        n = 200
+        monkeypatch.setattr(enumeration, "memory_bytes", lambda: _row_bytes(n))
+        assert sum(shift_pmf(n)) == 1
+        monkeypatch.setattr(enumeration, "memory_bytes",
+                            lambda: _row_bytes(n) - 1)
+        with pytest.raises(OutOfMemory):
+            shift_pmf(n)
 
 
 class TestTypicalMaxShift:

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 EXPORTS = [
     "derangements", "factorial", "rencontres", "rencontres_upper_bound_holds",
-    "shift_count_pmf", "typical_max_shift",
+    "shift_count_pmf", "shift_pmf", "typical_max_shift",
     "MagnetTable", "PartitionStrategy", "aic_check", "brute_force_field",
     "deduplicate_magnets", "field_of_partition", "magnet_and_intensity",
     "magnet_table", "magneticity", "partition_from_hint",
