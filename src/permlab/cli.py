@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .enumeration import SWEEP_GUARD
 from .errors import GuardRefusal, PermlabError, TooLargeForEnumeration
-from .reporting import dumps, ratio_text
+from .reporting import dumps, json_ready
 
 
 def _integer(text: str, what: str) -> int:
@@ -164,12 +164,12 @@ def _cmd_exact(args) -> list[str]:
 
 def _cmd_pmf(args) -> list[str]:
     from .counting import shift_pmf
-    pmf = shift_pmf(args.n)
+    pmf = [json_ready(p) for p in shift_pmf(args.n)]   # rendered once
     rows = [{"k": k, "probability": p} for k, p in enumerate(pmf)]
     lines = [_header("pmf", {"n": args.n}), dumps({"n": args.n, "pmf": rows})]
     if args.csv:
         lines.append("k,ratio,decimal")
-        lines += [f"{k},{ratio_text(p)},{float(p)!r}" for k, p in enumerate(pmf)]
+        lines += [f"{k},{p['ratio']},{p['value']!r}" for k, p in enumerate(pmf)]
     return lines
 
 

@@ -116,6 +116,15 @@ def shift_histogram(p: Permutation) -> ShiftHistogram:
     return ShiftHistogram(tuple(counts))
 
 
+def block_dtype(n: int) -> np.dtype:
+    """The dtype of every sampled block of order-n rows, seeded or streamed:
+    the narrowest unsigned integer type that holds n - 1 (uint8 up to
+    n = 256, uint16 up to 65536, uint32 beyond). Kernels promote its values
+    to int64 before any arithmetic, so nothing wraps."""
+    import numpy as np
+    return np.min_scalar_type(max(n - 1, 0))
+
+
 def shift_counts(block: np.ndarray) -> np.ndarray:
     """Shift histograms of a ``(B, n)`` block of permutation rows, ``(B, n)``
     int64: entry ``[b, l]`` counts the positions of row b displaced by l.
@@ -128,7 +137,8 @@ def shift_counts(block: np.ndarray) -> np.ndarray:
     """
     import numpy as np
     lanes, n = block.shape
-    keys = np.arange(n, dtype=np.int64) - block   # i - sigma(i), in (-n, n)
+    # i - sigma(i), in (-n, n); the int64 range promotes an unsigned block
+    keys = np.arange(n, dtype=np.int64) - block
     keys += (keys < 0) * n
     keys += (np.arange(lanes, dtype=np.int64) * n)[:, None]
     return np.bincount(keys.ravel(), minlength=lanes * n).reshape(lanes, n)

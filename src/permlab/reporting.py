@@ -35,7 +35,12 @@ def ratio_text(q: Fraction) -> str:
     return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
+_PLAIN = (str, int, float, bool, type(None))
+
+
 def json_ready(obj):
+    if type(obj) in _PLAIN:   # already JSON; numpy subclasses fall through
+        return obj
     if isinstance(obj, Fraction):
         return {"ratio": ratio_text(obj), "value": float(obj)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

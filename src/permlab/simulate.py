@@ -11,12 +11,16 @@ Each game has one kernel that scores a ``(B, n)`` block of permutation rows:
 ``perms.shift_reduce``, so only a tile of rows' histograms exists at once,
 and ``locker_wins`` reads the one swapped cell each row probes rather than
 copying the block. Blocks come from one of three sources: seeded
-(``rng.seeded_blocks``, refused before any allocation when a block would not
-fit in memory), exhaustive (``enumeration.row_blocks``, lex blocks of at most
-7! rows whatever n is; counts become exact fractions) or a caller's
-permutation stream. Every seeded trial runs on its own splitmix64 stream
-keyed by (master seed, trial index), so totals are bitwise identical however
-trials are batched or distributed across workers.
+(``rng.seeded_blocks``, refused before any allocation when a block's shuffle
+buffer and rows would not fit in memory), exhaustive
+(``enumeration.row_blocks``, int8 lex blocks of at most 7! rows whatever n
+is; counts become exact fractions) or a caller's permutation stream. Seeded
+and streamed blocks hold ``perms.block_dtype(n)``, the narrowest unsigned
+type that holds n - 1; the kernels compare its values and promote them to
+int64 before any arithmetic, so an unsigned block never wraps. Every seeded
+trial runs on its own splitmix64 stream keyed by (master seed, trial index),
+so totals are bitwise identical however trials are batched or distributed
+across workers.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 from .counting import typical_max_shift
 from .enumeration import SWEEP_GUARD, row_blocks
 from .errors import NotABijection, ParameterOutOfRange
-from .perms import Permutation, shift_reduce
+from .perms import Permutation, block_dtype, shift_reduce
 from .rng import LANES_PER_BLOCK, BatchRng, batch_seeds, seeded_blocks
 from .strategies import Strategy, needle_wins, strategy_by_name
 
@@ -161,14 +165,16 @@ _KERNELS = {"needle": needle_wins, "locker": locker_wins}
 def _stream_blocks(perm_stream: PermStream, seed: int, n: int,
                    trials: int) -> Blocks:
     """Rows ``perm_stream(0 .. trials-1)``, each validated as a permutation
-    of order n, with the ``BatchRng`` of those trials' fresh streams."""
+    of order n and held in ``block_dtype(n)``, with the ``BatchRng`` of
+    those trials' fresh streams."""
     for a in range(0, trials, LANES_PER_BLOCK):
         b = min(LANES_PER_BLOCK, trials - a)
         rows = [Permutation(tuple(perm_stream(t))).image
                 for t in range(a, a + b)]
         if any(len(r) != n for r in rows):
             raise NotABijection(f"the permutation stream must yield order-{n} rows")
-        yield np.array(rows, dtype=np.int64), BatchRng(batch_seeds(seed, a, b))
+        yield (np.array(rows, dtype=block_dtype(n)),
+               BatchRng(batch_seeds(seed, a, b)))
 
 
 def _targets(cfg: GameConfig, rng: BatchRng) -> np.ndarray | None:

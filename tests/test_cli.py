@@ -77,6 +77,19 @@ class TestPmf:
         assert rows[3]["probability"]["ratio"] == "0/1"   # k=3 impossible
         assert "k,ratio,decimal" in out
 
+    def test_csv_renders_each_ratio_once(self, monkeypatch, capsys):
+        from permlab import reporting
+        render, calls = reporting.ratio_text, []
+
+        def counted(q):
+            calls.append(q)
+            return render(q)
+        monkeypatch.setattr(reporting, "ratio_text", counted)
+        monkeypatch.setattr(permlab.cli, "ratio_text", counted, raising=False)
+        code, lines, _ = run_cli(capsys, "pmf", "--n", "40", "--csv")
+        assert code == 0
+        assert len(calls) == len(lines[1]["pmf"]) == 41
+
     def test_order_zero(self, capsys):
         code, lines, _ = run_cli(capsys, "pmf", "--n", "0")
         assert code == 0

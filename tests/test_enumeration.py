@@ -132,19 +132,35 @@ class TestSeededSampling:
 
     @staticmethod
     def need(lanes, n):
-        return 2 * lanes * n * 4     # the int32 shuffle buffer and the rows
+        # the shuffle buffer and the rows, uint8 to n = 256, else uint16
+        return 2 * lanes * n * (1 if n <= 256 else 2)
 
     def test_refused_one_byte_short(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "memory_bytes",
-                            lambda: self.need(LANES_PER_BLOCK, 100) - 1)
-        with pytest.raises(GuardRefusal, match="sampling needs"):
-            seeded_blocks(0, 100, 0, 5000)   # before the first block is drawn
+        for n in (100, 1000):   # uint8 and uint16 blocks
+            monkeypatch.setattr(enumeration, "memory_bytes",
+                                lambda: self.need(LANES_PER_BLOCK, n) - 1)
+            with pytest.raises(GuardRefusal, match="sampling needs"):
+                seeded_blocks(0, n, 0, 5000)   # before the first block is drawn
 
     def test_drawn_when_it_fits(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "memory_bytes",
-                            lambda: self.need(LANES_PER_BLOCK, 100))
-        blocks = [b for b, _ in seeded_blocks(0, 100, 0, 5000)]
-        assert [len(b) for b in blocks] == [2048, 2048, 904]
+        for n in (100, 1000):
+            monkeypatch.setattr(enumeration, "memory_bytes",
+                                lambda: self.need(LANES_PER_BLOCK, n))
+            blocks = [b for b, _ in seeded_blocks(0, n, 0, 5000)]
+            assert [len(b) for b in blocks] == [2048, 2048, 904]
+
+    def test_block_peak_is_two_narrow_arrays(self):
+        # one 2048-lane block at n = 10000 holds a uint16 shuffle buffer and
+        # uint16 rows; int32 arrays would double the peak
+        blocks = seeded_blocks(0, 10_000, 0, LANES_PER_BLOCK)
+        tracemalloc.start()
+        try:
+            block, _ = next(blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (LANES_PER_BLOCK, 10_000)
+        assert peak < self.need(LANES_PER_BLOCK, 10_000) + 2 ** 23
 
     def test_short_runs_count_their_own_lanes(self, monkeypatch):
         monkeypatch.setattr(enumeration, "memory_bytes",

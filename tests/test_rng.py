@@ -121,11 +121,19 @@ def reference_permutations(rng, n):
     return out
 
 
+def narrowest_unsigned(n):
+    """The dtype of a seeded block of order n: the narrowest unsigned type
+    that holds n - 1."""
+    return np.dtype(np.uint8 if n <= 256 else
+                    np.uint16 if n <= 65536 else np.uint32)
+
+
 def assert_permutations_match_reference(seeds, n):
     fast = BatchRng(np.array(seeds, dtype=np.uint64))
     slow = BatchRng(np.array(seeds, dtype=np.uint64))
     got = fast.permutations(n)
-    assert got.dtype == np.int32 and got.shape == (len(seeds), n)
+    assert got.dtype == narrowest_unsigned(n)
+    assert got.shape == (len(seeds), n)
     assert got.flags.c_contiguous
     assert np.array_equal(got, reference_permutations(slow, n))
     assert np.array_equal(fast.states, slow.states)
@@ -141,6 +149,12 @@ def test_batch_permutations_equal_reference_loop(n, lanes):
     # no draw was rejected, so each lane advanced by exactly n - 1 draws
     assert ((np.array(seeds, dtype=np.uint64)
              + np.uint64((n - 1) * GOLDEN & MASK64)) == fast.states).all()
+
+
+@pytest.mark.parametrize("n", [256, 257, 65536, 65537])
+def test_batch_permutations_at_dtype_edges(n):
+    # every row holds n - 1: at 256 and 65536 the largest value of its dtype
+    assert_permutations_match_reference(batch_seeds(n, 0, 3).tolist(), n)
 
 
 def _seed_rejecting_draw(d):

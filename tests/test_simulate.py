@@ -14,15 +14,16 @@ import pytest
 from permlab.enumeration import row_blocks
 from permlab.errors import (NotABijection, ParameterOutOfRange,
                             TooLargeForEnumeration, UnknownStrategy)
-from permlab.perms import Permutation, argmax_shift, example_deck, shift_histogram
-from permlab.rng import BatchRng, Rng, batch_seeds, derive_seed
+from permlab.perms import (Permutation, argmax_shift, example_deck,
+                           shift_histogram, shift_reduce)
+from permlab.rng import BatchRng, Rng, batch_seeds, derive_seed, seeded_blocks
 from permlab.simulate import (GameConfig, MaxShiftReport, SimulationReport,
                               locker_wins, max_shift_distribution,
                               simulate_locker, simulate_needle,
                               wilson_interval, worst_case_target)
 from permlab.strategies import (LatinSquare, baseline_strategy,
                                 evaluate_success_exact, latin_strategy,
-                                naive_strategy, shift_strategy)
+                                naive_strategy, needle_wins, shift_strategy)
 
 # ---------------------------------------------------------------------------
 # scalar oracle: one trial at a time, on Rng and tuple-level strategies that
@@ -185,6 +186,28 @@ class TestEngineEquivalence:
         kernel = simulate_locker(cfg, perm_stream=_stream(6))
         assert _report_counts(kernel) == \
             _locker_chunk_scalar(cfg, 0, 2100, _stream(6)).tolist()
+
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (300, np.uint16)])
+    def test_unsigned_blocks_count_as_int64_blocks(self, n, dtype):
+        # a kernel that did its arithmetic in the block's own dtype would
+        # wrap: at n = 256 past the largest uint8, at n = 300 modulo 2^16
+        # rather than modulo n
+        block, rng = next(seeded_blocks(5, n, 0, 300))
+        assert block.dtype == dtype
+        wide = block.astype(np.int64)
+        targets = rng.randbelow(n)
+        shift = shift_strategy(n)
+        for st in (shift, naive_strategy(n), baseline_strategy(n),
+                   latin_strategy(LatinSquare.cyclic(n))):
+            for t in (None, targets):
+                assert np.array_equal(needle_wins(st, block, t),
+                                      needle_wins(st, wide, t))
+        for t in (None, targets):
+            assert np.array_equal(locker_wins(shift, block, t),
+                                  locker_wins(shift, wide, t))
+        # dist's largest shift class per row
+        assert np.array_equal(shift_reduce(block, lambda c: c.max(axis=1)),
+                              shift_reduce(wide, lambda c: c.max(axis=1)))
 
     @pytest.mark.parametrize("run", [simulate_needle, simulate_locker])
     def test_stream_row_not_a_bijection(self, run):
