@@ -12,8 +12,7 @@ from fractions import Fraction
 from math import comb, factorial as _factorial
 
 from . import enumeration
-from .errors import (KOutOfRange, NTooSmall, OutOfMemory, ParameterOutOfRange,
-                     ROutOfRange)
+from .errors import ParameterOutOfRange
 
 
 def factorial(n: int) -> int:
@@ -58,7 +57,7 @@ def e_bounds(order: int) -> tuple[Fraction, Fraction]:
 def rencontres(n: int, r: int) -> int:
     """Number of permutations of 0..n-1 with exactly r fixed points."""
     if not 0 <= r <= n:
-        raise ROutOfRange(f"r={r} not in 0..{n}")
+        raise ParameterOutOfRange(f"r={r} not in 0..{n}")
     return comb(n, r) * derangements(n - r)
 
 
@@ -66,7 +65,7 @@ def shift_count_pmf(n: int, k: int) -> Fraction:
     """Exact probability that a given shift class of a uniform permutation
     has size k; the same for every class, and equal to D_{n,k}/n!."""
     if not 0 <= k <= n:
-        raise KOutOfRange(f"k={k} not in 0..{n}")
+        raise ParameterOutOfRange(f"k={k} not in 0..{n}")
     return Fraction(derangements(n - k), _factorial(k) * _factorial(n - k))
 
 
@@ -88,11 +87,7 @@ def shift_pmf(n: int) -> list[Fraction]:
     """
     if n < 0:
         raise ParameterOutOfRange(f"order n must be non-negative, got {n}")
-    need, have = _row_bytes(n), enumeration.memory_bytes()
-    if need > have:
-        raise OutOfMemory(
-            f"the exact pmf at n={n} needs up to {need} bytes; "
-            f"this process may use {have}")
+    enumeration.check_memory(_row_bytes(n), f"the exact pmf at n={n}")
     d = [1, 0]                          # D_0, D_1
     for m in range(2, n + 1):
         d.append((m - 1) * (d[-1] + d[-2]))
@@ -105,7 +100,7 @@ def shift_pmf(n: int) -> list[Fraction]:
 def rencontres_upper_bound_holds(n: int, r: int) -> bool:
     """Exact check of D_{n,r} <= n!/r!."""
     if not 0 <= r <= n:
-        raise ROutOfRange(f"r={r} not in 0..{n}")
+        raise ParameterOutOfRange(f"r={r} not in 0..{n}")
     return rencontres(n, r) * _factorial(r) <= _factorial(n)
 
 
@@ -130,7 +125,7 @@ def typical_max_shift(n: int) -> int:
     displacement. Defined for n >= 6 (so the answer is at least 1).
     """
     if n < 6:
-        raise NTooSmall(f"typical_max_shift needs n >= 6, got {n}")
+        raise ParameterOutOfRange(f"typical_max_shift needs n >= 6, got {n}")
     k = 1
     while _twice_e_times_factorial_le(k + 1, n):
         k += 1

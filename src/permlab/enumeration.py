@@ -27,9 +27,18 @@ _TAIL = 7            # a block is the 7! permutations of the last 7 positions
 _matrix_cache: dict[int, np.ndarray] = {}
 
 
+def guard_value(guard: int | None) -> int:
+    """``guard``, or ``DEFAULT_GUARD`` if None; a negative guard is refused
+    as a usage error."""
+    g = DEFAULT_GUARD if guard is None else guard
+    if g < 0:
+        raise ParameterOutOfRange(f"guard must be non-negative, got {g}")
+    return g
+
+
 def check_guard(n: int, guard: int | None, what: str) -> None:
     """Refuse ``what`` at n past the guard, ``DEFAULT_GUARD`` if None."""
-    g = DEFAULT_GUARD if guard is None else guard
+    g = guard_value(guard)
     if n > g:
         raise TooLargeForEnumeration(
             f"{what} at n={n} is past the guard n <= {g}")
@@ -42,6 +51,15 @@ def memory_bytes() -> int:
     total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     return total if soft == resource.RLIM_INFINITY else min(total, soft)
+
+
+def check_memory(need: int, what: str) -> None:
+    """Refuse ``what`` before it allocates when its ``need`` bytes exceed
+    :func:`memory_bytes`."""
+    have = memory_bytes()
+    if need > have:
+        raise OutOfMemory(
+            f"{what} needs {need} bytes; this process may use {have}")
 
 
 @cache
@@ -80,11 +98,7 @@ def perm_matrix(n: int, guard: int | None = None) -> np.ndarray:
     cached = _matrix_cache.get(n)
     if cached is not None:
         return cached
-    need, have = factorial(n) * n, memory_bytes()
-    if need > have:
-        raise OutOfMemory(
-            f"perm_matrix needs {need} bytes for all {n}! permutations; "
-            f"this process may use {have}")
+    check_memory(factorial(n) * n, f"perm_matrix of all {n}! permutations")
     import numpy as np
     m = np.empty((factorial(n), n), dtype=np.int8)
     for i, block in enumerate(blocks):     # blocks are all one size

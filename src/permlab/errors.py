@@ -1,82 +1,46 @@
 """Exception types shared across the package.
 
-Guard refusals (``GuardRefusal`` subclasses) are recoverable "this would be
-too expensive" conditions; the CLI maps them to a dedicated exit code.
-Everything else is a plain contract violation.
+``cli.main`` maps a ``GuardRefusal`` to exit 3, a one-line ``refused:``
+message, and every other ``PermlabError`` to exit 2, a one-line ``error:``
+message. Only ``TooLargeForEnumeration`` offers a larger ``--guard``. A class
+is kept only where some caller tells it apart from its parent: a new one
+needs such a caller, or it is its parent with the same message.
 """
 
 
 class PermlabError(ValueError):
-    """Base class for all package-specific errors."""
-
-
-class NotABijection(PermlabError):
-    """A value sequence is not a permutation of 0..n-1."""
-
-
-class PositionOutOfRange(PermlabError):
-    """A position index is outside 0..n-1."""
-
-
-class RankOutOfRange(PermlabError):
-    """A lexicographic rank is outside 0..n!-1."""
-
-
-class ROutOfRange(PermlabError):
-    """A fixed-point count r is outside 0..n."""
-
-
-class KOutOfRange(PermlabError):
-    """A shift-class count k is outside 0..n."""
-
-
-class NTooSmall(PermlabError):
-    """The order n is below the smallest value the quantity is defined for."""
-
-
-class IndexOutOfRange(PermlabError):
-    """A class/position/element index is out of range for a partition."""
-
-
-class MalformedPartition(PermlabError):
-    """A partition document is not a JSON object with integer n, m, assignment."""
-
-
-class ShiftZero(PermlabError):
-    """A nonzero shift is required."""
-
-
-class EqualIndices(PermlabError):
-    """Two shift classes that must differ are equal."""
+    """Base class for all package-specific errors (exit 2)."""
 
 
 class ParameterOutOfRange(PermlabError):
-    """A numeric parameter is outside its documented domain."""
+    """A numeric parameter is outside its documented domain (exit 2)."""
 
 
-class HypothesisViolated(PermlabError):
-    """The stated precondition of a statistical estimate does not hold."""
+class NotABijection(PermlabError):
+    """A value sequence is not a permutation of 0..n-1 (exit 2)."""
+
+
+class MalformedPartition(PermlabError):
+    """A partition document is not a JSON object with integer n, m,
+    assignment (exit 2)."""
 
 
 class NotLatin(PermlabError):
-    """A square matrix is not a latin square."""
+    """A square matrix is not a latin square (exit 2)."""
 
 
 class UnknownStrategy(PermlabError):
-    """A strategy name does not resolve to a known strategy."""
+    """A strategy name does not resolve to a known strategy (exit 2)."""
 
 
 class GuardRefusal(PermlabError):
-    """Base class for refusals of work that exceeds an explicit guard."""
+    """Work that exceeds an explicit guard or budget (exit 3)."""
 
 
 class TooLargeForEnumeration(GuardRefusal):
-    """n exceeds the exhaustive-enumeration guard (override with a larger guard)."""
-
-
-class BudgetExceeded(GuardRefusal):
-    """A search exceeded its node budget (override with a larger budget)."""
+    """n exceeds the exhaustive-enumeration guard; a larger ``--guard``
+    lifts it (exit 3)."""
 
 
 class OutOfMemory(GuardRefusal):
-    """The work needs more memory than this process may use."""
+    """The work needs more memory than this process may use (exit 3)."""

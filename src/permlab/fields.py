@@ -25,8 +25,7 @@ from fractions import Fraction
 from math import factorial
 
 from .enumeration import SWEEP_GUARD, check_guard
-from .errors import (BudgetExceeded, IndexOutOfRange, MalformedPartition,
-                     ParameterOutOfRange)
+from .errors import GuardRefusal, MalformedPartition, ParameterOutOfRange
 from .perms import Permutation, is_int
 
 DEFAULT_BUDGET = 2_000_000
@@ -42,10 +41,10 @@ class PartitionStrategy:
 
     def __post_init__(self):
         if len(self.assignment) != factorial(self.n):
-            raise IndexOutOfRange(
+            raise ParameterOutOfRange(
                 f"assignment length {len(self.assignment)} != {self.n}!")
         if self.m < 1 or any(not 0 <= a < self.m for a in self.assignment):
-            raise IndexOutOfRange(f"class indices must lie in 0..{self.m - 1}")
+            raise ParameterOutOfRange(f"class indices must lie in 0..{self.m - 1}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -101,7 +100,7 @@ def magneticity(p: PartitionStrategy, j: int, i: int, k: int,
                 guard: int = SWEEP_GUARD) -> int:
     """How many members of class j place element k at position i."""
     if not (0 <= j < p.m and 0 <= i < p.n and 0 <= k < p.n):
-        raise IndexOutOfRange(f"(j={j}, i={i}, k={k}) out of range")
+        raise ParameterOutOfRange(f"(j={j}, i={i}, k={k}) out of range")
     members = class_members(p, guard)[j]
     return sum(1 for img in members if img[i] == k)
 
@@ -110,7 +109,7 @@ def magnet_and_intensity(p: PartitionStrategy, j: int, k: int,
                          guard: int = SWEEP_GUARD) -> tuple[int, int]:
     """Lowest position attaining the maximal magneticity for k, and that max."""
     if not (0 <= j < p.m and 0 <= k < p.n):
-        raise IndexOutOfRange(f"(j={j}, k={k}) out of range")
+        raise ParameterOutOfRange(f"(j={j}, k={k}) out of range")
     members = class_members(p, guard)[j]
     _, magnets, intensities = _magnetism(members, p.n)
     return magnets[k], intensities[k]
@@ -186,7 +185,8 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     canonical class labeling (labels appear in first-use order, which is
     harmless because the field ignores labels). ``restriction="aic"`` keeps
     only partitions passing :func:`aic_check`. Raises
-    :class:`~permlab.errors.BudgetExceeded` after ``budget`` search nodes.
+    :class:`~permlab.errors.GuardRefusal` after ``budget`` search nodes, and
+    :class:`~permlab.errors.ParameterOutOfRange` for a negative budget.
 
     A class is two ints with a ``width``-bit field per cell (i, k): the
     deficit intensity[k] - mag[i][k], and ``tight``, the top bit of each field
@@ -200,6 +200,8 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
         raise ValueError(f"unknown restriction {restriction!r}")
     if n < 1 or m < 1:
         raise ParameterOutOfRange(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if budget < 0:
+        raise ParameterOutOfRange(f"budget must be non-negative, got {budget}")
     if restriction == "aic" and (n < 2 or m < 2):
         # a single nonempty class puts every target at every position
         raise ParameterOutOfRange(
@@ -241,7 +243,7 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
         for h in range(m if used >= m else used + 1):  # first-use labels
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(
+                raise GuardRefusal(
                     f"field search exceeded {budget} nodes; "
                     f"re-run with a larger --budget")
             pattern = tight[h] & mask

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import NotABijection, PositionOutOfRange, RankOutOfRange
+from .errors import NotABijection, ParameterOutOfRange
 
 if TYPE_CHECKING:
     import numpy as np
@@ -165,7 +165,7 @@ def apply_transposition(p: Permutation, a: int, b: int) -> Permutation:
     """New permutation with the images at positions a and b exchanged."""
     n = p.n
     if not (0 <= a < n and 0 <= b < n):
-        raise PositionOutOfRange(f"positions ({a}, {b}) not in 0..{n - 1}")
+        raise ParameterOutOfRange(f"positions ({a}, {b}) not in 0..{n - 1}")
     img = list(p.image)
     img[a], img[b] = img[b], img[a]
     return Permutation(tuple(img))
@@ -196,7 +196,7 @@ def lex_rank(p: Permutation) -> int:
 def lex_unrank(n: int, rank: int) -> Permutation:
     """Inverse of :func:`lex_rank`: the rank-th permutation in lex order."""
     if not 0 <= rank < factorial(n):
-        raise RankOutOfRange(f"rank {rank} not in 0..{n}!-1")
+        raise ParameterOutOfRange(f"rank {rank} not in 0..{n}!-1")
     remaining = list(range(n))
     image = []
     for i in range(n):

@@ -44,7 +44,6 @@ from typing import Iterator
 import numpy as np
 
 from . import enumeration
-from .errors import OutOfMemory
 from .perms import block_dtype
 
 MASK64 = (1 << 64) - 1
@@ -214,12 +213,9 @@ def seeded_blocks(master: int, n: int, start: int,
     rows) would not fit in :func:`enumeration.memory_bytes`.
     """
     lanes = min(LANES_PER_BLOCK, count)
-    need = 2 * lanes * n * block_dtype(n).itemsize
-    have = enumeration.memory_bytes()
-    if need > have:
-        raise OutOfMemory(
-            f"sampling needs {need} bytes for blocks of {lanes} permutations "
-            f"of order {n}; this process may use {have}")
+    enumeration.check_memory(
+        2 * lanes * n * block_dtype(n).itemsize,
+        f"sampling in blocks of {lanes} permutations of order {n}")
     return _blocks(master, n, start, count)
 
 

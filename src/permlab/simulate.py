@@ -44,7 +44,7 @@ from .strategies import Strategy, needle_wins, strategy_by_name
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 PermStream = Callable[[int], Sequence[int]]
-Blocks = Iterator[tuple[np.ndarray, BatchRng]]
+Blocks = Iterator[tuple[np.ndarray, BatchRng | None]]
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,18 @@ def _stream_blocks(perm_stream: PermStream, seed: int, n: int,
                BatchRng(batch_seeds(seed, a, b)))
 
 
+def _source(n: int, trials: int, seed: int, exhaustive: bool,
+            perm_stream: PermStream | None) -> tuple[str, Blocks]:
+    """A run's mode and its blocks: all n! rows in lex blocks (with no lane
+    streams), a caller's permutation stream, or seeded trials 0..trials-1.
+    The exhaustive and seeded sources refuse here, before any block."""
+    if exhaustive:
+        return "exhaustive", ((b, None) for b in row_blocks(n, SWEEP_GUARD))
+    if perm_stream is not None:
+        return "stream", _stream_blocks(perm_stream, seed, n, trials)
+    return "sampled", seeded_blocks(seed, n, 0, trials)
+
+
 def _targets(cfg: GameConfig, rng: BatchRng) -> np.ndarray | None:
     """Per-lane targets, drawn next from each trial's stream when uniform;
     None (every target) in sweep mode."""
@@ -206,8 +218,6 @@ def _seeded_wins(game: str, cfg: GameConfig) -> np.ndarray:
     """Dispatch seeded trials over workers; the result never depends on the
     split. Chunks are cut at whole batches, and the pool never outnumbers
     the cores or the chunks."""
-    if not isinstance(cfg.strategy, str):   # a Strategy's closures do not pickle
-        return _chunk_wins(game, cfg, 0, cfg.trials)
     cap = min(cfg.workers, os.cpu_count() or 1)
     per = -(-cfg.trials // (cap * LANES_PER_BLOCK)) * LANES_PER_BLOCK
     starts = range(0, cfg.trials, per)
@@ -257,17 +267,17 @@ def _simulate(game: str, cfg: GameConfig,
             "the locker game is defined for the shift strategy only, "
             f"not {cfg.strategy_name()!r}")
     st = cfg.strategy_obj()   # surfaces UnknownStrategy before any work
-    if cfg.exhaustive:
-        wins = sum(_KERNELS[game](st, block)
-                   for block in row_blocks(cfg.n, SWEEP_GUARD))
+    mode, blocks = _source(cfg.n, cfg.trials, cfg.seed, cfg.exhaustive,
+                           perm_stream)
+    if mode == "exhaustive":
+        wins = sum(_KERNELS[game](st, block) for block, _ in blocks)
         if cfg.target_mode == "fixed":
             wins = wins[cfg.target:cfg.target + 1]
         return _report(game, cfg, wins, factorial(cfg.n), exact=True)
-    if perm_stream is not None:
-        wins = _wins(game, cfg, st, _stream_blocks(perm_stream, cfg.seed,
-                                                   cfg.n, cfg.trials))
+    if mode == "sampled" and isinstance(cfg.strategy, str):
+        wins = _seeded_wins(game, cfg)   # a Strategy's closures do not pickle
     else:
-        wins = _seeded_wins(game, cfg)
+        wins = _wins(game, cfg, st, blocks)
     return _report(game, cfg, wins, cfg.trials, exact=False)
 
 
@@ -328,17 +338,9 @@ def max_shift_distribution(n: int, trials: int = 10_000, seed: int = 0,
                            ) -> MaxShiftReport:
     if n < 1 or trials < 1:
         raise ParameterOutOfRange("n and trials must be positive")
-    if exhaustive:
-        blocks = row_blocks(n, SWEEP_GUARD)
-        mode = "exhaustive"
-    elif perm_stream is not None:
-        blocks = (b for b, _ in _stream_blocks(perm_stream, seed, n, trials))
-        mode = "stream"
-    else:
-        blocks = (b for b, _ in seeded_blocks(seed, n, 0, trials))
-        mode = "sampled"
+    mode, blocks = _source(n, trials, seed, exhaustive, perm_stream)
     hist = np.zeros(n + 1, dtype=np.int64)
-    for block in blocks:
+    for block, _ in blocks:
         hist += np.bincount(shift_reduce(block, lambda c: c.max(axis=1)),
                             minlength=n + 1)
     values = np.arange(n + 1)

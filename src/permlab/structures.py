@@ -39,9 +39,8 @@ from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from . import counting
-from .enumeration import DEFAULT_GUARD, check_guard
-from .errors import (EqualIndices, HypothesisViolated, ParameterOutOfRange,
-                     ShiftZero, TooLargeForEnumeration)
+from .enumeration import check_guard, guard_value
+from .errors import ParameterOutOfRange, TooLargeForEnumeration
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def _require_nonzero_shift(n: int, s: int) -> int:
         raise ParameterOutOfRange(f"order n must be positive, got {n}")
     s %= n
     if s == 0:
-        raise ShiftZero("shift s must be nonzero modulo n")
+        raise ParameterOutOfRange("shift s must be nonzero modulo n")
     return s
 
 
@@ -255,7 +254,7 @@ class ProbabilityReport:
 
 def _check_outcomes(kind: str, count: int, guard: int | None) -> None:
     """Refuse exact ``kind`` past (guard)! outcomes, before building any."""
-    g = DEFAULT_GUARD if guard is None else guard
+    g = guard_value(guard)
     limit = f = 1     # min(g!, a factorial >= count): no g! for a huge g
     while f < g and limit < count:
         f += 1
@@ -327,7 +326,7 @@ def _require_pair_room(n: int, t: int, s: int) -> int:
     s = _require_nonzero_shift(n, s)
     g = math.gcd(n, s)
     if g * (n // g // 2) < 2 * t:
-        raise HypothesisViolated(
+        raise ParameterOutOfRange(
             f"no compatible pair of size {t} exists for n={n}, s={s}")
     return s
 
@@ -402,7 +401,7 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
     canonical compatible (I, J) is feasible, with the closed-form lower
     bound (1 - (2t+k)/(n-2t-k))^k attached."""
     if k < 0 or 2 * k > n - 4 * t:
-        raise HypothesisViolated(f"need 2k <= n - 4t, got k={k}, t={t}, n={n}")
+        raise ParameterOutOfRange(f"need 2k <= n - 4t, got k={k}, t={t}, n={n}")
     s = _require_nonzero_shift(n, s)
     _require_pair_room(n, t, s)
     if mode == "exact":   # before the pair search: any pair leaves n - 2t
@@ -420,7 +419,7 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
 
 def _require_classes(n: int, i: int, j: int) -> None:
     if i == j:
-        raise EqualIndices("shift classes i and j must differ")
+        raise ParameterOutOfRange("shift classes i and j must differ")
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterOutOfRange(f"classes ({i}, {j}) not in 0..{n - 1}")
 
@@ -491,6 +490,8 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
     mode reads :func:`joint_shift_table` and reports zero standard errors.
     """
     _require_classes(n, i, j)
+    if not 0 <= t <= n:
+        raise ParameterOutOfRange(f"t={t} not in 0..{n}")
     if mode == "exact":   # the joint table refuses past the guard at once
         e_zz = joint_shift_pmf(n, i, j, t, guard)
         marginal = counting.shift_count_pmf(n, t)
@@ -498,15 +499,16 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
         return IndicatorStat(n, t, i, j, "exact", None,
                              float(marginal), float(marginal), float(e_zz),
                              float(cov), 0.0, 0.0, 0.0, marginal)
-    marginal = counting.shift_count_pmf(n, t)
     if mode != "sampled":
         raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
     if trials < 1:
         raise ParameterOutOfRange("trials must be positive")
     from .perms import shift_reduce
     from .rng import seeded_blocks
+    blocks = seeded_blocks(seed, n, 0, trials)   # refuses past memory at once
+    marginal = counting.shift_count_pmf(n, t)
     cnt_i = cnt_j = cnt_ij = 0
-    for perms, _ in seeded_blocks(seed, n, 0, trials):
+    for perms, _ in blocks:
         sizes = shift_reduce(perms, lambda c: c[:, [i, j]])
         zi = sizes[:, 0] == t
         zj = sizes[:, 1] == t

@@ -381,13 +381,19 @@ class TestUsageErrors:
         ("structure", "pset", "--n", "4", "--set-j", "1,,2"),
         ("structure", "pset", "--n", "4", "--set-k", "1.5"),
         ("pmf", "--n", "-2"),
+        ("structure", "cov", "--mode", "sampled", "--n", "5", "--t", "9"),
+        ("structure", "compatible", "--n", "5", "--t", "1", "--guard", "-3"),
+        ("exact", "--n", "3", "--guard", "-1"),
+        ("field", "--brute", "--n", "2", "--m", "2", "--budget", "-5"),
     ], ids=["locker-bogus", "locker-naive", "exact-naive-n1", "exact-n0",
             "exact-n128-past-int8",
             "dist-trials0", "dist-n0", "compatible-trials0",
             "feasible-trials0", "phistar-n-negative", "phi-n0",
             "feasible-t-negative", "env-seed-not-integer",
             "env-seed-5000-digits", "set-i-not-integer", "set-j-empty-entry",
-            "set-k-float", "pmf-n-negative"])
+            "set-k-float", "pmf-n-negative", "cov-sampled-t-past-n",
+            "compatible-guard-negative", "exact-guard-negative",
+            "field-budget-negative"])
     def test_exit_2(self, capsys, monkeypatch, argv):
         if "=" in argv[0]:   # a leading NAME=value sets the environment
             name, value = argv[0].split("=", 1)
@@ -404,6 +410,45 @@ class TestUsageErrors:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         return captured.out
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_cov_t_past_n_names_t(self, capsys, mode):
+        code = main(["structure", "cov", "--mode", mode, "--n", "5",
+                     "--t", "9"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: t=9 not in 0..5\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (("structure", "compatible", "--n", "5", "--t", "1", "--guard", "-3"),
+         "guard must be non-negative, got -3"),
+        (("structure", "joint", "--n", "5", "--guard", "-1"),
+         "guard must be non-negative, got -1"),
+        (("exact", "--n", "3", "--guard", "-1"),
+         "guard must be non-negative, got -1"),
+        (("field", "--brute", "--n", "2", "--m", "2", "--budget", "-5"),
+         "budget must be non-negative, got -5"),
+    ], ids=["compatible", "joint", "exact", "field-budget"])
+    def test_negative_guard_is_a_usage_error(self, capsys, argv, err):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {err}\n"
+        assert captured.out == ""
+
+    def test_sampled_cov_refused_before_the_marginal(self, capsys,
+                                                     monkeypatch):
+        from permlab import counting, enumeration
+
+        def marginal(n, k):
+            raise AssertionError("the marginal was computed")
+
+        monkeypatch.setattr(counting, "shift_count_pmf", marginal)
+        monkeypatch.setattr(enumeration, "memory_bytes", lambda: 10 ** 6)
+        code = main(["structure", "cov", "--mode", "sampled", "--n",
+                     "10000000", "--trials", "100000", "--i", "0", "--j", "1"])
+        captured = capsys.readouterr()
+        assert code == 3, captured.err
+        assert captured.err.startswith("refused: sampling in blocks of ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ("field", "--brute", "--n", "3", "--m", "0"),

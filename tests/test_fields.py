@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from permlab.errors import (BudgetExceeded, IndexOutOfRange, MalformedPartition,
+from permlab.errors import (GuardRefusal, MalformedPartition,
                             ParameterOutOfRange, TooLargeForEnumeration)
 from permlab.fields import (DedupResult, PartitionStrategy, _aic_holds,
                             aic_check, brute_force_field, class_members,
@@ -78,7 +78,7 @@ def reference_field_search(n, m, restriction=None, budget=2_000_000):
         for h in range(limit):
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(f"field search exceeded {budget} nodes")
+                raise GuardRefusal(f"field search exceeded {budget} nodes")
             gained, raised = push(depth, h)
             assignment[depth] = h
             dfs(depth + 1, field + gained, max(used, h + 1))
@@ -111,9 +111,11 @@ class TestPartitionSerialization:
         assert again == part
 
     def test_validation(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ParameterOutOfRange,
+                           match="^assignment length 5 != 3!$"):
             PartitionStrategy(3, 2, (0,) * 5)      # wrong length
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ParameterOutOfRange,
+                           match=r"^class indices must lie in 0\.\.1$"):
             PartitionStrategy(3, 2, (0, 0, 0, 0, 0, 2))  # class out of range
 
     @pytest.mark.parametrize("text", [
@@ -160,9 +162,11 @@ class TestMagneticity:
 
     def test_index_errors(self):
         part = single_class_partition(3, m=2)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ParameterOutOfRange,
+                           match=r"^\(j=2, i=0, k=0\) out of range$"):
             magneticity(part, 2, 0, 0)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ParameterOutOfRange,
+                           match=r"^\(j=0, i=3, k=0\) out of range$"):
             magneticity(part, 0, 3, 0)
 
 
@@ -256,12 +260,14 @@ class TestBruteForce:
             assert field_of_partition(part) <= best
 
     def test_budget_refusal(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(GuardRefusal,
+                           match="^field search exceeded 10 nodes; re-run"):
             brute_force_field(3, 3, budget=10)
 
     def test_budget_boundary(self):
         # (3, 3) visits 128 nodes: a budget of 127 refuses, 128 completes
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(GuardRefusal,
+                           match="^field search exceeded 127 nodes; re-run"):
             brute_force_field(3, 3, budget=127)
         assert brute_force_field(3, 3, budget=128).nodes == 128
 
@@ -287,7 +293,7 @@ class TestBruteForce:
         def outcome(search):
             try:
                 return search(3, m, restriction, budget=budget)
-            except BudgetExceeded:
+            except GuardRefusal:
                 return "refused"
         got = outcome(brute_force_field)
         want = outcome(reference_field_search)

@@ -161,3 +161,19 @@ def test_simulate_starts_no_process_pool():
     code = ("import sys, permlab.simulate\n"
             "print('concurrent.futures.process' in sys.modules)\n")
     assert _python(code).strip() == "False"
+
+
+def test_every_error_class_is_raised():
+    # a class that no code raises is one no caller can tell apart
+    src = ROOT / "src" / "permlab"
+    defined = {node.name for node in ast.parse(
+        (src / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert {"PermlabError", "GuardRefusal"} <= defined
+    assert defined <= raised, sorted(defined - raised)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as hs
 
 from permlab import perms
 from permlab.enumeration import row_blocks
-from permlab.errors import NotABijection, PositionOutOfRange, RankOutOfRange
+from permlab.errors import NotABijection, ParameterOutOfRange
 from permlab.perms import (TILE, Permutation, apply_transposition,
                            argmax_shift, example_deck, fixed_points,
                            identity_permutation, lex_rank, lex_unrank,
@@ -179,7 +179,8 @@ class TestTransposition:
         assert apply_transposition(p, 1, 1) == p
 
     def test_out_of_range(self):
-        with pytest.raises(PositionOutOfRange):
+        with pytest.raises(ParameterOutOfRange,
+                           match=r"^positions \(0, 3\) not in 0\.\.2$"):
             apply_transposition(identity_permutation(3), 0, 3)
 
     def test_deck_swap_puts_hint_card_first(self):
@@ -223,9 +224,11 @@ class TestLexRank:
                 assert lex_unrank(n, r) == p
 
     def test_rank_out_of_range(self):
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(ParameterOutOfRange,
+                           match=r"^rank 6 not in 0\.\.3!-1$"):
             lex_unrank(3, 6)
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(ParameterOutOfRange,
+                           match=r"^rank -1 not in 0\.\.3!-1$"):
             lex_unrank(3, -1)
 
 

@@ -11,9 +11,7 @@ import numpy as np
 
 from permlab.counting import shift_count_pmf
 from permlab.enumeration import perm_matrix, row_blocks
-from permlab.errors import (EqualIndices, HypothesisViolated,
-                            ParameterOutOfRange, ShiftZero,
-                            TooLargeForEnumeration)
+from permlab.errors import ParameterOutOfRange, TooLargeForEnumeration
 from permlab.perms import shift_counts
 from permlab.structures import (IndexSet, canonical_compatible_pair,
                                 compatible_pair_stats,
@@ -179,10 +177,10 @@ class TestCompatibility:
         assert not is_compatible(iset(8, 0), iset(8, 7), 1)
 
     def test_zero_shift_rejected(self):
-        with pytest.raises(ShiftZero):
-            is_compatible(iset(8, 0), iset(8, 2), 0)
-        with pytest.raises(ShiftZero):
-            is_compatible(iset(8, 0), iset(8, 2), 8)
+        for s in (0, 8):
+            with pytest.raises(ParameterOutOfRange,
+                               match="^shift s must be nonzero modulo n$"):
+                is_compatible(iset(8, 0), iset(8, 2), s)
 
     def test_mixed_orders_rejected(self):
         with pytest.raises(ParameterOutOfRange):
@@ -444,14 +442,14 @@ def scan_compatible_pair(n, t, s):
             jset = IndexSet.of(n, J)
             if is_compatible(iset_, jset, s):
                 return iset_, jset
-    raise HypothesisViolated(
+    raise ParameterOutOfRange(
         f"no compatible pair of size {t} exists for n={n}, s={s}")
 
 
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except HypothesisViolated as exc:
+    except ParameterOutOfRange as exc:
         return "refused", str(exc)
 
 
@@ -478,7 +476,9 @@ class TestCanonicalPair:
     @pytest.mark.parametrize("n,t,s", [(21, 5, 9), (24, 6, 8), (999, 249, 333)])
     def test_no_pair_on_odd_cycles(self, n, t, s):
         # gcd(n, s) cycles of odd length L hold gcd * (L - 1) / 2 < 2t pairs
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^no compatible pair of size {t} exists "
+                                 f"for n={n}, s={s}$"):
             canonical_compatible_pair(n, t, s)
 
 
@@ -503,7 +503,8 @@ class TestFeasibleSetStats:
         assert r.probability + 3 * r.std_err >= float(r.closed_form_bound)
 
     def test_hypothesis_guard(self):
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(ParameterOutOfRange,
+                           match="^need 2k <= n - 4t, got k=2, t=2, n=10$"):
             feasible_set_stats(10, 2, 2, 1)
 
 
@@ -529,7 +530,8 @@ class TestJointShiftPmf:
         assert abs(float(p) - (1 / math.e) ** 2) < 0.02
 
     def test_equal_indices_rejected(self):
-        with pytest.raises(EqualIndices):
+        with pytest.raises(ParameterOutOfRange,
+                           match="^shift classes i and j must differ$"):
             joint_shift_pmf(6, 2, 2, 1)
 
     def test_decomposition_identity(self):
@@ -568,5 +570,6 @@ class TestCovarianceEstimate:
         assert abs(stat.e_zj - 1 / math.e) <= 3 * stat.se_zj
 
     def test_equal_indices_rejected(self):
-        with pytest.raises(EqualIndices):
+        with pytest.raises(ParameterOutOfRange,
+                           match="^shift classes i and j must differ$"):
             covariance_estimate(10, 1, 4, 4)
