@@ -19,7 +19,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .enumeration import SWEEP_GUARD
+from .enumeration import SWEEP_GUARD, guard_value
 from .errors import GuardRefusal, PermlabError, TooLargeForEnumeration
 from .reporting import dumps, json_ready
 
@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     st.add_argument("--trials", type=int, default=100_000)
     st.add_argument("--seed", type=int, default=None)
-    st.add_argument("--guard", type=int, default=None)
+    st.add_argument("--guard", type=int, default=None,
+                    help="exact compatible/feasible: at most guard! outcomes")
 
     dd = sub.add_parser("dedup", help="magnet deduplication rewrite")
     dd.add_argument("--partition", required=True)
@@ -225,17 +226,17 @@ def _cmd_structure(args) -> list[str]:
     # the header echoes every option of the subcommand
     config = {key: value for key, value in vars(args).items()
               if key != "command"}
+    guard_value(args.guard)   # a negative guard is a usage error for any kind
     if kind in ("phi", "phistar", "pset"):
         I = S.IndexSet.of(n, _parse_index_list(args.set_i))
         J = S.IndexSet.of(n, _parse_index_list(args.set_j))
         if kind == "phi":
-            count = S.count_exact_displacements(I, J, args.s, guard=args.guard)
+            count = S.count_exact_displacements(I, J, args.s)
         elif kind == "phistar":
             count = S.count_required_displacements(I, J, args.s)
         else:
             K = S.IndexSet.of(n, _parse_index_list(args.set_k))
-            count = S.count_optional_displacements(K, I, J, args.s,
-                                                   guard=args.guard)
+            count = S.count_optional_displacements(K, I, J, args.s)
         body = {"kind": kind, "count": count}
     elif kind == "compatible":
         body = S.compatible_pair_stats(n, args.t, args.s, mode=args.mode,
@@ -246,13 +247,13 @@ def _cmd_structure(args) -> list[str]:
                                     trials=args.trials, seed=seed,
                                     guard=args.guard)
     elif kind == "joint":
-        p = S.joint_shift_pmf(n, args.i, args.j, args.t, guard=args.guard)
+        p = S.joint_shift_pmf(n, args.i, args.j, args.t)
         body = {"kind": "joint", "n": n, "i": args.i, "j": args.j,
                 "t": args.t, "probability": p}
     else:
         body = S.covariance_estimate(n, args.t, args.i, args.j,
                                      trials=args.trials, seed=seed,
-                                     mode=args.mode, guard=args.guard)
+                                     mode=args.mode)
     return [_header("structure", config), dumps(body)]
 
 

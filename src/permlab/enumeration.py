@@ -2,9 +2,10 @@
 
 ``row_blocks`` is the one exhaustive source: all n! permutations in lex
 order as int8 blocks of at most 7! rows, so a sweep holds one block whatever
-n is. An order past the guard (default 10; ``SWEEP_GUARD`` for the commands'
-sweeps) is refused before any row is built, so that a typo cannot ask for
-12! of anything. Callers pass a larger guard deliberately.
+n is. Past its guard an order is refused before any row is built, so that a
+typo cannot ask for 12! of anything: ``SWEEP_GUARD`` guards the commands'
+sweeps, ``ENUMERATION_GUARD`` library sweeps and exact structure outcomes.
+Callers pass a larger guard deliberately.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import OutOfMemory, ParameterOutOfRange, TooLargeForEnumeration
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_GUARD = 10
+ENUMERATION_GUARD = 10  # library sweeps, exact structure outcomes
 SWEEP_GUARD = 8      # exact, simulate/dist --exhaustive, field, dedup
 _TAIL = 7            # a block is the 7! permutations of the last 7 positions
 
@@ -28,16 +29,26 @@ _matrix_cache: dict[int, np.ndarray] = {}
 
 
 def guard_value(guard: int | None) -> int:
-    """``guard``, or ``DEFAULT_GUARD`` if None; a negative guard is refused
-    as a usage error."""
-    g = DEFAULT_GUARD if guard is None else guard
+    """``guard``, or ``ENUMERATION_GUARD`` if None; a negative guard is
+    refused as a usage error."""
+    g = ENUMERATION_GUARD if guard is None else guard
     if g < 0:
         raise ParameterOutOfRange(f"guard must be non-negative, got {g}")
     return g
 
 
+def factorial_past(n: int, cap: int) -> int:
+    """n!, or a smaller factorial past ``cap``: it compares with ``cap`` as
+    n! does, without building a huge n!."""
+    f = k = 1
+    while k < n and f <= cap:
+        k += 1
+        f *= k
+    return f
+
+
 def check_guard(n: int, guard: int | None, what: str) -> None:
-    """Refuse ``what`` at n past the guard, ``DEFAULT_GUARD`` if None."""
+    """Refuse ``what`` at n past the guard, ``ENUMERATION_GUARD`` if None."""
     g = guard_value(guard)
     if n > g:
         raise TooLargeForEnumeration(

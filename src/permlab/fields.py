@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .enumeration import SWEEP_GUARD, check_guard
+from .enumeration import SWEEP_GUARD, check_guard, factorial_past
 from .errors import GuardRefusal, MalformedPartition, ParameterOutOfRange
 from .perms import Permutation, is_int
 
@@ -40,7 +40,7 @@ class PartitionStrategy:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.assignment) != factorial(self.n):
+        if len(self.assignment) != factorial_past(self.n, len(self.assignment)):
             raise ParameterOutOfRange(
                 f"assignment length {len(self.assignment)} != {self.n}!")
         if self.m < 1 or any(not 0 <= a < self.m for a in self.assignment):

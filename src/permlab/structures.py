@@ -7,19 +7,14 @@ points in place (sigma(i) = i) and where they push points s ahead
 * ``count_required_displacements`` -- all of I fixed, all of J pushed (free
   elsewhere); a closed-form factorial count;
 * ``count_exact_displacements``  -- fixed exactly on I, pushed exactly on J;
-  inclusion-exclusion over the rook numbers of the forbidden cells;
 * ``count_optional_displacements`` -- all of I fixed, all of J pushed, and
-  every position in K either fixed or pushed; closed form 2^|K| (n-|I u J u K|)!
-  whenever K is feasible, otherwise a sum of required counts over the ways
-  to split K into fixed and pushed positions.
+  every position in K either fixed or pushed.
 
-The cells of two displacement diagonals form closed chains in which each
-cell shares a row or a column with its two neighbours and with no other
-cell (the menage board; Touchard 1934, Kaplansky 1943). The rook
-polynomial of such a chain comes from a two-state transfer along it, and
-the exact count and the joint shift table follow by inclusion-exclusion.
-Every count is an exact integer, and the counts that once swept all n!
-permutations keep that sweep's guard.
+The fixed and pushed cells of a shift form closed chains (the menage board;
+Touchard 1934, Kaplansky 1943). ``_board`` takes the rook polynomial of any
+of its cells; both counts and the joint shift table read it, in exact
+integers. They enumerate nothing and take no guard: each refuses before the
+work only when a bound on its bytes exceeds what this process may use.
 
 A pair (I, J) is *compatible* for s when I, J, I-s, J+s are pairwise
 disjoint; K is *feasible* when it also avoids itself shifted and all four of
@@ -34,12 +29,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from . import counting
-from .enumeration import check_guard, guard_value
+from .enumeration import check_memory, factorial_past, guard_value
 from .errors import ParameterOutOfRange, TooLargeForEnumeration
 
 
@@ -126,11 +121,8 @@ def is_feasible(K: IndexSet, I: IndexSet, J: IndexSet, s: int) -> bool:
 
 
 def count_required_displacements(I: IndexSet, J: IndexSet, s: int) -> int:
-    """Permutations fixing all of I and pushing all of J by s (free elsewhere).
-
-    Zero when the constraints clash (I meets J, or I meets J+s); otherwise
-    exactly (n - |I u J|)! permutations.
-    """
+    """Permutations fixing all of I and pushing all of J by s: zero when
+    I meets J or J + s, otherwise (n - |I u J|)!."""
     n = _require_same_n(I, J)
     s = _require_nonzero_shift(n, s)
     if _clash(I.as_set(), J.as_set(), n, s):
@@ -156,24 +148,13 @@ def _times(a: Counter, b: Counter) -> Counter:
 
 
 def _open_chain(cells: Sequence[tuple[int, int] | None]) -> Counter:
-    """Rook polynomial of an open chain of cells, each sharing a row or a
-    column with the next and with no other. ``cells[c]`` is the monomial a
-    rook on cell c counts toward, (1, 0) or (0, 1); None marks a removed
-    cell."""
+    """Rook polynomial of an open chain of cells, each sharing a line with
+    the next and no other; None marks a removed cell."""
     empty, held = Counter({(0, 0): 1}), Counter()   # by the last cell's state
     for cell in cells:
         empty, held = empty + held, (Counter() if cell is None
                                      else _times(empty, Counter([cell])))
     return empty + held
-
-
-def _closed_chain(cells: Sequence[tuple[int, int] | None]) -> Counter:
-    """Rook polynomial of a closed chain: the placements that leave cell 0
-    empty, plus those holding it and so leaving both its neighbours empty."""
-    out = _open_chain(cells[1:])
-    if cells[0] is not None:
-        out += _times(_open_chain(cells[2:-1]), Counter([cells[0]]))
-    return out
 
 
 def _exactly(at_least: Sequence[int]) -> list[int]:
@@ -184,59 +165,75 @@ def _exactly(at_least: Sequence[int]) -> list[int]:
             for a in range(len(at_least))]
 
 
-def count_exact_displacements(I: IndexSet, J: IndexSet, s: int,
-                              guard: int | None = None) -> int:
-    """Permutations fixed exactly on I and pushed by s exactly on J.
-
-    With I and J pinned, the m other positions must avoid both their fixed
-    cell (r, r) and their pushed cell (r, r + s). Along each of the
-    gcd(n, s) cycles of x -> x + s those cells form a closed chain, from
-    which the pins remove the cells of their rows and columns. With r_k the
-    rook numbers of what is left, the count is sum_k (-1)^k r_k (m - k)!.
+def _board(n: int, s: int,
+           cell: Callable[[int, bool], tuple[int, int] | None]) -> Counter:
+    """Rook polynomial of the fixed cells (y, y) and pushed cells (y, y + s)
+    that ``cell(y, pushed)`` gives a monomial. Each cycle of x -> x + s holds
+    a closed chain of them, each cell sharing a line with both neighbours: a
+    placement leaves its first cell empty, or holds it and not its neighbours.
     """
-    n = _require_same_n(I, J)
-    s = _require_nonzero_shift(n, s)
-    check_guard(n, guard, "the exact displacement count")
-    if _clash(I.as_set(), J.as_set(), n, s):
-        return 0
-    rows = I.as_set() | J.as_set()
-    cols = I.as_set() | _moved(J.elements, s, n)
     g = math.gcd(n, s)
     rooks = Counter({(0, 0): 1})
     for x in range(g):
-        chain = []
-        for y in range(x, x + n * s // g, s):
-            y %= n
-            free = y not in rows
-            chain.append((1, 0) if free and y not in cols else None)
-            chain.append((1, 0) if free and (y + s) % n not in cols else None)
-        rooks = _times(rooks, _closed_chain(chain))
+        chain = [cell((x + k * s) % n, pushed)
+                 for k in range(n // g) for pushed in (False, True)]
+        closed = _open_chain(chain[1:])
+        if chain[0] is not None:
+            closed += _times(_open_chain(chain[2:-1]), Counter([chain[0]]))
+        rooks = _times(rooks, closed)
+    return rooks
+
+
+def _board_bytes(n: int) -> int:
+    """Bytes for a board of one kind of cell: n + 1 rook numbers below 4^n
+    and 128 bytes each, eight times over (about twice the traced peak)."""
+    return 8 * (n + 1) * (n // 4 + 128) + 4096
+
+
+def _table_bytes(n: int) -> int:
+    """Bytes for the joint table: (n + 1)^2 entries below n! < 2^(n b), b the
+    bit length of n, and 128 bytes each, four times over (2-5x the peak)."""
+    return 4 * (n + 1) ** 2 * (n * n.bit_length() // 8 + 128)
+
+
+def count_exact_displacements(I: IndexSet, J: IndexSet, s: int) -> int:
+    """Permutations fixed exactly on I and pushed by s exactly on J.
+
+    With I and J pinned, the m other positions must avoid their fixed and
+    their pushed cells in the columns the pins leave. With r_k the rook
+    numbers of those cells, the count is sum_k (-1)^k r_k (m - k)!.
+    """
+    n = _require_same_n(I, J)
+    s = _require_nonzero_shift(n, s)
+    check_memory(_board_bytes(n), f"the exact displacement count at n={n}")
+    i, j = I.as_set(), J.as_set()
+    if _clash(i, j, n, s):
+        return 0
+    rows, cols = i | j, i | _moved(j, s, n)
+    rooks = _board(n, s, lambda y, pushed: None if y in rows or
+                   (y + s * pushed) % n in cols else (1, 0))
     m = n - len(rows)
     return sum((-1) ** k * c * factorial(m - k) for (k, _), c in rooks.items())
 
 
-def count_optional_displacements(K: IndexSet, I: IndexSet, J: IndexSet, s: int,
-                                 guard: int | None = None) -> int:
+def count_optional_displacements(K: IndexSet, I: IndexSet, J: IndexSet,
+                                 s: int) -> int:
     """Permutations fixing I, pushing J, and fixing-or-pushing every k in K.
 
-    Feasible K: closed form 2^|K| * (n - |I u J u K|)!. Otherwise (guarded),
-    as no position is both fixed and pushed when s != 0, the count is the
-    sum over the splits of K into fixed and pushed parts of the required
-    counts, each (n - |I u J u K|)! unless the split clashes.
+    Each placement of a rook in every row of K outside I u J, on its fixed
+    or pushed cell in a column the pins leave, has (n - |I u J u K|)!
+    completions; a feasible K has no two cells in a line: 2^|K| placements.
     """
     n = _require_same_n(K, I, J)
     s = _require_nonzero_shift(n, s)
-    if is_feasible(K, I, J, s):
-        rest = n - len(I.as_set() | J.as_set() | K.as_set())
-        return (1 << len(K)) * factorial(rest)
-    check_guard(n, guard, "the optional displacement count")
-    k = K.as_set()
-    splits = 0
-    for pushed in product((False, True), repeat=len(K)):
-        k_pushed = {x for x, p in zip(K.elements, pushed) if p}
-        splits += not _clash(I.as_set() | (k - k_pushed),
-                             J.as_set() | k_pushed, n, s)
-    return splits * factorial(n - len(I.as_set() | J.as_set() | k))
+    check_memory(_board_bytes(n), f"the optional displacement count at n={n}")
+    i, j, k = I.as_set(), J.as_set(), K.as_set()
+    if _clash(i, j, n, s):
+        return 0
+    rows, cols = k - i - j, i | _moved(j, s, n)
+    rooks = _board(n, s, lambda y, pushed: (1, 0) if y in rows and
+                   (y + s * pushed) % n not in cols else None)
+    return rooks[len(rows), 0] * factorial(n - len(i | j | k))
 
 
 @dataclass(frozen=True)
@@ -255,11 +252,7 @@ class ProbabilityReport:
 def _check_outcomes(kind: str, count: int, guard: int | None) -> None:
     """Refuse exact ``kind`` past (guard)! outcomes, before building any."""
     g = guard_value(guard)
-    limit = f = 1     # min(g!, a factorial >= count): no g! for a huge g
-    while f < g and limit < count:
-        f += 1
-        limit *= f
-    if count > limit:
+    if count > factorial_past(g, count):
         raise TooLargeForEnumeration(
             f"exact {kind} enumerates more than {g}! outcomes")
 
@@ -424,24 +417,20 @@ def _require_classes(n: int, i: int, j: int) -> None:
         raise ParameterOutOfRange(f"classes ({i}, {j}) not in 0..{n - 1}")
 
 
-def joint_shift_table(n: int, i: int, j: int,
-                      guard: int | None = None) -> dict[tuple[int, int], Fraction]:
+def joint_shift_table(n: int, i: int,
+                      j: int) -> dict[tuple[int, int], Fraction]:
     """Exact joint distribution of the sizes of shift classes i and j.
 
-    Class l holds the cells (x, x - l). The cells of classes i and j form
-    gcd(n, i - j) equal closed chains of 2n/g cells, alternating between the
-    classes, so R_{p,q} -- placements of p rooks in class i and q in class j
-    -- is the g-th power of one chain's polynomial. Permutations through a
-    chosen placement number R_{p,q} (n - p - q)!, and binomial inversion in
-    p and then q leaves the counts with exactly a and b.
+    Class l holds the cells (x, x - l); moving every column on by i makes
+    classes i and j the fixed and pushed cells of s = i - j. Permutations
+    through a placement of p rooks in class i and q in class j number
+    R_{p,q} (n - p - q)!, and binomial inversion in p, then q, leaves those
+    with exactly a and b.
     """
     _require_classes(n, i, j)
-    check_guard(n, guard, "the joint shift table")
-    g = math.gcd(n, i - j)
-    chain = _closed_chain([(1, 0), (0, 1)] * (n // g))
-    rooks = Counter({(0, 0): 1})
-    for _ in range(g):
-        rooks = _times(rooks, chain)
+    check_memory(_table_bytes(n), f"the joint shift table at n={n}")
+    rooks = _board(n, (i - j) % n,
+                   lambda y, pushed: (0, 1) if pushed else (1, 0))
     at_least = [[0] * (n + 1) for _ in range(n + 1)]
     for (p, q), c in rooks.items():
         at_least[p][q] = c * factorial(n - p - q)
@@ -451,12 +440,11 @@ def joint_shift_table(n: int, i: int, j: int,
             for a in range(n + 1) for b in range(n + 1) if by_b[b][a]}
 
 
-def joint_shift_pmf(n: int, i: int, j: int, t: int,
-                    guard: int | None = None) -> Fraction:
+def joint_shift_pmf(n: int, i: int, j: int, t: int) -> Fraction:
     """Exact probability that shift classes i and j both have size t."""
     if not 0 <= t <= n:
         raise ParameterOutOfRange(f"t={t} not in 0..{n}")
-    return joint_shift_table(n, i, j, guard).get((t, t), Fraction(0))
+    return joint_shift_table(n, i, j).get((t, t), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -481,8 +469,7 @@ class IndicatorStat:
 
 def covariance_estimate(n: int, t: int, i: int, j: int,
                         trials: int = 100_000, seed: int = 0,
-                        mode: str = "sampled",
-                        guard: int | None = None) -> IndicatorStat:
+                        mode: str = "sampled") -> IndicatorStat:
     """Covariance of the two indicator variables, sampled or exact.
 
     Sampled mode draws ``trials`` seeded permutations (trial index keyed, so
@@ -492,8 +479,8 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
     _require_classes(n, i, j)
     if not 0 <= t <= n:
         raise ParameterOutOfRange(f"t={t} not in 0..{n}")
-    if mode == "exact":   # the joint table refuses past the guard at once
-        e_zz = joint_shift_pmf(n, i, j, t, guard)
+    if mode == "exact":   # the joint table refuses past memory at once
+        e_zz = joint_shift_pmf(n, i, j, t)
         marginal = counting.shift_count_pmf(n, t)
         cov = e_zz - marginal * marginal
         return IndicatorStat(n, t, i, j, "exact", None,

@@ -7,6 +7,7 @@ import importlib
 import inspect
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -184,7 +185,13 @@ class TestStructure:
         assert 0.0 <= lines[1]["probability"] <= 1.0
 
     def test_guard_refusal(self, capsys):
-        code, _, _ = run_cli(capsys, "structure", "joint", "--n", "12",
+        # no order guard on the joint table: n = 12 answers, and only a
+        # table past memory is refused
+        code, lines, _ = run_cli(capsys, "structure", "joint", "--n", "12",
+                                 "--i", "0", "--j", "1", "--t", "1")
+        assert code == 0
+        assert lines[0]["config"]["guard"] is None
+        code, _, _ = run_cli(capsys, "structure", "joint", "--n", "1000000",
                              "--i", "0", "--j", "1", "--t", "1")
         assert code == 3
 
@@ -330,13 +337,14 @@ _GUARD_REFUSALS = {
     "field-brute": ("field", "--brute", "--n", "9", "--m", "2"),
     "field-partition": ("field", "--partition", "PART", "--guard", "2"),
     "dedup": ("dedup", "--partition", "PART", "--guard", "2"),
-    "structure-phi": ("structure", "phi", "--n", "11", "--set-i", "0",
+    "structure-phi": ("structure", "phi", "--n", "1000000", "--set-i", "0",
                       "--set-j", "2"),
-    "structure-joint": ("structure", "joint", "--n", "12", "--i", "0",
+    "structure-joint": ("structure", "joint", "--n", "1000000", "--i", "0",
                         "--j", "1"),
-    "structure-cov": ("structure", "cov", "--n", "12", "--i", "0", "--j", "1"),
-    "structure-pset-infeasible": ("structure", "pset", "--n", "11", "--s", "2",
-                                  "--set-i", "0", "--set-j", "5",
+    "structure-cov": ("structure", "cov", "--n", "1000000", "--i", "0",
+                      "--j", "1"),
+    "structure-pset-infeasible": ("structure", "pset", "--n", "1000000",
+                                  "--s", "2", "--set-i", "0", "--set-j", "5",
                                   "--set-k", "1,3"),
     "structure-compatible": ("structure", "compatible", "--n", "40",
                              "--t", "4"),
@@ -344,6 +352,9 @@ _GUARD_REFUSALS = {
                            "--k", "28"),
     "pmf": ("pmf", "--n", "1000000"),
 }
+# the refusals past memory, which no --guard lifts
+_MEMORY_REFUSALS = {"structure-phi", "structure-joint", "structure-cov",
+                    "structure-pset-infeasible", "pmf"}
 
 
 def _with_partition(tmp_path, argv):
@@ -472,6 +483,21 @@ class TestUsageErrors:
         argv = (command, "--partition", str(path))
         assert self.usage_error_stdout(capsys, argv) == ""
 
+    @pytest.mark.parametrize("command", ["field", "dedup"])
+    def test_huge_partition_order_rejected_at_once(self, capsys, tmp_path,
+                                                   command):
+        # the length is compared with n! without building n!
+        path = tmp_path / "part.json"
+        path.write_text('{"n": 1000000, "m": 1, "assignment": []}')
+        start = time.perf_counter()
+        code = main([command, "--partition", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: assignment length 0 != 1000000!\n"
+        assert captured.out == ""
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize("argv", [
         ("field", "--brute", "--n", "3", "--m", "2"),
         ("dedup", "--partition", "PART"),
@@ -511,18 +537,23 @@ class TestUsageErrors:
         argv = command + ("--strategy", f"latin:{path}")
         assert self.usage_error_stdout(capsys, argv) == ""
 
-    @pytest.mark.parametrize("argv", list(_GUARD_REFUSALS.values()),
+    @pytest.mark.parametrize("name", list(_GUARD_REFUSALS),
                              ids=list(_GUARD_REFUSALS))
-    def test_guard_refusal_prints_nothing(self, capsys, tmp_path, argv):
+    def test_guard_refusal_prints_nothing(self, capsys, tmp_path, name):
         # one text for every guard; it offers --guard exactly where the
-        # command has that flag, and names no function of the package
+        # command has that flag and the refusal is not one past memory, and
+        # names no function of the package
+        argv = _GUARD_REFUSALS[name]
         code = main(_with_partition(tmp_path, argv))
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err.startswith("refused: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
-        lifted = _has_guard_flag(argv[0])
+        memory = name in _MEMORY_REFUSALS
+        assert bool(re.search(r" needs \d+ bytes; this process may use \d+$",
+                              captured.err)) == memory
+        lifted = _has_guard_flag(argv[0]) and not memory
         assert ("--guard" in captured.err) == lifted
         assert ("larger" in captured.err) == lifted
         assert not [name for name in _function_names()
@@ -557,18 +588,22 @@ class TestUsageErrors:
         assert elapsed < 1.0
         assert peak < 1_000_000   # not even one byte per position
 
-    @pytest.mark.parametrize("argv", [
-        ("structure", "phi", "--n", "11", "--set-i", "0", "--set-j", "2"),
-        ("structure", "joint", "--n", "12", "--i", "0", "--j", "1"),
-        ("structure", "pset", "--n", "11", "--s", "2", "--set-i", "0",
-         "--set-j", "5", "--set-k", "1,3"),
+    @pytest.mark.parametrize("argv, what", [
+        (("structure", "phi", "--n", "1000000", "--set-i", "0",
+          "--set-j", "2"), "the exact displacement count"),
+        (("structure", "joint", "--n", "1000000", "--i", "0", "--j", "1"),
+         "the joint shift table"),
+        (("structure", "pset", "--n", "1000000", "--s", "2", "--set-i", "0",
+          "--set-j", "5", "--set-k", "1,3"), "the optional displacement count"),
     ], ids=["phi", "joint", "pset"])
-    def test_count_refusal_names_the_guard(self, capsys, argv):
-        # these counts enumerate nothing, so the refusal names no sweep
+    def test_count_refusal_names_the_guard(self, capsys, argv, what):
+        # these counts enumerate nothing: the one guard is memory, and the
+        # refusal names the count, not --guard and not a sweep
         code = main(list(argv))
         err = capsys.readouterr().err
         assert code == 3
-        assert "--guard" in err
+        assert err.startswith(f"refused: {what} at n=1000000 needs ")
+        assert "--guard" not in err and "sweep" not in err
         assert "perm_matrix" not in err and "permutations" not in err
 
     @pytest.mark.parametrize("argv", [

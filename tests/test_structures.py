@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -9,9 +11,10 @@ import pytest
 
 import numpy as np
 
+from permlab import enumeration, structures
 from permlab.counting import shift_count_pmf
 from permlab.enumeration import perm_matrix, row_blocks
-from permlab.errors import ParameterOutOfRange, TooLargeForEnumeration
+from permlab.errors import OutOfMemory, ParameterOutOfRange
 from permlab.perms import shift_counts
 from permlab.structures import (IndexSet, canonical_compatible_pair,
                                 compatible_pair_stats,
@@ -125,6 +128,21 @@ def sweep_optional(n, K, I, J, s):
     for S, values in ((I, fixed), (J, pushed), (K, fixed | pushed)):
         allowed[list(S)] &= values[list(S)]
     return sweep_rows(n, allowed)
+
+
+def split_optional(n, K, I, J, s):
+    """Reference: I fixed, J pushed, K fixed-or-pushed, as a sum over the
+    2^|K| splits of K into fixed and pushed positions. A split pins each
+    position to one value; it counts (n - pinned)! permutations when no
+    position is pinned to two values and no value is taken twice."""
+    hits = 0
+    for pushed in itertools.product((False, True), repeat=len(K)):
+        pins = [(i, i) for i in I] + [(j, (j + s) % n) for j in J]
+        pins += [(k, (k + s) % n if p else k) for k, p in zip(K, pushed)]
+        value = dict(pins)
+        if len(value) == len(set(pins)) == len(set(value.values())):
+            hits += factorial(n - len(value))
+    return hits
 
 
 def sweep_joint_counts(n):
@@ -273,8 +291,14 @@ class TestExactCount:
         assert 0.7 * target <= ratio <= 1.3 * target
 
     def test_guard(self):
-        with pytest.raises(TooLargeForEnumeration):
-            count_exact_displacements(iset(11, 0), iset(11, 2), 1)
+        # no order guard: the count answers past n = 10 and refuses only
+        # past memory
+        assert count_exact_displacements(iset(11), iset(11), 1) == 4890741
+        n = 10 ** 6
+        with pytest.raises(OutOfMemory, match=(
+                f"^the exact displacement count at n={n} needs "
+                f"{structures._board_bytes(n)} bytes; this process may use ")):
+            count_exact_displacements(iset(n, 0), iset(n, 2), 1)
 
 
 class TestOptionalCount:
@@ -375,12 +399,12 @@ class TestFormulasAgainstSweeps:
         # no point fixed and none pushed by 1: the menage numbers U_n
         # (OEIS A000179)
         menage = [1, 2, 13, 80, 579, 4738, 43387, 439792, 4890741, 59216642]
-        assert [count_exact_displacements(iset(n), iset(n), 1, guard=12)
+        assert [count_exact_displacements(iset(n), iset(n), 1)
                 for n in range(3, 13)] == menage
 
     def test_joint_marginals_at_n30(self):
         n = 30
-        table = joint_shift_table(n, 0, 1, guard=n)
+        table = joint_shift_table(n, 0, 1)
         for size in range(n + 1):
             for axis in (0, 1):
                 marginal = sum(p for ab, p in table.items()
@@ -388,15 +412,102 @@ class TestFormulasAgainstSweeps:
                 assert marginal == shift_count_pmf(n, size), (size, axis)
 
     def test_guards_stay(self):
-        with pytest.raises(TooLargeForEnumeration):
-            joint_shift_table(11, 0, 1)
-        with pytest.raises(TooLargeForEnumeration):
-            count_optional_displacements(iset(11, 1, 3), iset(11, 0),
-                                         iset(11, 5), 2)
-        # a feasible K has a closed form and needs no guard
+        # the order guard of the sweeps is gone; memory refuses instead
+        n = 10 ** 6
+        with pytest.raises(OutOfMemory, match=(
+                f"^the joint shift table at n={n} needs "
+                f"{structures._table_bytes(n)} bytes; ")):
+            joint_shift_table(n, 0, 1)
+        with pytest.raises(OutOfMemory, match=(
+                f"^the optional displacement count at n={n} needs "
+                f"{structures._board_bytes(n)} bytes; ")):
+            count_optional_displacements(iset(n, 1, 3), iset(n, 0),
+                                         iset(n, 5), 2)
+        assert sum(joint_shift_table(11, 0, 1).values()) == 1
+        assert count_optional_displacements(iset(11, 1, 3), iset(11, 0),
+                                            iset(11, 5), 2) == \
+            split_optional(11, (1, 3), (0,), (5,), 2)
+        # a feasible K: 2^|K| times the free rest
         assert count_optional_displacements(iset(11, 3), iset(11, 0),
                                             iset(11, 5), 2) == \
             2 * factorial(8)
+
+
+class TestOptionalBoard:
+    """The optional count against the split sum where the guarded split
+    sweep never ran, and against the masks for every K at n <= 6."""
+
+    def test_infeasible_k_past_the_old_guard(self):
+        rng = random.Random(14)
+        checked = nonzero = 0
+        while checked < 300:
+            n = rng.randint(12, 16)
+            s = rng.randrange(1, n)
+            I, J = (tuple(rng.sample(range(n), rng.randint(0, 2)))
+                    for _ in range(2))
+            K = tuple(rng.sample(range(n), rng.randint(1, 10)))
+            Ks, Is, Js = iset(n, *K), iset(n, *I), iset(n, *J)
+            if is_feasible(Ks, Is, Js, s):
+                continue
+            want = split_optional(n, K, I, J, s)
+            assert count_optional_displacements(Ks, Is, Js, s) == want, \
+                (n, s, K, I, J)
+            checked += 1
+            nonzero += want > 0
+        assert nonzero > 100   # not only clashes
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_k_against_masks(self, n):
+        pairs = [((), ()), ((0,), ()), ((), (n - 1,)), ((0,), (2 % n,))]
+        for s in range(1, n):
+            for I, J in pairs:
+                for size in range(n + 1):
+                    for K in itertools.combinations(range(n), size):
+                        got = count_optional_displacements(
+                            iset(n, *K), iset(n, *I), iset(n, *J), s)
+                        assert got == mask_optional(n, K, I, J, s), \
+                            (n, s, K, I, J)
+
+
+class TestBoardMemory:
+    """Each board kind refuses before the work when its bound exceeds the
+    memory this process may use, and the bound covers the traced peak."""
+
+    COUNTS = {
+        "phi": (structures._board_bytes, "the exact displacement count",
+                lambda n: count_exact_displacements(iset(n), iset(n), 1)),
+        "pset": (structures._board_bytes, "the optional displacement count",
+                 lambda n: count_optional_displacements(
+                     iset(n, *range(n)), iset(n), iset(n), 1)),
+        "joint": (structures._table_bytes, "the joint shift table",
+                  lambda n: joint_shift_table(n, 0, 1)),
+    }
+
+    @pytest.mark.parametrize("kind", COUNTS)
+    def test_refused_one_byte_short(self, monkeypatch, kind):
+        bound, what, run = self.COUNTS[kind]
+        n = 20
+        monkeypatch.setattr(enumeration, "memory_bytes", lambda: bound(n))
+        assert run(n)   # an exact fit runs
+        monkeypatch.setattr(enumeration, "memory_bytes", lambda: bound(n) - 1)
+        with pytest.raises(OutOfMemory, match=(
+                f"^{what} at n={n} needs {bound(n)} bytes; "
+                f"this process may use {bound(n) - 1}$")):
+            run(n)
+
+    @pytest.mark.parametrize("kind, sizes", [
+        ("phi", (30, 100)), ("pset", (30, 100)), ("joint", (10, 30))])
+    def test_bound_covers_the_traced_peak(self, kind, sizes):
+        bound, _, run = self.COUNTS[kind]
+        run(4)   # imports are not the work
+        for n in sizes:
+            tracemalloc.start()
+            try:
+                run(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound(n), (n, peak)
 
 
 class TestCompatiblePairStats:
