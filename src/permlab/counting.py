@@ -9,16 +9,10 @@ common shift), it is bracketed by rational Taylor partial sums
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial as _factorial
+from math import comb, factorial
 
 from . import enumeration
 from .errors import ParameterOutOfRange
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial of a negative number")
-    return _factorial(n)
 
 
 def derangements(n: int) -> int:
@@ -50,8 +44,8 @@ def _horner_steps(a: int, b: int) -> tuple[int, int]:
 
 def e_bounds(order: int) -> tuple[Fraction, Fraction]:
     """Rational bracket lo <= e <= hi from the Taylor series at ``order``."""
-    partial = sum(Fraction(1, _factorial(i)) for i in range(order + 1))
-    return partial, partial + Fraction(3, _factorial(order + 1))
+    partial = sum(Fraction(1, factorial(i)) for i in range(order + 1))
+    return partial, partial + Fraction(3, factorial(order + 1))
 
 
 def rencontres(n: int, r: int) -> int:
@@ -66,7 +60,7 @@ def shift_count_pmf(n: int, k: int) -> Fraction:
     has size k; the same for every class, and equal to D_{n,k}/n!."""
     if not 0 <= k <= n:
         raise ParameterOutOfRange(f"k={k} not in 0..{n}")
-    return Fraction(derangements(n - k), _factorial(k) * _factorial(n - k))
+    return Fraction(derangements(n - k), factorial(k) * factorial(n - k))
 
 
 def _row_bytes(n: int) -> int:
@@ -101,12 +95,12 @@ def rencontres_upper_bound_holds(n: int, r: int) -> bool:
     """Exact check of D_{n,r} <= n!/r!."""
     if not 0 <= r <= n:
         raise ParameterOutOfRange(f"r={r} not in 0..{n}")
-    return rencontres(n, r) * _factorial(r) <= _factorial(n)
+    return rencontres(n, r) * factorial(r) <= factorial(n)
 
 
 def _twice_e_times_factorial_le(k: int, n: int) -> bool:
     """Decide 2e*k! <= n exactly via rational brackets on e."""
-    f = _factorial(k)
+    f = factorial(k)
     order = 8
     while True:
         lo_e, hi_e = e_bounds(order)

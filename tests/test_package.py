@@ -2,13 +2,15 @@
 
 ``permlab`` resolves its exported names and its submodules on first use, so
 a command that builds no array never imports numpy. These tests pin the
-names, the submodules, the commands that stay numpy-free, and that every
-``from permlab... import`` in the demos and the README resolves.
+names, the submodules, the commands that stay numpy-free, that every
+``from permlab... import`` in the demos and the README resolves, and that
+the fast demos run cleanly.
 """
 
 import ast
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -155,6 +157,18 @@ def test_demo_and_readme_imports_resolve():
     for where, module, name in found:
         assert hasattr(importlib.import_module(module), name), \
             (where, module, name)
+
+
+@pytest.mark.parametrize("demo", ["01_worked_deck.py", "03_field_landscape.py",
+                                  "05_pattern_counts.py"])
+def test_fast_demos_run_cleanly(demo):
+    # 02 and 04 take 10-30 s each and are left out
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout.strip()
 
 
 def test_simulate_starts_no_process_pool():

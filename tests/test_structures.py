@@ -4,8 +4,9 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -157,6 +158,51 @@ def sweep_joint_counts(n):
         return {divmod(key, n + 1): int(c)
                 for key, c in enumerate(keys) if c}
     return counts
+
+
+# The Counter builder that ``structures._board`` replaced, kept as its
+# oracle: a rook polynomial maps (p, q) to the placements of p rooks on cells
+# of one kind and q on cells of the other, no two in a line.
+def counter_times(a, b):
+    out = Counter()
+    for (p1, q1), c1 in a.items():
+        for (p2, q2), c2 in b.items():
+            out[p1 + p2, q1 + q2] += c1 * c2
+    return out
+
+
+def counter_open_chain(cells):
+    """Rook polynomial of an open chain of cells, each sharing a line with
+    the next and no other; None marks a removed cell."""
+    empty, held = Counter({(0, 0): 1}), Counter()   # by the last cell's state
+    for cell in cells:
+        empty, held = empty + held, (Counter() if cell is None
+                                     else counter_times(empty, Counter([cell])))
+    return empty + held
+
+
+def counter_board(n, s, cell):
+    """Rook polynomial of the fixed cells (y, y) and pushed cells (y, y + s)
+    to which ``cell(y, pushed)`` gives a monomial (p, q), as a product over
+    the closed chains of x -> x + s."""
+    g = math.gcd(n, s)
+    rooks = Counter({(0, 0): 1})
+    for x in range(g):
+        chain = [cell((x + k * s) % n, pushed)
+                 for k in range(n // g) for pushed in (False, True)]
+        closed = counter_open_chain(chain[1:])
+        if chain[0] is not None:
+            closed += counter_times(counter_open_chain(chain[2:-1]),
+                                    Counter([chain[0]]))
+        rooks = counter_times(rooks, closed)
+    return rooks
+
+
+def comb_exactly(at_least):
+    """Binomial inversion: sum_p (-1)^(p-a) C(p, a) N_p for every a."""
+    return [sum((-1) ** (p - a) * comb(p, a) * at_least[p]
+                for p in range(a, len(at_least)))
+            for a in range(len(at_least))]
 
 
 def small_sets(n):
@@ -467,6 +513,68 @@ class TestOptionalBoard:
                             iset(n, *K), iset(n, *I), iset(n, *J), s)
                         assert got == mask_optional(n, K, I, J, s), \
                             (n, s, K, I, J)
+
+
+def kept_cells(n, s, I, J, K=None):
+    """``keep(y, pushed)`` for the cells that the exact count (K None) or
+    the optional count reads, as those counts choose them."""
+    fixed, pushed_ = set(I), set(J)
+    cols = fixed | {(j + s) % n for j in pushed_}
+    if K is None:
+        return lambda y, pushed: not (y in fixed | pushed_
+                                      or (y + s * pushed) % n in cols)
+    rows = set(K) - fixed - pushed_
+    return lambda y, pushed: y in rows and (y + s * pushed) % n not in cols
+
+
+class TestPackedBoard:
+    """``structures._board`` and ``_exactly`` against the Counter builder
+    and the binomial inversion they replaced."""
+
+    def test_exact_and_optional_boards(self):
+        rng = random.Random(16)
+        for _ in range(400):
+            n = rng.randint(2, 14)
+            s = rng.randrange(1, n)
+            I, J, K = (rng.sample(range(n), rng.randint(0, min(n, 4)))
+                       for _ in range(3))
+            for keep in (kept_cells(n, s, I, J), kept_cells(n, s, I, J, K)):
+                got = structures._board(
+                    n, s, lambda y, pushed: 1 if keep(y, pushed) else None)
+                want = counter_board(
+                    n, s, lambda y, pushed: (1, 0) if keep(y, pushed) else None)
+                assert {k: c for k, c in enumerate(got) if c} == \
+                    {p: c for (p, _), c in want.items()}, (n, s, I, J, K)
+
+    @pytest.mark.parametrize("n", [*range(2, 25), 31, 35, 39])
+    def test_joint_boards(self, n):
+        # n = 4k + 3 leaves each coefficient its narrowest field, 2n + 2
+        # bits; past n = 24, shifts with gcd(n, s) = 1, 3, 5, 7 or 13
+        for s in range(1, n) if n < 25 else (1, 3, 5, 7, 13):
+            got = structures._board(n, s,
+                                    lambda y, pushed: 1 if pushed else n + 1)
+            want = counter_board(n, s,
+                                 lambda y, pushed: (0, 1) if pushed else (1, 0))
+            assert {divmod(k, n + 1): c for k, c in enumerate(got) if c} == \
+                dict(want), (n, s)
+
+    def test_exactly(self):
+        rng = random.Random(16)
+        for size in range(12):
+            for _ in range(20):
+                at_least = [rng.randint(-10 ** 30, 10 ** 30)
+                            for _ in range(size)]
+                assert structures._exactly(at_least) == \
+                    comb_exactly(at_least), at_least
+
+    @pytest.mark.parametrize("n", [12, 18])
+    def test_joint_law_depends_on_the_gcd_only(self, n):
+        # the gcd(n, d) closed chains fold into one board: the tables of
+        # classes 0 and d agree exactly when gcd(n, d) does
+        tables = {d: joint_shift_table(n, 0, d) for d in range(1, n)}
+        for d, e in itertools.product(tables, repeat=2):
+            assert (tables[d] == tables[e]) == \
+                (math.gcd(n, d) == math.gcd(n, e)), (n, d, e)
 
 
 class TestBoardMemory:
