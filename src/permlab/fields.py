@@ -29,6 +29,7 @@ from .errors import GuardRefusal, MalformedPartition, ParameterOutOfRange
 from .perms import Permutation, is_int
 
 DEFAULT_BUDGET = 2_000_000
+BULK_LEAVES = 1 << 16   # potential leaves of a subtree the search counts in bulk
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,66 @@ def _aic_holds(n: int, classes: list[list[tuple[int, ...]]]) -> bool:
     return False
 
 
+def _bulk_count(taps: list[list[tuple[int, int]]], deficits: list[int],
+                field: int, used: int, best: int, room: int, n: int,
+                width: int) -> int | None:
+    """Nodes of the field search below one node, counted in bulk, or None.
+
+    The node leaves len(taps) ranks unassigned; taps[j] holds (top-bit
+    shift, column[k]) for each cell (i, k) of the j-th of them. ``deficits``
+    are the packed deficits of the classes the subtree can use, ``field``
+    and ``used`` the node's field and used labels. A level is a set of rows,
+    one per node: its classes' deficits in uint64, its field and its used
+    labels. The incumbent ``best`` stays fixed, so the count equals the
+    walk's when no leaf beats it; when one does, or when the count passes
+    ``room``, the answer is None and the walk takes the subtree back.
+    """
+    import numpy as np
+    ones = sum(1 << (f * width) for f in range(n * n))
+    tops = ones << (width - 1)
+    rows = np.array([deficits], dtype=np.uint64)
+    scores = np.array([field], dtype=np.uint64)
+    useds = np.array([used], dtype=np.uint64)
+    count = 0
+    for left, rank in zip(range(len(taps) - 1, -1, -1), taps):
+        # keep a child iff child + n * (ranks left) > best; on the last
+        # rank, a kept child is a leaf that beats the incumbent
+        floor = max(best + 1 - n * left, 0)
+        # a push adds sum_k t_k * column[k] - cells[rank], mod 2**64
+        minus_cells = (1 << 64) - sum(1 << (shift - width + 1)
+                                      for shift, _ in rank)
+        picks = []
+        for h in range(min(len(deficits), int(useds.max()) + 1)):
+            first_use = useds >= h
+            count += int(np.count_nonzero(first_use))
+            if count > room:
+                return None
+            tight = ~((rows[:, h] | tops) - ones) & tops
+            gain = np.zeros_like(scores)
+            delta = np.full_like(scores, minus_cells)
+            for shift, col in rank:
+                t = (tight >> shift) & 1
+                gain += t
+                if left:
+                    delta += t * col
+            idx = np.flatnonzero(first_use & (scores + gain >= floor))
+            if not left and len(idx):
+                return None
+            picks.append((idx, gain[idx], delta[idx]))
+        src = np.concatenate([idx for idx, _, _ in picks])
+        if not len(src):
+            return count
+        rows, scores, useds = rows[src], scores[src], useds[src]
+        start = 0
+        for h, (idx, gain, delta) in enumerate(picks):
+            part = slice(start, start + len(idx))
+            rows[part, h] += delta
+            scores[part] += gain
+            useds[part] += useds[part] == h
+            start = part.stop
+    return count
+
+
 @dataclass(frozen=True)
 class FieldSearchResult:
     field: int
@@ -195,6 +256,21 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     popcount, read without a push. The parent loop applies the child's prune
     or leaf test, so only children that recurse are pushed (a delta cached per
     rank and tight pattern is added) and popped; every child counts as a node.
+
+    Without a restriction, and when a class fits one uint64 (width * n**2 <=
+    64, so n <= 4), the walk counts some subtrees in bulk: at the depth that
+    leaves the fewest ranks r with m**r >= ``BULK_LEAVES`` potential leaves,
+    once an incumbent exists, :func:`_bulk_count` counts the subtree level
+    by level with the incumbent held fixed. The nodes of a subtree depend
+    only on the incumbent, which cannot change in a subtree where no leaf
+    beats it, so that count is the walk's. If a leaf beats the incumbent, or
+    the count passes the budget, the walk takes the subtree back and
+    searches it as above; only the walk moves the incumbent, sets the
+    witness or refuses. A stored level holds at most m**(r-1) <
+    ``BULK_LEAVES`` rows (the leaves are tested, not stored), so memory is
+    bounded whatever m is. numpy is imported only when a bulk count runs.
+    Under the aic restriction every leaf above the incumbent that the rule
+    rejects would send the subtree back, so restricted searches only walk.
     """
     if restriction not in (None, "aic"):
         raise ValueError(f"unknown restriction {restriction!r}")
@@ -225,6 +301,12 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     best_field = -1
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
+    bulk_depth = -1
+    if restriction is None and width * n * n <= 64:
+        bulk_depth = next((total - r for r in range(1, total + 1)
+                           if m ** r >= BULK_LEAVES), -1)
+        taps = [[((k * n + i) * width + width - 1, column[k])
+                 for i, k in enumerate(img)] for img in perms]
 
     def leaf_ok() -> bool:
         if restriction != "aic":
@@ -236,6 +318,13 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
 
     def dfs(depth: int, field: int, used: int) -> None:
         nonlocal best_field, best_assignment, nodes
+        if depth == bulk_depth and best_assignment is not None:
+            counted = _bulk_count(
+                taps[depth:], deficit[:min(m, used + total - depth)], field,
+                used, best_field, budget - nodes, n, width)
+            if counted is not None:
+                nodes += counted
+                return
         mask = under[depth]
         cached = deltas[depth]
         slack = n * (total - depth - 1)

@@ -90,22 +90,28 @@ def _require_nonzero_shift(n: int, s: int) -> int:
     return s
 
 
-def _blocked(I: IndexSet, J: IndexSet, s: int) -> set[int] | None:
-    """I u J u (I-s) u (J+s) when those four are pairwise disjoint, else
-    None; ``s`` is already checked."""
+def _blocked(i: frozenset[int], j: frozenset[int], s: int,
+             n: int) -> set[int] | None:
+    """i u j u (i-s) u (j+s) when those four are pairwise disjoint, else
+    None; the positions and ``s`` are already checked."""
     union: set[int] = set()
-    for part in (I.as_set(), J.as_set(),
-                 _moved(I.elements, -s, I.n), _moved(J.elements, s, J.n)):
+    for part in (i, j, _moved(i, -s, n), _moved(j, s, n)):
         if union & part:
             return None
         union |= part
     return union
 
 
+def _fits(k: frozenset[int], blocked: set[int], s: int, n: int) -> bool:
+    """K avoids K + s and the positions ``blocked`` by a compatible pair."""
+    return not (k & _moved(k, s, n) or k & blocked)
+
+
 def is_compatible(I: IndexSet, J: IndexSet, s: int) -> bool:
     """True iff I, J, I-s, J+s are pairwise disjoint."""
     n = _require_same_n(I, J)
-    return _blocked(I, J, _require_nonzero_shift(n, s)) is not None
+    s = _require_nonzero_shift(n, s)
+    return _blocked(I.as_set(), J.as_set(), s, n) is not None
 
 
 def is_feasible(K: IndexSet, I: IndexSet, J: IndexSet, s: int) -> bool:
@@ -113,11 +119,8 @@ def is_feasible(K: IndexSet, I: IndexSet, J: IndexSet, s: int) -> bool:
     I, J, I-s and J+s."""
     n = _require_same_n(K, I, J)
     s = _require_nonzero_shift(n, s)
-    blocked = _blocked(I, J, s)
-    if blocked is None:
-        return False
-    k = K.as_set()
-    return not (k & _moved(k, s, n) or k & blocked)
+    blocked = _blocked(I.as_set(), J.as_set(), s, n)
+    return blocked is not None and _fits(K.as_set(), blocked, s, n)
 
 
 def count_required_displacements(I: IndexSet, J: IndexSet, s: int) -> int:
@@ -140,10 +143,12 @@ def _clash(fixed: frozenset[int], pushed: frozenset[int], n: int,
 def _exactly(at_least: Sequence[int]) -> list[int]:
     """From N_p, the sum over permutations of C(hits, p), the number of
     permutations with exactly a hits, for every a: the coefficients of
-    N(x - 1), N(x) = sum_p N_p x^p, by repeated differences."""
+    N(x - 1), N(x) = sum_p N_p x^p, by repeated differences. Entries past
+    the last nonzero N_p stay zero, so the differences stop there."""
     exact = list(at_least)
-    for a in range(len(exact) - 1):
-        for p in range(len(exact) - 2, a - 1, -1):
+    top = max((p for p, c in enumerate(exact) if c), default=0)
+    for a in range(top):
+        for p in range(top - 1, a - 1, -1):
             exact[p] -= exact[p + 1]
     return exact
 
@@ -303,8 +308,8 @@ def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
              for J in combinations([x for x in range(n) if x not in I], t))
     return _estimate("compatible_pair", params, bound, mode, trials, seed,
                      pairs, count, range(n), 2 * t,
-                     lambda x: is_compatible(IndexSet.of(n, x[:t]),
-                                             IndexSet.of(n, x[t:]), s))
+                     lambda x: _blocked(frozenset(x[:t]), frozenset(x[t:]),
+                                        s, n) is not None)
 
 
 def _require_pair_room(n: int, t: int, s: int) -> int:
@@ -398,13 +403,14 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
         _check_outcomes("feasible_set", comb(n - 2 * t, k), guard)
     I, J = canonical_compatible_pair(n, t, s)
     complement = sorted(set(range(n)) - I.as_set() - J.as_set())
+    blocked = _blocked(I.as_set(), J.as_set(), s, n)
     bound = (1 - Fraction(2 * t + k, n - 2 * t - k)) ** k
     params = {"n": n, "t": t, "k": k, "s": s, "mode": mode,
               "I": list(I.elements), "J": list(J.elements)}
     return _estimate("feasible_set", params, bound, mode, trials, seed,
                      combinations(complement, k), comb(len(complement), k),
                      complement, k,
-                     lambda K: is_feasible(IndexSet.of(n, K), I, J, s))
+                     lambda K: _fits(frozenset(K), blocked, s, n))
 
 
 def _require_classes(n: int, i: int, j: int) -> None:

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from permlab import fields
 from permlab.errors import (GuardRefusal, MalformedPartition,
                             ParameterOutOfRange, TooLargeForEnumeration)
 from permlab.fields import (DedupResult, PartitionStrategy, _aic_holds,
@@ -309,6 +310,103 @@ class TestBruteForce:
     def test_guard_refusal(self):
         with pytest.raises(TooLargeForEnumeration):
             brute_force_field(9, 2, guard=8)
+
+
+def search_outcome(n, m, restriction=None, budget=2_000_000,
+                   search=brute_force_field):
+    """(field, nodes, witness assignment), or the refusal text."""
+    try:
+        got = search(n, m, restriction, budget=budget)
+    except GuardRefusal as exc:
+        return str(exc)
+    if isinstance(got, tuple):
+        return got
+    return got.field, got.nodes, got.witness.assignment
+
+
+@pytest.fixture(params=[4, 16])
+def bulk_exits(request, monkeypatch):
+    """Count subtrees in bulk from a few potential leaves up, so searches at
+    n <= 3 reach the bulk count; collects how each bulk count ended."""
+    monkeypatch.setattr(fields, "BULK_LEAVES", request.param)
+    exits = []
+    count = fields._bulk_count
+
+    def spy(taps, deficits, field, used, best, room, n, width):
+        got = count(taps, deficits, field, used, best, room, n, width)
+        if got is not None:
+            exits.append("counted")
+        elif count(taps, deficits, field, used, best, 1 << 62, n, width) is None:
+            exits.append("beaten")
+        else:
+            exits.append("budget")
+        return got
+
+    monkeypatch.setattr(fields, "_bulk_count", spy)
+    return exits
+
+
+class TestBulkCount:
+    """The fixed-incumbent bulk count against the walk-only oracle."""
+
+    @pytest.mark.parametrize("restriction", [None, "aic"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_reference_search(self, bulk_exits, n, m, restriction):
+        if restriction == "aic" and (n < 2 or m < 2):
+            return   # refused up front, see TestBruteForce
+        got = search_outcome(n, m, restriction)
+        assert got == search_outcome(n, m, restriction,
+                                     search=reference_field_search)
+        if restriction == "aic" or m == 1:
+            assert bulk_exits == []
+
+    @pytest.mark.parametrize("budget", [1, 40, 100, 127, 128])
+    @pytest.mark.parametrize("restriction", [None, "aic"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_budget_matches_reference(self, bulk_exits, m, restriction,
+                                      budget):
+        got = search_outcome(3, m, restriction, budget)
+        want = search_outcome(3, m, restriction, budget,
+                              search=reference_field_search)
+        if isinstance(want, str):   # the oracle's text lacks the advice
+            assert got == f"{want}; re-run with a larger --budget"
+        else:
+            assert got == want
+
+    def test_every_exit_taken(self, bulk_exits):
+        for m in (2, 3, 4):
+            for budget in (40, 100, 2_000_000):
+                search_outcome(3, m, budget=budget)
+        assert set(bulk_exits) == {"counted", "beaten", "budget"}
+
+
+@pytest.fixture(params=["bulk", "walk"])
+def bulk_on_off(request, monkeypatch):
+    """The search as it is, and with no subtree large enough to count in
+    bulk."""
+    if request.param == "walk":
+        monkeypatch.setattr(fields, "BULK_LEAVES", 1 << 200)
+
+
+class TestBulkCountN4:
+    @pytest.mark.parametrize("budget", [10 ** 5, 10 ** 6])
+    def test_refusals_at_n4m3(self, bulk_on_off, budget):
+        assert search_outcome(4, 3, budget=budget) == (
+            f"field search exceeded {budget} nodes; "
+            f"re-run with a larger --budget")
+
+    def test_budget_edge_at_n4m2(self, bulk_on_off):
+        assert search_outcome(4, 2, budget=6_084_376) == (
+            "field search exceeded 6084376 nodes; "
+            "re-run with a larger --budget")
+        assert search_outcome(4, 2, budget=6_084_377) == (
+            40, 6_084_377, WITNESS_N4M2)
+
+    def test_restricted_search_walks(self, bulk_exits):
+        assert search_outcome(4, 2, "aic", budget=10 ** 5).startswith(
+            "field search exceeded 100000 nodes")
+        assert bulk_exits == []
 
 
 def random_cover(n, classes, seed):

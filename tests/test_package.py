@@ -53,6 +53,7 @@ LEAN_COMMANDS = [
     ["structure", "phi", "--n", "10", "--set-i", "0", "--set-j", "2"],
     ["structure", "joint", "--n", "10", "--t", "1"],
     ["field", "--brute", "--n", "3", "--m", "3"],
+    ["field", "--brute", "--n", "3", "--m", "4"],
     ["pmf", "--n", "5"],
 ]
 
@@ -163,12 +164,28 @@ def test_demo_and_readme_imports_resolve():
                                   "05_pattern_counts.py"])
 def test_fast_demos_run_cleanly(demo):
     # 02 and 04 take 10-30 s each and are left out
+    proc = _run_clean(str(ROOT / "demos" / demo))
+    assert proc.stdout.strip()
+
+
+def test_bulk_counted_field_search_runs_cleanly():
+    # the (4, 2) search counts most subtrees in uint64 arrays, and numpy
+    # would print any overflow warning to stderr
+    proc = _run_clean("-m", "permlab.cli", "field", "--brute", "--n", "4",
+                      "--m", "2", "--budget", "10000000")
+    doc = json.loads(proc.stdout.splitlines()[1])
+    assert (doc["field"], doc["nodes"]) == (40, 6084377)
+
+
+def _run_clean(*args):
+    """Run python on args with the checkout's sources first on the path;
+    require exit 0 and an empty stderr."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                          capture_output=True, text=True, timeout=120, env=env)
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120, env=env)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-    assert proc.stdout.strip()
+    return proc
 
 
 def test_simulate_starts_no_process_pool():
