@@ -21,21 +21,19 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "counting": ("derangements", "factorial", "rencontres",
-                 "rencontres_upper_bound_holds", "shift_count_pmf",
-                 "shift_pmf", "typical_max_shift"),
+                 "shift_count_pmf", "shift_pmf", "typical_max_shift"),
     "fields": ("MagnetTable", "PartitionStrategy", "aic_check",
                "brute_force_field", "deduplicate_magnets",
-               "field_of_partition", "magnet_and_intensity", "magnet_table",
-               "magneticity", "partition_from_hint", "success_upper_bound"),
+               "field_of_partition", "magnet_table", "magneticity",
+               "partition_from_hint", "success_upper_bound"),
     "perms": ("Permutation", "ShiftHistogram", "apply_transposition",
-              "argmax_shift", "example_deck", "fixed_points",
-              "identity_permutation", "lex_rank", "lex_unrank",
-              "make_permutation", "random_permutation", "rotate_values",
+              "argmax_shift", "example_deck", "identity_permutation",
+              "lex_rank", "lex_unrank", "make_permutation", "rotate_values",
               "shift_histogram", "shift_vector"),
     "rng": ("BatchRng", "Rng", "derive_seed"),
     "simulate": ("GameConfig", "MaxShiftReport", "SimulationReport",
                  "max_shift_distribution", "simulate_locker",
-                 "simulate_needle", "worst_case_target"),
+                 "simulate_needle"),
     "strategies": ("LatinSquare", "Strategy", "baseline_strategy",
                    "evaluate_success_exact", "latin_strategy",
                    "naive_strategy", "shift_strategy", "strategy_by_name"),
@@ -44,7 +42,7 @@ _EXPORTS = {
                    "count_optional_displacements",
                    "count_required_displacements", "covariance_estimate",
                    "feasible_set_stats", "is_compatible", "is_feasible",
-                   "joint_shift_pmf", "joint_shift_table", "shift_set"),
+                   "joint_shift_pmf", "joint_shift_table"),
 }
 _SUBMODULES = (*_EXPORTS, "cli", "enumeration", "errors", "reporting")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

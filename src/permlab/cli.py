@@ -125,8 +125,7 @@ def _header(command: str, config: dict) -> str:
 
 
 def _cmd_simulate(args) -> list[str]:
-    from .simulate import (GameConfig, simulate_locker, simulate_needle,
-                           worst_case_target)
+    from .simulate import GameConfig, simulate_locker, simulate_needle
     cfg = GameConfig(n=args.n, trials=args.trials, seed=args.seed,
                      strategy=args.strategy, target_mode=args.target_mode,
                      target=args.target, exhaustive=args.exhaustive,
@@ -136,14 +135,14 @@ def _cmd_simulate(args) -> list[str]:
               "target_mode": cfg.target_mode, "target": cfg.target,
               "exhaustive": cfg.exhaustive}
     run = simulate_needle if args.game == "needle" else simulate_locker
-    worst = (worst_case_target(cfg, args.game)
-             if cfg.target_mode == "sweep" else None)
-    report = worst.report if worst else run(cfg)
+    report = run(cfg)
     lines = [_header("simulate", config), dumps(report)]
-    if worst is not None:
-        lines.append(dumps({"worst_target": worst.worst_target,
-                            "minimum": worst.minimum,
-                            "minimum_exact": worst.minimum_exact,
+    if report.per_target is not None:
+        # ties go to the lowest target
+        worst = min(report.per_target, key=lambda ts: (ts.estimate, ts.target))
+        lines.append(dumps({"worst_target": worst.target,
+                            "minimum": worst.estimate,
+                            "minimum_exact": worst.exact,
                             "wilson_95_low": worst.wilson_95_low,
                             "wilson_95_high": worst.wilson_95_high}))
         if args.csv:
@@ -277,17 +276,17 @@ def _cmd_dedup(args) -> list[str]:
 def _cmd_example52(args) -> list[str]:
     from .perms import (apply_transposition, argmax_shift, example_deck,
                         shift_histogram, shift_vector)
-    from .simulate import GameConfig, simulate_locker
+    from .simulate import GameConfig, simulate_locker, simulate_needle
     deck = example_deck()
     hist = shift_histogram(deck)
     hint = argmax_shift(hist)
-    wins = [s for s in range(deck.n)
-            if deck.image[(s + hint) % deck.n] == s]
+    # both games score the deck as a one-row sweep of every target
+    sweep = GameConfig(n=deck.n, trials=1, seed=0, target_mode="sweep")
+    needle = simulate_needle(sweep, perm_stream=lambda t: deck.image)
+    wins = [ts.target for ts in needle.per_target if ts.successes]
     swap_pos = deck.inverse_of(hint)
     after = apply_transposition(deck, 0, swap_pos)
-    locker = simulate_locker(
-        GameConfig(n=deck.n, trials=1, seed=0, target_mode="sweep"),
-        perm_stream=lambda t: deck.image)
+    locker = simulate_locker(sweep, perm_stream=lambda t: deck.image)
     return [_header("example52", {"n": deck.n}), dumps({
         "n": deck.n,
         "permutation": list(deck.image),

@@ -91,13 +91,6 @@ def shift_pmf(n: int) -> list[Fraction]:
     return [Fraction(d[n - k], f[k] * f[n - k]) for k in range(n + 1)]
 
 
-def rencontres_upper_bound_holds(n: int, r: int) -> bool:
-    """Exact check of D_{n,r} <= n!/r!."""
-    if not 0 <= r <= n:
-        raise ParameterOutOfRange(f"r={r} not in 0..{n}")
-    return rencontres(n, r) * factorial(r) <= factorial(n)
-
-
 def _twice_e_times_factorial_le(k: int, n: int) -> bool:
     """Decide 2e*k! <= n exactly via rational brackets on e."""
     f = factorial(k)

@@ -106,16 +106,6 @@ def magneticity(p: PartitionStrategy, j: int, i: int, k: int,
     return sum(1 for img in members if img[i] == k)
 
 
-def magnet_and_intensity(p: PartitionStrategy, j: int, k: int,
-                         guard: int = SWEEP_GUARD) -> tuple[int, int]:
-    """Lowest position attaining the maximal magneticity for k, and that max."""
-    if not (0 <= j < p.m and 0 <= k < p.n):
-        raise ParameterOutOfRange(f"(j={j}, k={k}) out of range")
-    members = class_members(p, guard)[j]
-    _, magnets, intensities = _magnetism(members, p.n)
-    return magnets[k], intensities[k]
-
-
 @dataclass(frozen=True)
 class MagnetTable:
     """Per class j and element k: the magnet position and its intensity."""
@@ -168,34 +158,33 @@ def _aic_holds(n: int, classes: list[list[tuple[int, ...]]]) -> bool:
     return False
 
 
-def _bulk_count(taps: list[list[tuple[int, int]]], deficits: list[int],
-                field: int, used: int, best: int, room: int, n: int,
-                width: int) -> int | None:
+def _bulk_count(cells: list[list[tuple[int, int]]], column: list[int],
+                width: int, ones: int, tops: int, deficits: list[int],
+                field: int, used: int, best: int, room: int) -> int | None:
     """Nodes of the field search below one node, counted in bulk, or None.
 
-    The node leaves len(taps) ranks unassigned; taps[j] holds (top-bit
-    shift, column[k]) for each cell (i, k) of the j-th of them. ``deficits``
-    are the packed deficits of the classes the subtree can use, ``field``
-    and ``used`` the node's field and used labels. A level is a set of rows,
-    one per node: its classes' deficits in uint64, its field and its used
-    labels. The incumbent ``best`` stays fixed, so the count equals the
-    walk's when no leaf beats it; when one does, or when the count passes
-    ``room``, the answer is None and the walk takes the subtree back.
+    The node leaves len(cells) ranks unassigned, and ``cells``, ``column``,
+    ``width``, ``ones`` and ``tops`` are the walk's for those ranks.
+    ``deficits`` are the packed deficits of the classes the subtree can
+    use, ``field`` and ``used`` the node's field and used labels. A level
+    is a set of rows, one per node: its classes' deficits in uint64, its
+    field and its used labels. The incumbent ``best`` stays fixed, so the
+    count equals the walk's when no leaf beats it; when one does, or when
+    the count passes ``room``, the answer is None and the walk takes the
+    subtree back.
     """
     import numpy as np
-    ones = sum(1 << (f * width) for f in range(n * n))
-    tops = ones << (width - 1)
+    n = len(column)
     rows = np.array([deficits], dtype=np.uint64)
     scores = np.array([field], dtype=np.uint64)
     useds = np.array([used], dtype=np.uint64)
     count = 0
-    for left, rank in zip(range(len(taps) - 1, -1, -1), taps):
+    for left, rank in zip(range(len(cells) - 1, -1, -1), cells):
         # keep a child iff child + n * (ranks left) > best; on the last
         # rank, a kept child is a leaf that beats the incumbent
         floor = max(best + 1 - n * left, 0)
         # a push adds sum_k t_k * column[k] - cells[rank], mod 2**64
-        minus_cells = (1 << 64) - sum(1 << (shift - width + 1)
-                                      for shift, _ in rank)
+        minus_cells = (1 << 64) - sum(bit for bit, _ in rank)
         picks = []
         for h in range(min(len(deficits), int(useds.max()) + 1)):
             first_use = useds >= h
@@ -205,11 +194,12 @@ def _bulk_count(taps: list[list[tuple[int, int]]], deficits: list[int],
             tight = ~((rows[:, h] | tops) - ones) & tops
             gain = np.zeros_like(scores)
             delta = np.full_like(scores, minus_cells)
-            for shift, col in rank:
-                t = (tight >> shift) & 1
+            for bit, k in rank:
+                # the top bit of the cell's field
+                t = (tight >> (bit.bit_length() + width - 2)) & 1
                 gain += t
                 if left:
-                    delta += t * col
+                    delta += t * column[k]
             idx = np.flatnonzero(first_use & (scores + gain >= floor))
             if not left and len(idx):
                 return None
@@ -295,8 +285,9 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
              for img in perms]
     under = [sum(bit for bit, _ in row) << (width - 1) for row in cells]
     deltas: list[dict[int, int]] = [{} for _ in perms]
-    deficit = [0] * m
-    tight = [tops] * m
+    labels = min(m, total)   # first-use order never reaches a label past n!
+    deficit = [0] * labels
+    tight = [tops] * labels
     assignment = [0] * total
     best_field = -1
     best_assignment: tuple[int, ...] | None = None
@@ -305,13 +296,11 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     if restriction is None and width * n * n <= 64:
         bulk_depth = next((total - r for r in range(1, total + 1)
                            if m ** r >= BULK_LEAVES), -1)
-        taps = [[((k * n + i) * width + width - 1, column[k])
-                 for i, k in enumerate(img)] for img in perms]
 
     def leaf_ok() -> bool:
         if restriction != "aic":
             return True
-        classes: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+        classes: list[list[tuple[int, ...]]] = [[] for _ in range(labels)]
         for rank, h in enumerate(assignment):
             classes[h].append(perms[rank])
         return _aic_holds(n, classes)
@@ -320,8 +309,9 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
         nonlocal best_field, best_assignment, nodes
         if depth == bulk_depth and best_assignment is not None:
             counted = _bulk_count(
-                taps[depth:], deficit[:min(m, used + total - depth)], field,
-                used, best_field, budget - nodes, n, width)
+                cells[depth:], column, width, ones, tops,
+                deficit[:used + total - depth], field, used, best_field,
+                budget - nodes)
             if counted is not None:
                 nodes += counted
                 return

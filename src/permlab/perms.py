@@ -1,4 +1,4 @@
-"""Permutations of 0..n-1: construction, sampling, shift statistics, surgery.
+"""Permutations of 0..n-1: construction, shift statistics, surgery.
 
 A permutation sigma is stored by its image array (``image[i] = sigma(i)``).
 The displacement of position i is ``v(i) = (i - sigma(i)) mod n``; the shift
@@ -25,8 +25,6 @@ from .errors import NotABijection, ParameterOutOfRange
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .rng import Rng
 
 # histogram cells per tile of ``shift_reduce``: 2^16 int64 cells, 512 KB
 TILE = 1 << 16
@@ -92,15 +90,6 @@ def make_permutation(values: Sequence[int]) -> Permutation:
 
 def identity_permutation(n: int) -> Permutation:
     return Permutation(tuple(range(n)))
-
-
-def random_permutation(n: int, rng: Rng) -> Permutation:
-    """Uniform permutation of 0..n-1 drawn from ``rng``'s stream."""
-    if n < 1:
-        raise NotABijection("order must be at least 1")
-    items = list(range(n))
-    rng.shuffle(items)
-    return Permutation(tuple(items))
 
 
 def shift_vector(p: Permutation) -> tuple[int, ...]:
@@ -175,10 +164,6 @@ def rotate_values(p: Permutation, l: int) -> Permutation:
     """The permutation ``i -> (sigma(i) + l) mod n``."""
     n = p.n
     return Permutation(tuple((s + l) % n for s in p.image))
-
-
-def fixed_points(p: Permutation) -> int:
-    return sum(1 for i, s in enumerate(p.image) if i == s)
 
 
 def lex_rank(p: Permutation) -> int:

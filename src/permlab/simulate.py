@@ -70,6 +70,9 @@ class GameConfig:
             if self.target is None or not 0 <= self.target < self.n:
                 raise ParameterOutOfRange(
                     f"fixed mode needs a target in 0..{self.n - 1}")
+        elif self.target is not None:
+            raise ParameterOutOfRange(
+                f"a target applies only to fixed mode, not {self.target_mode}")
 
     def strategy_obj(self) -> Strategy:
         if isinstance(self.strategy, Strategy):
@@ -293,29 +296,6 @@ def simulate_locker(cfg: GameConfig,
     hint's card into position 0; the seeker reads it there and probes
     (target + hint) mod n if the first card was not already the target."""
     return _simulate("locker", cfg, perm_stream)
-
-
-@dataclass(frozen=True)
-class WorstTargetReport:
-    report: SimulationReport
-    worst_target: int
-    minimum: float
-    minimum_exact: Fraction | None
-    wilson_95_low: float
-    wilson_95_high: float
-
-
-def worst_case_target(cfg: GameConfig, game: str = "needle",
-                      perm_stream: PermStream | None = None) -> WorstTargetReport:
-    """Per-target sweep sharing one permutation stream; returns the argmin."""
-    if cfg.target_mode != "sweep":
-        raise ParameterOutOfRange("worst_case_target needs target_mode='sweep'")
-    sim = simulate_needle if game == "needle" else simulate_locker
-    report = sim(cfg, perm_stream)
-    worst = min(report.per_target, key=lambda ts: (ts.estimate, ts.target))
-    return WorstTargetReport(report, worst.target, worst.estimate,
-                             worst.exact, worst.wilson_95_low,
-                             worst.wilson_95_high)
 
 
 @dataclass(frozen=True)

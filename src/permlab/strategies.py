@@ -5,9 +5,9 @@ permutation to a message in 0..m-1, a guess maps (message, target) to the
 single position probed. Success means the probed position holds the target.
 Both are defined over blocks: ``hints`` maps a ``(B, n)`` block of
 permutation rows to ``(B,)`` messages and ``guesses`` maps ``(B,)`` messages
-and a target (one int or ``(B,)``) to ``(B,)`` positions; ``hint`` and
-``guess`` are their one-row forms. ``needle_wins`` scores a block, and
-every needle-game count in the package comes from it.
+and a target (one int or ``(B,)``) to ``(B,)`` positions; one permutation
+is a block of one row. ``needle_wins`` scores a block, and every
+needle-game count in the package comes from it.
 
 Concrete strategies:
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .enumeration import SWEEP_GUARD, row_blocks
 from .errors import NotLatin, ParameterOutOfRange, UnknownStrategy
-from .perms import Permutation, is_int, shift_reduce
+from .perms import is_int, shift_reduce
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,6 @@ class Strategy:
     m: int
     hints: Callable[[np.ndarray], np.ndarray]
     guesses: Callable[[np.ndarray, np.ndarray | int], np.ndarray]
-
-    def hint(self, p: Permutation) -> int:
-        return int(self.hints(np.array([p.image]))[0])
-
-    def guess(self, h: int, s: int) -> int:
-        return int(self.guesses(np.array([h]), s)[0])
 
 
 def needle_wins(st: Strategy, block: np.ndarray,

@@ -63,14 +63,8 @@ class IndexSet:
         return len(self.elements)
 
 
-def shift_set(L: IndexSet, l: int) -> IndexSet:
-    """Elementwise modular shift L + l."""
-    return IndexSet(L.n, tuple((e + l) % L.n for e in L.elements))
-
-
 def _moved(S: Iterable[int], l: int, n: int) -> frozenset[int]:
-    """The positions of S moved by l modulo n, as :func:`shift_set` gives
-    them but without building a checked ``IndexSet``."""
+    """The shifted set S + l: each position of S moved by l modulo n."""
     return frozenset((e + l) % n for e in S)
 
 

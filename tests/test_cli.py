@@ -139,6 +139,23 @@ class TestField:
         assert code == 0
         assert "field" in lines[1]
 
+    def test_a_billion_labels_search_as_six(self, capsys):
+        # under a 1 GB address-space limit, so lists sized by m would fail
+        # with MemoryError rather than fill the machine
+        limit = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS,"
+                 " (1 << 30, 1 << 30)); from permlab.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", limit, "field", "--brute", "--n", "3",
+             "--m", "1000000000"], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        got = json.loads(proc.stdout.splitlines()[1])
+        _, lines, _ = run_cli(capsys, "field", "--brute", "--n", "3",
+                              "--m", "6")
+        assert got["witness"].pop("m") == 10 ** 9
+        assert lines[1]["witness"].pop("m") == 6
+        assert got == lines[1]
+
     def test_witness_out_file(self, capsys, tmp_path):
         out = tmp_path / "witness.json"
         code, _, _ = run_cli(capsys, "field", "--brute", "--n", "3",
@@ -256,10 +273,23 @@ class TestSimulate:
         worst = lines[2]
         per = lines[1]["per_target"]
         assert worst["minimum"] == min(ts["estimate"] for ts in per)
+        assert worst["worst_target"] == min(
+            per, key=lambda ts: (ts["estimate"], ts["target"]))["target"]
         assert "target,trials,successes" in out
         csv_rows = [l for l in out.splitlines()
                     if "," in l and not l.startswith("{")]
         assert len(csv_rows) == 6  # header plus one row per target
+
+    def test_worst_target_ties_go_to_the_lowest(self, capsys):
+        # every target of the exhaustive shift needle sweep wins equally often
+        code, lines, _ = run_cli(capsys, "simulate", "needle", "--n", "5",
+                                 "--exhaustive", "--target-mode", "sweep",
+                                 "--workers", "1")
+        assert code == 0
+        per = lines[1]["per_target"]
+        assert {ts["exact"]["ratio"] for ts in per} == {"29/60"}
+        assert lines[2]["worst_target"] == 0
+        assert lines[2]["minimum_exact"]["ratio"] == "29/60"
 
     def test_latin_strategy_from_file(self, capsys, tmp_path):
         path = tmp_path / "square.json"
@@ -396,6 +426,9 @@ class TestUsageErrors:
         ("structure", "compatible", "--n", "5", "--t", "1", "--guard", "-3"),
         ("exact", "--n", "3", "--guard", "-1"),
         ("field", "--brute", "--n", "2", "--m", "2", "--budget", "-5"),
+        ("simulate", "needle", "--n", "5", "--trials", "10", "--target", "3"),
+        ("simulate", "needle", "--n", "5", "--trials", "10", "--target", "3",
+         "--target-mode", "sweep"),
     ], ids=["locker-bogus", "locker-naive", "exact-naive-n1", "exact-n0",
             "exact-n128-past-int8",
             "dist-trials0", "dist-n0", "compatible-trials0",
@@ -404,7 +437,8 @@ class TestUsageErrors:
             "env-seed-5000-digits", "set-i-not-integer", "set-j-empty-entry",
             "set-k-float", "pmf-n-negative", "cov-sampled-t-past-n",
             "compatible-guard-negative", "exact-guard-negative",
-            "field-budget-negative"])
+            "field-budget-negative", "target-in-uniform-mode",
+            "target-in-sweep-mode"])
     def test_exit_2(self, capsys, monkeypatch, argv):
         if "=" in argv[0]:   # a leading NAME=value sets the environment
             name, value = argv[0].split("=", 1)

@@ -1,6 +1,9 @@
 """Partition magnets, fields, the exhaustive field search, and deduplication."""
 
 import itertools
+import json
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -12,8 +15,8 @@ from permlab.errors import (GuardRefusal, MalformedPartition,
 from permlab.fields import (DedupResult, PartitionStrategy, _aic_holds,
                             aic_check, brute_force_field, class_members,
                             deduplicate_magnets, field_of_partition,
-                            magnet_and_intensity, magnet_table, magneticity,
-                            partition_from_hint, success_upper_bound)
+                            magnet_table, magneticity, partition_from_hint,
+                            success_upper_bound)
 from permlab.perms import Permutation, argmax_shift, shift_histogram
 from permlab.rng import Rng, derive_seed
 from permlab.strategies import evaluate_success_exact, naive_strategy
@@ -173,21 +176,22 @@ class TestMagneticity:
 
 class TestMagnetAndIntensity:
     def test_singleton_class(self):
-        part = singleton_partition(3)
+        table = magnet_table(singleton_partition(3))
         perms = list(itertools.permutations(range(3)))
         for j, img in enumerate(perms):
             for k in range(3):
-                assert magnet_and_intensity(part, j, k) == (img.index(k), 1)
+                assert (table.magnets[j][k], table.intensities[j][k]) == \
+                    (img.index(k), 1)
 
     def test_full_group_ties_to_position_zero(self):
-        part = single_class_partition(3)
-        for k in range(3):
-            assert magnet_and_intensity(part, 0, k) == (0, 2)
+        table = magnet_table(single_class_partition(3))
+        assert (table.magnets[0], table.intensities[0]) == ((0, 0, 0),
+                                                            (2, 2, 2))
 
     def test_naive_class_anchors_its_hint(self):
-        part = naive_partition(4)
+        table = magnet_table(naive_partition(4))
         for h in range(4):
-            assert magnet_and_intensity(part, h, h) == (0, 6)
+            assert (table.magnets[h][h], table.intensities[h][h]) == (0, 6)
 
     def test_empty_class_zero_intensity(self):
         part = single_class_partition(3, m=2)
@@ -332,11 +336,11 @@ def bulk_exits(request, monkeypatch):
     exits = []
     count = fields._bulk_count
 
-    def spy(taps, deficits, field, used, best, room, n, width):
-        got = count(taps, deficits, field, used, best, room, n, width)
+    def spy(*args):
+        got = count(*args)
         if got is not None:
             exits.append("counted")
-        elif count(taps, deficits, field, used, best, 1 << 62, n, width) is None:
+        elif count(*args[:-1], 1 << 62) is None:   # the last is the room
             exits.append("beaten")
         else:
             exits.append("budget")
@@ -344,6 +348,47 @@ def bulk_exits(request, monkeypatch):
 
     monkeypatch.setattr(fields, "_bulk_count", spy)
     return exits
+
+
+# run under a 1 GB address-space limit, so a search that sized its class
+# lists by m fails with MemoryError rather than filling the machine
+_BILLION_LABELS = """
+import json, resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from permlab.fields import brute_force_field
+tracemalloc.start()
+got = brute_force_field(3, 10 ** 9, sys.argv[1] or None)
+print(json.dumps([got.field, got.nodes, got.witness.assignment,
+                  got.witness.m, tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+class TestLabelsPastNFactorial:
+    """First-use labels never reach past n!, so a larger m changes nothing
+    but the witness's m."""
+
+    @pytest.mark.parametrize("restriction", [None, "aic"])
+    @pytest.mark.parametrize("n, m", [(2, 3), (2, 100), (2, 10 ** 5),
+                                      (3, 7), (3, 100), (3, 10 ** 5)])
+    def test_same_search_as_m_n_factorial(self, n, m, restriction):
+        got = brute_force_field(n, m, restriction)
+        want = brute_force_field(n, factorial(n), restriction)
+        assert (got.field, got.nodes, got.witness.assignment) == (
+            want.field, want.nodes, want.witness.assignment)
+        assert got.witness.m == m
+
+    @pytest.mark.parametrize("restriction", [None, "aic"])
+    def test_a_billion_labels_in_bounded_memory(self, restriction):
+        proc = subprocess.run(
+            [sys.executable, "-c", _BILLION_LABELS, restriction or ""],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        field, nodes, assignment, m, peak = json.loads(proc.stdout)
+        want = brute_force_field(3, 6, restriction)
+        assert (field, nodes, tuple(assignment)) == (
+            want.field, want.nodes, want.witness.assignment)
+        assert m == 10 ** 9
+        assert peak < 32 << 20
 
 
 class TestBulkCount:

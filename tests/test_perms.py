@@ -12,9 +12,8 @@ from permlab import perms
 from permlab.enumeration import row_blocks
 from permlab.errors import NotABijection, ParameterOutOfRange
 from permlab.perms import (TILE, Permutation, apply_transposition,
-                           argmax_shift, example_deck, fixed_points,
-                           identity_permutation, lex_rank, lex_unrank,
-                           make_permutation, random_permutation,
+                           argmax_shift, example_deck, identity_permutation,
+                           lex_rank, lex_unrank, make_permutation,
                            rotate_values, shift_counts, shift_histogram,
                            shift_reduce, shift_vector)
 from permlab.rng import BatchRng, Rng, batch_seeds
@@ -98,7 +97,8 @@ class TestShiftStatistics:
 
     @given(small_perms())
     def test_fixed_points_equal_class_zero(self, p):
-        assert fixed_points(p) == shift_histogram(p).counts[0]
+        fixed = sum(1 for i, s in enumerate(p.image) if i == s)
+        assert shift_histogram(p).counts[0] == fixed
 
     def test_rotation_shifts_histogram(self):
         # adding l to every image rotates the histogram down by l
@@ -199,14 +199,16 @@ class TestTransposition:
 
 
 class TestFixedPoints:
+    """The fixed points are class 0 of the shift histogram."""
+
     def test_identity(self):
-        assert fixed_points(identity_permutation(4)) == 4
+        assert shift_histogram(identity_permutation(4)).counts[0] == 4
 
     def test_two_two_cycles(self):
-        assert fixed_points(make_permutation([1, 0, 3, 2])) == 0
+        assert shift_histogram(make_permutation([1, 0, 3, 2])).counts[0] == 0
 
     def test_single(self):
-        assert fixed_points(make_permutation([0, 2, 1])) == 1
+        assert shift_histogram(make_permutation([0, 2, 1])).counts[0] == 1
 
 
 class TestLexRank:
@@ -239,18 +241,27 @@ class TestSerialization:
         assert json.loads(p.to_json()) == [2, 0, 1]
 
 
+def shuffled(n, rng):
+    """A uniform permutation of 0..n-1 from the scalar stream of ``rng``."""
+    items = list(range(n))
+    rng.shuffle(items)
+    return Permutation(tuple(items))
+
+
 class TestRandomPermutation:
+    """The scalar shuffle, the reference of the batch engine."""
+
     def test_order_one(self):
-        assert random_permutation(1, Rng(123)).image == (0,)
+        assert shuffled(1, Rng(123)).image == (0,)
 
     def test_determinism(self):
-        a = random_permutation(50, Rng(2024))
-        b = random_permutation(50, Rng(2024))
+        a = shuffled(50, Rng(2024))
+        b = shuffled(50, Rng(2024))
         assert a == b
 
     def test_advances_state(self):
         rng = Rng(5)
-        assert random_permutation(10, rng) != random_permutation(10, rng)
+        assert shuffled(10, rng) != shuffled(10, rng)
 
     def test_uniform_over_s6(self):
         # 600k draws; every one of the 720 cells within 5 standard errors.
@@ -272,7 +283,7 @@ class TestRandomPermutation:
         # the batch engine equals the scalar sampler draw for draw
         check = BatchRng(batch_seeds(31337, 0, 64)).permutations(n)
         for lane in range(64):
-            scalar = random_permutation(n, Rng(batch_seeds(31337, lane, 1)[0]))
+            scalar = shuffled(n, Rng(batch_seeds(31337, lane, 1)[0]))
             assert tuple(check[lane]) == scalar.image
         p = 1 / 720
         tol = 5 * (draws * p * (1 - p)) ** 0.5

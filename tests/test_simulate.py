@@ -20,7 +20,7 @@ from permlab.rng import BatchRng, Rng, batch_seeds, derive_seed, seeded_blocks
 from permlab.simulate import (GameConfig, MaxShiftReport, SimulationReport,
                               locker_wins, max_shift_distribution,
                               simulate_locker, simulate_needle,
-                              wilson_interval, worst_case_target)
+                              wilson_interval)
 from permlab.strategies import (LatinSquare, baseline_strategy,
                                 evaluate_success_exact, latin_strategy,
                                 naive_strategy, needle_wins, shift_strategy)
@@ -434,34 +434,40 @@ class TestLockerProtocol:
                 simulate_locker(GameConfig(n=5, trials=10, strategy=name))
 
 
+def exact_sweep(n, strategy):
+    """Exact per-target rates of the needle game over every permutation."""
+    return [ts.exact for ts in simulate_needle(GameConfig(
+        n=n, trials=1, seed=0, strategy=strategy, target_mode="sweep",
+        exhaustive=True)).per_target]
+
+
 class TestWorstCaseTarget:
     def test_requires_sweep(self):
-        with pytest.raises(ParameterOutOfRange):
-            worst_case_target(GameConfig(n=4, trials=10, seed=0))
+        # only a sweep has per-target rates to take the worst of
+        assert simulate_needle(GameConfig(n=4, trials=10, seed=0)).per_target \
+            is None
 
     def test_shift_targets_all_equal_exhaustive(self):
         for n in (3, 5, 6):
-            w = worst_case_target(GameConfig(n=n, trials=1, seed=0,
-                                             strategy="shift",
-                                             target_mode="sweep",
-                                             exhaustive=True))
-            values = {ts.exact for ts in w.report.per_target}
-            assert len(values) == 1
+            assert len(set(exact_sweep(n, "shift"))) == 1
 
     def test_naive_n5_exact(self):
-        w = worst_case_target(GameConfig(n=5, trials=1, seed=0,
-                                         strategy="naive",
-                                         target_mode="sweep",
-                                         exhaustive=True))
-        assert all(ts.exact == Fraction(2, 5) for ts in w.report.per_target)
-        assert w.minimum_exact == Fraction(2, 5)
+        per_target = exact_sweep(5, "naive")
+        assert per_target == [Fraction(2, 5)] * 5
+        assert min(per_target) == Fraction(2, 5)
 
     def test_baseline_minimum(self):
-        w = worst_case_target(GameConfig(n=6, trials=1, seed=0,
-                                         strategy="baseline",
-                                         target_mode="sweep",
-                                         exhaustive=True))
-        assert w.minimum_exact == Fraction(1, 6)
+        assert min(exact_sweep(6, "baseline")) == Fraction(1, 6)
+
+
+class TestTargetOnlyInFixedMode:
+    @pytest.mark.parametrize("mode", ["uniform", "sweep"])
+    def test_target_outside_fixed_mode_refused(self, mode):
+        cfg = GameConfig(n=5, trials=10, target_mode=mode, target=3)
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^a target applies only to fixed mode, "
+                                 f"not {mode}$"):
+            simulate_needle(cfg)
 
 
 class TestMaxShiftDistribution:

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from permlab.errors import NotLatin, TooLargeForEnumeration, UnknownStrategy
@@ -15,22 +16,27 @@ from permlab.strategies import (LatinSquare, baseline_strategy,
                                 strategy_by_name)
 
 
+def every_row(n):
+    """All permutations of 0..n-1 as one block, in lex order."""
+    return np.array(list(itertools.permutations(range(n))))
+
+
 class TestShiftStrategy:
     def test_deck_hint_and_success(self):
         deck = example_deck()
         st = shift_strategy(52)
-        h = st.hint(deck)
-        assert h == 29
-        wins = [s for s in range(52) if deck.image[st.guess(h, s)] == s]
+        h = st.hints(np.array([deck.image]))
+        assert h.tolist() == [29]
+        wins = [s for s in range(52) if deck.image[st.guesses(h, s)[0]] == s]
         assert len(wins) == 4
 
     def test_identity_always_succeeds(self):
         for n in (1, 2, 5, 9):
             st = shift_strategy(n)
             p = identity_permutation(n)
-            h = st.hint(p)
-            assert h == 0
-            assert all(p.image[st.guess(h, s)] == s for s in range(n))
+            h = st.hints(np.array([p.image]))
+            assert h.tolist() == [0]
+            assert all(p.image[st.guesses(h, s)[0]] == s for s in range(n))
 
     def test_exact_n3(self):
         ev = evaluate_success_exact(shift_strategy(3))
@@ -46,24 +52,25 @@ class TestShiftStrategy:
 
     def test_success_count_equals_max_class(self):
         st = shift_strategy(5)
-        for img in itertools.permutations(range(5)):
-            p = Permutation(img)
-            h = st.hint(p)
-            wins = sum(1 for s in range(5) if img[st.guess(h, s)] == s)
-            assert wins == max(shift_histogram(p).counts)
+        block = every_row(5)
+        rows = np.arange(len(block))
+        h = st.hints(block)
+        wins = sum(block[rows, st.guesses(h, s)] == s for s in range(5))
+        assert wins.tolist() == [max(shift_histogram(Permutation(img)).counts)
+                                 for img in itertools.permutations(range(5))]
 
 
 class TestNaiveStrategy:
     def test_guess_rule(self):
         st = naive_strategy(6)
-        assert st.guess(4, 4) == 0
-        assert st.guess(4, 2) == 1
+        assert st.guesses(np.array([4, 4]), np.array([4, 2])).tolist() == [0, 1]
 
     def test_match_on_first_position_succeeds(self):
         st = naive_strategy(4)
         p = Permutation((3, 0, 1, 2))
-        assert st.hint(p) == 3
-        assert p.image[st.guess(3, 3)] == 3
+        h = st.hints(np.array([p.image]))
+        assert h.tolist() == [3]
+        assert p.image[st.guesses(h, 3)[0]] == 3
 
     def test_exactly_two_over_n(self):
         for n in range(3, 9):
@@ -97,30 +104,30 @@ class TestLatinStrategy:
         st = latin_strategy(sq)
         ident = identity_permutation(4)
         assert sq.rows[0] == (0, 1, 2, 3)
-        assert st.hint(ident) == 0
-        assert all(st.guess(0, s) == s for s in range(4))
+        assert st.hints(np.array([ident.image])).tolist() == [0]
+        assert st.guesses(np.zeros(4, dtype=np.int64),
+                          np.arange(4)).tolist() == [0, 1, 2, 3]
 
     def test_cyclic_square_equals_shift_pointwise(self):
         for n in range(2, 7):
             lat = latin_strategy(LatinSquare.cyclic(n))
             sh = shift_strategy(n)
-            for img in itertools.permutations(range(n)):
-                p = Permutation(img)
-                assert lat.hint(p) == sh.hint(p)
-            for h in range(n):
-                for s in range(n):
-                    assert lat.guess(h, s) == sh.guess(h, s)
+            block = every_row(n)
+            assert lat.hints(block).tolist() == sh.hints(block).tolist()
+            h = np.arange(n)
+            for s in range(n):
+                assert lat.guesses(h, s).tolist() == sh.guesses(h, s).tolist()
 
     def test_success_indicator_unfolds(self):
         # success iff the guessed position holds the target, by definition
         add_table = LatinSquare(tuple(
             tuple((r + i) % 5 for i in range(5)) for r in range(5)))
         st = latin_strategy(add_table)
-        for img in itertools.permutations(range(5)):
-            p = Permutation(img)
-            h = st.hint(p)
+        block = every_row(5)
+        hints = st.hints(block)
+        for img, h in zip(block.tolist(), hints.tolist()):
             for s in range(5):
-                g = st.guess(h, s)
+                g = st.guesses(np.array([h]), s)[0]
                 assert (img[g] == s) == (img[add_table.rows[h].index(s)] == s)
 
     def test_from_json_round_trip(self):

@@ -17,14 +17,14 @@ from permlab.counting import shift_count_pmf
 from permlab.enumeration import perm_matrix, row_blocks
 from permlab.errors import OutOfMemory, ParameterOutOfRange
 from permlab.perms import shift_counts
-from permlab.structures import (IndexSet, canonical_compatible_pair,
+from permlab.structures import (IndexSet, _moved, canonical_compatible_pair,
                                 compatible_pair_stats,
                                 count_exact_displacements,
                                 count_optional_displacements,
                                 count_required_displacements,
                                 covariance_estimate, feasible_set_stats,
                                 is_compatible, is_feasible, joint_shift_pmf,
-                                joint_shift_table, shift_set)
+                                joint_shift_table)
 
 
 def iset(n, *elems):
@@ -223,13 +223,14 @@ class TestIndexSet:
             IndexSet(5, (1, 1))
 
     def test_shift_identity(self):
-        assert shift_set(iset(5, 0, 1), 0).elements == (0, 1)
+        assert _moved(iset(5, 0, 1).elements, 0, 5) == {0, 1}
 
     def test_shift_wraps(self):
-        assert shift_set(iset(8, 7), 1).elements == (0,)
+        assert _moved(iset(8, 7).elements, 1, 8) == {0}
 
     def test_shift_values(self):
-        assert shift_set(iset(5, 0, 2), 3).elements == (0, 3)
+        assert IndexSet.of(5, _moved(iset(5, 0, 2).elements, 3, 5)).elements \
+            == (0, 3)
 
 
 class TestCompatibility:
