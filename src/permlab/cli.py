@@ -118,9 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _header(command: str, config: dict) -> str:
+def _header(args, **config) -> str:
+    """The header line. Its config echoes every parsed option except
+    --csv, --out and --workers, unless the command passes its own."""
+    if not config:
+        config = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "csv", "out", "workers")}
     return dumps({"document": "permlab-report", "version": __version__,
-                  "command": command, "config": config,
+                  "command": args.command, "config": config,
                   "timestamp": datetime.now(timezone.utc).isoformat()})
 
 
@@ -130,13 +135,9 @@ def _cmd_simulate(args) -> list[str]:
                      strategy=args.strategy, target_mode=args.target_mode,
                      target=args.target, exhaustive=args.exhaustive,
                      workers=args.workers)
-    config = {"game": args.game, "n": cfg.n, "trials": cfg.trials,
-              "seed": cfg.seed, "strategy": cfg.strategy,
-              "target_mode": cfg.target_mode, "target": cfg.target,
-              "exhaustive": cfg.exhaustive}
     run = simulate_needle if args.game == "needle" else simulate_locker
     report = run(cfg)
-    lines = [_header("simulate", config), dumps(report)]
+    lines = [_header(args), dumps(report)]
     if report.per_target is not None:
         # ties go to the lowest target
         worst = min(report.per_target, key=lambda ts: (ts.estimate, ts.target))
@@ -158,15 +159,14 @@ def _cmd_exact(args) -> list[str]:
     from .strategies import evaluate_success_exact, strategy_by_name
     st = strategy_by_name(args.strategy, args.n)
     ev = evaluate_success_exact(st, guard=args.guard)
-    return [_header("exact", {"strategy": args.strategy, "n": args.n,
-                              "guard": args.guard}), dumps(ev)]
+    return [_header(args), dumps(ev)]
 
 
 def _cmd_pmf(args) -> list[str]:
     from .counting import shift_pmf
     pmf = [json_ready(p) for p in shift_pmf(args.n)]   # rendered once
     rows = [{"k": k, "probability": p} for k, p in enumerate(pmf)]
-    lines = [_header("pmf", {"n": args.n}), dumps({"n": args.n, "pmf": rows})]
+    lines = [_header(args), dumps({"n": args.n, "pmf": rows})]
     if args.csv:
         lines.append("k,ratio,decimal")
         lines += [f"{k},{p['ratio']},{p['value']!r}" for k, p in enumerate(pmf)]
@@ -177,10 +177,7 @@ def _cmd_dist(args) -> list[str]:
     from .simulate import max_shift_distribution
     report = max_shift_distribution(args.n, trials=args.trials, seed=args.seed,
                                     exhaustive=args.exhaustive)
-    lines = [_header("dist", {"n": args.n, "trials": args.trials,
-                              "seed": args.seed,
-                              "exhaustive": args.exhaustive}),
-             dumps(report)]
+    lines = [_header(args), dumps(report)]
     if args.csv:
         lines.append("max_shift,count")
         lines += [f"{k},{report.histogram[k]}" for k in sorted(report.histogram)]
@@ -198,9 +195,8 @@ def _cmd_field(args) -> list[str]:
         result = brute_force_field(args.n, args.m, restriction=restriction,
                                    budget=budget, guard=args.guard)
         witness = result.witness.to_json()
-        lines = [_header("field", {"brute": True, "n": args.n, "m": args.m,
-                                   "aic": args.aic, "budget": budget,
-                                   "guard": args.guard}),
+        lines = [_header(args, brute=True, n=args.n, m=args.m, aic=args.aic,
+                         budget=budget, guard=args.guard),
                  dumps({"field": result.field, "nodes": result.nodes,
                         "restriction": result.restriction,
                         "witness": json.loads(witness)})]
@@ -215,16 +211,13 @@ def _cmd_field(args) -> list[str]:
     body = {"n": part.n, "m": part.m,
             "field": field_of_partition(part, args.guard),
             "success_upper_bound": success_upper_bound(part, args.guard)}
-    return [_header("field", {"partition": args.partition,
-                              "guard": args.guard}), dumps(body)]
+    return [_header(args, partition=args.partition, guard=args.guard),
+            dumps(body)]
 
 
 def _cmd_structure(args) -> list[str]:
     from . import structures as S
     kind, n, seed = args.kind, args.n, args.seed
-    # the header echoes every option of the subcommand
-    config = {key: value for key, value in vars(args).items()
-              if key != "command"}
     guard_value(args.guard)   # a negative guard is a usage error for any kind
     if kind in ("phi", "phistar", "pset"):
         I = S.IndexSet.of(n, _parse_index_list(args.set_i))
@@ -253,7 +246,7 @@ def _cmd_structure(args) -> list[str]:
         body = S.covariance_estimate(n, args.t, args.i, args.j,
                                      trials=args.trials, seed=seed,
                                      mode=args.mode)
-    return [_header("structure", config), dumps(body)]
+    return [_header(args), dumps(body)]
 
 
 def _cmd_dedup(args) -> list[str]:
@@ -261,10 +254,10 @@ def _cmd_dedup(args) -> list[str]:
     with open(args.partition, "r", encoding="utf-8") as fh:
         part = PartitionStrategy.from_json(fh.read())
     classes = class_members(part, args.guard)
-    result = deduplicate_magnets(classes, guard=args.guard)
+    result = deduplicate_magnets([classes.get(h, ()) for h in range(part.m)],
+                                 guard=args.guard)
     out_classes = [[list(p.image) for p in c] for c in result.classes]
-    lines = [_header("dedup", {"partition": args.partition,
-                               "guard": args.guard}),
+    lines = [_header(args),
              dumps({"classes": out_classes, "steps": result.steps,
                     "step_count": len(result.steps)})]
     if args.out:
@@ -287,7 +280,7 @@ def _cmd_example52(args) -> list[str]:
     swap_pos = deck.inverse_of(hint)
     after = apply_transposition(deck, 0, swap_pos)
     locker = simulate_locker(sweep, perm_stream=lambda t: deck.image)
-    return [_header("example52", {"n": deck.n}), dumps({
+    return [_header(args, n=deck.n), dumps({
         "n": deck.n,
         "permutation": list(deck.image),
         "shift_vector": list(shift_vector(deck)),

@@ -1,9 +1,7 @@
 """Exact counting: factorials, derangements, rencontres numbers, shift pmf.
 
-Everything here is integer or rational arithmetic; floats never enter a
-decision. Where the constant e appears (the crowding threshold for the most
-common shift), it is bracketed by rational Taylor partial sums
-``S_m <= e <= S_m + 3/(m+1)!`` at whatever order settles the comparison.
+Everything here is integer or rational arithmetic, the crowding threshold
+included: floats never enter a decision.
 """
 
 from __future__ import annotations
@@ -40,12 +38,6 @@ def _horner_steps(a: int, b: int) -> tuple[int, int]:
     p1, q1 = _horner_steps(a, m)
     p2, q2 = _horner_steps(m, b)
     return p1 * p2, p2 * q1 + q2
-
-
-def e_bounds(order: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket lo <= e <= hi from the Taylor series at ``order``."""
-    partial = sum(Fraction(1, factorial(i)) for i in range(order + 1))
-    return partial, partial + Fraction(3, factorial(order + 1))
 
 
 def rencontres(n: int, r: int) -> int:
@@ -91,29 +83,22 @@ def shift_pmf(n: int) -> list[Fraction]:
     return [Fraction(d[n - k], f[k] * f[n - k]) for k in range(n + 1)]
 
 
-def _twice_e_times_factorial_le(k: int, n: int) -> bool:
-    """Decide 2e*k! <= n exactly via rational brackets on e."""
-    f = factorial(k)
-    order = 8
-    while True:
-        lo_e, hi_e = e_bounds(order)
-        if 2 * hi_e * f <= n:
-            return True
-        if 2 * lo_e * f > n:
-            return False
-        order += 4
-
-
 def typical_max_shift(n: int) -> int:
     """Largest k with 2e*k! <= n.
 
     A uniform permutation has some shift class of at least this size with
     probability better than guesswork; it pins the scale of the most common
     displacement. Defined for n >= 6 (so the answer is at least 1).
+
+    e*k! = a_k + r_k, where a_k = sum over i <= k of k!/i! is an integer
+    (a_1 = 2, a_k = k*a_{k-1} + 1) and r_k, the sum over i > k, lies in
+    (0, 1/k). For k >= 2 that puts 2e*k! strictly between 2a_k and 2a_k + 1,
+    so 2e*k! <= n exactly when 2a_k < n. For k = 1, 2e < 6 <= n always
+    holds, so the loop starts there untested.
     """
     if n < 6:
         raise ParameterOutOfRange(f"typical_max_shift needs n >= 6, got {n}")
-    k = 1
-    while _twice_e_times_factorial_le(k + 1, n):
+    k, a = 1, 2
+    while 2 * (a := (k + 1) * a + 1) < n:
         k += 1
     return k

@@ -25,7 +25,8 @@ from fractions import Fraction
 from math import factorial
 
 from .enumeration import SWEEP_GUARD, check_guard, factorial_past
-from .errors import GuardRefusal, MalformedPartition, ParameterOutOfRange
+from .errors import (GuardRefusal, MalformedPartition, NotABijection,
+                     ParameterOutOfRange)
 from .perms import Permutation, is_int
 
 DEFAULT_BUDGET = 2_000_000
@@ -72,12 +73,12 @@ class PartitionStrategy:
 
 
 def class_members(p: PartitionStrategy, guard: int = SWEEP_GUARD,
-                  ) -> list[list[tuple[int, ...]]]:
-    """Image tuples of each class, lex order within a class."""
+                  ) -> dict[int, list[tuple[int, ...]]]:
+    """Image tuples of each used class by label, lex order within a class."""
     check_guard(p.n, guard, "listing a partition's classes")
-    classes: list[list[tuple[int, ...]]] = [[] for _ in range(p.m)]
-    for rank, img in enumerate(itertools.permutations(range(p.n))):
-        classes[p.assignment[rank]].append(img)
+    classes: dict[int, list[tuple[int, ...]]] = {}
+    for h, img in zip(p.assignment, itertools.permutations(range(p.n))):
+        classes.setdefault(h, []).append(img)
     return classes
 
 
@@ -102,7 +103,7 @@ def magneticity(p: PartitionStrategy, j: int, i: int, k: int,
     """How many members of class j place element k at position i."""
     if not (0 <= j < p.m and 0 <= i < p.n and 0 <= k < p.n):
         raise ParameterOutOfRange(f"(j={j}, i={i}, k={k}) out of range")
-    members = class_members(p, guard)[j]
+    members = class_members(p, guard).get(j, ())
     return sum(1 for img in members if img[i] == k)
 
 
@@ -117,18 +118,19 @@ class MagnetTable:
 
 
 def magnet_table(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> MagnetTable:
-    magnets, intensities = [], []
-    for members in class_members(p, guard):
+    """One row per label; an empty class reads magnet 0, intensity 0."""
+    empty = (0,) * p.n
+    magnets, intensities = [empty] * p.m, [empty] * p.m
+    for h, members in class_members(p, guard).items():
         _, mg, it = _magnetism(members, p.n)
-        magnets.append(tuple(mg))
-        intensities.append(tuple(it))
+        magnets[h], intensities[h] = tuple(mg), tuple(it)
     return MagnetTable(p.n, p.m, tuple(magnets), tuple(intensities))
 
 
 def field_of_partition(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> int:
-    """Sum of the intensities of every element in every class."""
-    table = magnet_table(p, guard)
-    return sum(sum(row) for row in table.intensities)
+    """Sum of the intensities of every element in every used class."""
+    return sum(sum(_magnetism(members, p.n)[2])
+               for members in class_members(p, guard).values())
 
 
 def success_upper_bound(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> Fraction:
@@ -148,11 +150,10 @@ def aic_check(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> bool:
     return _aic_holds(p.n, class_members(p, guard))
 
 
-def _aic_holds(n: int, classes: list[list[tuple[int, ...]]]) -> bool:
-    """The Alice-In-Chains rule on the member image tuples of each class."""
-    nonempty = [c for c in classes if c]
+def _aic_holds(n: int, classes: dict[int, list[tuple[int, ...]]]) -> bool:
+    """The Alice-In-Chains rule on the image tuples of each used class."""
     for s in range(n):
-        if all(any(all(img[i] != s for img in c) for c in nonempty)
+        if all(any(all(img[i] != s for img in c) for c in classes.values())
                for i in range(n)):
             return True
     return False
@@ -300,9 +301,9 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     def leaf_ok() -> bool:
         if restriction != "aic":
             return True
-        classes: list[list[tuple[int, ...]]] = [[] for _ in range(labels)]
-        for rank, h in enumerate(assignment):
-            classes[h].append(perms[rank])
+        classes: dict[int, list[tuple[int, ...]]] = {}
+        for h, img in zip(assignment, perms):
+            classes.setdefault(h, []).append(img)
         return _aic_holds(n, classes)
 
     def dfs(depth: int, field: int, used: int) -> None:
@@ -397,6 +398,8 @@ def deduplicate_magnets(classes, guard: int = SWEEP_GUARD) -> DedupResult:
                    for p in raw}
         if members:
             n = len(next(iter(members)))
+            if any(len(img) != n for img in members):
+                raise NotABijection(f"class {ci} mixes permutation orders")
             check_guard(n, guard, "magnet deduplication")
             class_steps, magnets = _dedup_one_class(ci, members, n)
             steps.extend(class_steps)

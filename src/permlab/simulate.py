@@ -26,6 +26,7 @@ across workers.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,11 +170,16 @@ def _stream_blocks(perm_stream: PermStream, seed: int, n: int,
                    trials: int) -> Blocks:
     """Rows ``perm_stream(0 .. trials-1)``, each validated as a permutation
     of order n and held in ``block_dtype(n)``, with the ``BatchRng`` of
-    those trials' fresh streams."""
+    those trials' fresh streams. Entries of any integer type are read as
+    ints; any other entry is refused."""
     for a in range(0, trials, LANES_PER_BLOCK):
         b = min(LANES_PER_BLOCK, trials - a)
-        rows = [Permutation(tuple(perm_stream(t))).image
-                for t in range(a, a + b)]
+        rows = []
+        for row in map(perm_stream, range(a, a + b)):
+            try:
+                rows.append(Permutation(tuple(map(operator.index, row))).image)
+            except TypeError:
+                raise NotABijection(f"{row!r} holds a non-integer") from None
         if any(len(r) != n for r in rows):
             raise NotABijection(f"the permutation stream must yield order-{n} rows")
         yield (np.array(rows, dtype=block_dtype(n)),

@@ -139,6 +139,22 @@ class TestField:
         assert code == 0
         assert "field" in lines[1]
 
+    def test_three_million_labels_score_as_six(self, capsys, tmp_path):
+        # only the classes that hold a permutation are tabulated
+        bodies = []
+        for m in (6, 3_000_000):
+            path = tmp_path / f"part{m}.json"
+            path.write_text(json.dumps(
+                {"n": 3, "m": m, "assignment": [0, 1, 2, 0, 1, 2]}))
+            start = time.perf_counter()
+            code, lines, _ = run_cli(capsys, "field", "--partition", str(path))
+            elapsed = time.perf_counter() - start
+            assert code == 0
+            assert lines[1].pop("m") == m
+            bodies.append(lines[1])
+        assert bodies[0] == bodies[1]
+        assert elapsed < 2
+
     def test_a_billion_labels_search_as_six(self, capsys):
         # under a 1 GB address-space limit, so lists sized by m would fail
         # with MemoryError rather than fill the machine

@@ -7,11 +7,33 @@ from math import comb, factorial as pyfactorial
 import pytest
 
 from permlab import enumeration
-from permlab.counting import (_row_bytes, derangements, e_bounds, factorial,
-                              rencontres, shift_count_pmf, shift_pmf,
-                              typical_max_shift)
+from permlab.counting import (_row_bytes, derangements, factorial, rencontres,
+                              shift_count_pmf, shift_pmf, typical_max_shift)
 from permlab.errors import OutOfMemory, ParameterOutOfRange
 from permlab.perms import Permutation, shift_histogram
+
+
+def e_bounds(order):
+    """Oracle: rational bracket lo <= e <= hi from the Taylor series at
+    ``order``; the tail past it is below 2/(order+1)!."""
+    partial = sum(Fraction(1, pyfactorial(i)) for i in range(order + 1))
+    return partial, partial + Fraction(3, pyfactorial(order + 1))
+
+
+def crowding_thresholds(k_max):
+    """Oracle: for k = 1..k_max, the least n with 2e*k! <= n, from brackets
+    on e refined until both ends have the same integer part (2e*k! is
+    irrational, so that happens)."""
+    thresholds = []
+    for k in range(1, k_max + 1):
+        order = 8
+        while True:
+            lo, hi = (2 * b * pyfactorial(k) for b in e_bounds(order))
+            if lo.__floor__() == hi.__floor__():
+                thresholds.append(lo.__floor__() + 1)
+                break
+            order += 4
+    return thresholds
 
 
 def count_fixed_points_brute(n, r):
@@ -223,6 +245,24 @@ class TestTypicalMaxShift:
     def test_monotone(self):
         values = [typical_max_shift(n) for n in range(6, 2000, 37)]
         assert values == sorted(values)
+
+    def test_matches_the_bracket_oracle_up_to_20000(self):
+        thresholds = crowding_thresholds(8)
+        assert thresholds[-1] > 20_000
+        for n in range(6, 20_001):
+            expect = sum(1 for t in thresholds if t <= n)
+            assert typical_max_shift(n) == expect, n
+
+    def test_matches_the_bracket_oracle_at_each_step(self):
+        # the answer steps from k-1 to k between 2a_k and 2a_k + 1, with
+        # a_k = sum over i <= k of k!/i!
+        thresholds = crowding_thresholds(31)
+        for k in range(2, 31):
+            a = sum(pyfactorial(k) // pyfactorial(i) for i in range(k + 1))
+            for n in range(2 * a - 1, 2 * a + 3):
+                expect = sum(1 for t in thresholds if t <= n)
+                assert expect == (k if n > 2 * a else k - 1), n
+                assert typical_max_shift(n) == expect, n
 
     def test_threshold_consistency(self):
         # 2e k! <= n fails for k+1 by definition; check against a fine

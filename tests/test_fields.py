@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 
 from permlab import fields
-from permlab.errors import (GuardRefusal, MalformedPartition,
+from permlab.errors import (GuardRefusal, MalformedPartition, NotABijection,
                             ParameterOutOfRange, TooLargeForEnumeration)
 from permlab.fields import (DedupResult, PartitionStrategy, _aic_holds,
                             aic_check, brute_force_field, class_members,
@@ -67,7 +67,7 @@ def reference_field_search(n, m, restriction=None, budget=2_000_000):
         classes = [[] for _ in range(m)]
         for rank, h in enumerate(assignment):
             classes[h].append(perms[rank])
-        return _aic_holds(n, classes)
+        return _aic_holds(n, {h: c for h, c in enumerate(classes) if c})
 
     def dfs(depth, field, used):
         nonlocal best_field, best_assignment, nodes
@@ -106,6 +106,11 @@ def single_class_partition(n, m=1):
 def singleton_partition(n):
     total = factorial(n)
     return PartitionStrategy(n, total, tuple(range(total)))
+
+
+# partitions with the labels that hold no permutation
+EMPTY_LABELS = [(single_class_partition(3, m=2), (1,)),
+                (PartitionStrategy(3, 4, (0, 0, 0, 2, 2, 2)), (1, 3))]
 
 
 class TestPartitionSerialization:
@@ -159,10 +164,13 @@ class TestMagneticity:
                 assert magneticity(part, 0, i, k) == 2  # (n-1)!
 
     def test_empty_class(self):
-        part = single_class_partition(3, m=2)
-        for i in range(3):
-            for k in range(3):
-                assert magneticity(part, 1, i, k) == 0
+        # labels 1 and 3 of the second partition hold no permutation
+        for part, empty in EMPTY_LABELS:
+            assert set(class_members(part)).isdisjoint(empty)
+            for j in empty:
+                for i in range(3):
+                    for k in range(3):
+                        assert magneticity(part, j, i, k) == 0
 
     def test_index_errors(self):
         part = single_class_partition(3, m=2)
@@ -194,9 +202,12 @@ class TestMagnetAndIntensity:
             assert (table.magnets[h][h], table.intensities[h][h]) == (0, 6)
 
     def test_empty_class_zero_intensity(self):
-        part = single_class_partition(3, m=2)
-        table = magnet_table(part)
-        assert table.intensities[1] == (0, 0, 0)
+        # one row per label; an empty class's magnets tie to position 0
+        for part, empty in EMPTY_LABELS:
+            table = magnet_table(part)
+            assert len(table.magnets) == len(table.intensities) == part.m
+            for j in empty:
+                assert table.intensities[j] == table.magnets[j] == (0, 0, 0)
 
 
 class TestField:
@@ -480,6 +491,11 @@ class TestDeduplicateMagnets:
         result = deduplicate_magnets([cls])
         assert result.steps == ()
         assert result.classes == ((Permutation((0, 1, 2)),),)
+
+    def test_mixed_orders_refused(self):
+        with pytest.raises(NotABijection,
+                           match="^class 1 mixes permutation orders$"):
+            deduplicate_magnets([[(0, 1)], [(0, 1, 2), (1, 0)]])
 
     def test_two_member_class(self):
         result = deduplicate_magnets([[(0, 1, 2), (0, 2, 1)]])

@@ -54,6 +54,8 @@ LEAN_COMMANDS = [
     ["field", "--brute", "--n", "3", "--m", "3"],
     ["field", "--brute", "--n", "3", "--m", "4"],
     ["pmf", "--n", "5"],
+    ["field", "--partition", str(ROOT / "tests/golden/partition3.json")],
+    ["dedup", "--partition", str(ROOT / "tests/golden/partition3.json")],
 ]
 
 _RUN_TWICE = """

@@ -217,6 +217,29 @@ class TestEngineEquivalence:
         with pytest.raises(NotABijection):
             max_shift_distribution(4, trials=2, perm_stream=rows.__getitem__)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("mode", ["uniform", "sweep"])
+    def test_numpy_integer_rows_read_as_tuples(self, dtype, mode):
+        rows = _stream(6)
+        as_array = lambda t: np.array(rows(t), dtype=dtype)   # noqa: E731
+        cfg = _cfg(mode, n=6, trials=300, seed=3)
+        for run in (simulate_needle, simulate_locker):
+            assert run(cfg, perm_stream=as_array) == \
+                run(cfg, perm_stream=rows)
+        assert max_shift_distribution(6, trials=300, seed=3,
+                                      perm_stream=as_array) == \
+            max_shift_distribution(6, trials=300, seed=3, perm_stream=rows)
+
+    @pytest.mark.parametrize("row", [np.arange(4.0), (0, 1.0, 2, 3),
+                                     ("0", "1", "2", "3"), "0123"],
+                             ids=["numpy-float", "float", "strings", "text"])
+    def test_stream_row_of_non_integers_refused(self, row):
+        with pytest.raises(NotABijection, match="holds a non-integer$"):
+            simulate_needle(GameConfig(n=4, trials=2, seed=0),
+                            perm_stream=lambda t: row)
+        with pytest.raises(NotABijection, match="holds a non-integer$"):
+            max_shift_distribution(4, trials=2, perm_stream=lambda t: row)
+
     @pytest.mark.parametrize("strategy", ["shift", "naive", "baseline", "latin"])
     def test_exhaustive_needle_against_itertools(self, strategy):
         for n in ((5,) if strategy == "latin" else (2, 4, 6)):
