@@ -185,8 +185,9 @@ def _cmd_dist(args) -> list[str]:
 
 
 def _cmd_field(args) -> list[str]:
+    from fractions import Fraction
     from .fields import (PartitionStrategy, brute_force_field,
-                         field_of_partition, success_upper_bound, DEFAULT_BUDGET)
+                         field_of_partition, DEFAULT_BUDGET)
     if args.brute:
         if args.n is None or args.m is None:
             raise PermlabError("--brute needs --n and --m")
@@ -208,9 +209,10 @@ def _cmd_field(args) -> list[str]:
         raise PermlabError("field needs --partition FILE or --brute")
     with open(args.partition, "r", encoding="utf-8") as fh:
         part = PartitionStrategy.from_json(fh.read())
-    body = {"n": part.n, "m": part.m,
-            "field": field_of_partition(part, args.guard),
-            "success_upper_bound": success_upper_bound(part, args.guard)}
+    field = field_of_partition(part, args.guard)
+    body = {"n": part.n, "m": part.m, "field": field,
+            # (1/n) * field / n!, one assignment entry per permutation
+            "success_upper_bound": Fraction(field, part.n * len(part.assignment))}
     return [_header(args, partition=args.partition, guard=args.guard),
             dumps(body)]
 

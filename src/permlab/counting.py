@@ -21,7 +21,7 @@ def derangements(n: int) -> int:
     that the big multiplications are few and balanced.
     """
     if n < 0:
-        raise ValueError("negative order")
+        raise ParameterOutOfRange(f"order n must be non-negative, got {n}")
     p, q = _horner_steps(1, n + 1)
     return p + q
 

@@ -27,7 +27,7 @@ from math import factorial
 from .enumeration import SWEEP_GUARD, check_guard, factorial_past
 from .errors import (GuardRefusal, MalformedPartition, NotABijection,
                      ParameterOutOfRange)
-from .perms import Permutation, is_int
+from .perms import Permutation, ints, make_permutation
 
 DEFAULT_BUDGET = 2_000_000
 BULK_LEAVES = 1 << 16   # potential leaves of a subtree the search counts in bulk
@@ -42,11 +42,15 @@ class PartitionStrategy:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.assignment) != factorial_past(self.n, len(self.assignment)):
+        n, m, *assignment = ints((self.n, self.m, *self.assignment),
+                                 ParameterOutOfRange, "the partition")
+        if len(assignment) != factorial_past(n, len(assignment)):
             raise ParameterOutOfRange(
-                f"assignment length {len(self.assignment)} != {self.n}!")
-        if self.m < 1 or any(not 0 <= a < self.m for a in self.assignment):
-            raise ParameterOutOfRange(f"class indices must lie in 0..{self.m - 1}")
+                f"assignment length {len(assignment)} != {n}!")
+        if m < 1 or min(assignment) < 0 or max(assignment) >= m:
+            raise ParameterOutOfRange(f"class indices must lie in 0..{m - 1}")
+        for key, value in (("n", n), ("m", m), ("assignment", tuple(assignment))):
+            object.__setattr__(self, key, value)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -59,16 +63,15 @@ class PartitionStrategy:
         except ValueError as exc:   # bad JSON, or an int past str's digit limit
             raise MalformedPartition(
                 f"partition file is not readable JSON: {exc}")
-        if not isinstance(data, dict):
-            raise MalformedPartition("partition file must hold a JSON object")
-        n, m, assignment = (data.get(key) for key in ("n", "m", "assignment"))
-        if not (is_int(n) and is_int(m) and isinstance(assignment, list)
-                and all(map(is_int, assignment))):
-            raise MalformedPartition(
-                'partition needs integers "n" and "m" and an integer list '
-                '"assignment"')
-        if n < 0:
-            raise MalformedPartition(f"partition order n={n} is negative")
+        if not (isinstance(data, dict)
+                and isinstance(data.get("assignment"), list)):
+            raise MalformedPartition('partition file must hold a JSON object '
+                                     'with a list "assignment"')
+        n, m, *assignment = ints((data.get("n"), data.get("m"),
+                                  *data["assignment"]), MalformedPartition,
+                                 'the partition\'s "n", "m" or "assignment"')
+        if n < 1:
+            raise MalformedPartition(f"partition order n={n} is not positive")
         return cls(n, m, tuple(assignment))
 
 
@@ -147,16 +150,9 @@ def aic_check(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> bool:
     Empty classes are not valid warnings: a message that is never sent
     rules nothing out.
     """
-    return _aic_holds(p.n, class_members(p, guard))
-
-
-def _aic_holds(n: int, classes: dict[int, list[tuple[int, ...]]]) -> bool:
-    """The Alice-In-Chains rule on the image tuples of each used class."""
-    for s in range(n):
-        if all(any(all(img[i] != s for img in c) for c in classes.values())
-               for i in range(n)):
-            return True
-    return False
+    classes = class_members(p, guard).values()
+    return any(all(any(all(img[i] != s for img in c) for c in classes)
+                   for i in range(p.n)) for s in range(p.n))
 
 
 def _bulk_count(cells: list[list[tuple[int, int]]], column: list[int],
@@ -264,7 +260,7 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     rejects would send the subtree back, so restricted searches only walk.
     """
     if restriction not in (None, "aic"):
-        raise ValueError(f"unknown restriction {restriction!r}")
+        raise ParameterOutOfRange(f"unknown restriction {restriction!r}")
     if n < 1 or m < 1:
         raise ParameterOutOfRange(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if budget < 0:
@@ -299,12 +295,8 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
                            if m ** r >= BULK_LEAVES), -1)
 
     def leaf_ok() -> bool:
-        if restriction != "aic":
-            return True
-        classes: dict[int, list[tuple[int, ...]]] = {}
-        for h, img in zip(assignment, perms):
-            classes.setdefault(h, []).append(img)
-        return _aic_holds(n, classes)
+        return restriction != "aic" or aic_check(
+            PartitionStrategy(n, m, tuple(assignment)), guard)
 
     def dfs(depth: int, field: int, used: int) -> None:
         nonlocal best_field, best_assignment, nodes
@@ -394,8 +386,8 @@ def deduplicate_magnets(classes, guard: int = SWEEP_GUARD) -> DedupResult:
     out_magnets: list[tuple[int, ...] | None] = []
     steps: list[DedupStep] = []
     for ci, raw in enumerate(classes):
-        members = {p.image if isinstance(p, Permutation) else tuple(p)
-                   for p in raw}
+        members = {p.image if isinstance(p, Permutation)
+                   else make_permutation(p).image for p in raw}
         if members:
             n = len(next(iter(members)))
             if any(len(img) != n for img in members):

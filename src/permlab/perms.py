@@ -17,11 +17,12 @@ temporaries; a tile's take 512 KB each.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from math import factorial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import NotABijection, ParameterOutOfRange
+from .errors import NotABijection, ParameterOutOfRange, PermlabError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,14 +31,25 @@ if TYPE_CHECKING:
 TILE = 1 << 16
 
 
-def is_int(value) -> bool:
-    """Whether a parsed JSON value is an integer (``bool`` is not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def ints(values: Iterable, error: type[PermlabError],
+         what: str = "") -> tuple[int, ...]:
+    """``values`` as ints, by the package's one rule for an outside integer:
+    a Python or numpy integer is read; a bool, float, string or None is
+    refused with ``error``: ``what`` (``values`` by default) holds a
+    non-integer. ``Permutation`` alone tests for an exact ``int``."""
+    try:
+        items = tuple(values)
+        if bool not in set(map(type, items)):   # a bool is an int, no entry
+            return tuple(map(operator.index, items))
+    except TypeError:
+        pass
+    raise error(f"{what or repr(values)} holds a non-integer")
 
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection on 0..n-1, immutable and validated at construction."""
+    """A bijection on 0..n-1, immutable and validated at construction. Its
+    entries must be ints; :func:`make_permutation` reads any integers."""
 
     image: tuple[int, ...]
 
@@ -47,7 +59,7 @@ class Permutation:
             raise NotABijection("a permutation needs at least one element")
         seen = [False] * n
         for v in self.image:
-            if not isinstance(v, int) or not 0 <= v < n or seen[v]:
+            if type(v) is not int or not 0 <= v < n or seen[v]:
                 raise NotABijection(
                     f"{self.image!r} is not a permutation of 0..{n - 1}")
             seen[v] = True
@@ -55,9 +67,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.image)
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
 
     def inverse_of(self, value: int) -> int:
         """The position holding ``value``."""
@@ -74,18 +83,16 @@ class ShiftHistogram:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.counts)
-        if sum(self.counts) != n or any(not 0 <= c <= n for c in self.counts):
-            raise ValueError(f"invalid shift histogram {self.counts!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.counts)
+        counts = ints(self.counts, ParameterOutOfRange)
+        n = len(counts)
+        if sum(counts) != n or any(not 0 <= c <= n for c in counts):
+            raise ParameterOutOfRange(f"invalid shift histogram {counts!r}")
+        object.__setattr__(self, "counts", counts)
 
 
 def make_permutation(values: Sequence[int]) -> Permutation:
-    """Validate ``values`` and wrap it as a Permutation."""
-    return Permutation(tuple(int(v) for v in values))
+    """Read ``values`` by :func:`ints` and wrap them as a Permutation."""
+    return Permutation(ints(values, NotABijection))
 
 
 def identity_permutation(n: int) -> Permutation:

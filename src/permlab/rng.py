@@ -44,6 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from . import enumeration
+from .errors import ParameterOutOfRange
 from .perms import block_dtype
 
 MASK64 = (1 << 64) - 1
@@ -104,7 +105,7 @@ class Rng:
     def randbelow(self, k: int) -> int:
         """Uniform integer in [0, k) by rejection (no modulo bias)."""
         if k <= 0:
-            raise ValueError(f"randbelow bound must be positive, got {k}")
+            raise ParameterOutOfRange(f"randbelow needs k >= 1, got {k}")
         limit = ((1 << 64) // k) * k
         while True:
             u = self.next_u64()
@@ -141,7 +142,7 @@ class BatchRng:
     def randbelow(self, k: int) -> np.ndarray:
         """Per-lane uniform integer in [0, k), one accepted draw per lane."""
         if k <= 0:
-            raise ValueError(f"randbelow bound must be positive, got {k}")
+            raise ParameterOutOfRange(f"randbelow needs k >= 1, got {k}")
         limit_int = ((1 << 64) // k) * k
         out = self._next(slice(None))
         if limit_int < (1 << 64):  # k divides 2^64 exactly otherwise

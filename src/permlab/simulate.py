@@ -26,7 +26,6 @@ across workers.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ import numpy as np
 from .counting import typical_max_shift
 from .enumeration import SWEEP_GUARD, row_blocks
 from .errors import NotABijection, ParameterOutOfRange
-from .perms import Permutation, block_dtype, shift_reduce
+from .perms import block_dtype, make_permutation, shift_reduce
 from .rng import LANES_PER_BLOCK, BatchRng, batch_seeds, seeded_blocks
 from .strategies import Strategy, needle_wins, strategy_by_name
 
@@ -168,18 +167,13 @@ _KERNELS = {"needle": needle_wins, "locker": locker_wins}
 
 def _stream_blocks(perm_stream: PermStream, seed: int, n: int,
                    trials: int) -> Blocks:
-    """Rows ``perm_stream(0 .. trials-1)``, each validated as a permutation
-    of order n and held in ``block_dtype(n)``, with the ``BatchRng`` of
-    those trials' fresh streams. Entries of any integer type are read as
-    ints; any other entry is refused."""
+    """Rows ``perm_stream(0 .. trials-1)``, each read by
+    ``make_permutation`` as a permutation of order n and held in
+    ``block_dtype(n)``, with the ``BatchRng`` of those trials' fresh
+    streams."""
     for a in range(0, trials, LANES_PER_BLOCK):
         b = min(LANES_PER_BLOCK, trials - a)
-        rows = []
-        for row in map(perm_stream, range(a, a + b)):
-            try:
-                rows.append(Permutation(tuple(map(operator.index, row))).image)
-            except TypeError:
-                raise NotABijection(f"{row!r} holds a non-integer") from None
+        rows = [make_permutation(perm_stream(t)).image for t in range(a, a + b)]
         if any(len(r) != n for r in rows):
             raise NotABijection(f"the permutation stream must yield order-{n} rows")
         yield (np.array(rows, dtype=block_dtype(n)),

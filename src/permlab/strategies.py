@@ -30,16 +30,16 @@ import numpy as np
 
 from .enumeration import SWEEP_GUARD, row_blocks
 from .errors import NotLatin, ParameterOutOfRange, UnknownStrategy
-from .perms import is_int, shift_reduce
+from .perms import ints, shift_reduce
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """A deterministic advice strategy for order n with hints in 0..m-1."""
+    """A deterministic advice strategy for order n: ``hints`` gives each row
+    a message in 0..m-1, ``guesses`` the position probed for it and a target."""
 
     name: str
     n: int
-    m: int
     hints: Callable[[np.ndarray], np.ndarray]
     guesses: Callable[[np.ndarray, np.ndarray | int], np.ndarray]
 
@@ -63,14 +63,16 @@ class LatinSquare:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.rows)
+        rows = tuple(ints(r, NotLatin) for r in self.rows)
+        n = len(rows)
         cols = set(range(n))
-        for r in self.rows:
+        for r in rows:
             if len(r) != n or set(r) != cols:
                 raise NotLatin(f"row {r!r} is not a permutation of 0..{n - 1}")
         for c in range(n):
-            if {r[c] for r in self.rows} != cols:
+            if {r[c] for r in rows} != cols:
                 raise NotLatin(f"column {c} repeats a value")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -87,12 +89,10 @@ class LatinSquare:
             data = json.loads(text)
         except ValueError as exc:   # bad JSON, or an int past str's digit limit
             raise NotLatin(f"latin square file is not readable JSON: {exc}")
-        if not (isinstance(data, list)
-                and all(isinstance(row, list) and all(map(is_int, row))
-                        for row in data)):
+        if not isinstance(data, list):
             raise NotLatin("latin square file must hold a JSON matrix of "
                            "integers")
-        return cls(tuple(tuple(row) for row in data))
+        return cls(tuple(data))
 
 
 def shift_strategy(n: int) -> Strategy:
@@ -103,7 +103,7 @@ def shift_strategy(n: int) -> Strategy:
     def guesses(h, s):
         return (s + h) % n
 
-    return Strategy("shift", n, n, hints, guesses)
+    return Strategy("shift", n, hints, guesses)
 
 
 def naive_strategy(n: int) -> Strategy:
@@ -117,12 +117,12 @@ def naive_strategy(n: int) -> Strategy:
         # any fixed second position works; 1 keeps runs reproducible
         return np.where(s == h, 0, 1)
 
-    return Strategy("naive", n, n, hints, guesses)
+    return Strategy("naive", n, hints, guesses)
 
 
 def baseline_strategy(n: int) -> Strategy:
     """No advice: a single dummy message and a probe at the target itself."""
-    return Strategy("baseline", n, 1,
+    return Strategy("baseline", n,
                     lambda block: np.zeros(len(block), dtype=np.int64),
                     lambda h, s: np.broadcast_to(s, h.shape))
 
@@ -145,7 +145,7 @@ def latin_strategy(square: LatinSquare) -> Strategy:
     def guesses(h, s):
         return inverses[h, s]
 
-    return Strategy("latin", n, n, hints, guesses)
+    return Strategy("latin", n, hints, guesses)
 
 
 def strategy_by_name(name: str, n: int) -> Strategy:

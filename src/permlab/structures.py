@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Sequence
 from . import counting
 from .enumeration import check_memory, factorial_past, guard_value
 from .errors import ParameterOutOfRange, TooLargeForEnumeration
+from .perms import ints
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,18 @@ class IndexSet:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements) or any(
-                not 0 <= e < self.n for e in self.elements):
+        n, *elements = ints((self.n, *self.elements), ParameterOutOfRange,
+                            "the index set")
+        if len(set(elements)) != len(elements) or any(
+                not 0 <= e < n for e in elements):
             raise ParameterOutOfRange(
-                f"{self.elements!r} is not a set of indices in 0..{self.n - 1}")
-        object.__setattr__(self, "elements", tuple(sorted(self.elements)))
+                f"{tuple(elements)!r} is not a set of indices in 0..{n - 1}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "elements", tuple(sorted(elements)))
 
     @classmethod
-    def of(cls, n: int, elements) -> "IndexSet":
-        return cls(n, tuple(int(e) for e in elements))
+    def of(cls, n: int, elements: Iterable) -> "IndexSet":
+        return cls(n, tuple(elements))
 
     def as_set(self) -> frozenset[int]:
         return frozenset(self.elements)
@@ -68,13 +72,6 @@ def _moved(S: Iterable[int], l: int, n: int) -> frozenset[int]:
     return frozenset((e + l) % n for e in S)
 
 
-def _require_same_n(*sets: IndexSet) -> int:
-    ns = {S.n for S in sets}
-    if len(ns) != 1:
-        raise ParameterOutOfRange(f"mixed ambient orders {sorted(ns)}")
-    return ns.pop()
-
-
 def _require_nonzero_shift(n: int, s: int) -> int:
     if n < 1:
         raise ParameterOutOfRange(f"order n must be positive, got {n}")
@@ -82,6 +79,15 @@ def _require_nonzero_shift(n: int, s: int) -> int:
     if s == 0:
         raise ParameterOutOfRange("shift s must be nonzero modulo n")
     return s
+
+
+def _require_sets(s: int, *sets: IndexSet) -> tuple[int, int]:
+    """The one order n of ``sets``, and ``s`` mod n, which must be nonzero."""
+    ns = {S.n for S in sets}
+    if len(ns) != 1:
+        raise ParameterOutOfRange(f"mixed ambient orders {sorted(ns)}")
+    n = ns.pop()
+    return n, _require_nonzero_shift(n, s)
 
 
 def _blocked(i: frozenset[int], j: frozenset[int], s: int,
@@ -103,16 +109,14 @@ def _fits(k: frozenset[int], blocked: set[int], s: int, n: int) -> bool:
 
 def is_compatible(I: IndexSet, J: IndexSet, s: int) -> bool:
     """True iff I, J, I-s, J+s are pairwise disjoint."""
-    n = _require_same_n(I, J)
-    s = _require_nonzero_shift(n, s)
+    n, s = _require_sets(s, I, J)
     return _blocked(I.as_set(), J.as_set(), s, n) is not None
 
 
 def is_feasible(K: IndexSet, I: IndexSet, J: IndexSet, s: int) -> bool:
     """True iff (I, J) is compatible for s, K avoids K+s, and K avoids
     I, J, I-s and J+s."""
-    n = _require_same_n(K, I, J)
-    s = _require_nonzero_shift(n, s)
+    n, s = _require_sets(s, K, I, J)
     blocked = _blocked(I.as_set(), J.as_set(), s, n)
     return blocked is not None and _fits(K.as_set(), blocked, s, n)
 
@@ -120,8 +124,7 @@ def is_feasible(K: IndexSet, I: IndexSet, J: IndexSet, s: int) -> bool:
 def count_required_displacements(I: IndexSet, J: IndexSet, s: int) -> int:
     """Permutations fixing all of I and pushing all of J by s: zero when
     I meets J or J + s, otherwise (n - |I u J|)!."""
-    n = _require_same_n(I, J)
-    s = _require_nonzero_shift(n, s)
+    n, s = _require_sets(s, I, J)
     if _clash(I.as_set(), J.as_set(), n, s):
         return 0
     return factorial(n - len(I.as_set() | J.as_set()))
@@ -198,8 +201,7 @@ def count_exact_displacements(I: IndexSet, J: IndexSet, s: int) -> int:
     their pushed cells in the columns the pins leave. With r_k the rook
     numbers of those cells, the count is sum_k (-1)^k r_k (m - k)!.
     """
-    n = _require_same_n(I, J)
-    s = _require_nonzero_shift(n, s)
+    n, s = _require_sets(s, I, J)
     check_memory(_board_bytes(n), f"the exact displacement count at n={n}")
     i, j = I.as_set(), J.as_set()
     if _clash(i, j, n, s):
@@ -219,8 +221,7 @@ def count_optional_displacements(K: IndexSet, I: IndexSet, J: IndexSet,
     or pushed cell in a column the pins leave, has (n - |I u J u K|)!
     completions; a feasible K has no two cells in a line: 2^|K| placements.
     """
-    n = _require_same_n(K, I, J)
-    s = _require_nonzero_shift(n, s)
+    n, s = _require_sets(s, K, I, J)
     check_memory(_board_bytes(n), f"the optional displacement count at n={n}")
     i, j, k = I.as_set(), J.as_set(), K.as_set()
     if _clash(i, j, n, s):
@@ -253,22 +254,26 @@ def _check_outcomes(kind: str, count: int, guard: int | None) -> None:
             f"exact {kind} enumerates more than {g}! outcomes")
 
 
-def _estimate(kind: str, params: dict, bound: Fraction, mode: str,
+def _is_exact(mode: str, trials: int) -> bool:
+    """Whether ``mode`` is exact; sampled mode needs positive ``trials``."""
+    if mode not in ("exact", "sampled"):
+        raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
+    if mode == "sampled" and trials < 1:
+        raise ParameterOutOfRange("trials must be positive")
+    return mode == "exact"
+
+
+def _estimate(kind: str, params: dict, bound: Fraction, exact: bool,
               trials: int, seed: int, outcomes: Iterable[Sequence[int]],
               count: int, pool: Sequence[int], size: int,
               hit: Callable[[Sequence[int]], bool]) -> ProbabilityReport:
-    """How often ``hit`` holds: over all ``count`` ``outcomes`` in exact
-    mode, or over ``trials`` draws of ``size`` entries from ``pool`` in
-    sampled mode, trial i drawn by a partial Fisher-Yates shuffle on
+    """How often ``hit`` holds: over all ``count`` ``outcomes`` when
+    ``exact``, else over ``trials`` draws of ``size`` entries from ``pool``,
+    trial i drawn by a partial Fisher-Yates shuffle on
     ``derive_seed(seed, i)``."""
-    if mode == "exact":
-        exact = Fraction(sum(map(hit, outcomes)), count)
-        return ProbabilityReport(kind, params, float(exact), exact, None, None,
-                                 bound)
-    if mode != "sampled":
-        raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
-    if trials < 1:
-        raise ParameterOutOfRange("trials must be positive")
+    if exact:
+        p = Fraction(sum(map(hit, outcomes)), count)
+        return ProbabilityReport(kind, params, float(p), p, None, None, bound)
     from .rng import Rng, derive_seed
     hits = 0
     for trial in range(trials):
@@ -296,11 +301,12 @@ def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
     bound = (1 - Fraction(4 * t, n - 2 * t)) ** (2 * t)
     params = {"n": n, "t": t, "s": s, "mode": mode}
     count = comb(n, t) * comb(n - t, t)
-    if mode == "exact":
+    exact = _is_exact(mode, trials)
+    if exact:
         _check_outcomes("compatible_pair", count, guard)
     pairs = (I + J for I in combinations(range(n), t)
              for J in combinations([x for x in range(n) if x not in I], t))
-    return _estimate("compatible_pair", params, bound, mode, trials, seed,
+    return _estimate("compatible_pair", params, bound, exact, trials, seed,
                      pairs, count, range(n), 2 * t,
                      lambda x: _blocked(frozenset(x[:t]), frozenset(x[t:]),
                                         s, n) is not None)
@@ -391,17 +397,17 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
     bound (1 - (2t+k)/(n-2t-k))^k attached."""
     if k < 0 or 2 * k > n - 4 * t:
         raise ParameterOutOfRange(f"need 2k <= n - 4t, got k={k}, t={t}, n={n}")
-    s = _require_nonzero_shift(n, s)
-    _require_pair_room(n, t, s)
-    if mode == "exact":   # before the pair search: any pair leaves n - 2t
+    exact = _is_exact(mode, trials)
+    if exact:   # before the pair search: any pair leaves n - 2t
         _check_outcomes("feasible_set", comb(n - 2 * t, k), guard)
-    I, J = canonical_compatible_pair(n, t, s)
+    I, J = canonical_compatible_pair(n, t, s)   # checks t, s and their room
+    s %= n
     complement = sorted(set(range(n)) - I.as_set() - J.as_set())
     blocked = _blocked(I.as_set(), J.as_set(), s, n)
     bound = (1 - Fraction(2 * t + k, n - 2 * t - k)) ** k
     params = {"n": n, "t": t, "k": k, "s": s, "mode": mode,
               "I": list(I.elements), "J": list(J.elements)}
-    return _estimate("feasible_set", params, bound, mode, trials, seed,
+    return _estimate("feasible_set", params, bound, exact, trials, seed,
                      combinations(complement, k), comb(len(complement), k),
                      complement, k,
                      lambda K: _fits(frozenset(K), blocked, s, n))
@@ -474,20 +480,16 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
     results do not depend on batching) and reports standard errors; exact
     mode reads :func:`joint_shift_table` and reports zero standard errors.
     """
-    _require_classes(n, i, j)
-    if not 0 <= t <= n:
-        raise ParameterOutOfRange(f"t={t} not in 0..{n}")
-    if mode == "exact":   # the joint table refuses past memory at once
-        e_zz = joint_shift_pmf(n, i, j, t)
+    if _is_exact(mode, trials):
+        e_zz = joint_shift_pmf(n, i, j, t)   # checks i, j, t; refuses past memory
         marginal = counting.shift_count_pmf(n, t)
         cov = e_zz - marginal * marginal
         return IndicatorStat(n, t, i, j, "exact", None,
                              float(marginal), float(marginal), float(e_zz),
                              float(cov), 0.0, 0.0, 0.0, marginal)
-    if mode != "sampled":
-        raise ParameterOutOfRange(f"mode must be exact or sampled, not {mode!r}")
-    if trials < 1:
-        raise ParameterOutOfRange("trials must be positive")
+    _require_classes(n, i, j)
+    if not 0 <= t <= n:
+        raise ParameterOutOfRange(f"t={t} not in 0..{n}")
     from .perms import shift_reduce
     from .rng import seeded_blocks
     blocks = seeded_blocks(seed, n, 0, trials)   # refuses past memory at once

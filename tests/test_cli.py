@@ -139,6 +139,20 @@ class TestField:
         assert code == 0
         assert "field" in lines[1]
 
+    def test_partition_tabulated_once(self, capsys, tmp_path, monkeypatch):
+        import permlab.fields as fields
+        calls = []
+        real = fields.class_members
+        monkeypatch.setattr(fields, "class_members",
+                            lambda *a: calls.append(a) or real(*a))
+        path = tmp_path / "part.json"
+        path.write_text(json.dumps(
+            {"n": 3, "m": 3, "assignment": [0, 0, 1, 2, 1, 2]}))
+        code, lines, _ = run_cli(capsys, "field", "--partition", str(path))
+        assert code == 0 and len(calls) == 1
+        assert (lines[1]["field"], lines[1]["success_upper_bound"]["ratio"]) \
+            == (12, "2/3")
+
     def test_three_million_labels_score_as_six(self, capsys, tmp_path):
         # only the classes that hold a permutation are tabulated
         bodies = []
@@ -525,7 +539,10 @@ class TestUsageErrors:
         "[0, 0, 0, 0, 0, 0]",
         '{"n": 3, "assignment": [0, 0, 0, 0, 0, 0]}',
         '{"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1' + "0" * 5000 + "]}",
-    ], ids=["not-json", "array", "no-m", "5000-digit-entry"])
+        '{"n": 0, "m": 1, "assignment": [0]}',
+        '{"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, true]}',
+    ], ids=["not-json", "array", "no-m", "5000-digit-entry", "n-zero",
+            "assignment-bool"])
     @pytest.mark.parametrize("command", ["field", "dedup"])
     def test_malformed_partition_file(self, capsys, tmp_path, command, text):
         path = tmp_path / "part.json"

@@ -12,8 +12,8 @@ import pytest
 from permlab import fields
 from permlab.errors import (GuardRefusal, MalformedPartition, NotABijection,
                             ParameterOutOfRange, TooLargeForEnumeration)
-from permlab.fields import (DedupResult, PartitionStrategy, _aic_holds,
-                            aic_check, brute_force_field, class_members,
+from permlab.fields import (DedupResult, PartitionStrategy, aic_check,
+                            brute_force_field, class_members,
                             deduplicate_magnets, field_of_partition,
                             magnet_table, magneticity, partition_from_hint,
                             success_upper_bound)
@@ -67,7 +67,9 @@ def reference_field_search(n, m, restriction=None, budget=2_000_000):
         classes = [[] for _ in range(m)]
         for rank, h in enumerate(assignment):
             classes[h].append(perms[rank])
-        return _aic_holds(n, {h: c for h, c in enumerate(classes) if c})
+        nonempty = [c for c in classes if c]
+        return any(all(any(all(img[i] != s for img in c) for c in nonempty)
+                       for i in range(n)) for s in range(n))
 
     def dfs(depth, field, used):
         nonlocal best_field, best_assignment, nodes
@@ -137,9 +139,10 @@ class TestPartitionSerialization:
         '{"n": 3, "m": 2, "assignment": {"0": 0}}',
         '{"n": 3, "m": 2, "assignment": [0, 0, 0, 0, 0, null]}',
         '{"n": -1, "m": 2, "assignment": [0]}',
+        '{"n": 0, "m": 1, "assignment": [0]}',
         '{"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1' + "0" * 5000 + "]}",
     ], ids=["not-json", "array", "no-m", "m-string", "n-float", "m-bool",
-            "assignment-object", "assignment-null", "n-negative",
+            "assignment-object", "assignment-null", "n-negative", "n-zero",
             "5000-digit-entry"])
     def test_from_json_rejects_malformed(self, text):
         with pytest.raises(MalformedPartition):

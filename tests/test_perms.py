@@ -1,6 +1,7 @@
 """Core permutation type, shift statistics, and the worked-deck fixture."""
 
 import itertools
+import json
 import tracemalloc
 from math import factorial
 
@@ -10,14 +11,19 @@ from hypothesis import given, strategies as hs
 
 from permlab import perms
 from permlab.enumeration import row_blocks
-from permlab.errors import NotABijection, ParameterOutOfRange
-from permlab.perms import (TILE, Permutation, apply_transposition,
-                           argmax_shift, example_deck, identity_permutation,
-                           lex_rank, lex_unrank, make_permutation,
-                           rotate_values, shift_counts, shift_histogram,
-                           shift_reduce, shift_vector)
+from permlab.errors import (MalformedPartition, NotABijection, NotLatin,
+                            ParameterOutOfRange)
+from permlab.fields import (PartitionStrategy, deduplicate_magnets,
+                            partition_from_hint)
+from permlab.perms import (TILE, Permutation, ShiftHistogram,
+                           apply_transposition, argmax_shift, example_deck,
+                           identity_permutation, lex_rank, lex_unrank,
+                           make_permutation, rotate_values, shift_counts,
+                           shift_histogram, shift_reduce, shift_vector)
 from permlab.rng import BatchRng, Rng, batch_seeds
-from permlab.strategies import shift_strategy
+from permlab.simulate import GameConfig, simulate_needle
+from permlab.strategies import LatinSquare, shift_strategy
+from permlab.structures import IndexSet
 
 # Published sequences for the worked 52-card deck.
 DECK_V = (3, 36, 1, 17, 29, 50, 37, 34, 15, 6, 11, 2, 29, 29, 3, 34, 45, 9,
@@ -52,6 +58,71 @@ class TestConstruction:
 
     def test_deck_fixture_is_valid_order_52(self):
         assert example_deck().n == 52
+
+
+NOT_INTEGERS = {"float": 1.0, "string": "1", "bool": True, "None": None}
+
+# every reader of outside integers, as (name, refusal, a call that reads
+# the entry x, the entries of NOT_INTEGERS it is fed); a float, string or
+# None stream row was already refused, by test_stream_row_of_non_integers_refused
+READERS = [
+    ("make_permutation", NotABijection,
+     lambda x: make_permutation([0, x, 2]), NOT_INTEGERS),
+    ("IndexSet", ParameterOutOfRange, lambda x: IndexSet(10, (x,)),
+     NOT_INTEGERS),
+    ("IndexSet.of", ParameterOutOfRange, lambda x: IndexSet.of(10, [3, x]),
+     NOT_INTEGERS),
+    ("IndexSet-order", ParameterOutOfRange, lambda x: IndexSet(x, (0,)),
+     NOT_INTEGERS),
+    ("PartitionStrategy", ParameterOutOfRange,
+     lambda x: PartitionStrategy(2, 2, (0, x)), NOT_INTEGERS),
+    ("PartitionStrategy-order", ParameterOutOfRange,
+     lambda x: PartitionStrategy(x, 1, (0,)), NOT_INTEGERS),
+    ("PartitionStrategy.from_json", MalformedPartition,
+     lambda x: PartitionStrategy.from_json(
+         json.dumps({"n": 2, "m": 2, "assignment": [0, x]})), NOT_INTEGERS),
+    ("LatinSquare", NotLatin, lambda x: LatinSquare(((0, x), (x, 0))),
+     NOT_INTEGERS),
+    ("LatinSquare.from_json", NotLatin,
+     lambda x: LatinSquare.from_json(json.dumps([[0, x], [x, 0]])),
+     NOT_INTEGERS),
+    ("ShiftHistogram", ParameterOutOfRange, lambda x: ShiftHistogram((x, 1)),
+     NOT_INTEGERS),
+    ("deduplicate_magnets", NotABijection,
+     lambda x: deduplicate_magnets([[(0, x, 2)]]), NOT_INTEGERS),
+    ("partition_from_hint", ParameterOutOfRange,
+     lambda x: partition_from_hint(2, 2, lambda p: x), NOT_INTEGERS),
+    ("stream", NotABijection,
+     lambda x: simulate_needle(GameConfig(n=3, trials=2, seed=0),
+                               perm_stream=lambda t: (0, x, 2)), ("bool",)),
+]
+
+
+class TestIntegerRule:
+    """One rule reads every outside integer: any Python or numpy integer is
+    read as an int; a bool, float, string or None is refused."""
+
+    @pytest.mark.parametrize("error, call, x", [
+        pytest.param(error, call, NOT_INTEGERS[kind], id=f"{name}-{kind}")
+        for name, error, call, kinds in READERS for kind in kinds])
+    def test_non_integer_entry_refused(self, error, call, x):
+        with pytest.raises(error, match="holds a non-integer$"):
+            call(x)
+
+    def test_bool_image_refused(self):
+        with pytest.raises(NotABijection):
+            Permutation((True, False))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_read_as_ints(self, dtype):
+        one = dtype(1)
+        read = [make_permutation(np.array([2, 1, 0], dtype=dtype)).image,
+                IndexSet.of(10, np.array([3, 1], dtype=dtype)).elements,
+                PartitionStrategy(2, 2, (dtype(0), one)).assignment,
+                LatinSquare(np.array([[0, 1], [1, 0]], dtype=dtype)).rows[0],
+                ShiftHistogram((one, one)).counts]
+        assert read == [(2, 1, 0), (1, 3), (0, 1), (0, 1), (1, 1)]
+        assert all(type(v) is int for entries in read for v in entries)
 
 
 class TestShiftStatistics:
