@@ -106,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     st.add_argument("--trials", type=int, default=100_000)
     st.add_argument("--seed", type=int, default=None)
-    st.add_argument("--guard", type=int, default=None,
-                    help="exact compatible/feasible: at most guard! outcomes")
+    st.add_argument("--guard", type=int, default=None, help="bounds nothing")
 
     dd = sub.add_parser("dedup", help="magnet deduplication rewrite")
     dd.add_argument("--partition", required=True)
@@ -234,12 +233,10 @@ def _cmd_structure(args) -> list[str]:
         body = {"kind": kind, "count": count}
     elif kind == "compatible":
         body = S.compatible_pair_stats(n, args.t, args.s, mode=args.mode,
-                                       trials=args.trials, seed=seed,
-                                       guard=args.guard)
+                                       trials=args.trials, seed=seed)
     elif kind == "feasible":
         body = S.feasible_set_stats(n, args.t, args.k, args.s, mode=args.mode,
-                                    trials=args.trials, seed=seed,
-                                    guard=args.guard)
+                                    trials=args.trials, seed=seed)
     elif kind == "joint":
         p = S.joint_shift_pmf(n, args.i, args.j, args.t)
         body = {"kind": "joint", "n": n, "i": args.i, "j": args.j,

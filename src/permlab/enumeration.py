@@ -4,8 +4,8 @@
 order as int8 blocks of at most 7! rows, so a sweep holds one block whatever
 n is. Past its guard an order is refused before any row is built, so that a
 typo cannot ask for 12! of anything: ``SWEEP_GUARD`` guards the commands'
-sweeps, ``ENUMERATION_GUARD`` library sweeps and exact structure outcomes.
-Callers pass a larger guard deliberately.
+sweeps and ``ENUMERATION_GUARD`` library sweeps. Callers pass a larger guard
+deliberately.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import OutOfMemory, ParameterOutOfRange, TooLargeForEnumeration
 if TYPE_CHECKING:
     import numpy as np
 
-ENUMERATION_GUARD = 10  # library sweeps, exact structure outcomes
+ENUMERATION_GUARD = 10  # library sweeps
 SWEEP_GUARD = 8      # exact, simulate/dist --exhaustive, field, dedup
 _TAIL = 7            # a block is the 7! permutations of the last 7 positions
 

@@ -44,6 +44,8 @@ class PartitionStrategy:
     def __post_init__(self):
         n, m, *assignment = ints((self.n, self.m, *self.assignment),
                                  ParameterOutOfRange, "the partition")
+        if n < 1:
+            raise ParameterOutOfRange(f"partition order n={n} is not positive")
         if len(assignment) != factorial_past(n, len(assignment)):
             raise ParameterOutOfRange(
                 f"assignment length {len(assignment)} != {n}!")

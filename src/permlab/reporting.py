@@ -1,7 +1,7 @@
 """JSON rendering of result objects.
 
 Exact rationals are rendered both ways ({"ratio": "p/q", "value": float});
-dataclasses and numpy scalars flatten to plain JSON types. Serialization is
+dataclasses, dicts and sequences flatten to plain JSON types. Serialization is
 key-sorted so identical results are byte-identical documents, and exact
 integer counts render at any size, past Python's int-to-str digit limit.
 """
@@ -39,7 +39,7 @@ _PLAIN = (str, int, float, bool, type(None))
 
 
 def json_ready(obj):
-    if type(obj) in _PLAIN:   # already JSON; numpy subclasses fall through
+    if type(obj) in _PLAIN:   # already JSON
         return obj
     if isinstance(obj, Fraction):
         return {"ratio": ratio_text(obj), "value": float(obj)}
@@ -49,15 +49,6 @@ def json_ready(obj):
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
-    np = sys.modules.get("numpy")   # no numpy value exists until it is imported
-    if np is None:
-        return obj
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
         return [json_ready(v) for v in obj]
     return obj
 

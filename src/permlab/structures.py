@@ -10,18 +10,19 @@ points in place (sigma(i) = i) and where they push points s ahead
 * ``count_optional_displacements`` -- all of I fixed, all of J pushed, and
   every position in K either fixed or pushed.
 
-The fixed and pushed cells of a shift form closed chains (the menage board;
-Touchard 1934, Kaplansky 1943). ``_board`` takes the rook polynomial of any
-of its cells as one int, a field per coefficient, by sums and shifts alone;
-both counts and the joint shift table read its exact coefficients. They
-enumerate nothing and take no guard: each refuses before the work only when
-a bound on its bytes exceeds what this process may use.
+The fixed and pushed cells of a shift form closed chains along the cycles
+of x -> x + s (the menage board; Touchard 1934, Kaplansky 1943). ``_board``
+takes the rook polynomial of any of its cells as one int, a field per
+coefficient, by sums and shifts alone; both counts and the joint shift table
+read its exact coefficients.
 
 A pair (I, J) is *compatible* for s when I, J, I-s, J+s are pairwise
 disjoint; K is *feasible* when it also avoids itself shifted and all four of
-those sets. The sampled estimators report how common compatibility and
-feasibility are, and ``covariance_estimate`` measures how nearly independent
-the sizes of two shift classes are.
+those sets. Both are independent sets on the same cycles, counted exactly
+from their runs of free positions, or sampled. ``covariance_estimate``
+measures how nearly independent two shift-class sizes are. No count
+enumerates or takes a guard: each refuses before the work only when a bound
+on its bytes exceeds what this process may use.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from . import counting
-from .enumeration import check_memory, factorial_past, guard_value
-from .errors import ParameterOutOfRange, TooLargeForEnumeration
+from .enumeration import check_memory
+from .errors import ParameterOutOfRange
 from .perms import ints
 
 
@@ -150,6 +150,20 @@ def _exactly(at_least: Sequence[int]) -> list[int]:
     return exact
 
 
+def _cycles(n: int, s: int) -> list[list[int]]:
+    """The gcd(n, s) cycles of x -> x + s, each from its least position."""
+    g = math.gcd(n, s)
+    return [[(c + i * s) % n for i in range(n // g)] for c in range(g)]
+
+
+def _runs(usable: Sequence[bool]) -> list[int] | None:
+    """The lengths of the runs of usable positions around a cycle, or None
+    when the whole cycle is usable; the first may be 0."""
+    parts = bytes(usable).split(b"\0")   # the last run wraps into the first
+    return None if len(parts) == 1 else [len(parts[0]) + len(parts[-1]),
+                                         *filter(None, map(len, parts[1:-1]))]
+
+
 def _board(n: int, s: int, cell: Callable[[int, bool], int | None]) -> list[int]:
     """Coefficients of the rook polynomial of the fixed cells (y, y) and
     pushed cells (y, y + s) to which ``cell(y, pushed)`` gives a power of x.
@@ -169,11 +183,9 @@ def _board(n: int, s: int, cell: Callable[[int, bool], int | None]) -> list[int]
                                          else empty << 8 * width * power)
         return empty + held
 
-    g = math.gcd(n, s)
     rooks = 1
-    for x in range(g):
-        cells = [cell((x + k * s) % n, pushed)
-                 for k in range(n // g) for pushed in (False, True)]
+    for cycle in _cycles(n, s):
+        cells = [cell(y, pushed) for y in cycle for pushed in (False, True)]
         held = 0 if cells[0] is None else chain(
             cells[2:-1], rooks << 8 * width * cells[0])
         rooks = chain(cells[1:], rooks) + held
@@ -240,18 +252,38 @@ class ProbabilityReport:
     kind: str
     params: dict
     probability: float
-    exact: Fraction | None        # set in exact mode
-    std_err: float | None         # set in sampled mode
-    trials: int | None
     closed_form_bound: Fraction
+    exact: Fraction | None = None       # set in exact mode
+    std_err: float | None = None        # set in sampled mode
+    trials: int | None = None
 
 
-def _check_outcomes(kind: str, count: int, guard: int | None) -> None:
-    """Refuse exact ``kind`` past (guard)! outcomes, before building any."""
-    g = guard_value(guard)
-    if count > factorial_past(g, count):
-        raise TooLargeForEnumeration(
-            f"exact {kind} enumerates more than {g}! outcomes")
+def _count_bytes(n: int, k: int) -> int:
+    """Bytes for a count of k-sets: k + 1 coefficients below 2^n and 128 bytes
+    each, four times over, and 512 a position (traced peaks stay below 230)."""
+    return 4 * (k + 1) * (n // 8 + 128) + 512 * n
+
+
+def _spread_sets(n: int, s: int, k: int, blocked: set[int]) -> int:
+    """The k-sets K outside ``blocked`` with K and K + s disjoint, from the
+    runs of free positions on the cycles of x -> x + s: C(m - j + 1, j)
+    j-sets on a run of m, L/(L - j) C(L - j, j) on a whole free cycle of L
+    (Kaplansky 1943), and the x^k coefficient of their product."""
+    sets = [1]
+    for cycle in _cycles(n, s):
+        runs, L = _runs([x not in blocked for x in cycle]), len(cycle)
+        factors = ([[L * comb(L - j, j) // (L - j)
+                     for j in range(min(k, L // 2) + 1)]] if runs is None
+                   else ([comb(m - j + 1, j)
+                          for j in range(min(k, (m + 1) // 2) + 1)]
+                         for m in runs))
+        for factor in factors:
+            product = [0] * min(k + 1, len(sets) + len(factor) - 1)
+            for i, a in enumerate(sets):
+                for j, b in enumerate(factor[:len(product) - i]):
+                    product[i + j] += a * b
+            sets = product
+    return sets[k] if k < len(sets) else 0
 
 
 def _is_exact(mode: str, trials: int) -> bool:
@@ -263,17 +295,11 @@ def _is_exact(mode: str, trials: int) -> bool:
     return mode == "exact"
 
 
-def _estimate(kind: str, params: dict, bound: Fraction, exact: bool,
-              trials: int, seed: int, outcomes: Iterable[Sequence[int]],
-              count: int, pool: Sequence[int], size: int,
+def _estimate(kind: str, params: dict, bound: Fraction, trials: int,
+              seed: int, pool: Sequence[int], size: int,
               hit: Callable[[Sequence[int]], bool]) -> ProbabilityReport:
-    """How often ``hit`` holds: over all ``count`` ``outcomes`` when
-    ``exact``, else over ``trials`` draws of ``size`` entries from ``pool``,
-    trial i drawn by a partial Fisher-Yates shuffle on
-    ``derive_seed(seed, i)``."""
-    if exact:
-        p = Fraction(sum(map(hit, outcomes)), count)
-        return ProbabilityReport(kind, params, float(p), p, None, None, bound)
+    """How often ``hit`` holds in ``trials`` partial Fisher-Yates draws of
+    ``size`` entries from ``pool``, trial i on ``derive_seed(seed, i)``."""
     from .rng import Rng, derive_seed
     hits = 0
     for trial in range(trials):
@@ -285,45 +311,32 @@ def _estimate(kind: str, params: dict, bound: Fraction, exact: bool,
         hits += hit(drawn[:size])
     est = hits / trials
     se = math.sqrt(est * (1 - est) / trials)
-    return ProbabilityReport(kind, {**params, "seed": seed}, est, None, se,
-                             trials, bound)
+    return ProbabilityReport(kind, {**params, "seed": seed}, est, bound,
+                             std_err=se, trials=trials)
 
 
 def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
-                          trials: int = 100_000, seed: int = 0,
-                          guard: int | None = None) -> ProbabilityReport:
+                          trials: int = 100_000,
+                          seed: int = 0) -> ProbabilityReport:
     """Probability that uniformly chosen disjoint I, J of size t are
     compatible for shift s, with the closed-form lower bound
     (1 - 4t/(n-2t))^(2t) attached for comparison."""
     if t < 1 or 2 * t >= n:
         raise ParameterOutOfRange(f"need 1 <= t and 2t < n, got t={t}, n={n}")
     s = _require_nonzero_shift(n, s)
+    if exact := _is_exact(mode, trials):
+        check_memory(_count_bytes(n, 2 * t),
+                     f"the compatible pair count at n={n}")
     bound = (1 - Fraction(4 * t, n - 2 * t)) ** (2 * t)
     params = {"n": n, "t": t, "s": s, "mode": mode}
-    count = comb(n, t) * comb(n - t, t)
-    exact = _is_exact(mode, trials)
-    if exact:
-        _check_outcomes("compatible_pair", count, guard)
-    pairs = (I + J for I in combinations(range(n), t)
-             for J in combinations([x for x in range(n) if x not in I], t))
-    return _estimate("compatible_pair", params, bound, exact, trials, seed,
-                     pairs, count, range(n), 2 * t,
-                     lambda x: _blocked(frozenset(x[:t]), frozenset(x[t:]),
-                                        s, n) is not None)
-
-
-def _require_pair_room(n: int, t: int, s: int) -> int:
-    """``s`` mod n, once a compatible pair of size t is known to exist: with
-    nothing taken, each of the gcd(n, s) cycles of x -> x + s holds half its
-    length in disjoint pairs {x, x + s}, and the pair needs 2t of them."""
-    if t < 0:
-        raise ParameterOutOfRange(f"pair size t must be non-negative, got {t}")
-    s = _require_nonzero_shift(n, s)
-    g = math.gcd(n, s)
-    if g * (n // g // 2) < 2 * t:
-        raise ParameterOutOfRange(
-            f"no compatible pair of size {t} exists for n={n}, s={s}")
-    return s
+    if exact:   # the 2t disjoint pairs {x, x + s} of I and J, split in two
+        p = Fraction(comb(2 * t, t) * _spread_sets(n, s, 2 * t, set()),
+                     comb(n, t) * comb(n - t, t))
+        return ProbabilityReport("compatible_pair", params, float(p), bound, p)
+    return _estimate("compatible_pair", params, bound, trials, seed, range(n),
+                     2 * t, lambda x: _blocked(frozenset(x[:t]),
+                                               frozenset(x[t:]), s, n)
+                     is not None)
 
 
 def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSet]:
@@ -339,9 +352,10 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
     of its own set, above its last element, and the rest of all 2t pairs,
     anywhere. That test is exact for J, so only I ever backtracks.
     """
-    s = _require_pair_room(n, t, s)
-    g = math.gcd(n, s)
-    cycles = [[(c + i * s) % n for i in range(n // g)] for c in range(g)]
+    if t < 0:
+        raise ParameterOutOfRange(f"pair size t must be non-negative, got {t}")
+    s = _require_nonzero_shift(n, s)
+    cycles = _cycles(n, s)
     taken: set[int] = set()
 
     def room(above: int, top: int) -> int:
@@ -349,18 +363,15 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
         above ``above``."""
         total = 0
         for cycle in cycles:
-            ok = [(x + top) % n > above and x not in taken
-                  and (x + s) % n not in taken for x in cycle]
-            if all(ok):
-                total += len(cycle) // 2
-                continue
-            cut, run = ok.index(False), 0
-            for usable in ok[cut + 1:] + ok[:cut + 1]:
-                if usable:
-                    run += 1
-                else:
-                    total, run = total + (run + 1) // 2, 0
+            runs = _runs([(x + top) % n > above and x not in taken
+                          and (x + s) % n not in taken for x in cycle])
+            total += (len(cycle) // 2 if runs is None
+                      else sum((m + 1) // 2 for m in runs))
         return total
+
+    if room(-1, 0) < 2 * t:
+        raise ParameterOutOfRange(
+            f"no compatible pair of size {t} exists for n={n}, s={s}")
 
     def pair(k: int, e: int) -> set[int]:
         """The positions taken by e as element k of the search."""
@@ -390,34 +401,36 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
 
 
 def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
-                       trials: int = 100_000, seed: int = 0,
-                       guard: int | None = None) -> ProbabilityReport:
+                       trials: int = 100_000,
+                       seed: int = 0) -> ProbabilityReport:
     """Probability that a uniform K of size k inside the complement of the
     canonical compatible (I, J) is feasible, with the closed-form lower
     bound (1 - (2t+k)/(n-2t-k))^k attached."""
     if k < 0 or 2 * k > n - 4 * t:
         raise ParameterOutOfRange(f"need 2k <= n - 4t, got k={k}, t={t}, n={n}")
-    exact = _is_exact(mode, trials)
-    if exact:   # before the pair search: any pair leaves n - 2t
-        _check_outcomes("feasible_set", comb(n - 2 * t, k), guard)
+    if exact := _is_exact(mode, trials):   # before the pair search
+        check_memory(_count_bytes(n, k), f"the feasible set count at n={n}")
     I, J = canonical_compatible_pair(n, t, s)   # checks t, s and their room
     s %= n
-    complement = sorted(set(range(n)) - I.as_set() - J.as_set())
     blocked = _blocked(I.as_set(), J.as_set(), s, n)
     bound = (1 - Fraction(2 * t + k, n - 2 * t - k)) ** k
     params = {"n": n, "t": t, "k": k, "s": s, "mode": mode,
               "I": list(I.elements), "J": list(J.elements)}
-    return _estimate("feasible_set", params, bound, exact, trials, seed,
-                     combinations(complement, k), comb(len(complement), k),
-                     complement, k,
-                     lambda K: _fits(frozenset(K), blocked, s, n))
+    if exact:
+        p = Fraction(_spread_sets(n, s, k, blocked), comb(n - 2 * t, k))
+        return ProbabilityReport("feasible_set", params, float(p), bound, p)
+    complement = sorted(set(range(n)) - I.as_set() - J.as_set())
+    return _estimate("feasible_set", params, bound, trials, seed, complement,
+                     k, lambda K: _fits(frozenset(K), blocked, s, n))
 
 
-def _require_classes(n: int, i: int, j: int) -> None:
+def _require_classes(n: int, i: int, j: int, t: int = 0) -> None:
     if i == j:
         raise ParameterOutOfRange("shift classes i and j must differ")
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterOutOfRange(f"classes ({i}, {j}) not in 0..{n - 1}")
+    if not 0 <= t <= n:
+        raise ParameterOutOfRange(f"t={t} not in 0..{n}")
 
 
 def joint_shift_table(n: int, i: int,
@@ -446,8 +459,7 @@ def joint_shift_table(n: int, i: int,
 
 def joint_shift_pmf(n: int, i: int, j: int, t: int) -> Fraction:
     """Exact probability that shift classes i and j both have size t."""
-    if not 0 <= t <= n:
-        raise ParameterOutOfRange(f"t={t} not in 0..{n}")
+    _require_classes(n, i, j, t)
     return joint_shift_table(n, i, j).get((t, t), Fraction(0))
 
 
@@ -487,9 +499,7 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
         return IndicatorStat(n, t, i, j, "exact", None,
                              float(marginal), float(marginal), float(e_zz),
                              float(cov), 0.0, 0.0, 0.0, marginal)
-    _require_classes(n, i, j)
-    if not 0 <= t <= n:
-        raise ParameterOutOfRange(f"t={t} not in 0..{n}")
+    _require_classes(n, i, j, t)
     from .perms import shift_reduce
     from .rng import seeded_blocks
     blocks = seeded_blocks(seed, n, 0, trials)   # refuses past memory at once

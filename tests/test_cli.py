@@ -406,15 +406,16 @@ _GUARD_REFUSALS = {
     "structure-pset-infeasible": ("structure", "pset", "--n", "1000000",
                                   "--s", "2", "--set-i", "0", "--set-j", "5",
                                   "--set-k", "1,3"),
-    "structure-compatible": ("structure", "compatible", "--n", "40",
-                             "--t", "4"),
-    "structure-feasible": ("structure", "feasible", "--n", "60", "--t", "1",
-                           "--k", "28"),
+    "structure-compatible": ("structure", "compatible", "--n", "1000000",
+                             "--t", "250000"),
+    "structure-feasible": ("structure", "feasible", "--n", "1000000",
+                           "--t", "1", "--k", "499998"),
     "pmf": ("pmf", "--n", "1000000"),
 }
 # the refusals past memory, which no --guard lifts
 _MEMORY_REFUSALS = {"structure-phi", "structure-joint", "structure-cov",
-                    "structure-pset-infeasible", "pmf"}
+                    "structure-pset-infeasible", "structure-compatible",
+                    "structure-feasible", "pmf"}
 
 
 def _with_partition(tmp_path, argv):
@@ -662,7 +663,11 @@ class TestUsageErrors:
          "the joint shift table"),
         (("structure", "pset", "--n", "1000000", "--s", "2", "--set-i", "0",
           "--set-j", "5", "--set-k", "1,3"), "the optional displacement count"),
-    ], ids=["phi", "joint", "pset"])
+        (("structure", "compatible", "--n", "1000000", "--t", "250000"),
+         "the compatible pair count"),
+        (("structure", "feasible", "--n", "1000000", "--t", "1",
+          "--k", "499998"), "the feasible set count"),
+    ], ids=["phi", "joint", "pset", "compatible", "feasible"])
     def test_count_refusal_names_the_guard(self, capsys, argv, what):
         # these counts enumerate nothing: the one guard is memory, and the
         # refusal names the count, not --guard and not a sweep
@@ -673,22 +678,19 @@ class TestUsageErrors:
         assert "--guard" not in err and "sweep" not in err
         assert "perm_matrix" not in err and "permutations" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ("structure", "compatible", "--n", "40", "--t", "4", "--mode", "exact"),
-        ("structure", "feasible", "--n", "60", "--t", "1", "--k", "28",
-         "--mode", "exact"),
+    @pytest.mark.parametrize("argv, ratio", [
+        (("structure", "compatible", "--n", "40", "--t", "4", "--mode",
+          "exact"), "22475/131461"),
+        (("structure", "feasible", "--n", "60", "--t", "1", "--k", "28",
+          "--mode", "exact"), "1/1002242216651368"),
     ], ids=["compatible", "feasible"])
-    def test_exact_estimate_refused_up_front(self, capsys, argv):
-        # ~5.4e9 pairs and ~3e16 sets: refused before any is enumerated
+    def test_exact_estimate_counts_at_once(self, capsys, argv, ratio):
+        # ~5.4e9 pairs and ~3e16 sets, counted on the cycles, not listed
         start = time.perf_counter()
-        code = main(list(argv))
+        code, lines, _ = run_cli(capsys, *argv)
         elapsed = time.perf_counter() - start
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.err.startswith("refused: ")
-        assert "--guard" in captured.err
-        assert captured.err.count("\n") == 1
-        assert captured.out == ""
+        assert code == 0
+        assert lines[1]["exact"]["ratio"] == ratio
         assert elapsed < 1.0
 
     def test_dedup_guard_refusal_prints_nothing(self, capsys, tmp_path):

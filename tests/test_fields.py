@@ -129,6 +129,13 @@ class TestPartitionSerialization:
                            match=r"^class indices must lie in 0\.\.1$"):
             PartitionStrategy(3, 2, (0, 0, 0, 0, 0, 2))  # class out of range
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_refused(self, n):
+        # refused when built, not by a division or a factorial in a score
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^partition order n={n} is not positive$"):
+            success_upper_bound(PartitionStrategy(n, 1, (0,)))
+
     @pytest.mark.parametrize("text", [
         "{not json",
         "[0, 1]",

@@ -51,6 +51,8 @@ LEAN_COMMANDS = [
     ["--version"],
     ["structure", "phi", "--n", "10", "--set-i", "0", "--set-j", "2"],
     ["structure", "joint", "--n", "10", "--t", "1"],
+    ["structure", "compatible", "--n", "40", "--t", "4"],
+    ["structure", "feasible", "--n", "60", "--t", "1", "--k", "28"],
     ["field", "--brute", "--n", "3", "--m", "3"],
     ["field", "--brute", "--n", "3", "--m", "4"],
     ["pmf", "--n", "5"],

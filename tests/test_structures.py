@@ -17,7 +17,8 @@ from permlab.counting import shift_count_pmf
 from permlab.enumeration import perm_matrix, row_blocks
 from permlab.errors import OutOfMemory, ParameterOutOfRange
 from permlab.perms import shift_counts
-from permlab.structures import (IndexSet, _moved, canonical_compatible_pair,
+from permlab.structures import (IndexSet, _blocked, _fits, _moved,
+                                canonical_compatible_pair,
                                 compatible_pair_stats,
                                 count_exact_displacements,
                                 count_optional_displacements,
@@ -579,8 +580,8 @@ class TestPackedBoard:
 
 
 class TestBoardMemory:
-    """Each board kind refuses before the work when its bound exceeds the
-    memory this process may use, and the bound covers the traced peak."""
+    """Each count refuses before the work when its bound exceeds the memory
+    this process may use, and the bound covers the traced peak."""
 
     COUNTS = {
         "phi": (structures._board_bytes, "the exact displacement count",
@@ -590,6 +591,13 @@ class TestBoardMemory:
                      iset(n, *range(n)), iset(n), iset(n), 1)),
         "joint": (structures._table_bytes, "the joint shift table",
                   lambda n: joint_shift_table(n, 0, 1)),
+        # n // 2 cycles of two positions; a tight pair, whose sets dominate
+        "compatible": (lambda n: structures._count_bytes(n, 2),
+                       "the compatible pair count",
+                       lambda n: compatible_pair_stats(n, 1, n // 2)),
+        "feasible": (lambda n: structures._count_bytes(n, 0),
+                     "the feasible set count",
+                     lambda n: feasible_set_stats(n, n // 4, 0, 1)),
     }
 
     @pytest.mark.parametrize("kind", COUNTS)
@@ -605,7 +613,8 @@ class TestBoardMemory:
             run(n)
 
     @pytest.mark.parametrize("kind, sizes", [
-        ("phi", (30, 100)), ("pset", (30, 100)), ("joint", (10, 30))])
+        ("phi", (30, 100)), ("pset", (30, 100)), ("joint", (10, 30)),
+        ("compatible", (30, 1000)), ("feasible", (80, 312))])
     def test_bound_covers_the_traced_peak(self, kind, sizes):
         bound, _, run = self.COUNTS[kind]
         run(4)   # imports are not the work
@@ -700,6 +709,53 @@ class TestCanonicalPair:
                            match=f"^no compatible pair of size {t} exists "
                                  f"for n={n}, s={s}$"):
             canonical_compatible_pair(n, t, s)
+
+
+def enumerated_compatible(n, t, s):
+    """Oracle: the share of the C(n, t) C(n - t, t) disjoint (I, J) that are
+    compatible, by listing them all."""
+    hits = total = 0
+    for I in itertools.combinations(range(n), t):
+        rest = [x for x in range(n) if x not in I]
+        for J in itertools.combinations(rest, t):
+            total += 1
+            hits += _blocked(frozenset(I), frozenset(J), s, n) is not None
+    return Fraction(hits, total)
+
+
+def enumerated_feasible(n, t, k, s):
+    """Oracle: the share of the C(n - 2t, k) sets K outside the canonical
+    (I, J) that are feasible, by listing them all."""
+    I, J = canonical_compatible_pair(n, t, s)
+    blocked = _blocked(I.as_set(), J.as_set(), s, n)
+    rest = sorted(set(range(n)) - I.as_set() - J.as_set())
+    sets = list(itertools.combinations(rest, k))
+    return Fraction(sum(_fits(frozenset(K), blocked, s, n) for K in sets),
+                    len(sets))
+
+
+class TestCountsAgainstEnumeration:
+    """The counts on the cycles of x -> x + s equal the listed outcomes for
+    every n = 3..11 and every s, t and k the functions accept."""
+
+    def test_every_small_case(self):
+        cases = 0
+        for n in range(3, 12):
+            for s in range(1, n):
+                for t in range(1, (n + 1) // 2):   # 1 <= t, 2t < n
+                    assert compatible_pair_stats(n, t, s).exact == \
+                        enumerated_compatible(n, t, s), (n, t, s)
+                    cases += 1
+                for t in range(n // 4 + 1):
+                    for k in range((n - 4 * t) // 2 + 1):   # 2k <= n - 4t
+                        try:
+                            want = enumerated_feasible(n, t, k, s)
+                        except ParameterOutOfRange:   # no compatible pair
+                            continue
+                        assert feasible_set_stats(n, t, k, s).exact == want, \
+                            (n, t, k, s)
+                        cases += 1
+        assert cases == 639   # 180 compatible, 459 feasible (t = 0 included)
 
 
 class TestFeasibleSetStats:
