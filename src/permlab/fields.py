@@ -30,7 +30,7 @@ from .errors import (GuardRefusal, MalformedPartition, NotABijection,
 from .perms import Permutation, ints, make_permutation
 
 DEFAULT_BUDGET = 2_000_000
-BULK_LEAVES = 1 << 16   # potential leaves of a subtree the search counts in bulk
+BULK_LEAVES = 1 << 17   # potential leaves of a subtree the search counts in bulk
 
 
 @dataclass(frozen=True)
@@ -157,62 +157,80 @@ def aic_check(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> bool:
                    for i in range(p.n)) for s in range(p.n))
 
 
-def _bulk_count(cells: list[list[tuple[int, int]]], column: list[int],
-                width: int, ones: int, tops: int, deficits: list[int],
-                field: int, used: int, best: int, room: int) -> int | None:
+def _bulk_count(cells: list[list[tuple[int, int]]], width: int, ones: int,
+                tops: int, deficits: list[int], field: int, used: int,
+                best: int, room: int) -> int | None:
     """Nodes of the field search below one node, counted in bulk, or None.
 
-    The node leaves len(cells) ranks unassigned, and ``cells``, ``column``,
-    ``width``, ``ones`` and ``tops`` are the walk's for those ranks.
-    ``deficits`` are the packed deficits of the classes the subtree can
-    use, ``field`` and ``used`` the node's field and used labels. A level
-    is a set of rows, one per node: its classes' deficits in uint64, its
-    field and its used labels. The incumbent ``best`` stays fixed, so the
-    count equals the walk's when no leaf beats it; when one does, or when
-    the count passes ``room``, the answer is None and the walk takes the
-    subtree back.
+    The node leaves len(cells) ranks unassigned, and ``cells``, ``width``,
+    ``ones`` and ``tops`` are the walk's for those ranks, in its layout with
+    one 16-bit lane per element. ``deficits`` are the packed deficits of
+    the classes the subtree can use, ``field`` and ``used`` the node's field
+    and used labels. A level is a set of rows, one per node: one uint64
+    array of deficits per class, and arrays of the rows' fields (less n per
+    rank assigned, so one floor serves every level) and used labels, the
+    latter dropped once every row has used every class. The incumbent
+    ``best`` stays fixed, so the count equals the walk's when no leaf beats
+    it; when one does, or when the count passes ``room``, the answer is None
+    and the walk takes the node's children back.
     """
     import numpy as np
-    n = len(column)
-    rows = np.array([deficits], dtype=np.uint64)
-    scores = np.array([field], dtype=np.uint64)
-    useds = np.array([used], dtype=np.uint64)
+    u64 = np.uint64
+    n = len(cells[0])
+    ones_u, tops_u = u64(ones), u64(tops)
+    fill = np.uint16(sum(1 << (i * width) for i in range(n)))
+    classes = [np.array([d], dtype=u64) for d in deficits]
+    scores = np.array([field], dtype=np.int64)
+    useds: np.ndarray | None = np.array([used], dtype=np.int64)
+    # keep a child iff child + n * (ranks left) > best: its score >= floor;
+    # on the last rank, a kept child is a leaf that beats the incumbent
+    floor = best + 1 - n * len(cells)
     count = 0
     for left, rank in zip(range(len(cells) - 1, -1, -1), cells):
-        # keep a child iff child + n * (ranks left) > best; on the last
-        # rank, a kept child is a leaf that beats the incumbent
-        floor = max(best + 1 - n * left, 0)
-        # a push adds sum_k t_k * column[k] - cells[rank], mod 2**64
-        minus_cells = (1 << 64) - sum(bit for bit, _ in rank)
+        mask = u64(sum(bit for bit, _ in rank) << (width - 1))
+        # a push adds ones - cells, less the column of each cell whose
+        # deficit is not 0 (mod 2**64): one lane per element, all n fields
+        lift = u64(ones - sum(bit for bit, _ in rank))
+        rows, reach, least = len(scores), len(classes), len(classes)
+        if useds is not None:
+            least = int(useds.min())
+            if least == reach:
+                useds = None
+            else:
+                reach = min(reach, int(useds.max()) + 1)
         picks = []
-        for h in range(min(len(deficits), int(useds.max()) + 1)):
-            first_use = useds >= h
-            count += int(np.count_nonzero(first_use))
+        for h in range(reach):
+            # first-use labels: a row may use h iff it has used h labels
+            first_use = None if h <= least else useds >= h
+            count += (rows if first_use is None
+                      else int(np.count_nonzero(first_use)))
             if count > room:
                 return None
-            tight = ~((rows[:, h] | tops) - ones) & tops
-            gain = np.zeros_like(scores)
-            delta = np.full_like(scores, minus_cells)
-            for bit, k in rank:
-                # the top bit of the cell's field
-                t = (tight >> (bit.bit_length() + width - 2)) & 1
-                gain += t
-                if left:
-                    delta += t * column[k]
-            idx = np.flatnonzero(first_use & (scores + gain >= floor))
-            if not left and len(idx):
+            loose = classes[h] | tops_u
+            loose -= ones_u
+            loose &= mask   # top bits of the rank's cells not tight in h
+            after = scores - np.bitwise_count(loose)
+            keep = after >= floor
+            if first_use is not None:
+                keep &= first_use
+            idx = keep.nonzero()[0]
+            if not left and idx.size:
                 return None
-            picks.append((idx, gain[idx], delta[idx]))
-        src = np.concatenate([idx for idx, _, _ in picks])
-        if not len(src):
+            spread = (loose[idx].view(np.uint16) != 0) * fill
+            picks.append((h, idx, after[idx], lift - spread.view(u64)))
+        src = np.concatenate([idx for _, idx, _, _ in picks])
+        if not src.size:
             return count
-        rows, scores, useds = rows[src], scores[src], useds[src]
+        classes = [c[src] for c in classes]
+        scores = np.concatenate([after for _, _, after, _ in picks])
+        if useds is not None:
+            useds = useds[src]
         start = 0
-        for h, (idx, gain, delta) in enumerate(picks):
-            part = slice(start, start + len(idx))
-            rows[part, h] += delta
-            scores[part] += gain
-            useds[part] += useds[part] == h
+        for h, idx, _, delta in picks:
+            part = slice(start, start + idx.size)
+            classes[h][part] += delta
+            if useds is not None and h >= least:
+                np.maximum(useds[part], h + 1, out=useds[part])
             start = part.stop
     return count
 
@@ -240,22 +258,27 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
 
     A class is two ints with a ``width``-bit field per cell (i, k): the
     deficit intensity[k] - mag[i][k], and ``tight``, the top bit of each field
-    whose deficit is 0. Magneticity never exceeds intensity, so a permutation
+    whose deficit is 0. Element k's n fields fill a lane of the int, 16 bits
+    wide when n <= 4. Magneticity never exceeds intensity, so a permutation
     raises intensity exactly on its tight cells and a child's gain is a
     popcount, read without a push. The parent loop applies the child's prune
     or leaf test, so only children that recurse are pushed (a delta cached per
     rank and tight pattern is added) and popped; every child counts as a node.
+    Under the aic rule a class also carries its hit mask, the top bits of the
+    cells its members place, and a leaf passes iff some target s meets no
+    cell (i, s) that every used class hits; no leaf builds a partition.
 
-    Without a restriction, and when a class fits one uint64 (width * n**2 <=
-    64, so n <= 4), the walk counts some subtrees in bulk: at the depth that
-    leaves the fewest ranks r with m**r >= ``BULK_LEAVES`` potential leaves,
-    once an incumbent exists, :func:`_bulk_count` counts the subtree level
-    by level with the incumbent held fixed. The nodes of a subtree depend
-    only on the incumbent, which cannot change in a subtree where no leaf
-    beats it, so that count is the walk's. If a leaf beats the incumbent, or
-    the count passes the budget, the walk takes the subtree back and
-    searches it as above; only the walk moves the incumbent, sets the
-    witness or refuses. A stored level holds at most m**(r-1) <
+    Without a restriction, and when a class fits one uint64 (n <= 4), the
+    walk counts subtrees in bulk: from the depth that leaves the fewest
+    ranks r with min(m, n!)**r >= ``BULK_LEAVES`` potential leaves down,
+    once an incumbent exists, :func:`_bulk_count` counts a node's subtree
+    level by level with the incumbent held fixed. The nodes of a subtree
+    depend only on the incumbent, which cannot change in a subtree where no
+    leaf beats it, so that count is the walk's. If a leaf beats the
+    incumbent, or the count passes the budget, the walk takes the node back:
+    it searches the node's own children as above and tries each child's
+    subtree in bulk again. Only the walk moves the incumbent, sets the
+    witness or refuses. A stored level holds at most min(m, n!)**(r-1) <
     ``BULK_LEAVES`` rows (the leaves are tested, not stored), so memory is
     bounded whatever m is. numpy is imported only when a bulk count runs.
     Under the aic restriction every leaf above the incumbent that the rule
@@ -276,35 +299,45 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     total = len(perms)
 
     width = (total // n).bit_length() + 1  # deficits <= (n-1)!, plus a top bit
-    ones = sum(1 << (f * width) for f in range(n * n))
-    tops = ones << (width - 1)
-    column = [sum(1 << ((k * n + i) * width) for i in range(n))
+    # element k's n fields start at bit k * lane; at n <= 4 a lane is 16 bits
+    lane = max(16, n * width)
+    column = [sum(1 << (k * lane + i * width) for i in range(n))
               for k in range(n)]
-    cells = [[(1 << ((k * n + i) * width), k) for i, k in enumerate(img)]
+    ones = sum(column)
+    tops = ones << (width - 1)
+    cells = [[(1 << (k * lane + i * width), k) for i, k in enumerate(img)]
              for img in perms]
     under = [sum(bit for bit, _ in row) << (width - 1) for row in cells]
     deltas: list[dict[int, int]] = [{} for _ in perms]
     labels = min(m, total)   # first-use order never reaches a label past n!
     deficit = [0] * labels
     tight = [tops] * labels
+    aic = restriction == "aic"
+    hits = [0] * labels   # top bits of the cells a class's members place
+    targets = [c << (width - 1) for c in column]
     assignment = [0] * total
     best_field = -1
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
     bulk_depth = -1
-    if restriction is None and width * n * n <= 64:
+    if not aic and n * lane <= 64:
         bulk_depth = next((total - r for r in range(1, total + 1)
-                           if m ** r >= BULK_LEAVES), -1)
+                           if labels ** r >= BULK_LEAVES), -1)
 
-    def leaf_ok() -> bool:
-        return restriction != "aic" or aic_check(
-            PartitionStrategy(n, m, tuple(assignment)), guard)
+    def passes_aic(h: int, used: int, mask: int) -> bool:
+        """The aic rule at a leaf that puts its last rank in class h: some
+        target meets no cell that every used class hits."""
+        common = hits[h] | mask
+        for c in range(max(used, h + 1)):
+            if c != h:
+                common &= hits[c]
+        return any(not common & target for target in targets)
 
     def dfs(depth: int, field: int, used: int) -> None:
         nonlocal best_field, best_assignment, nodes
-        if depth == bulk_depth and best_assignment is not None:
+        if 0 <= bulk_depth <= depth and best_assignment is not None:
             counted = _bulk_count(
-                cells[depth:], column, width, ones, tops,
+                cells[depth:], width, ones, tops,
                 deficit[:used + total - depth], field, used, best_field,
                 budget - nodes)
             if counted is not None:
@@ -323,11 +356,11 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
             pattern = tight[h] & mask
             child = field + pattern.bit_count()
             if last:
-                if child > best_field:
+                if child > best_field and (not aic
+                                           or passes_aic(h, used, mask)):
                     assignment[depth] = h
-                    if leaf_ok():
-                        best_field = child
-                        best_assignment = tuple(assignment)
+                    best_field = child
+                    best_assignment = tuple(assignment)
                 continue
             if child + slack <= best_field:
                 continue
@@ -341,7 +374,13 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
             # a field's top bit survives (d | tops) - ones iff its deficit > 0
             tight[h] = ~((d | tops) - ones) & tops
             assignment[depth] = h
-            dfs(depth + 1, child, used + 1 if h == used else used)
+            if aic:
+                old_hits = hits[h]
+                hits[h] = old_hits | mask
+                dfs(depth + 1, child, used + 1 if h == used else used)
+                hits[h] = old_hits
+            else:
+                dfs(depth + 1, child, used + 1 if h == used else used)
             deficit[h], tight[h] = old_deficit, old_tight
 
     dfs(0, 0, 0)

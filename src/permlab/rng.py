@@ -186,7 +186,7 @@ class BatchRng:
                 picks *= lanes
                 picks += lane_ids
             for i, pick in zip(range(top, low, -1), picks):
-                np.take(buf, pick, out=fixed[i - low - 1])
+                buf.take(pick, out=fixed[i - low - 1])
                 buf[pick] = buf[i * lanes:(i + 1) * lanes]
             out[:, low + 1:top + 1] = fixed[:steps].T
         if n:

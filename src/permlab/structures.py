@@ -28,9 +28,11 @@ on its bytes exceeds what this process may use.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import counting
@@ -269,21 +271,45 @@ def _spread_sets(n: int, s: int, k: int, blocked: set[int]) -> int:
     runs of free positions on the cycles of x -> x + s: C(m - j + 1, j)
     j-sets on a run of m, L/(L - j) C(L - j, j) on a whole free cycle of L
     (Kaplansky 1943), and the x^k coefficient of their product."""
-    sets = [1]
+    factors: Counter[tuple[int, ...]] = Counter()
     for cycle in _cycles(n, s):
         runs, L = _runs([x not in blocked for x in cycle]), len(cycle)
-        factors = ([[L * comb(L - j, j) // (L - j)
-                     for j in range(min(k, L // 2) + 1)]] if runs is None
-                   else ([comb(m - j + 1, j)
-                          for j in range(min(k, (m + 1) // 2) + 1)]
-                         for m in runs))
-        for factor in factors:
-            product = [0] * min(k + 1, len(sets) + len(factor) - 1)
-            for i, a in enumerate(sets):
-                for j, b in enumerate(factor[:len(product) - i]):
-                    product[i + j] += a * b
-            sets = product
+        if runs is None:
+            factors[tuple(L * comb(L - j, j) // (L - j)
+                          for j in range(min(k, L // 2) + 1))] += 1
+        else:
+            factors.update(tuple(comb(m - j + 1, j)
+                                 for j in range(min(k, (m + 1) // 2) + 1))
+                           for m in runs)
+    # a product of two powers costs about the square of their length, so
+    # only the most common factor, if common enough, is raised at once; the
+    # rest multiply in one at a time
+    polys: list[Sequence[int]] = []
+    for factor, e in factors.most_common():
+        polys += ([_power(factor, e, k)] if not polys and e >= 8
+                  else [factor] * e)
+    sets = [1]
+    for poly in polys:
+        product = [0] * min(k + 1, len(sets) + len(poly) - 1)
+        for i, a in enumerate(sets):
+            for j, b in enumerate(poly[:len(product) - i]):
+                product[i + j] += a * b
+        sets = product
     return sets[k] if k < len(sets) else 0
+
+
+def _power(a: Sequence[int], e: int, k: int) -> list[int]:
+    """The coefficients of a(x)^e up to x^k, for a(0) = 1, by J. C. P.
+    Miller's recurrence j b_j = sum_i ((e + 1) i - j) a_i b_{j-i}: b_j is an
+    integer, so each division is exact."""
+    d = len(a) - 1
+    ia = [i * c for i, c in enumerate(a)]
+    b = [1]
+    for j in range(1, min(k, e * d) + 1):
+        back = b[j - min(j, d):j][::-1]   # b_{j-1}, b_{j-2}, ..., b_{j-i}
+        b.append(((e + 1) * sum(map(mul, ia[1:], back))
+                  - j * sum(map(mul, a[1:], back))) // j)
+    return b
 
 
 def _is_exact(mode: str, trials: int) -> bool:

@@ -352,7 +352,8 @@ def search_outcome(n, m, restriction=None, budget=2_000_000,
 @pytest.fixture(params=[4, 16])
 def bulk_exits(request, monkeypatch):
     """Count subtrees in bulk from a few potential leaves up, so searches at
-    n <= 3 reach the bulk count; collects how each bulk count ended."""
+    n <= 3 reach the bulk count; collects how each bulk count ended and how
+    many ranks it had left."""
     monkeypatch.setattr(fields, "BULK_LEAVES", request.param)
     exits = []
     count = fields._bulk_count
@@ -360,11 +361,12 @@ def bulk_exits(request, monkeypatch):
     def spy(*args):
         got = count(*args)
         if got is not None:
-            exits.append("counted")
+            kind = "counted"
         elif count(*args[:-1], 1 << 62) is None:   # the last is the room
-            exits.append("beaten")
+            kind = "beaten"
         else:
-            exits.append("budget")
+            kind = "budget"
+        exits.append((kind, len(args[0])))   # the first holds the ranks left
         return got
 
     monkeypatch.setattr(fields, "_bulk_count", spy)
@@ -441,10 +443,27 @@ class TestBulkCount:
             assert got == want
 
     def test_every_exit_taken(self, bulk_exits):
+        kinds = set()
         for m in (2, 3, 4):
             for budget in (40, 100, 2_000_000):
                 search_outcome(3, m, budget=budget)
-        assert set(bulk_exits) == {"counted", "beaten", "budget"}
+            # a level holds fewer than BULK_LEAVES rows, whatever m is
+            assert all(m ** (r - 1) < fields.BULK_LEAVES
+                       for _, r in bulk_exits)
+            kinds.update(kind for kind, _ in bulk_exits)
+            bulk_exits.clear()
+        assert kinds == {"counted", "beaten", "budget"}
+
+    @pytest.mark.parametrize("bulk_exits", [16], indirect=True)
+    def test_counted_again_below_a_takeback(self, bulk_exits):
+        # the walk tries the bulk count again at each child of a subtree
+        # it took back, so some counts start deeper than a beaten subtree
+        for m in (2, 3, 4):
+            for budget in (40, 100, 2_000_000):
+                search_outcome(3, m, budget=budget)
+        beaten = max(r for kind, r in bulk_exits if kind == "beaten")
+        assert sum(kind == "counted" and r < beaten
+                   for kind, r in bulk_exits) == 6
 
 
 @pytest.fixture(params=["bulk", "walk"])

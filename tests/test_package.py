@@ -55,6 +55,7 @@ LEAN_COMMANDS = [
     ["structure", "feasible", "--n", "60", "--t", "1", "--k", "28"],
     ["field", "--brute", "--n", "3", "--m", "3"],
     ["field", "--brute", "--n", "3", "--m", "4"],
+    ["field", "--brute", "--n", "3", "--m", "3", "--aic"],
     ["pmf", "--n", "5"],
     ["field", "--partition", str(ROOT / "tests/golden/partition3.json")],
     ["dedup", "--partition", str(ROOT / "tests/golden/partition3.json")],

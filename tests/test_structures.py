@@ -757,6 +757,33 @@ class TestCountsAgainstEnumeration:
                         cases += 1
         assert cases == 639   # 180 compatible, 459 feasible (t = 0 included)
 
+    def test_many_equal_cycles(self, monkeypatch):
+        # eight or more equal factors, so the count raises one to its
+        # multiplicity by the power recurrence
+        powers = []
+        power = structures._power
+
+        def spy(a, e, k):
+            powers.append(e)
+            return power(a, e, k)
+
+        monkeypatch.setattr(structures, "_power", spy)
+        for n, t, s in [(16, 2, 8), (18, 1, 9), (24, 2, 8)]:
+            assert compatible_pair_stats(n, t, s).exact == \
+                enumerated_compatible(n, t, s), (n, t, s)
+        for n, t, k, s in [(16, 0, 4, 8), (20, 1, 3, 10), (18, 0, 5, 9)]:
+            assert feasible_set_stats(n, t, k, s).exact == \
+                enumerated_feasible(n, t, k, s), (n, t, k, s)
+        assert powers == [8, 9, 8, 8, 8, 9]
+
+    def test_power_recurrence_on_thousands_of_cycles(self):
+        # 2,000 two-position cycles: (1 + 2x)^2000, x^1998 and x^2000
+        assert compatible_pair_stats(4000, 999, 2000).exact == Fraction(
+            comb(1998, 999) * comb(2000, 1998) * 2 ** 1998,
+            comb(4000, 999) * comb(3001, 999))
+        assert feasible_set_stats(4000, 0, 2000, 2000).exact == Fraction(
+            2 ** 2000, comb(4000, 2000))
+
 
 class TestFeasibleSetStats:
     def test_k_zero_probability_one(self):
