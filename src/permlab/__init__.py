@@ -30,7 +30,7 @@ _EXPORTS = {
               "argmax_shift", "example_deck", "identity_permutation",
               "lex_rank", "lex_unrank", "make_permutation", "rotate_values",
               "shift_histogram", "shift_vector"),
-    "rng": ("BatchRng", "Rng", "derive_seed"),
+    "rng": ("BatchRng",),
     "simulate": ("GameConfig", "MaxShiftReport", "SimulationReport",
                  "max_shift_distribution", "simulate_locker",
                  "simulate_needle"),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -252,9 +253,9 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     pruned by the bound field + n * (permutations still unassigned) and by
     canonical class labeling (labels appear in first-use order, which is
     harmless because the field ignores labels). ``restriction="aic"`` keeps
-    only partitions passing :func:`aic_check`. Raises
-    :class:`~permlab.errors.GuardRefusal` after ``budget`` search nodes, and
-    :class:`~permlab.errors.ParameterOutOfRange` for a negative budget.
+    only partitions passing :func:`aic_check`. Raises ``GuardRefusal`` after
+    ``budget`` nodes or when n! levels of recursion pass the interpreter's
+    limit (n >= 7), and ``ParameterOutOfRange`` for a negative budget.
 
     A class is two ints with a ``width``-bit field per cell (i, k): the
     deficit intensity[k] - mag[i][k], and ``tight``, the top bit of each field
@@ -295,6 +296,9 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
         raise ParameterOutOfRange(
             "no partition passes the aic rule unless n >= 2 and m >= 2")
     check_guard(n, guard, "the field search")
+    if factorial_past(n, limit := sys.getrecursionlimit()) >= limit:
+        raise GuardRefusal(f"the field search at n={n} recurses once per "
+                           f"permutation, past the recursion limit of {limit}")
     perms = list(itertools.permutations(range(n)))
     total = len(perms)
 

@@ -7,13 +7,12 @@ counts:
 * stream: splitmix64 (64-bit state, golden-ratio increment, 3-round mix);
 * bounded integers: rejection sampling, so there is no modulo bias;
 * shuffles: Fisher-Yates from index n-1 downward;
-* per-task streams: ``derive_seed(master, index)`` mixes a master seed with
-  a task index, so trial i's stream never depends on how trials are batched.
+* per-trial streams: trial t of a run seeded ``master`` starts from
+  ``mix64(master ^ (t + 1) * GOLDEN)``, so batching never changes it.
 
-A vectorized engine (`BatchRng`) runs many independent lanes at once and
-produces, lane for lane, exactly the same draws as `Rng` would. The
-equivalence is pinned by tests. ``seeded_blocks`` is the seeded source of
-permutation blocks that every sampler draws from.
+Every sampler draws on the lanes of `BatchRng`, cut into blocks by
+``lane_blocks``, the one owner of that rule. The scalar `Rng` and
+``derive_seed`` are the reference it replays lane for lane, pinned by tests.
 
 Every seeded block, with its shuffle buffer and chunk scratch, is held in
 ``perms.block_dtype(n)``, the narrowest unsigned type that holds n - 1: a
@@ -203,6 +202,14 @@ def batch_seeds(master: int, start: int, count: int) -> np.ndarray:
     return z
 
 
+def lane_blocks(master: int, start: int, count: int,
+                lanes: int = LANES_PER_BLOCK) -> Iterator[tuple[int, BatchRng]]:
+    """Trials ``start .. start+count-1`` in blocks of up to ``lanes``: each
+    block's first trial a, and a ``BatchRng`` running trial a + i on lane i."""
+    for a in range(start, start + count, lanes):
+        yield a, BatchRng(batch_seeds(master, a, min(lanes, start + count - a)))
+
+
 def seeded_blocks(master: int, n: int, start: int,
                   count: int) -> Iterator[tuple[np.ndarray, BatchRng]]:
     """Permutations of trials ``start .. start+count-1`` in blocks of up to
@@ -217,12 +224,5 @@ def seeded_blocks(master: int, n: int, start: int,
     enumeration.check_memory(
         2 * lanes * n * block_dtype(n).itemsize,
         f"sampling in blocks of {lanes} permutations of order {n}")
-    return _blocks(master, n, start, count)
-
-
-def _blocks(master: int, n: int, start: int,
-            count: int) -> Iterator[tuple[np.ndarray, BatchRng]]:
-    for a in range(start, start + count, LANES_PER_BLOCK):
-        b = min(LANES_PER_BLOCK, start + count - a)
-        rng = BatchRng(batch_seeds(master, a, b))
-        yield rng.permutations(n), rng
+    return ((rng.permutations(n), rng)
+            for _, rng in lane_blocks(master, start, count))

@@ -17,10 +17,11 @@ buffer and rows would not fit in memory), exhaustive
 is; counts become exact fractions) or a caller's permutation stream. Seeded
 and streamed blocks hold ``perms.block_dtype(n)``, the narrowest unsigned
 type that holds n - 1; the kernels compare its values and promote them to
-int64 before any arithmetic, so an unsigned block never wraps. Every seeded
-trial runs on its own splitmix64 stream keyed by (master seed, trial index),
-so totals are bitwise identical however trials are batched or distributed
-across workers.
+int64 before any arithmetic, so an unsigned block never wraps. Seeded and
+streamed trials draw on the lanes of ``rng.lane_blocks``: every trial runs
+on its own splitmix64 stream keyed by (master seed, trial index), so totals
+are bitwise identical however trials are batched or distributed across
+workers.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .counting import typical_max_shift
 from .enumeration import SWEEP_GUARD, row_blocks
 from .errors import NotABijection, ParameterOutOfRange
 from .perms import block_dtype, make_permutation, shift_reduce
-from .rng import LANES_PER_BLOCK, BatchRng, batch_seeds, seeded_blocks
+from .rng import LANES_PER_BLOCK, BatchRng, lane_blocks, seeded_blocks
 from .strategies import Strategy, needle_wins, strategy_by_name
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -171,13 +172,12 @@ def _stream_blocks(perm_stream: PermStream, seed: int, n: int,
     ``make_permutation`` as a permutation of order n and held in
     ``block_dtype(n)``, with the ``BatchRng`` of those trials' fresh
     streams."""
-    for a in range(0, trials, LANES_PER_BLOCK):
-        b = min(LANES_PER_BLOCK, trials - a)
-        rows = [make_permutation(perm_stream(t)).image for t in range(a, a + b)]
+    for a, rng in lane_blocks(seed, 0, trials):
+        rows = [make_permutation(perm_stream(t)).image
+                for t in range(a, a + rng.lanes)]
         if any(len(r) != n for r in rows):
             raise NotABijection(f"the permutation stream must yield order-{n} rows")
-        yield (np.array(rows, dtype=block_dtype(n)),
-               BatchRng(batch_seeds(seed, a, b)))
+        yield np.array(rows, dtype=block_dtype(n)), rng
 
 
 def _source(n: int, trials: int, seed: int, exhaustive: bool,

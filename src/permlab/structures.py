@@ -19,10 +19,10 @@ read its exact coefficients.
 A pair (I, J) is *compatible* for s when I, J, I-s, J+s are pairwise
 disjoint; K is *feasible* when it also avoids itself shifted and all four of
 those sets. Both are independent sets on the same cycles, counted exactly
-from their runs of free positions, or sampled. ``covariance_estimate``
-measures how nearly independent two shift-class sizes are. No count
-enumerates or takes a guard: each refuses before the work only when a bound
-on its bytes exceeds what this process may use.
+from their runs of free positions, or sampled on ``rng.lane_blocks``.
+``covariance_estimate`` measures how nearly independent two shift-class
+sizes are. No count enumerates or takes a guard: each refuses before the
+work only when a bound on its bytes exceeds what this process may use.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 from . import counting
 from .enumeration import check_memory
 from .errors import ParameterOutOfRange
-from .perms import ints
+from .perms import block_dtype, ints
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,6 @@ def _blocked(i: frozenset[int], j: frozenset[int], s: int,
     return union
 
 
-def _fits(k: frozenset[int], blocked: set[int], s: int, n: int) -> bool:
-    """K avoids K + s and the positions ``blocked`` by a compatible pair."""
-    return not (k & _moved(k, s, n) or k & blocked)
-
-
 def is_compatible(I: IndexSet, J: IndexSet, s: int) -> bool:
     """True iff I, J, I-s, J+s are pairwise disjoint."""
     n, s = _require_sets(s, I, J)
@@ -119,8 +114,8 @@ def is_feasible(K: IndexSet, I: IndexSet, J: IndexSet, s: int) -> bool:
     """True iff (I, J) is compatible for s, K avoids K+s, and K avoids
     I, J, I-s and J+s."""
     n, s = _require_sets(s, K, I, J)
-    blocked = _blocked(I.as_set(), J.as_set(), s, n)
-    return blocked is not None and _fits(K.as_set(), blocked, s, n)
+    blocked, k = _blocked(I.as_set(), J.as_set(), s, n), K.as_set()
+    return blocked is not None and not (k & _moved(k, s, n) or k & blocked)
 
 
 def count_required_displacements(I: IndexSet, J: IndexSet, s: int) -> int:
@@ -322,19 +317,28 @@ def _is_exact(mode: str, trials: int) -> bool:
 
 
 def _estimate(kind: str, params: dict, bound: Fraction, trials: int,
-              seed: int, pool: Sequence[int], size: int,
-              hit: Callable[[Sequence[int]], bool]) -> ProbabilityReport:
-    """How often ``hit`` holds in ``trials`` partial Fisher-Yates draws of
-    ``size`` entries from ``pool``, trial i on ``derive_seed(seed, i)``."""
-    from .rng import Rng, derive_seed
-    hits = 0
-    for trial in range(trials):
-        rng = Rng(derive_seed(seed, trial))
-        drawn = list(pool)
-        for i in range(size):
-            j = i + rng.randbelow(len(drawn) - i)
-            drawn[i], drawn[j] = drawn[j], drawn[i]
-        hits += hit(drawn[:size])
+              seed: int, pool: Sequence[int], size: int, split: int,
+              blocked: Sequence[int] = ()) -> ProbabilityReport:
+    """How often a partial shuffle's first ``size`` entries x of ``pool`` hit:
+    x, x[:split] - s and x[split:] + s distinct mod n, none of x ``blocked``.
+    Lane i of a ``rng.lane_blocks`` block runs trial a + i; a block holds at
+    most 2^22 entries, with fewer lanes for a long pool."""
+    import numpy as np
+    from .rng import LANES_PER_BLOCK, lane_blocks
+    n, s = params["n"], params["s"]
+    pool = np.fromiter(pool, dtype=block_dtype(n), count=len(pool))
+    lanes = max(1, min(LANES_PER_BLOCK, trials, (1 << 22) // (len(pool) + 1)))
+    buf, hits = np.empty((lanes, len(pool)), dtype=pool.dtype), 0
+    for _, rng in lane_blocks(seed, 0, trials, lanes):
+        drawn, rows = buf[:rng.lanes], np.arange(rng.lanes)
+        drawn[:] = pool
+        for j in range(size):
+            pick = j + rng.randbelow(len(pool) - j)
+            drawn[rows, j], drawn[rows, pick] = drawn[rows, pick], drawn[rows, j]
+        x = drawn[:, :size].astype(np.int64)
+        cells = np.sort(np.hstack((x, (x[:, :split] - s) % n, (x[:, split:] + s) % n)))
+        hits += int(np.count_nonzero((np.diff(cells) != 0).all(1)
+                                     & ~np.isin(x, blocked).any(1)))
     est = hits / trials
     se = math.sqrt(est * (1 - est) / trials)
     return ProbabilityReport(kind, {**params, "seed": seed}, est, bound,
@@ -345,24 +349,22 @@ def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
                           trials: int = 100_000,
                           seed: int = 0) -> ProbabilityReport:
     """Probability that uniformly chosen disjoint I, J of size t are
-    compatible for shift s, with the closed-form lower bound
-    (1 - 4t/(n-2t))^(2t) attached for comparison."""
+    compatible for shift s, with the lower bound max(0, 1 - 4t/(n-2t))^(2t)
+    attached (unclamped, the base is negative when 6t > n and overshoots)."""
     if t < 1 or 2 * t >= n:
         raise ParameterOutOfRange(f"need 1 <= t and 2t < n, got t={t}, n={n}")
     s = _require_nonzero_shift(n, s)
     if exact := _is_exact(mode, trials):
         check_memory(_count_bytes(n, 2 * t),
                      f"the compatible pair count at n={n}")
-    bound = (1 - Fraction(4 * t, n - 2 * t)) ** (2 * t)
+    bound = Fraction(max(0, n - 6 * t), n - 2 * t) ** (2 * t)
     params = {"n": n, "t": t, "s": s, "mode": mode}
     if exact:   # the 2t disjoint pairs {x, x + s} of I and J, split in two
         p = Fraction(comb(2 * t, t) * _spread_sets(n, s, 2 * t, set()),
                      comb(n, t) * comb(n - t, t))
         return ProbabilityReport("compatible_pair", params, float(p), bound, p)
     return _estimate("compatible_pair", params, bound, trials, seed, range(n),
-                     2 * t, lambda x: _blocked(frozenset(x[:t]),
-                                               frozenset(x[t:]), s, n)
-                     is not None)
+                     2 * t, t)   # I - s and J + s
 
 
 def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSet]:
@@ -429,9 +431,9 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
 def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
                        trials: int = 100_000,
                        seed: int = 0) -> ProbabilityReport:
-    """Probability that a uniform K of size k inside the complement of the
-    canonical compatible (I, J) is feasible, with the closed-form lower
-    bound (1 - (2t+k)/(n-2t-k))^k attached."""
+    """Probability that a uniform K of size k outside the canonical compatible
+    (I, J) is feasible, with (1 - (2t+k)/(n-2t-k))^k attached: a lower bound
+    where some K is feasible, it may be positive where none is (k=4, n=9, s=3)."""
     if k < 0 or 2 * k > n - 4 * t:
         raise ParameterOutOfRange(f"need 2k <= n - 4t, got k={k}, t={t}, n={n}")
     if exact := _is_exact(mode, trials):   # before the pair search
@@ -447,7 +449,7 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
         return ProbabilityReport("feasible_set", params, float(p), bound, p)
     complement = sorted(set(range(n)) - I.as_set() - J.as_set())
     return _estimate("feasible_set", params, bound, trials, seed, complement,
-                     k, lambda K: _fits(frozenset(K), blocked, s, n))
+                     k, 0, sorted(blocked))   # K + s
 
 
 def _require_classes(n: int, i: int, j: int, t: int = 0) -> None:

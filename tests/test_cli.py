@@ -395,6 +395,12 @@ _GUARD_REFUSALS = {
                                    "--exhaustive"),
     "dist-exhaustive": ("dist", "--n", "12", "--exhaustive"),
     "field-brute": ("field", "--brute", "--n", "9", "--m", "2"),
+    "field-brute-n7": ("field", "--brute", "--n", "7", "--m", "2"),
+    "field-brute-n8": ("field", "--brute", "--n", "8", "--m", "2"),
+    "field-brute-aic-n7": ("field", "--brute", "--n", "7", "--m", "2",
+                           "--aic"),
+    "field-brute-aic-n8": ("field", "--brute", "--n", "8", "--m", "2",
+                           "--aic"),
     "field-partition": ("field", "--partition", "PART", "--guard", "2"),
     "dedup": ("dedup", "--partition", "PART", "--guard", "2"),
     "structure-phi": ("structure", "phi", "--n", "1000000", "--set-i", "0",
@@ -416,6 +422,10 @@ _GUARD_REFUSALS = {
 _MEMORY_REFUSALS = {"structure-phi", "structure-joint", "structure-cov",
                     "structure-pset-infeasible", "structure-compatible",
                     "structure-feasible", "pmf"}
+# the field searches whose n! levels of recursion pass the interpreter's
+# limit, which neither --guard nor --budget lifts
+_RECURSION_REFUSALS = {"field-brute-n7", "field-brute-n8",
+                       "field-brute-aic-n7", "field-brute-aic-n8"}
 
 
 def _with_partition(tmp_path, argv):
@@ -609,8 +619,8 @@ class TestUsageErrors:
                              ids=list(_GUARD_REFUSALS))
     def test_guard_refusal_prints_nothing(self, capsys, tmp_path, name):
         # one text for every guard; it offers --guard exactly where the
-        # command has that flag and the refusal is not one past memory, and
-        # names no function of the package
+        # command has that flag and the refusal is not one past memory or
+        # the recursion limit, and names no function of the package
         argv = _GUARD_REFUSALS[name]
         code = main(_with_partition(tmp_path, argv))
         captured = capsys.readouterr()
@@ -621,9 +631,11 @@ class TestUsageErrors:
         memory = name in _MEMORY_REFUSALS
         assert bool(re.search(r" needs \d+ bytes; this process may use \d+$",
                               captured.err)) == memory
-        lifted = _has_guard_flag(argv[0]) and not memory
+        lifted = (_has_guard_flag(argv[0]) and not memory
+                  and name not in _RECURSION_REFUSALS)
         assert ("--guard" in captured.err) == lifted
         assert ("larger" in captured.err) == lifted
+        assert "--budget" not in captured.err
         assert not [name for name in _function_names()
                     if name in captured.err]
 

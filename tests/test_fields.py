@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -335,6 +336,28 @@ class TestBruteForce:
     def test_guard_refusal(self):
         with pytest.raises(TooLargeForEnumeration):
             brute_force_field(9, 2, guard=8)
+
+    @pytest.mark.parametrize("n, m, restriction", [
+        (7, 2, None), (8, 2, None), (7, 2, "aic"), (8, 2, "aic"),
+        (7, 1, None), (9, 3, None)])
+    def test_recursion_refused_before_the_search(self, n, m, restriction):
+        # the walk recurses once per permutation: 5040 levels at n = 7 pass
+        # the interpreter's limit of 1000, so the search refuses at once
+        # rather than end in a RecursionError; no guard or budget lifts it
+        start = time.perf_counter()
+        with pytest.raises(GuardRefusal, match=(
+                f"^the field search at n={n} recurses once per permutation, "
+                f"past the recursion limit of "
+                f"{sys.getrecursionlimit()}$")) as info:
+            brute_force_field(n, m, restriction, guard=9)
+        assert type(info.value) is GuardRefusal
+        assert time.perf_counter() - start < 1.0
+
+    def test_n6_still_searches(self):
+        # 720 levels stay under the limit: n = 6 walks until its budget
+        with pytest.raises(GuardRefusal,
+                           match="^field search exceeded 1000 nodes; re-run"):
+            brute_force_field(6, 2, budget=1000)
 
 
 def search_outcome(n, m, restriction=None, budget=2_000_000,

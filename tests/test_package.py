@@ -33,7 +33,7 @@ EXPORTS = [
     "example_deck", "identity_permutation", "lex_rank",
     "lex_unrank", "make_permutation", "rotate_values",
     "shift_histogram", "shift_vector",
-    "BatchRng", "Rng", "derive_seed",
+    "BatchRng",
     "GameConfig", "MaxShiftReport", "SimulationReport",
     "max_shift_distribution", "simulate_locker", "simulate_needle",
     "LatinSquare", "Strategy", "baseline_strategy", "evaluate_success_exact",
@@ -225,3 +225,25 @@ def test_every_error_class_is_raised():
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert {"PermlabError", "GuardRefusal"} <= defined
     assert defined <= raised, sorted(defined - raised)
+
+
+def test_one_random_engine():
+    # every sampler draws on BatchRng lanes from rng.lane_blocks; the scalar
+    # Rng and derive_seed stay in rng as the reference the tests compare
+    # BatchRng against, and no other module names them
+    scalar = {"Rng", "derive_seed"}
+    found = []
+    for path in sorted((ROOT / "src" / "permlab").glob("*.py")):
+        if path.name == "rng.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else [node.value] if isinstance(node, ast.Constant)
+                     else [])
+            found += [(path.name, name) for name in names if name in scalar]
+    assert found == []
+    assert {"Rng", "derive_seed", "mix64"} <= set(vars(permlab.rng))
+    assert len(permlab.__all__) == 54

@@ -17,8 +17,9 @@ from permlab.counting import shift_count_pmf
 from permlab.enumeration import perm_matrix, row_blocks
 from permlab.errors import OutOfMemory, ParameterOutOfRange
 from permlab.perms import shift_counts
-from permlab.structures import (IndexSet, _blocked, _fits, _moved,
-                                canonical_compatible_pair,
+from permlab.rng import Rng, derive_seed
+from permlab.structures import (IndexSet, ProbabilityReport, _blocked,
+                                _moved, canonical_compatible_pair,
                                 compatible_pair_stats,
                                 count_exact_displacements,
                                 count_optional_displacements,
@@ -639,9 +640,17 @@ class TestCompatiblePairStats:
         assert report.exact == Fraction(hits, total)
 
     def test_exact_above_bound(self):
-        for n, t, s in [(12, 2, 1), (12, 2, 5), (9, 1, 4)]:
-            report = compatible_pair_stats(n, t, s, mode="exact")
-            assert report.exact >= report.closed_form_bound
+        # every accepted input with n <= 40; the base 1 - 4t/(n - 2t) is
+        # clamped at 0, since its even power overshoots where 6t > n
+        cases = 0
+        for n in range(3, 41):
+            for t in range(1, (n + 1) // 2):
+                for s in range(1, n):
+                    report = compatible_pair_stats(n, t, s, mode="exact")
+                    assert report.exact >= report.closed_form_bound, (n, t, s)
+                    assert (report.closed_form_bound == 0) == (6 * t >= n)
+                    cases += 1
+        assert cases == 10_070
 
     def test_sampled_two_seeds_agree(self):
         a = compatible_pair_stats(52, 2, 1, mode="sampled", trials=20_000, seed=1)
@@ -723,6 +732,48 @@ def enumerated_compatible(n, t, s):
     return Fraction(hits, total)
 
 
+def fits(K, blocked, s, n):
+    """Oracle: K avoids K + s and the positions ``blocked`` by a pair."""
+    return not (K & _moved(K, s, n) or K & blocked)
+
+
+def scalar_estimate(kind, params, bound, trials, seed, pool, size, hit):
+    """Oracle: the sampled report as the scalar loop made it, one partial
+    Fisher-Yates draw of ``size`` entries from ``pool`` per trial, trial i
+    on ``Rng(derive_seed(seed, i))``, and ``hit`` tested on each draw."""
+    hits = 0
+    for trial in range(trials):
+        rng = Rng(derive_seed(seed, trial))
+        drawn = list(pool)
+        for i in range(size):
+            j = i + rng.randbelow(len(drawn) - i)
+            drawn[i], drawn[j] = drawn[j], drawn[i]
+        hits += hit(drawn[:size])
+    est = hits / trials
+    se = math.sqrt(est * (1 - est) / trials)
+    return ProbabilityReport(kind, {**params, "seed": seed}, est, bound,
+                             std_err=se, trials=trials)
+
+
+def scalar_compatible(n, t, s, trials, seed):
+    return scalar_estimate(
+        "compatible_pair", {"n": n, "t": t, "s": s, "mode": "sampled"},
+        Fraction(max(0, n - 6 * t), n - 2 * t) ** (2 * t), trials, seed,
+        range(n), 2 * t,
+        lambda x: _blocked(frozenset(x[:t]), frozenset(x[t:]), s, n) is not None)
+
+
+def scalar_feasible(n, t, k, s, trials, seed):
+    I, J = canonical_compatible_pair(n, t, s)
+    blocked = _blocked(I.as_set(), J.as_set(), s, n)
+    return scalar_estimate(
+        "feasible_set", {"n": n, "t": t, "k": k, "s": s, "mode": "sampled",
+                         "I": list(I.elements), "J": list(J.elements)},
+        (1 - Fraction(2 * t + k, n - 2 * t - k)) ** k, trials, seed,
+        sorted(set(range(n)) - I.as_set() - J.as_set()), k,
+        lambda K: fits(frozenset(K), blocked, s, n))
+
+
 def enumerated_feasible(n, t, k, s):
     """Oracle: the share of the C(n - 2t, k) sets K outside the canonical
     (I, J) that are feasible, by listing them all."""
@@ -730,7 +781,7 @@ def enumerated_feasible(n, t, k, s):
     blocked = _blocked(I.as_set(), J.as_set(), s, n)
     rest = sorted(set(range(n)) - I.as_set() - J.as_set())
     sets = list(itertools.combinations(rest, k))
-    return Fraction(sum(_fits(frozenset(K), blocked, s, n) for K in sets),
+    return Fraction(sum(fits(frozenset(K), blocked, s, n) for K in sets),
                     len(sets))
 
 
@@ -783,6 +834,49 @@ class TestCountsAgainstEnumeration:
             comb(4000, 999) * comb(3001, 999))
         assert feasible_set_stats(4000, 0, 2000, 2000).exact == Fraction(
             2 ** 2000, comb(4000, 2000))
+
+
+class TestSampledAgainstScalar:
+    """The estimators draw on BatchRng lanes, block by block; every report
+    equals the scalar loop's, trial for trial."""
+
+    @pytest.mark.parametrize("trials", [1, 37, 2049])   # 2049 crosses a block
+    def test_compatible(self, trials):
+        for n, t, s in [(3, 1, 1), (7, 1, 3), (12, 2, 5), (12, 5, 6),
+                        (30, 4, 7), (30, 7, 29)]:
+            seed = 1000 * n + t
+            assert compatible_pair_stats(n, t, s, "sampled", trials, seed) \
+                == scalar_compatible(n, t, s, trials, seed), (n, t, s)
+
+    @pytest.mark.parametrize("trials", [1, 37, 2049])
+    def test_feasible(self, trials):
+        # k = 0, a K that never fits (three 3-cycles hold at most 3), and a
+        # K that fills its room
+        for n, t, k, s in [(12, 1, 0, 1), (12, 1, 2, 1), (9, 0, 4, 3),
+                           (30, 2, 11, 7), (30, 0, 15, 2)]:
+            seed = 1000 * n + k
+            assert feasible_set_stats(n, t, k, s, "sampled", trials, seed) \
+                == scalar_feasible(n, t, k, s, trials, seed), (n, t, k, s)
+
+    def test_long_pools_use_fewer_lanes(self):
+        # a pool of 5000 or 3000 entries leaves 838 or 1398 lanes a block,
+        # and the trials still cross block edges on their own streams
+        assert compatible_pair_stats(5000, 2, 7, "sampled", 1000, 3) == \
+            scalar_compatible(5000, 2, 7, 1000, 3)
+        assert feasible_set_stats(3000, 2, 5, 11, "sampled", 2000, 5) == \
+            scalar_feasible(3000, 2, 5, 11, 2000, 5)
+
+    def test_long_pool_memory_is_bounded(self):
+        # 3000 trials of a 200,000-entry pool: a block holds at most 2^22
+        # entries (16 MB of uint32 here), where 2048 lanes would be 1.6 GB
+        tracemalloc.start()
+        try:
+            report = compatible_pair_stats(200_000, 2, 1, "sampled", 3000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trials == 3000
+        assert peak < 2 ** 25
 
 
 class TestFeasibleSetStats:
