@@ -125,11 +125,11 @@ def shift_counts(block: np.ndarray) -> np.ndarray:
     """Shift histograms of a ``(B, n)`` block of permutation rows, ``(B, n)``
     int64: entry ``[b, l]`` counts the positions of row b displaced by l.
 
-    Each displacement becomes a key ``b*n + v`` for one ``bincount``. The
-    keys are built in int64 with a sign fix-up rather than ``% n``, so a
-    large block needs one key array and no narrower intermediate. Its
-    temporaries are as large as the block; samplers that reduce each row
-    call :func:`shift_reduce` instead.
+    Each displacement becomes a key ``b*n + v`` for one ``bincount``, read
+    in the block's own memory order. The keys are built in int64 with a
+    sign fix-up rather than ``% n``, so a large block needs one key array
+    and no narrower intermediate. Its temporaries are as large as the
+    block; samplers that reduce each row call :func:`shift_reduce` instead.
     """
     import numpy as np
     lanes, n = block.shape
@@ -137,7 +137,7 @@ def shift_counts(block: np.ndarray) -> np.ndarray:
     keys = np.arange(n, dtype=np.int64) - block
     keys += (keys < 0) * n
     keys += (np.arange(lanes, dtype=np.int64) * n)[:, None]
-    return np.bincount(keys.ravel(), minlength=lanes * n).reshape(lanes, n)
+    return np.bincount(keys.ravel("K"), minlength=lanes * n).reshape(lanes, n)
 
 
 def shift_reduce(block: np.ndarray,

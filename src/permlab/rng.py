@@ -14,26 +14,26 @@ Every sampler draws on the lanes of `BatchRng`, cut into blocks by
 ``lane_blocks``, the one owner of that rule. The scalar `Rng` and
 ``derive_seed`` are the reference it replays lane for lane, pinned by tests.
 
-Every seeded block, with its shuffle buffer and chunk scratch, is held in
-``perms.block_dtype(n)``, the narrowest unsigned type that holds n - 1: a
-2048-lane buffer is 512 KB at n = 256 (uint8) and 41 MB at n = 10000
-(uint16). The draws and swap indices stay 64-bit, so the rows and the lane
-states do not depend on the dtype.
+Every seeded block is one ``(n, lanes)`` shuffle buffer held in
+``perms.block_dtype(n)``, the narrowest unsigned type that holds n - 1: 512
+KB for 2048 lanes at n = 256 (uint8) and 41 MB at n = 10000 (uint16). The
+draws and swap indices stay 64-bit, so the rows and the lane states do not
+depend on the dtype.
 
-``BatchRng.permutations`` shuffles in a position-major ``(n, lanes)``
-buffer, so the row of the position being fixed is contiguous and each swap
-is one gather and one scatter on the flat buffer. It takes its draws
-``_CHUNK`` Fisher-Yates steps at a time from splitmix64's counter form: the
-state after k draws is ``seed + k * GOLDEN``, so a chunk's raw draws are one
+``BatchRng.permutations`` shuffles in that position-major buffer, so the
+row of the position being fixed is contiguous and each swap is one gather
+and one scatter on the flat buffer. It takes its draws ``_CHUNK``
+Fisher-Yates steps at a time from splitmix64's counter form: the state
+after k draws is ``seed + k * GOLDEN``, so a chunk's raw draws are one
 broadcast add and the mix applied in place on a small ``(_CHUNK, lanes)``
 buffer that stays in cache. While no draw of the chunk is rejected, one
 remainder by the per-step bounds gives every swap index. If any lane would
 reject a draw in the chunk (a draw with bound k is rejected with chance
 below k/2^64), the chunk is replayed step by step through ``randbelow``,
 which redraws exactly the rejected lanes, so the stream is the one
-``Rng.shuffle`` consumes. The ``_CHUNK`` positions a
-chunk fixes are final, and they are copied transposed into the row-major
-result while still in cache.
+``Rng.shuffle`` consumes. Step i fixes position i in the buffer itself:
+row i takes the drawn cells and its old values go to them. The block is
+the buffer's transposed ``(lanes, n)`` view; no row-major copy is made.
 """
 
 from __future__ import annotations
@@ -153,19 +153,17 @@ class BatchRng:
         return (out % np.uint64(k)).astype(np.int64)
 
     def permutations(self, n: int) -> np.ndarray:
-        """One permutation of 0..n-1 per lane (rows of dtype
-        ``block_dtype(n)``), Fisher-Yates order.
-
-        Row ``t`` equals what ``Rng.shuffle`` produces on lane ``t``'s stream,
-        and the lanes end in the states that shuffle leaves.
+        """One permutation of 0..n-1 per lane, Fisher-Yates order: the
+        ``(lanes, n)`` view of the position-major ``block_dtype(n)`` buffer
+        shuffled. Row ``t`` equals what ``Rng.shuffle`` produces on lane
+        ``t``'s stream, and the lanes end in the states that shuffle leaves.
         """
         lanes, dtype = self.lanes, block_dtype(n)
-        out = np.empty((lanes, n), dtype=dtype)
         buf = np.arange(n, dtype=dtype).repeat(lanes)  # [i*lanes + t]
         lane_ids = np.arange(lanes, dtype=np.int64)
         draws = np.empty((_CHUNK, lanes), dtype=np.uint64)
         tmp = np.empty_like(draws)
-        fixed = np.empty((_CHUNK, lanes), dtype=dtype)
+        top_row = np.empty(lanes, dtype=dtype)
         for top in range(n - 1, 0, -_CHUNK):
             low = max(top - _CHUNK, 0)          # this chunk fixes low+1..top
             steps = top - low
@@ -185,12 +183,13 @@ class BatchRng:
                 picks *= lanes
                 picks += lane_ids
             for i, pick in zip(range(top, low, -1), picks):
-                buf.take(pick, out=fixed[i - low - 1])
-                buf[pick] = buf[i * lanes:(i + 1) * lanes]
-            out[:, low + 1:top + 1] = fixed[:steps].T
-        if n:
-            out[:, 0] = buf[:lanes]
-        return out
+                row = buf[i * lanes:(i + 1) * lanes]
+                top_row[...] = row
+                # lane t touches only cells t mod lanes, so gathering into
+                # row is safe; every pick is in range, "clip" skips a check
+                buf.take(pick, out=row, mode="clip")
+                buf[pick] = top_row
+        return buf.reshape(n, lanes).T
 
 
 def batch_seeds(master: int, start: int, count: int) -> np.ndarray:
@@ -216,13 +215,13 @@ def seeded_blocks(master: int, n: int, start: int,
     ``LANES_PER_BLOCK`` rows, each with the ``BatchRng`` whose lanes continue
     those trials' streams after the shuffle.
 
-    Refused at the call, before any allocation, when a block's two
-    ``lanes x n`` arrays of ``block_dtype(n)`` (the shuffle buffer and the
-    rows) would not fit in :func:`enumeration.memory_bytes`.
+    Each block is the view of its one ``lanes x n`` shuffle buffer of
+    ``block_dtype(n)``, refused at the call, before any allocation, when it
+    would not fit in :func:`enumeration.memory_bytes`.
     """
     lanes = min(LANES_PER_BLOCK, count)
     enumeration.check_memory(
-        2 * lanes * n * block_dtype(n).itemsize,
+        lanes * n * block_dtype(n).itemsize,
         f"sampling in blocks of {lanes} permutations of order {n}")
     return ((rng.permutations(n), rng)
             for _, rng in lane_blocks(master, start, count))

@@ -11,17 +11,18 @@ Each game has one kernel that scores a ``(B, n)`` block of permutation rows:
 ``perms.shift_reduce``, so only a tile of rows' histograms exists at once,
 and ``locker_wins`` reads the one swapped cell each row probes rather than
 copying the block. Blocks come from one of three sources: seeded
-(``rng.seeded_blocks``, refused before any allocation when a block's shuffle
-buffer and rows would not fit in memory), exhaustive
-(``enumeration.row_blocks``, int8 lex blocks of at most 7! rows whatever n
-is; counts become exact fractions) or a caller's permutation stream. Seeded
-and streamed blocks hold ``perms.block_dtype(n)``, the narrowest unsigned
-type that holds n - 1; the kernels compare its values and promote them to
-int64 before any arithmetic, so an unsigned block never wraps. Seeded and
-streamed trials draw on the lanes of ``rng.lane_blocks``: every trial runs
-on its own splitmix64 stream keyed by (master seed, trial index), so totals
-are bitwise identical however trials are batched or distributed across
-workers.
+(``rng.seeded_blocks``, refused before any allocation when a block would
+not fit in memory), exhaustive (``enumeration.row_blocks``, int8 lex blocks
+of at most 7! rows whatever n is; counts become exact fractions) or a
+caller's permutation stream. A seeded block is the transposed view of its
+shuffle buffer, the others are row-major, and the kernels read either
+order. Seeded and streamed blocks hold ``perms.block_dtype(n)``, the
+narrowest unsigned type that holds n - 1; the kernels compare its values
+and promote them to int64 before any arithmetic, so an unsigned block
+never wraps. Seeded and streamed trials draw on the lanes of
+``rng.lane_blocks``: every trial runs on its own splitmix64 stream keyed by
+(master seed, trial index), so totals are bitwise identical however trials
+are batched or distributed over workers.
 """
 
 from __future__ import annotations
@@ -147,15 +148,14 @@ def locker_wins(st: Strategy, block: np.ndarray,
     ``needle_wins`` counts them. The adviser swaps the hint card into
     position 0; the seeker wins at once when the target is the hint, else
     probes ``st.guesses(hint, target)`` in the swapped row. Cell g of a
-    swapped row is the hint at 0, the row's first card where the hint sat,
-    and the row's own card elsewhere."""
+    swapped row is the hint at 0, the row's first card where the hint sat
+    (the one cell that holds the hint), and the row's own card elsewhere."""
     rows = np.arange(len(block))
     h = st.hints(block)
-    pos_h = np.argmax(block == h[:, None], axis=1)
 
     def swapped(g: np.ndarray) -> np.ndarray:
-        return np.where(g == 0, h,
-                        np.where(g == pos_h, block[:, 0], block[rows, g]))
+        cell = block[rows, g]
+        return np.where(g == 0, h, np.where(cell == h, block[:, 0], cell))
 
     cells = range(st.n) if targets is None else [targets]
     return np.array([np.count_nonzero((h == s)

@@ -134,8 +134,9 @@ class TestSeededSampling:
 
     @staticmethod
     def need(lanes, n):
-        # the shuffle buffer and the rows, uint8 to n = 256, else uint16
-        return 2 * lanes * n * (1 if n <= 256 else 2)
+        # the one shuffle buffer, whose view is the rows: uint8 to n = 256,
+        # else uint16
+        return lanes * n * (1 if n <= 256 else 2)
 
     def test_refused_one_byte_short(self, monkeypatch):
         for n in (100, 1000):   # uint8 and uint16 blocks
@@ -153,9 +154,10 @@ class TestSeededSampling:
             blocks = [b for b, _ in seeded_blocks(0, n, 0, 5000)]
             assert [len(b) for b in blocks] == [2048, 2048, 904]
 
-    def test_block_peak_is_two_narrow_arrays(self):
-        # one 2048-lane block at n = 10000 holds a uint16 shuffle buffer and
-        # uint16 rows; int32 arrays would double the peak
+    def test_block_peak_is_one_narrow_array(self):
+        # a 2048-lane block at n = 10000 is one uint16 shuffle buffer, and
+        # its rows are a view of it; a row-major copy of the rows, or int32
+        # arrays, would double the peak
         blocks = seeded_blocks(0, 10_000, 0, LANES_PER_BLOCK)
         tracemalloc.start()
         try:

@@ -128,27 +128,39 @@ def narrowest_unsigned(n):
                     np.uint16 if n <= 65536 else np.uint32)
 
 
+def assert_position_major_view(got, lanes, n):
+    """``got`` is the ``(lanes, n)`` transposed view of one position-major
+    buffer: entry [t, i] sits at flat index i * lanes + t, and no second
+    array holds the rows."""
+    assert got.dtype == narrowest_unsigned(n)
+    assert got.shape == (lanes, n)
+    buf = got.base
+    assert buf is not None and buf.ndim == 1 and buf.size == lanes * n
+    assert got.strides == (got.itemsize, lanes * got.itemsize)
+    assert np.array_equal(got, buf.reshape(n, lanes).T)
+
+
 def assert_permutations_match_reference(seeds, n):
     fast = BatchRng(np.array(seeds, dtype=np.uint64))
     slow = BatchRng(np.array(seeds, dtype=np.uint64))
     got = fast.permutations(n)
-    assert got.dtype == narrowest_unsigned(n)
-    assert got.shape == (len(seeds), n)
-    assert got.flags.c_contiguous
+    assert_position_major_view(got, len(seeds), n)
     assert np.array_equal(got, reference_permutations(slow, n))
     assert np.array_equal(fast.states, slow.states)
     return fast
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+# at n = 0 and 1 the chunk loop never runs, and at n = 2 it runs one step
+@pytest.mark.parametrize("n", [0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
                                2 * _CHUNK + 1, 1000])
 @pytest.mark.parametrize("lanes", [1, 7, 2048])
 def test_batch_permutations_equal_reference_loop(n, lanes):
     seeds = batch_seeds(n * 31 + lanes, 0, lanes).tolist()
     fast = assert_permutations_match_reference(seeds, n)
     # no draw was rejected, so each lane advanced by exactly n - 1 draws
+    draws = max(n - 1, 0)
     assert ((np.array(seeds, dtype=np.uint64)
-             + np.uint64((n - 1) * GOLDEN & MASK64)) == fast.states).all()
+             + np.uint64(draws * GOLDEN & MASK64)) == fast.states).all()
 
 
 @pytest.mark.parametrize("n", [256, 257, 65536, 65537])

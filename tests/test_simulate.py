@@ -128,6 +128,25 @@ def copied_locker_wins(st, block):
                      for s in range(st.n)], dtype=np.int64)
 
 
+def rowwise_locker_wins(block, targets=None):
+    """Locker successes of the shift strategy by the letter of the
+    protocol: copy each row, swap the hint card into position 0, then win
+    on the hint or on the probe (target + hint) mod n. Per target when
+    ``targets`` is None, else one count for the per-row targets."""
+    n = block.shape[1]
+    counts = np.zeros(n if targets is None else 1, dtype=np.int64)
+    for b, row in enumerate(block.tolist()):
+        h = argmax_shift(shift_histogram(Permutation(tuple(row))))
+        cards = list(row)
+        p = cards.index(h)
+        cards[0], cards[p] = cards[p], cards[0]
+        cells = (enumerate(range(n)) if targets is None
+                 else [(0, int(targets[b]))])
+        for c, s in cells:
+            counts[c] += h == s or cards[(s + h) % n] == s
+    return counts
+
+
 def _report_counts(report):
     if report.per_target is None:
         return [report.successes]
@@ -451,10 +470,62 @@ class TestLockerProtocol:
                 copied_locker_wins(st, block[targets == s])[s]
                 for s in range(n))
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    def test_kernel_equals_rowwise_swap(self, n):
+        block, rng = next(seeded_blocks(19, n, 0, 2048))
+        targets = rng.randbelow(n)
+        st = shift_strategy(n)
+        at_zero = block[:, 0] == st.hints(block)
+        # rows whose swap is a no-op, and (past n = 2) rows it changes
+        assert at_zero.any()
+        assert n == 2 or not at_zero.all()
+        assert np.array_equal(locker_wins(st, block),
+                              rowwise_locker_wins(block))
+        assert np.array_equal(locker_wins(st, block, targets),
+                              rowwise_locker_wins(block, targets))
+
     def test_refuses_other_strategies(self):
         for name in ("naive", "bogus"):
             with pytest.raises(ParameterOutOfRange):
                 simulate_locker(GameConfig(n=5, trials=10, strategy=name))
+
+
+class TestLayoutIndependence:
+    """A seeded block is the transposed view of a position-major buffer;
+    every kernel counts the same on it as on its row-major copy."""
+
+    @staticmethod
+    def blocks(n):
+        # fewer lanes at n = 1000 keep the latin hint's n x n scan short
+        block, rng = next(seeded_blocks(23, n, 0, 300 if n == 1000 else 2048))
+        rows = np.ascontiguousarray(block)
+        assert not block.flags.c_contiguous and rows.flags.c_contiguous
+        return block, rows, rng.randbelow(n)
+
+    @pytest.mark.parametrize("n", [2, 64, 257, 1000])
+    def test_needle_wins(self, n):
+        block, rows, targets = self.blocks(n)
+        for st in (shift_strategy(n), naive_strategy(n), baseline_strategy(n),
+                   latin_strategy(LatinSquare.cyclic(n))):
+            for t in (None, targets):
+                assert np.array_equal(needle_wins(st, block, t),
+                                      needle_wins(st, rows, t))
+
+    @pytest.mark.parametrize("n", [2, 64, 257, 1000])
+    def test_locker_wins(self, n):
+        block, rows, targets = self.blocks(n)
+        st = shift_strategy(n)
+        for t in (None, targets):
+            assert np.array_equal(locker_wins(st, block, t),
+                                  locker_wins(st, rows, t))
+
+    @pytest.mark.parametrize("n", [2, 64, 257, 1000])
+    def test_shift_reduce(self, n):
+        block, rows, _ = self.blocks(n)
+        for reduce in (lambda c: c.argmax(axis=1), lambda c: c.max(axis=1),
+                       lambda c: c[:, [0, n - 1]]):
+            assert np.array_equal(shift_reduce(block, reduce),
+                                  shift_reduce(rows, reduce))
 
 
 def exact_sweep(n, strategy):
