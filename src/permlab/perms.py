@@ -4,7 +4,8 @@ A permutation sigma is stored by its image array (``image[i] = sigma(i)``).
 The displacement of position i is ``v(i) = (i - sigma(i)) mod n``; the shift
 histogram counts, for each class ``l``, how many positions are displaced by
 ``l``. Class 0 counts the fixed points. ``shift_counts`` computes the
-histograms of a whole ``(B, n)`` block of permutation rows at once.
+histograms of a whole ``(B, n)`` block of permutation rows at once, by
+displacement or by the classes of an ``(n, n)`` table (a latin square's rows).
 
 Samplers that only need one reduction per row of a block's histograms (the
 shift hint's argmax, the largest class, the sizes of two classes) call
@@ -121,34 +122,41 @@ def block_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(max(n - 1, 0))
 
 
-def shift_counts(block: np.ndarray) -> np.ndarray:
+def shift_counts(block: np.ndarray,
+                 table: np.ndarray | None = None) -> np.ndarray:
     """Shift histograms of a ``(B, n)`` block of permutation rows, ``(B, n)``
-    int64: entry ``[b, l]`` counts the positions of row b displaced by l.
+    int64: entry ``[b, l]`` counts the positions of row b displaced by l,
+    or, given an int64 ``(n, n)`` ``table``, the positions i in class
+    ``table[i, sigma(i)]``.
 
-    Each displacement becomes a key ``b*n + v`` for one ``bincount``, read
-    in the block's own memory order. The keys are built in int64 with a
+    Each class becomes a key ``b*n + l`` for one ``bincount``, read in
+    the block's own memory order. The shift keys are built in int64 with a
     sign fix-up rather than ``% n``, so a large block needs one key array
     and no narrower intermediate. Its temporaries are as large as the
     block; samplers that reduce each row call :func:`shift_reduce` instead.
     """
     import numpy as np
     lanes, n = block.shape
-    # i - sigma(i), in (-n, n); the int64 range promotes an unsigned block
-    keys = np.arange(n, dtype=np.int64) - block
-    keys += (keys < 0) * n
+    if table is None:
+        # i - sigma(i), in (-n, n); the int64 range promotes an unsigned block
+        keys = np.arange(n, dtype=np.int64) - block
+        keys += (keys < 0) * n
+    else:   # a flat gather keeps the block's memory order
+        keys = table.ravel()[np.arange(0, n * n, n, dtype=np.int64) + block]
     keys += (np.arange(lanes, dtype=np.int64) * n)[:, None]
     return np.bincount(keys.ravel("K"), minlength=lanes * n).reshape(lanes, n)
 
 
 def shift_reduce(block: np.ndarray,
-                 reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``reduce(shift_counts(block))`` for a ``reduce`` that maps each row
-    of histograms on its own (``c.argmax(axis=1)``, ``c[:, cols]``), run on
-    tiles of ``max(1, TILE // n)`` rows so only a tile's histograms exist
-    at once."""
+                 reduce: Callable[[np.ndarray], np.ndarray],
+                 table: np.ndarray | None = None) -> np.ndarray:
+    """``reduce(shift_counts(block, table))`` for a ``reduce`` that maps
+    each row of histograms on its own (``c.argmax(axis=1)``,
+    ``c[:, cols]``), run on tiles of ``max(1, TILE // n)`` rows so only a
+    tile's histograms exist at once."""
     import numpy as np
     rows = max(1, TILE // block.shape[1])
-    return np.concatenate([reduce(shift_counts(block[a:a + rows]))
+    return np.concatenate([reduce(shift_counts(block[a:a + rows], table))
                            for a in range(0, len(block), rows)])
 
 

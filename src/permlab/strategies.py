@@ -16,6 +16,10 @@ Concrete strategies:
 * latin   -- hint = closest row of an n x n latin square, probe through that
              row's inverse (the shift strategy is the cyclic special case);
 * baseline -- no advice (m = 1), probe the target's own position.
+
+Shift and latin share one hint, the first largest class of
+``perms.shift_reduce``: latin labels position i with the square's row
+through cell (i, sigma(i)), so a row's class size is its agreement.
 """
 
 from __future__ import annotations
@@ -95,15 +99,14 @@ class LatinSquare:
         return cls(tuple(data))
 
 
+def _closest_row(name: str, n: int, table, guesses) -> Strategy:
+    """Hint = the first largest class of ``shift_counts(block, table)``."""
+    return Strategy(name, n, lambda block: shift_reduce(
+        block, lambda c: c.argmax(axis=1), table), guesses)
+
+
 def shift_strategy(n: int) -> Strategy:
-    def hints(block: np.ndarray) -> np.ndarray:
-        # first max = lowest class
-        return shift_reduce(block, lambda c: c.argmax(axis=1))
-
-    def guesses(h, s):
-        return (s + h) % n
-
-    return Strategy("shift", n, hints, guesses)
+    return _closest_row("shift", n, None, lambda h, s: (s + h) % n)
 
 
 def naive_strategy(n: int) -> Strategy:
@@ -130,22 +133,10 @@ def baseline_strategy(n: int) -> Strategy:
 def latin_strategy(square: LatinSquare) -> Strategy:
     n = square.n
     rows = np.array(square.rows, dtype=np.int64)
+    table = np.empty_like(rows)   # table[i][v] = the row placing v at i
+    table[np.arange(n), rows] = np.arange(n)[:, None]
     inverses = np.argsort(rows, axis=1)   # inverses[r][v] = position of v in row r
-
-    def hints(block: np.ndarray) -> np.ndarray:
-        best_row = np.zeros(len(block), dtype=np.int64)
-        best = np.full(len(block), -1, dtype=np.int64)
-        for r, row in enumerate(rows):
-            agree = np.count_nonzero(block == row, axis=1)
-            closer = agree > best   # strict, so the first closest row wins
-            best_row[closer] = r
-            np.maximum(best, agree, out=best)
-        return best_row
-
-    def guesses(h, s):
-        return inverses[h, s]
-
-    return Strategy("latin", n, hints, guesses)
+    return _closest_row("latin", n, table, lambda h, s: inverses[h, s])
 
 
 def strategy_by_name(name: str, n: int) -> Strategy:

@@ -122,6 +122,9 @@ def count_required_displacements(I: IndexSet, J: IndexSet, s: int) -> int:
     """Permutations fixing all of I and pushing all of J by s: zero when
     I meets J or J + s, otherwise (n - |I u J|)!."""
     n, s = _require_sets(s, I, J)
+    # n! < 2^(n b), b the bit length of n, and its document: n b / 8 bytes
+    check_memory(n * n.bit_length() + (1 << 17),   # 8x over; peaks 6.4-6.7x
+                 f"the required displacement count at n={n}")
     if _clash(I.as_set(), J.as_set(), n, s):
         return 0
     return factorial(n - len(I.as_set() | J.as_set()))
@@ -307,6 +310,12 @@ def _power(a: Sequence[int], e: int, k: int) -> list[int]:
     return b
 
 
+def _sample_bytes(n: int, pool: int, size: int, trials: int) -> int:
+    """Bytes for ``_estimate``: 200 a position, 8 a pool and 64 a drawn entry."""
+    lanes = max(1, min(2048, trials, (1 << 22) // (pool + 1)))
+    return 200 * n + 8 * lanes * (pool + 8 * size) + (1 << 16)
+
+
 def _is_exact(mode: str, trials: int) -> bool:
     """Whether ``mode`` is exact; sampled mode needs positive ``trials``."""
     if mode not in ("exact", "sampled"):
@@ -354,9 +363,10 @@ def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
     if t < 1 or 2 * t >= n:
         raise ParameterOutOfRange(f"need 1 <= t and 2t < n, got t={t}, n={n}")
     s = _require_nonzero_shift(n, s)
-    if exact := _is_exact(mode, trials):
-        check_memory(_count_bytes(n, 2 * t),
-                     f"the compatible pair count at n={n}")
+    exact = _is_exact(mode, trials)
+    check_memory(_count_bytes(n, 2 * t) if exact
+                 else _sample_bytes(n, n, 2 * t, trials),
+                 f"the compatible pair {'count' if exact else 'sample'} at n={n}")
     bound = Fraction(max(0, n - 6 * t), n - 2 * t) ** (2 * t)
     params = {"n": n, "t": t, "s": s, "mode": mode}
     if exact:   # the 2t disjoint pairs {x, x + s} of I and J, split in two
@@ -436,8 +446,10 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
     where some K is feasible, it may be positive where none is (k=4, n=9, s=3)."""
     if k < 0 or 2 * k > n - 4 * t:
         raise ParameterOutOfRange(f"need 2k <= n - 4t, got k={k}, t={t}, n={n}")
-    if exact := _is_exact(mode, trials):   # before the pair search
-        check_memory(_count_bytes(n, k), f"the feasible set count at n={n}")
+    exact = _is_exact(mode, trials)   # refused before the pair search
+    check_memory(_count_bytes(n, k) if exact
+                 else _sample_bytes(n, n - 2 * t, k, trials),
+                 f"the feasible set {'count' if exact else 'sample'} at n={n}")
     I, J = canonical_compatible_pair(n, t, s)   # checks t, s and their room
     s %= n
     blocked = _blocked(I.as_set(), J.as_set(), s, n)

@@ -705,6 +705,44 @@ class TestUsageErrors:
         assert lines[1]["exact"]["ratio"] == ratio
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("argv, what", [
+        (("structure", "compatible", "--n", "5000000000", "--t", "1",
+          "--mode", "sampled", "--trials", "3"), "the compatible pair sample"),
+        (("structure", "feasible", "--n", "5000000000", "--t", "1", "--k",
+          "1", "--mode", "sampled", "--trials", "3"),
+         "the feasible set sample"),
+        (("structure", "phistar", "--n", "5000000000", "--s", "1",
+          "--set-i", "0"), "the required displacement count"),
+    ], ids=["compatible-sampled", "feasible-sampled", "phistar"])
+    def test_refused_past_memory_at_once(self, capsys, argv, what):
+        # no n-entry pool, no pair search over n positions, no n!
+        start = time.perf_counter()
+        code = main(list(argv))
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"refused: {what} at n=5000000000 ")
+        assert captured.err.count("\n") == 1
+        assert elapsed < 1.0
+
+    def test_phistar_bound_covers_the_document(self, capsys):
+        # the bytes the refusal compares with memory cover the traced peak
+        # of n!, its JSON rendering and the written output
+        argv = ["structure", "phistar", "--s", "1", "--set-i", "0"]
+        main(argv + ["--n", "4"])   # imports are not the work
+        capsys.readouterr()
+        n = 20000
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--n", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out) > 77_000   # log10(19999!)
+        assert peak <= n * n.bit_length() + (1 << 17)
+
     def test_dedup_guard_refusal_prints_nothing(self, capsys, tmp_path):
         path = tmp_path / "part.json"
         path.write_text(json.dumps(

@@ -496,8 +496,7 @@ class TestLayoutIndependence:
 
     @staticmethod
     def blocks(n):
-        # fewer lanes at n = 1000 keep the latin hint's n x n scan short
-        block, rng = next(seeded_blocks(23, n, 0, 300 if n == 1000 else 2048))
+        block, rng = next(seeded_blocks(23, n, 0, 2048))
         rows = np.ascontiguousarray(block)
         assert not block.flags.c_contiguous and rows.flags.c_contiguous
         return block, rows, rng.randbelow(n)

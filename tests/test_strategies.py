@@ -10,6 +10,7 @@ from permlab.errors import NotLatin, TooLargeForEnumeration, UnknownStrategy
 from permlab.fields import PartitionStrategy, aic_check, partition_from_hint
 from permlab.perms import (Permutation, argmax_shift, example_deck,
                            identity_permutation, shift_histogram)
+from permlab.rng import seeded_blocks
 from permlab.strategies import (LatinSquare, baseline_strategy,
                                 evaluate_success_exact, latin_strategy,
                                 naive_strategy, shift_strategy,
@@ -133,6 +134,73 @@ class TestLatinStrategy:
     def test_from_json_round_trip(self):
         sq = LatinSquare.from_json("[[0,1,2],[1,2,0],[2,0,1]]")
         assert sq.n == 3
+
+
+def closest_rows(square, block):
+    """Oracle: the first row of ``square`` that agrees with each row of
+    ``block`` at the most positions, comparing one row of the square at a
+    time."""
+    best_row = np.zeros(len(block), dtype=np.int64)
+    best = np.full(len(block), -1, dtype=np.int64)
+    for r, row in enumerate(np.array(square.rows, dtype=np.int64)):
+        agree = np.count_nonzero(block == row, axis=1)
+        closer = agree > best   # strict, so the first closest row wins
+        best_row[closer] = r
+        np.maximum(best, agree, out=best)
+    return best_row
+
+
+def isotope(n, seed):
+    """The cyclic square with its rows, columns and symbols permuted."""
+    rng = np.random.default_rng(seed)
+    cyclic = np.array(LatinSquare.cyclic(n).rows)
+    rows = rng.permutation(n)[cyclic[rng.permutation(n)][:, rng.permutation(n)]]
+    return LatinSquare(tuple(map(tuple, rows.tolist())))
+
+
+# the Klein four-group's table, row r being i -> i xor r: not isotopic to
+# the cyclic square of order 4
+KLEIN = LatinSquare(tuple(tuple(i ^ r for i in range(4)) for r in range(4)))
+
+
+class TestClosestRow:
+    """The latin hint, read from the class histogram of ``shift_reduce``,
+    is the first closest row of the square, one row compared at a time."""
+
+    @pytest.mark.parametrize("n, square", [
+        *((n, "cyclic") for n in (1, 2, 4, 5, 32, 257)),
+        *((n, "isotope") for n in (1, 2, 4, 5, 32, 257)),
+        (4, "klein")])
+    def test_hint_matches_the_row_by_row_oracle(self, n, square):
+        sq = {"cyclic": LatinSquare.cyclic, "isotope": lambda n: isotope(n, n),
+              "klein": lambda n: KLEIN}[square](n)
+        block, _ = next(seeded_blocks(29, n, 0, 2048))
+        rows = np.ascontiguousarray(block)
+        want = closest_rows(sq, rows)
+        hints = latin_strategy(sq).hints
+        assert np.array_equal(hints(block), want)
+        assert np.array_equal(hints(rows), want)
+        if n >= 4:   # rows tie on some permutation of the block
+            agree = np.stack([np.count_nonzero(rows == np.array(r), axis=1)
+                              for r in sq.rows], axis=1)
+            assert ((agree == agree.max(axis=1, keepdims=True)).sum(axis=1)
+                    > 1).any()
+
+    def test_every_permutation_of_order_four(self):
+        for sq in (LatinSquare.cyclic(4), isotope(4, 1), KLEIN):
+            block = every_row(4)
+            assert np.array_equal(latin_strategy(sq).hints(block),
+                                  closest_rows(sq, block))
+
+    @pytest.mark.parametrize("image, hint", [
+        ((0, 1, 3, 2), 0),   # rows 0 and 1 agree at two positions each
+        ((2, 3, 1, 0), 2),   # rows 2 and 3 agree at two positions each
+        ((0, 2, 3, 1), 0),   # every row agrees at one position
+        ((1, 0, 3, 2), 1)])  # row 1 itself
+    def test_lowest_row_wins_a_tie(self, image, hint):
+        block = np.array([image])
+        assert latin_strategy(KLEIN).hints(block).tolist() == [hint]
+        assert closest_rows(KLEIN, block).tolist() == [hint]
 
 
 class TestStrategyByName:

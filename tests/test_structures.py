@@ -17,6 +17,7 @@ from permlab.counting import shift_count_pmf
 from permlab.enumeration import perm_matrix, row_blocks
 from permlab.errors import OutOfMemory, ParameterOutOfRange
 from permlab.perms import shift_counts
+from permlab.reporting import dumps
 from permlab.rng import Rng, derive_seed
 from permlab.structures import (IndexSet, ProbabilityReport, _blocked,
                                 _moved, canonical_compatible_pair,
@@ -599,6 +600,22 @@ class TestBoardMemory:
         "feasible": (lambda n: structures._count_bytes(n, 0),
                      "the feasible set count",
                      lambda n: feasible_set_stats(n, n // 4, 0, 1)),
+        # n! and its document
+        "phistar": (lambda n: n * n.bit_length() + (1 << 17),
+                    "the required displacement count",
+                    lambda n: dumps({"count": count_required_displacements(
+                        iset(n), iset(n), 1)})),
+        # blocks of as many lanes as fit 2^22 entries, drawing all but one
+        "compatible-sampled": (
+            lambda n: structures._sample_bytes(n, n, 2 * ((n - 1) // 2), 3000),
+            "the compatible pair sample",
+            lambda n: compatible_pair_stats(n, (n - 1) // 2, 1, "sampled",
+                                            3000)),
+        "feasible-sampled": (
+            lambda n: structures._sample_bytes(n, n - 2, (n - 4) // 2, 3000),
+            "the feasible set sample",
+            lambda n: feasible_set_stats(n, 1, (n - 4) // 2, 1, "sampled",
+                                         3000)),
     }
 
     @pytest.mark.parametrize("kind", COUNTS)
@@ -615,7 +632,9 @@ class TestBoardMemory:
 
     @pytest.mark.parametrize("kind, sizes", [
         ("phi", (30, 100)), ("pset", (30, 100)), ("joint", (10, 30)),
-        ("compatible", (30, 1000)), ("feasible", (80, 312))])
+        ("compatible", (30, 1000)), ("feasible", (80, 312)),
+        ("phistar", (3000, 30000)), ("compatible-sampled", (30, 300, 2100)),
+        ("feasible-sampled", (30, 300, 2000))])
     def test_bound_covers_the_traced_peak(self, kind, sizes):
         bound, _, run = self.COUNTS[kind]
         run(4)   # imports are not the work
@@ -627,6 +646,19 @@ class TestBoardMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= bound(n), (n, peak)
+
+    def test_sample_bound_covers_the_pair_search(self):
+        # a long pool in one lane: the pool, its complement and the pair
+        # search take the bytes
+        feasible_set_stats(100, 1, 1, 1, "sampled", 3)   # imports
+        for n in (1000, 30000):
+            tracemalloc.start()
+            try:
+                feasible_set_stats(n, 1, 1, 1, "sampled", 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= structures._sample_bytes(n, n - 2, 1, 3), (n, peak)
 
 
 class TestCompatiblePairStats:
