@@ -605,7 +605,8 @@ class TestBoardMemory:
                     "the required displacement count",
                     lambda n: dumps({"count": count_required_displacements(
                         iset(n), iset(n), 1)})),
-        # blocks of as many lanes as fit 2^22 entries, drawing all but one
+        # 3000 trials in blocks of as many lanes as 2^22 entries hold, each
+        # lane drawing most of its pool
         "compatible-sampled": (
             lambda n: structures._sample_bytes(n, n, 2 * ((n - 1) // 2), 3000),
             "the compatible pair sample",
