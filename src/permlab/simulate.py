@@ -77,9 +77,12 @@ class GameConfig:
                 f"a target applies only to fixed mode, not {self.target_mode}")
 
     def strategy_obj(self) -> Strategy:
-        if isinstance(self.strategy, Strategy):
-            return self.strategy
-        return strategy_by_name(self.strategy, self.n)
+        if isinstance(self.strategy, str):
+            return strategy_by_name(self.strategy, self.n)
+        if self.strategy.n != self.n:
+            raise ParameterOutOfRange(f"strategy {self.strategy.name!r} is of "
+                                      f"order {self.strategy.n}, not n={self.n}")
+        return self.strategy
 
     def strategy_name(self) -> str:
         return self.strategy if isinstance(self.strategy, str) else self.strategy.name
@@ -192,10 +195,10 @@ def _source(n: int, trials: int, seed: int, exhaustive: bool,
     return "sampled", seeded_blocks(seed, n, 0, trials)
 
 
-def _targets(cfg: GameConfig, rng: BatchRng) -> np.ndarray | None:
+def _targets(cfg: GameConfig, rng: BatchRng | None) -> np.ndarray | None:
     """Per-lane targets, drawn next from each trial's stream when uniform;
-    None (every target) in sweep mode."""
-    if cfg.target_mode == "sweep":
+    None (every target) in sweep mode or for a block with no lane streams."""
+    if rng is None or cfg.target_mode == "sweep":
         return None
     if cfg.target_mode == "fixed":
         return np.full(rng.lanes, cfg.target, dtype=np.int64)
@@ -203,38 +206,40 @@ def _targets(cfg: GameConfig, rng: BatchRng) -> np.ndarray | None:
 
 
 def _wins(game: str, cfg: GameConfig, st: Strategy, blocks: Blocks) -> np.ndarray:
-    """Successes over ``blocks``: per target in sweep mode, else one total."""
-    wins = np.zeros(cfg.n if cfg.target_mode == "sweep" else 1, dtype=np.int64)
-    for block, rng in blocks:
-        wins += _KERNELS[game](st, block, _targets(cfg, rng))
-    return wins
+    """Successes over ``blocks``: per target in sweep mode or for blocks
+    with no lane streams, else one total."""
+    return sum(_KERNELS[game](st, block, _targets(cfg, rng))
+               for block, rng in blocks)
 
 
 def _chunk_wins(game: str, cfg: GameConfig, start: int, width: int) -> np.ndarray:
-    """Seeded trials start..start+width-1; top level so process pools can
-    pickle it, with the strategy crossing as its name."""
+    """Seeded trials start..start+width-1 in a pool worker; top level so it
+    pickles, with the strategy crossing as its name."""
     return _wins(game, cfg, cfg.strategy_obj(),
                  seeded_blocks(cfg.seed, cfg.n, start, width))
 
 
-def _seeded_wins(game: str, cfg: GameConfig) -> np.ndarray:
-    """Dispatch seeded trials over workers; the result never depends on the
+def _seeded_wins(game: str, cfg: GameConfig, st: Strategy,
+                 blocks: Blocks) -> np.ndarray:
+    """Seeded trials, spread over a process pool when the strategy is a
+    name (a Strategy's closures do not pickle) and spans more than one
+    chunk, else ``_wins`` over ``blocks``; the result never depends on the
     split. Chunks are cut at whole batches, and the pool never outnumbers
     the cores or the chunks."""
     cap = min(cfg.workers, os.cpu_count() or 1)
     per = -(-cfg.trials // (cap * LANES_PER_BLOCK)) * LANES_PER_BLOCK
     starts = range(0, cfg.trials, per)
-    jobs = ([game] * len(starts), [cfg] * len(starts), starts,
-            [min(per, cfg.trials - a) for a in starts])
     workers = min(cap, len(starts))
-    if workers > 1:
+    if workers > 1 and isinstance(cfg.strategy, str):
         from concurrent.futures import ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return np.sum(list(pool.map(_chunk_wins, *jobs)), axis=0)
+                return sum(pool.map(
+                    _chunk_wins, [game] * len(starts), [cfg] * len(starts),
+                    starts, [min(per, cfg.trials - a) for a in starts]))
         except (OSError, RuntimeError):   # process pools unavailable
             pass
-    return np.sum(list(map(_chunk_wins, *jobs)), axis=0)
+    return _wins(game, cfg, st, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +274,15 @@ def _simulate(game: str, cfg: GameConfig,
         raise ParameterOutOfRange(
             "the locker game is defined for the shift strategy only, "
             f"not {cfg.strategy_name()!r}")
-    st = cfg.strategy_obj()   # surfaces UnknownStrategy before any work
+    st = cfg.strategy_obj()   # refuses a bad name or order before any work
     mode, blocks = _source(cfg.n, cfg.trials, cfg.seed, cfg.exhaustive,
                            perm_stream)
-    if mode == "exhaustive":
-        wins = sum(_KERNELS[game](st, block) for block, _ in blocks)
-        if cfg.target_mode == "fixed":
-            wins = wins[cfg.target:cfg.target + 1]
-        return _report(game, cfg, wins, factorial(cfg.n), exact=True)
-    if mode == "sampled" and isinstance(cfg.strategy, str):
-        wins = _seeded_wins(game, cfg)   # a Strategy's closures do not pickle
-    else:
-        wins = _wins(game, cfg, st, blocks)
-    return _report(game, cfg, wins, cfg.trials, exact=False)
+    wins = (_seeded_wins if mode == "sampled" else _wins)(game, cfg, st, blocks)
+    if mode != "exhaustive":
+        return _report(game, cfg, wins, cfg.trials, exact=False)
+    if cfg.target_mode == "fixed":
+        wins = wins[cfg.target:cfg.target + 1]
+    return _report(game, cfg, wins, factorial(cfg.n), exact=True)
 
 
 def simulate_needle(cfg: GameConfig,
@@ -319,10 +320,8 @@ def max_shift_distribution(n: int, trials: int = 10_000, seed: int = 0,
     if n < 1 or trials < 1:
         raise ParameterOutOfRange("n and trials must be positive")
     mode, blocks = _source(n, trials, seed, exhaustive, perm_stream)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for block, _ in blocks:
-        hist += np.bincount(shift_reduce(block, lambda c: c.max(axis=1)),
-                            minlength=n + 1)
+    hist = sum(np.bincount(shift_reduce(block, lambda c: c.max(axis=1)),
+                           minlength=n + 1) for block, _ in blocks)
     values = np.arange(n + 1)
     mean = float((hist * values).sum() / hist.sum())
     cum = np.cumsum(hist)

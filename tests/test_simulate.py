@@ -3,14 +3,18 @@ determinism, fixtures."""
 
 import concurrent.futures
 import itertools
+import json
 import os
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 import pytest
 
+from permlab import simulate
+from permlab.counting import shift_pmf
 from permlab.enumeration import row_blocks
 from permlab.errors import (NotABijection, ParameterOutOfRange,
                             TooLargeForEnumeration, UnknownStrategy)
@@ -21,9 +25,11 @@ from permlab.simulate import (GameConfig, MaxShiftReport, SimulationReport,
                               locker_wins, max_shift_distribution,
                               simulate_locker, simulate_needle,
                               wilson_interval)
+from permlab.structures import joint_shift_table
 from permlab.strategies import (LatinSquare, baseline_strategy,
                                 evaluate_success_exact, latin_strategy,
-                                naive_strategy, needle_wins, shift_strategy)
+                                naive_strategy, needle_wins, shift_strategy,
+                                strategy_by_name)
 
 # ---------------------------------------------------------------------------
 # scalar oracle: one trial at a time, on Rng and tuple-level strategies that
@@ -369,6 +375,42 @@ class TestDeterminism:
         assert run(GameConfig(n=9, trials=5000, seed=4, workers=4)) == serial
 
 
+    class RefusingPool:
+        """Stands in for a process pool that no run may start."""
+
+        def __init__(self, max_workers):
+            raise AssertionError("a process pool was started")
+
+    @pytest.mark.parametrize("game", ["needle", "locker"])
+    def test_strategy_object_runs_in_process(self, monkeypatch, game):
+        run = simulate_needle if game == "needle" else simulate_locker
+        cfg = GameConfig(n=9, trials=5000, seed=4, strategy=shift_strategy(9))
+        serial = run(cfg)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            self.RefusingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert run(GameConfig(n=9, trials=5000, seed=4,
+                              strategy=shift_strategy(9), workers=4)) == serial
+
+    def test_serial_run_resolves_a_named_strategy_once(self, monkeypatch,
+                                                       tmp_path):
+        path = tmp_path / "latin5.json"
+        path.write_text(json.dumps(LATIN5))
+        calls = []
+
+        def counted(name, n):
+            calls.append(name)
+            return strategy_by_name(name, n)
+
+        monkeypatch.setattr(simulate, "strategy_by_name", counted)
+        report = simulate_needle(GameConfig(n=5, trials=5000, seed=4,
+                                            strategy=f"latin:{path}"))
+        assert calls == [f"latin:{path}"]
+        assert report.successes == simulate_needle(GameConfig(
+            n=5, trials=5000, seed=4,
+            strategy=latin_strategy(LatinSquare(LATIN5)))).successes
+
+
 class TestNeedleStatistics:
     def test_baseline_matches_one_over_n(self):
         cfg = GameConfig(n=100, trials=200_000, seed=17, strategy="baseline")
@@ -598,6 +640,49 @@ class TestMaxShiftDistribution:
         assert inversions <= 1
 
 
+def max_shift_bracket(n):
+    """Exact bounds on E[max_s c_s], the size of the most populous shift
+    class: the union bound above, de Caen's inequality below. The pairwise
+    tails come from ``joint_shift_table(n, 0, g)``, one table per g =
+    gcd(n, d) over the classes d = 1..n-1."""
+    pmf = shift_pmf(n)
+    tail = [sum(pmf[k:], Fraction(0)) for k in range(n + 1)]   # P(c_0 >= k)
+    weights = Counter(gcd(n, d) for d in range(1, n))   # g -> phi(n / g)
+    tables = {g: joint_shift_table(n, 0, g) for g in weights}
+
+    def both_at_least(g, k):
+        return sum(p for (a, b), p in tables[g].items() if a >= k and b >= k)
+
+    upper = sum(min(1, n * tail[k]) for k in range(1, n + 1))
+    lower = sum(n * tail[k] ** 2 / (tail[k] + sum(
+        w * both_at_least(g, k) for g, w in weights.items()))
+        for k in range(1, n + 1) if tail[k])
+    return lower, upper
+
+
+class TestMaxShiftBracket:
+    """A gross-error oracle: the pairwise bracket is about 100 standard
+    errors wide, so it catches a broken histogram, not a small bias."""
+
+    @pytest.mark.parametrize("n,low,high", [(5, 2.2669, 2.5417),
+                                            (7, 2.5275, 2.7264)])
+    def test_holds_the_exhaustive_mean(self, n, low, high):
+        lower, upper = max_shift_bracket(n)
+        assert (float(lower), float(upper)) == pytest.approx((low, high),
+                                                             abs=1e-4)
+        report = max_shift_distribution(n, exhaustive=True)
+        mean = Fraction(sum(k * c for k, c in report.histogram.items()),
+                        report.trials)
+        assert lower <= mean <= upper
+
+    def test_holds_a_sampled_mean(self):
+        lower, upper = max_shift_bracket(30)
+        assert (float(lower), float(upper)) == pytest.approx((3.3325, 3.7001),
+                                                             abs=1e-4)
+        mean = max_shift_distribution(30, trials=20_000, seed=1).mean
+        assert mean == 3.56795 and lower <= mean <= upper
+
+
 class TestMaxShiftDistributionInputs:
     @pytest.mark.parametrize("n,trials", [(0, 10), (-3, 10), (5, 0), (5, -1)])
     def test_empty_runs_refused(self, n, trials):
@@ -615,6 +700,23 @@ class TestWilson:
         assert low == pytest.approx(0.0, abs=1e-12)
         low, high = wilson_interval(10, 10)
         assert high == pytest.approx(1.0, abs=1e-9)
+
+
+class TestStrategyOrder:
+    """A Strategy object must be of the run's order n."""
+
+    @pytest.mark.parametrize("order", [4, 9])
+    @pytest.mark.parametrize("mode", ["sampled", "exhaustive", "stream"])
+    @pytest.mark.parametrize("game", ["needle", "locker"])
+    def test_other_order_refused(self, game, mode, order):
+        run = simulate_needle if game == "needle" else simulate_locker
+        cfg = GameConfig(n=5, trials=300, seed=2, strategy=shift_strategy(order),
+                         exhaustive=mode == "exhaustive")
+        stream = (lambda t: tuple(range(5))) if mode == "stream" else None
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^strategy 'shift' is of order {order}, "
+                                 f"not n=5$"):
+            run(cfg, stream)
 
 
 class TestConfigValidation:
