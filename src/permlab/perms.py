@@ -12,7 +12,15 @@ shift hint's argmax, the largest class, the sizes of two classes) call
 ``shift_reduce``, which runs ``shift_counts`` on row tiles of about
 ``TILE`` histogram cells and keeps only each tile's reduced rows. A
 2048 x 10000 block's whole histogram would take three 164 MB int64
-temporaries; a tile's take 512 KB each.
+temporaries; a tile's take 512 KB each. A seeded block is the transposed
+view of its position-major shuffle buffer, so its rows are strided: where a
+tile holds fewer than ``GROUP`` rows (n > 1024), a tile read in place would
+pull one cache line per position for a few useful bytes. ``shift_reduce``
+then copies ``GROUP`` lanes at a time into one reused C-order scratch
+(1.28 MB at n = 10000), ``SLICE`` positions per copy so each copy stays in
+L1, and runs the tiles on that scratch. The scratch holds at most
+``SCRATCH`` cells (n <= 16384); past that, a block of few lanes would be
+copied whole and its memory doubled, so larger n read the block in place.
 """
 
 from __future__ import annotations
@@ -21,15 +29,21 @@ import json
 import operator
 from dataclasses import dataclass
 from math import factorial
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import NotABijection, ParameterOutOfRange, PermlabError
 
 if TYPE_CHECKING:
     import numpy as np
 
+# seeded trials per block, in every sampler (``rng.lane_blocks``)
+LANES_PER_BLOCK = 2048
 # histogram cells per tile of ``shift_reduce``: 2^16 int64 cells, 512 KB
 TILE = 1 << 16
+# lanes and positions per copy of a strided block into the C-order scratch
+# of ``shift_reduce`` (64 x 256 uint16 cells are 32 KB), and the most cells
+# that scratch holds: 2^20, 2 MB
+GROUP, SLICE, SCRATCH = 64, 256, 1 << 20
 
 
 def ints(values: Iterable, error: type[PermlabError],
@@ -153,11 +167,32 @@ def shift_reduce(block: np.ndarray,
     """``reduce(shift_counts(block, table))`` for a ``reduce`` that maps
     each row of histograms on its own (``c.argmax(axis=1)``,
     ``c[:, cols]``), run on tiles of ``max(1, TILE // n)`` rows so only a
-    tile's histograms exist at once."""
+    tile's histograms exist at once. A block with strided rows whose tile
+    holds fewer than ``GROUP`` rows, and whose ``GROUP`` lanes fit the
+    scratch, is tiled through :func:`_lane_groups`."""
     import numpy as np
-    rows = max(1, TILE // block.shape[1])
-    return np.concatenate([reduce(shift_counts(block[a:a + rows], table))
-                           for a in range(0, len(block), rows)])
+    n = block.shape[1]
+    rows = max(1, TILE // n)
+    grouped = (block.strides[1] != block.itemsize and rows < GROUP
+               and GROUP * n <= SCRATCH)
+    groups = _lane_groups(block) if grouped else [block]
+    return np.concatenate([reduce(shift_counts(group[a:a + rows], table))
+                           for group in groups
+                           for a in range(0, len(group), rows)])
+
+
+def _lane_groups(block: np.ndarray) -> Iterator[np.ndarray]:
+    """``block`` as C-order groups of ``GROUP`` lanes, each copied into the
+    one reused scratch ``SLICE`` positions at a time; a group is valid
+    until the next is drawn."""
+    import numpy as np
+    lanes, n = block.shape
+    scratch = np.empty((min(GROUP, lanes), n), dtype=block.dtype)
+    for g in range(0, lanes, GROUP):
+        group = scratch[:min(GROUP, lanes - g)]
+        for p in range(0, n, SLICE):
+            group[:, p:p + SLICE] = block[g:g + len(group), p:p + SLICE]
+        yield group
 
 
 def argmax_shift(h: ShiftHistogram) -> int:

@@ -44,15 +44,13 @@ import numpy as np
 
 from . import enumeration
 from .errors import ParameterOutOfRange
-from .perms import block_dtype
+from .perms import LANES_PER_BLOCK, block_dtype
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# seeded trials per block, in every sampler
-LANES_PER_BLOCK = 2048
 # Fisher-Yates steps drawn at once: two (_CHUNK, 2048) uint64 buffers, 2 MB
 _CHUNK = 64
 # counter-form strides: row c is the state advance after c + 1 draws

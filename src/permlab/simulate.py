@@ -39,8 +39,9 @@ import numpy as np
 from .counting import typical_max_shift
 from .enumeration import SWEEP_GUARD, row_blocks
 from .errors import NotABijection, ParameterOutOfRange
-from .perms import block_dtype, make_permutation, shift_reduce
-from .rng import LANES_PER_BLOCK, BatchRng, lane_blocks, seeded_blocks
+from .perms import (LANES_PER_BLOCK, block_dtype, ints, make_permutation,
+                    shift_reduce)
+from .rng import BatchRng, lane_blocks, seeded_blocks
 from .strategies import Strategy, needle_wins, strategy_by_name
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -61,6 +62,14 @@ class GameConfig:
     target: int | None = None
     exhaustive: bool = False
     workers: int = 1
+
+    def __post_init__(self):
+        names = ("n", "trials", "seed", "workers") + (
+            () if self.target is None else ("target",))
+        values = ints([getattr(self, name) for name in names],
+                      ParameterOutOfRange, "n, trials, seed, workers or target")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def validate(self) -> None:
         if self.n < 1 or self.trials < 1 or self.workers < 1:
@@ -317,6 +326,8 @@ def max_shift_distribution(n: int, trials: int = 10_000, seed: int = 0,
                            exhaustive: bool = False,
                            perm_stream: PermStream | None = None,
                            ) -> MaxShiftReport:
+    n, trials, seed = ints((n, trials, seed), ParameterOutOfRange,
+                           "n, trials or seed")
     if n < 1 or trials < 1:
         raise ParameterOutOfRange("n and trials must be positive")
     mode, blocks = _source(n, trials, seed, exhaustive, perm_stream)

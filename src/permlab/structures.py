@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 from . import counting
 from .enumeration import check_memory
 from .errors import ParameterOutOfRange
-from .perms import block_dtype, ints
+from .perms import LANES_PER_BLOCK, block_dtype, ints
 
 
 @dataclass(frozen=True)
@@ -310,9 +310,15 @@ def _power(a: Sequence[int], e: int, k: int) -> list[int]:
     return b
 
 
+def _sample_lanes(pool: int, trials: int) -> int:
+    """Lanes of an ``_estimate`` block: at most 2^22 entries of the pool,
+    so fewer lanes for a long pool."""
+    return max(1, min(LANES_PER_BLOCK, trials, (1 << 22) // (pool + 1)))
+
+
 def _sample_bytes(n: int, pool: int, size: int, trials: int) -> int:
     """Bytes for ``_estimate``: 200 a position, 8 a pool and 64 a drawn entry."""
-    lanes = max(1, min(2048, trials, (1 << 22) // (pool + 1)))
+    lanes = _sample_lanes(pool, trials)
     return 200 * n + 8 * lanes * (pool + 8 * size) + (1 << 16)
 
 
@@ -333,10 +339,10 @@ def _estimate(kind: str, params: dict, bound: Fraction, trials: int,
     Lane i of a ``rng.lane_blocks`` block runs trial a + i; a block holds at
     most 2^22 entries, with fewer lanes for a long pool."""
     import numpy as np
-    from .rng import LANES_PER_BLOCK, lane_blocks
+    from .rng import lane_blocks
     n, s = params["n"], params["s"]
     pool = np.fromiter(pool, dtype=block_dtype(n), count=len(pool))
-    lanes = max(1, min(LANES_PER_BLOCK, trials, (1 << 22) // (len(pool) + 1)))
+    lanes = _sample_lanes(len(pool), trials)
     buf, hits = np.empty((lanes, len(pool)), dtype=pool.dtype), 0
     for _, rng in lane_blocks(seed, 0, trials, lanes):
         drawn, rows = buf[:rng.lanes], np.arange(rng.lanes)

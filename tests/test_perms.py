@@ -194,10 +194,10 @@ def seeded(seed, lanes, n):
     return BatchRng(batch_seeds(seed, 0, lanes)).permutations(n)
 
 
-def assert_tiled_equals_whole(block):
-    whole = shift_counts(block)
+def assert_tiled_equals_whole(block, table=None):
+    whole = shift_counts(block, table)
     for name, reduce in REDUCTIONS.items():
-        tiled = shift_reduce(block, reduce)
+        tiled = shift_reduce(block, reduce, table)
         assert tiled.dtype == reduce(whole).dtype, name
         assert np.array_equal(tiled, reduce(whole)), name
 
@@ -239,6 +239,50 @@ class TestShiftReduce:
         assert np.array_equal(got, shift_counts(block).argmax(axis=1))
         # one int64 whole-block histogram is 8 MB
         assert peak < lanes * n * 8 // 4
+
+
+class TestLaneGroups:
+    """A seeded block's rows are strided; for 1024 < n <= 16384 a tile
+    holds fewer than ``GROUP`` rows and ``GROUP`` lanes fit the scratch, so
+    ``shift_reduce`` reads the block through a C-order scratch of ``GROUP``
+    lanes. Its results are the whole block's."""
+
+    @pytest.mark.parametrize("n", [1024, 1025, 4097, 10000, 16384, 16385])
+    def test_both_sides_of_the_gate(self, monkeypatch, n):
+        block = seeded(7, 65, n)          # one lane past a group
+        assert block.strides[1] != block.itemsize
+        groups, read = [], perms._lane_groups
+        monkeypatch.setattr(perms, "_lane_groups",
+                            lambda b: groups.append(b) or read(b))
+        assert_tiled_equals_whole(block)  # most n end in a part slice
+        assert bool(groups) == (1024 < n <= 16384)
+
+    @pytest.mark.parametrize("lanes", [1, 63, 64, 65, 2047])
+    def test_lanes_off_the_group_edge(self, lanes):
+        assert_tiled_equals_whole(seeded(8, lanes, 1025))
+
+    def test_class_table(self):
+        n = 2048                          # the XOR square: row r is i ^ r
+        table = np.arange(n)[:, None] ^ np.arange(n)
+        assert_tiled_equals_whole(seeded(9, 65, n), table)
+
+    @pytest.mark.parametrize("lanes, n", [
+        (2048, 10000),                    # 41 MB of uint16
+        (64, TILE + 3),                   # 16.8 MB of uint32: not copied
+    ])
+    def test_hint_allocates_a_group_not_the_block(self, lanes, n):
+        block = seeded(10, lanes, n)
+        hints = shift_strategy(n).hints
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = hints(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, hints(np.ascontiguousarray(block)))
+        # a 64-lane scratch is 1.28 MB at n = 10000, and at most 2 MB
+        assert peak < 4 << 20
 
 
 class TestTransposition:

@@ -690,6 +690,40 @@ class TestMaxShiftDistributionInputs:
             max_shift_distribution(n, trials=trials)
 
 
+class TestIntegerInputs:
+    """A run's integer inputs are read by ``perms.ints``: a report never
+    names an input that did not run."""
+
+    @pytest.mark.parametrize("config", [
+        dict(target_mode="fixed", target=1.5),
+        dict(target_mode="fixed", target=True),
+        dict(trials=True), dict(workers=2.5), dict(n=5.0), dict(seed=1.5),
+    ], ids=repr)
+    @pytest.mark.parametrize("run", [simulate_needle, simulate_locker])
+    def test_game_refuses_non_integers(self, run, config):
+        with pytest.raises(ParameterOutOfRange, match="holds a non-integer$"):
+            run(GameConfig(**{"n": 5, "trials": 64, **config}))
+
+    @pytest.mark.parametrize("config", [
+        dict(n=5.0), dict(trials=True), dict(seed=1.5)], ids=repr)
+    def test_dist_refuses_non_integers(self, config):
+        with pytest.raises(ParameterOutOfRange, match="holds a non-integer$"):
+            max_shift_distribution(**{"n": 5, "trials": 64, **config})
+
+    def test_numpy_integers_read_as_ints(self):
+        report = simulate_needle(GameConfig(
+            n=np.int64(5), trials=np.uint16(64), seed=np.int32(3),
+            target_mode="fixed", target=np.uint8(1), workers=np.int64(1)))
+        dist = max_shift_distribution(np.int64(5), trials=np.uint16(64),
+                                      seed=np.int32(3))
+        read = (report.n, report.trials, report.seed, report.target,
+                dist.n, dist.trials, dist.seed)
+        assert read == (5, 64, 3, 1, 5, 64, 3)
+        assert all(type(v) is int for v in read)
+        assert report == simulate_needle(GameConfig(
+            n=5, trials=64, seed=3, target_mode="fixed", target=1))
+
+
 class TestWilson:
     def test_brackets_estimate(self):
         low, high = wilson_interval(50, 100)
