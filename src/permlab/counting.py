@@ -11,6 +11,7 @@ from math import comb, factorial
 
 from . import enumeration
 from .errors import ParameterOutOfRange
+from .perms import ints
 
 
 def derangements(n: int) -> int:
@@ -20,6 +21,7 @@ def derangements(n: int) -> int:
     for j = 1..n applied to D_0 = 1, composed pairwise in a product tree so
     that the big multiplications are few and balanced.
     """
+    (n,) = ints((n,), ParameterOutOfRange, "n")
     if n < 0:
         raise ParameterOutOfRange(f"order n must be non-negative, got {n}")
     p, q = _horner_steps(1, n + 1)
@@ -42,6 +44,7 @@ def _horner_steps(a: int, b: int) -> tuple[int, int]:
 
 def rencontres(n: int, r: int) -> int:
     """Number of permutations of 0..n-1 with exactly r fixed points."""
+    n, r = ints((n, r), ParameterOutOfRange, "n or r")
     if not 0 <= r <= n:
         raise ParameterOutOfRange(f"r={r} not in 0..{n}")
     return comb(n, r) * derangements(n - r)
@@ -50,6 +53,7 @@ def rencontres(n: int, r: int) -> int:
 def shift_count_pmf(n: int, k: int) -> Fraction:
     """Exact probability that a given shift class of a uniform permutation
     has size k; the same for every class, and equal to D_{n,k}/n!."""
+    n, k = ints((n, k), ParameterOutOfRange, "n or k")
     if not 0 <= k <= n:
         raise ParameterOutOfRange(f"k={k} not in 0..{n}")
     return Fraction(derangements(n - k), factorial(k) * factorial(n - k))
@@ -71,6 +75,7 @@ def shift_pmf(n: int) -> list[Fraction]:
     operands for the reduction. Refused before the work when a bound on the
     row's bytes exceeds what this process may use.
     """
+    (n,) = ints((n,), ParameterOutOfRange, "n")
     if n < 0:
         raise ParameterOutOfRange(f"order n must be non-negative, got {n}")
     enumeration.check_memory(_row_bytes(n), f"the exact pmf at n={n}")
@@ -96,6 +101,7 @@ def typical_max_shift(n: int) -> int:
     so 2e*k! <= n exactly when 2a_k < n. For k = 1, 2e < 6 <= n always
     holds, so the loop starts there untested.
     """
+    (n,) = ints((n,), ParameterOutOfRange, "n")
     if n < 6:
         raise ParameterOutOfRange(f"typical_max_shift needs n >= 6, got {n}")
     k, a = 1, 2

@@ -215,7 +215,9 @@ def seeded_blocks(master: int, n: int, start: int,
 
     Each block is the view of its one ``lanes x n`` shuffle buffer of
     ``block_dtype(n)``, refused at the call, before any allocation, when it
-    would not fit in :func:`enumeration.memory_bytes`.
+    would not fit in :func:`enumeration.memory_bytes`. The check counts one
+    block, so a caller drops each block before drawing the next, as
+    ``sum(starmap(score, blocks))`` does: a run holds one block at a time.
     """
     lanes = min(LANES_PER_BLOCK, count)
     enumeration.check_memory(

@@ -14,15 +14,19 @@ copying the block. Blocks come from one of three sources: seeded
 (``rng.seeded_blocks``, refused before any allocation when a block would
 not fit in memory), exhaustive (``enumeration.row_blocks``, int8 lex blocks
 of at most 7! rows whatever n is; counts become exact fractions) or a
-caller's permutation stream. A seeded block is the transposed view of its
-shuffle buffer, the others are row-major, and the kernels read either
-order. Seeded and streamed blocks hold ``perms.block_dtype(n)``, the
-narrowest unsigned type that holds n - 1; the kernels compare its values
-and promote them to int64 before any arithmetic, so an unsigned block
-never wraps. Seeded and streamed trials draw on the lanes of
-``rng.lane_blocks``: every trial runs on its own splitmix64 stream keyed by
-(master seed, trial index), so totals are bitwise identical however trials
-are batched or distributed over workers.
+caller's permutation stream (never with an exhaustive run). A seeded
+block is the transposed view of its shuffle buffer, the others are
+row-major, and the kernels read either order. ``_wins`` and
+``max_shift_distribution`` read them as ``sum(starmap(score, blocks))``,
+which drops each block before the next is drawn, so a run holds one block
+at a time (each pool worker one), the one block the memory check counts.
+Seeded and streamed blocks hold ``perms.block_dtype(n)``, the narrowest
+unsigned type that holds n - 1; the kernels compare its values and promote
+them to int64 before any arithmetic, so an unsigned block never wraps.
+Seeded and streamed trials draw on the lanes of ``rng.lane_blocks``: every
+trial runs on its own splitmix64 stream keyed by (master seed, trial
+index), so totals are bitwise identical however trials are batched or
+distributed over workers.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from math import factorial, log2
 from typing import Callable, Iterator, Sequence
 
@@ -196,7 +201,11 @@ def _source(n: int, trials: int, seed: int, exhaustive: bool,
             perm_stream: PermStream | None) -> tuple[str, Blocks]:
     """A run's mode and its blocks: all n! rows in lex blocks (with no lane
     streams), a caller's permutation stream, or seeded trials 0..trials-1.
-    The exhaustive and seeded sources refuse here, before any block."""
+    The exhaustive and seeded sources refuse here, before any block, and a
+    run cannot be both exhaustive and streamed."""
+    if exhaustive and perm_stream is not None:
+        raise ParameterOutOfRange(
+            "an exhaustive run takes no permutation stream")
     if exhaustive:
         return "exhaustive", ((b, None) for b in row_blocks(n, SWEEP_GUARD))
     if perm_stream is not None:
@@ -217,8 +226,8 @@ def _targets(cfg: GameConfig, rng: BatchRng | None) -> np.ndarray | None:
 def _wins(game: str, cfg: GameConfig, st: Strategy, blocks: Blocks) -> np.ndarray:
     """Successes over ``blocks``: per target in sweep mode or for blocks
     with no lane streams, else one total."""
-    return sum(_KERNELS[game](st, block, _targets(cfg, rng))
-               for block, rng in blocks)
+    return sum(starmap(lambda block, rng: _KERNELS[game](
+        st, block, _targets(cfg, rng)), blocks))
 
 
 def _chunk_wins(game: str, cfg: GameConfig, start: int, width: int) -> np.ndarray:
@@ -331,8 +340,8 @@ def max_shift_distribution(n: int, trials: int = 10_000, seed: int = 0,
     if n < 1 or trials < 1:
         raise ParameterOutOfRange("n and trials must be positive")
     mode, blocks = _source(n, trials, seed, exhaustive, perm_stream)
-    hist = sum(np.bincount(shift_reduce(block, lambda c: c.max(axis=1)),
-                           minlength=n + 1) for block, _ in blocks)
+    hist = sum(starmap(lambda block, _: np.bincount(shift_reduce(
+        block, lambda c: c.max(axis=1)), minlength=n + 1), blocks))
     values = np.arange(n + 1)
     mean = float((hist * values).sum() / hist.sum())
     cum = np.cumsum(hist)

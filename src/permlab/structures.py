@@ -31,6 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -75,6 +76,7 @@ def _moved(S: Iterable[int], l: int, n: int) -> frozenset[int]:
 
 
 def _require_nonzero_shift(n: int, s: int) -> int:
+    n, s = ints((n, s), ParameterOutOfRange, "n or s")
     if n < 1:
         raise ParameterOutOfRange(f"order n must be positive, got {n}")
     s %= n
@@ -366,6 +368,8 @@ def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
     """Probability that uniformly chosen disjoint I, J of size t are
     compatible for shift s, with the lower bound max(0, 1 - 4t/(n-2t))^(2t)
     attached (unclamped, the base is negative when 6t > n and overshoots)."""
+    n, t, trials, seed = ints((n, t, trials, seed), ParameterOutOfRange,
+                              "n, t, trials or seed")
     if t < 1 or 2 * t >= n:
         raise ParameterOutOfRange(f"need 1 <= t and 2t < n, got t={t}, n={n}")
     s = _require_nonzero_shift(n, s)
@@ -396,6 +400,7 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
     of its own set, above its last element, and the rest of all 2t pairs,
     anywhere. That test is exact for J, so only I ever backtracks.
     """
+    n, t = ints((n, t), ParameterOutOfRange, "n or t")
     if t < 0:
         raise ParameterOutOfRange(f"pair size t must be non-negative, got {t}")
     s = _require_nonzero_shift(n, s)
@@ -450,6 +455,8 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
     """Probability that a uniform K of size k outside the canonical compatible
     (I, J) is feasible, with (1 - (2t+k)/(n-2t-k))^k attached: a lower bound
     where some K is feasible, it may be positive where none is (k=4, n=9, s=3)."""
+    n, t, k, trials, seed = ints((n, t, k, trials, seed), ParameterOutOfRange,
+                                 "n, t, k, trials or seed")
     if k < 0 or 2 * k > n - 4 * t:
         raise ParameterOutOfRange(f"need 2k <= n - 4t, got k={k}, t={t}, n={n}")
     exact = _is_exact(mode, trials)   # refused before the pair search
@@ -457,7 +464,7 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
                  else _sample_bytes(n, n - 2 * t, k, trials),
                  f"the feasible set {'count' if exact else 'sample'} at n={n}")
     I, J = canonical_compatible_pair(n, t, s)   # checks t, s and their room
-    s %= n
+    s = _require_nonzero_shift(n, s)
     blocked = _blocked(I.as_set(), J.as_set(), s, n)
     bound = (1 - Fraction(2 * t + k, n - 2 * t - k)) ** k
     params = {"n": n, "t": t, "k": k, "s": s, "mode": mode,
@@ -470,13 +477,18 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
                      k, 0, sorted(blocked))   # K + s
 
 
-def _require_classes(n: int, i: int, j: int, t: int = 0) -> None:
+def _require_classes(n: int, i: int, j: int,
+                     t: int = 0) -> tuple[int, int, int, int]:
+    """n, i, j and t as ints, refused unless i != j are classes of order n
+    and 0 <= t <= n."""
+    n, i, j, t = ints((n, i, j, t), ParameterOutOfRange, "n, i, j or t")
     if i == j:
         raise ParameterOutOfRange("shift classes i and j must differ")
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterOutOfRange(f"classes ({i}, {j}) not in 0..{n - 1}")
     if not 0 <= t <= n:
         raise ParameterOutOfRange(f"t={t} not in 0..{n}")
+    return n, i, j, t
 
 
 def joint_shift_table(n: int, i: int,
@@ -489,7 +501,7 @@ def joint_shift_table(n: int, i: int,
     R_{p,q} (n - p - q)!, and binomial inversion in p, then q, leaves those
     with exactly a and b.
     """
-    _require_classes(n, i, j)
+    n, i, j, _ = _require_classes(n, i, j)
     check_memory(_table_bytes(n), f"the joint shift table at n={n}")
     rooks = _board(n, (i - j) % n, lambda y, pushed: 1 if pushed else n + 1)
     at_least = [[0] * (n + 1) for _ in range(n + 1)]
@@ -505,7 +517,7 @@ def joint_shift_table(n: int, i: int,
 
 def joint_shift_pmf(n: int, i: int, j: int, t: int) -> Fraction:
     """Exact probability that shift classes i and j both have size t."""
-    _require_classes(n, i, j, t)
+    n, i, j, t = _require_classes(n, i, j, t)
     return joint_shift_table(n, i, j).get((t, t), Fraction(0))
 
 
@@ -538,6 +550,9 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
     results do not depend on batching) and reports standard errors; exact
     mode reads :func:`joint_shift_table` and reports zero standard errors.
     """
+    n, t, i, j, trials, seed = ints((n, t, i, j, trials, seed),
+                                    ParameterOutOfRange,
+                                    "n, t, i, j, trials or seed")
     if _is_exact(mode, trials):
         e_zz = joint_shift_pmf(n, i, j, t)   # checks i, j, t; refuses past memory
         marginal = counting.shift_count_pmf(n, t)
@@ -550,15 +565,10 @@ def covariance_estimate(n: int, t: int, i: int, j: int,
     from .rng import seeded_blocks
     blocks = seeded_blocks(seed, n, 0, trials)   # refuses past memory at once
     marginal = counting.shift_count_pmf(n, t)
-    cnt_i = cnt_j = cnt_ij = 0
-    for perms, _ in blocks:
-        sizes = shift_reduce(perms, lambda c: c[:, [i, j]])
-        zi = sizes[:, 0] == t
-        zj = sizes[:, 1] == t
-        cnt_i += int(zi.sum())
-        cnt_j += int(zj.sum())
-        cnt_ij += int((zi & zj).sum())
-    p_i, p_j, p_ij = cnt_i / trials, cnt_j / trials, cnt_ij / trials
+    # per block, the rows with class i, class j, and both of size t
+    counts = sum(starmap(lambda block, _: shift_reduce(block, lambda c: (
+        c[:, [i, j, i]] == t) & (c[:, [i, j, j]] == t)).sum(axis=0), blocks))
+    p_i, p_j, p_ij = (counts / trials).tolist()
     cov = p_ij - p_i * p_j
     se_i = math.sqrt(p_i * (1 - p_i) / trials)
     se_j = math.sqrt(p_j * (1 - p_j) / trials)

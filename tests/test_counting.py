@@ -272,3 +272,27 @@ class TestTypicalMaxShift:
             k = typical_max_shift(n)
             assert 2 * lo * pyfactorial(k) <= n
             assert 2 * hi * pyfactorial(k + 1) > n
+
+
+class TestIntegerInputs:
+    """Every integer a caller passes is read by ``perms.ints``: a bool, float
+    or string is refused, never truncated or compared as given."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: derangements(5.0), lambda: rencontres(5, 1.0),
+        lambda: rencontres("5", 1), lambda: shift_count_pmf(6, True),
+        lambda: shift_pmf(5.5), lambda: typical_max_shift(7.5),
+    ], ids=["derangements-n", "rencontres-r", "rencontres-n", "pmf-k",
+            "pmf-row-n", "typical-n"])
+    def test_non_integers_refused(self, call):
+        with pytest.raises(ParameterOutOfRange, match="holds a non-integer$"):
+            call()
+
+    def test_numpy_integers_read_as_ints(self):
+        import numpy as np
+        assert derangements(np.int64(6)) == 265
+        assert rencontres(np.uint8(6), np.int16(2)) == rencontres(6, 2)
+        assert shift_count_pmf(np.int32(6), np.int64(1)) == \
+            shift_count_pmf(6, 1)
+        assert shift_pmf(np.int64(5)) == shift_pmf(5)
+        assert typical_max_shift(np.uint16(52)) == 3

@@ -13,6 +13,9 @@ from permlab import enumeration
 from permlab.cli import main
 from permlab.errors import GuardRefusal
 from permlab.rng import LANES_PER_BLOCK, seeded_blocks
+from permlab.simulate import (GameConfig, max_shift_distribution,
+                              simulate_locker, simulate_needle)
+from permlab.structures import covariance_estimate
 
 BLOCK_ROWS = factorial(7)
 
@@ -167,6 +170,23 @@ class TestSeededSampling:
             tracemalloc.stop()
         assert block.shape == (LANES_PER_BLOCK, 10_000)
         assert peak < self.need(LANES_PER_BLOCK, 10_000) + 2 ** 23
+
+    @pytest.mark.parametrize("run", [
+        lambda: simulate_needle(GameConfig(n=3000, trials=6144, seed=1)),
+        lambda: simulate_locker(GameConfig(n=3000, trials=6144, seed=1)),
+        lambda: max_shift_distribution(3000, 6144, seed=1),
+        lambda: covariance_estimate(3000, 1, 0, 1, trials=6144, seed=1),
+    ], ids=["needle", "locker", "dist", "cov"])
+    def test_run_of_three_blocks_holds_one(self, run):
+        # the memory check counts one block: a run must drop each block
+        # before the next is shuffled, not hold two at once
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.need(LANES_PER_BLOCK, 3000) + 2 ** 23
 
     def test_short_runs_count_their_own_lanes(self, monkeypatch):
         monkeypatch.setattr(enumeration, "memory_bytes",

@@ -461,6 +461,21 @@ class TestExhaustiveMode:
             r = simulate_locker(cfg)
             assert r.exact >= Fraction(2, n)
 
+    # a stream beside exhaustive=True is refused, not dropped: the run would
+    # report the full n! sweep as if it had read the stream
+    NO_STREAM = "^an exhaustive run takes no permutation stream$"
+
+    @pytest.mark.parametrize("run", [simulate_needle, simulate_locker])
+    def test_game_refuses_a_stream(self, run):
+        cfg = GameConfig(n=3, trials=5, exhaustive=True)
+        with pytest.raises(ParameterOutOfRange, match=self.NO_STREAM):
+            run(cfg, perm_stream=lambda t: (0, 1, 2))
+
+    def test_dist_refuses_a_stream(self):
+        with pytest.raises(ParameterOutOfRange, match=self.NO_STREAM):
+            max_shift_distribution(3, 5, exhaustive=True,
+                                   perm_stream=lambda t: (0, 1, 2))
+
 
 class TestLockerProtocol:
     def test_identity_stream_always_succeeds(self):

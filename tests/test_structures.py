@@ -1003,3 +1003,47 @@ class TestCovarianceEstimate:
         with pytest.raises(ParameterOutOfRange,
                            match="^shift classes i and j must differ$"):
             covariance_estimate(10, 1, 4, 4)
+
+
+class TestIntegerInputs:
+    """Every integer a caller passes is read by ``perms.ints``: a count or
+    report never runs on, or names, a bool, float or string."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: count_required_displacements(iset(6, 0), iset(6, 2), 1.5),
+        lambda: is_compatible(iset(6, 0), iset(6, 2), 1.5),
+        lambda: count_exact_displacements(iset(6, 0), iset(6, 2), "1"),
+        lambda: joint_shift_pmf(6, 0, 1, 1.5),
+        lambda: joint_shift_table(6.0, 0, 1),
+        lambda: covariance_estimate(20, 1, 0, 1, trials=True),
+        lambda: covariance_estimate(20.0, 1, 0, 1),
+        lambda: covariance_estimate(20, 1, 0, 1, seed=1.5),
+        lambda: compatible_pair_stats(20, True, 1),
+        lambda: compatible_pair_stats(20.0, 1, 1),
+        lambda: compatible_pair_stats(20, 1, 1, mode="sampled", seed=1.5),
+        lambda: feasible_set_stats(20, 1, 1.5, 1),
+        lambda: feasible_set_stats(20, 1, 1, 1, mode="sampled", trials=2.5),
+        lambda: canonical_compatible_pair(20, 1.5, 1),
+    ], ids=["required-s", "compatible-s", "exact-s", "pmf-t", "table-n",
+            "cov-trials", "cov-n", "cov-seed", "pair-t", "pair-n", "pair-seed",
+            "feasible-k", "feasible-trials", "canonical-t"])
+    def test_non_integers_refused(self, call):
+        with pytest.raises(ParameterOutOfRange, match="holds a non-integer$"):
+            call()
+
+    def test_numpy_integers_read_as_ints(self):
+        i64 = np.int64
+        stat = covariance_estimate(i64(20), i64(1), np.uint8(0), i64(1),
+                                   trials=np.uint16(300), seed=np.int32(2))
+        pair = compatible_pair_stats(i64(20), i64(2), i64(3), mode="sampled",
+                                     trials=i64(300), seed=i64(2))
+        feasible = feasible_set_stats(i64(20), i64(1), i64(2), i64(23))
+        read = (stat.n, stat.t, stat.i, stat.j, stat.trials,
+                *pair.params.values(), pair.trials, feasible.params["s"])
+        assert all(type(v) in (int, str) for v in read)
+        assert stat == covariance_estimate(20, 1, 0, 1, trials=300, seed=2)
+        assert dumps(pair) == dumps(compatible_pair_stats(
+            20, 2, 3, mode="sampled", trials=300, seed=2))
+        assert feasible == feasible_set_stats(20, 1, 2, 23)
+        assert joint_shift_pmf(i64(6), i64(0), i64(1), i64(1)) == \
+            joint_shift_pmf(6, 0, 1, 1)
