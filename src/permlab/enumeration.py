@@ -29,9 +29,11 @@ _matrix_cache: dict[int, np.ndarray] = {}
 
 
 def guard_value(guard: int | None) -> int:
-    """``guard``, or ``ENUMERATION_GUARD`` if None; a negative guard is
-    refused as a usage error."""
-    g = ENUMERATION_GUARD if guard is None else guard
+    """``guard`` read by ``perms.ints``, or ``ENUMERATION_GUARD`` if None; a
+    negative guard is refused as a usage error."""
+    from .perms import ints   # not at import: perms loads dataclasses
+    (g,) = ints((ENUMERATION_GUARD if guard is None else guard,),
+                ParameterOutOfRange, "guard")
     if g < 0:
         raise ParameterOutOfRange(f"guard must be non-negative, got {g}")
     return g
@@ -85,6 +87,8 @@ def row_blocks(n: int, guard: int | None = None) -> Iterator[np.ndarray]:
     rows: each lex prefix of the first n - 7 positions, followed by the
     remaining values in lex order. Refused at the call, before any row is
     built, past the guard."""
+    from .perms import ints
+    (n,) = ints((n,), ParameterOutOfRange, "n")
     check_guard(n, guard, "an exhaustive sweep")
     if not 1 <= n <= 127:   # values fit int8
         raise ParameterOutOfRange(

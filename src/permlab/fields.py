@@ -70,12 +70,10 @@ class PartitionStrategy:
                 and isinstance(data.get("assignment"), list)):
             raise MalformedPartition('partition file must hold a JSON object '
                                      'with a list "assignment"')
-        n, m, *assignment = ints((data.get("n"), data.get("m"),
-                                  *data["assignment"]), MalformedPartition,
-                                 'the partition\'s "n", "m" or "assignment"')
-        if n < 1:
-            raise MalformedPartition(f"partition order n={n} is not positive")
-        return cls(n, m, tuple(assignment))
+        try:
+            return cls(data.get("n"), data.get("m"), tuple(data["assignment"]))
+        except ParameterOutOfRange as exc:
+            raise MalformedPartition(str(exc))
 
 
 def class_members(p: PartitionStrategy, guard: int = SWEEP_GUARD,
@@ -107,6 +105,7 @@ def _magnetism(members: list[tuple[int, ...]], n: int,
 def magneticity(p: PartitionStrategy, j: int, i: int, k: int,
                 guard: int = SWEEP_GUARD) -> int:
     """How many members of class j place element k at position i."""
+    j, i, k = ints((j, i, k), ParameterOutOfRange, "j, i or k")
     if not (0 <= j < p.m and 0 <= i < p.n and 0 <= k < p.n):
         raise ParameterOutOfRange(f"(j={j}, i={i}, k={k}) out of range")
     members = class_members(p, guard).get(j, ())
@@ -285,6 +284,7 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     Under the aic restriction every leaf above the incumbent that the rule
     rejects would send the subtree back, so restricted searches only walk.
     """
+    n, m, budget = ints((n, m, budget), ParameterOutOfRange, "n, m or budget")
     if restriction not in (None, "aic"):
         raise ParameterOutOfRange(f"unknown restriction {restriction!r}")
     if n < 1 or m < 1:
@@ -502,6 +502,7 @@ def _first_shared_pair(magnets: list[int]) -> tuple[int, int] | None:
 def partition_from_hint(n: int, m: int, hint_fn,
                         guard: int = SWEEP_GUARD) -> PartitionStrategy:
     """Partition whose class h holds the permutations with hint_fn(p) == h."""
+    (n,) = ints((n,), ParameterOutOfRange, "n")
     check_guard(n, guard, "partitioning by hint")
     assignment = tuple(hint_fn(Permutation(img))
                        for img in itertools.permutations(range(n)))

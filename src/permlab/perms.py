@@ -111,6 +111,7 @@ def make_permutation(values: Sequence[int]) -> Permutation:
 
 
 def identity_permutation(n: int) -> Permutation:
+    (n,) = ints((n,), ParameterOutOfRange, "n")
     return Permutation(tuple(range(n)))
 
 
@@ -203,6 +204,7 @@ def argmax_shift(h: ShiftHistogram) -> int:
 def apply_transposition(p: Permutation, a: int, b: int) -> Permutation:
     """New permutation with the images at positions a and b exchanged."""
     n = p.n
+    a, b = ints((a, b), ParameterOutOfRange, "positions")
     if not (0 <= a < n and 0 <= b < n):
         raise ParameterOutOfRange(f"positions ({a}, {b}) not in 0..{n - 1}")
     img = list(p.image)
@@ -213,6 +215,7 @@ def apply_transposition(p: Permutation, a: int, b: int) -> Permutation:
 def rotate_values(p: Permutation, l: int) -> Permutation:
     """The permutation ``i -> (sigma(i) + l) mod n``."""
     n = p.n
+    (l,) = ints((l,), ParameterOutOfRange, "l")
     return Permutation(tuple((s + l) % n for s in p.image))
 
 
@@ -230,6 +233,9 @@ def lex_rank(p: Permutation) -> int:
 
 def lex_unrank(n: int, rank: int) -> Permutation:
     """Inverse of :func:`lex_rank`: the rank-th permutation in lex order."""
+    n, rank = ints((n, rank), ParameterOutOfRange, "n or rank")
+    if n < 1:
+        raise ParameterOutOfRange(f"order n={n} is not positive")
     if not 0 <= rank < factorial(n):
         raise ParameterOutOfRange(f"rank {rank} not in 0..{n}!-1")
     remaining = list(range(n))

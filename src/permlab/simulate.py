@@ -43,7 +43,7 @@ import numpy as np
 
 from .counting import typical_max_shift
 from .enumeration import SWEEP_GUARD, row_blocks
-from .errors import NotABijection, ParameterOutOfRange
+from .errors import NotABijection, ParameterOutOfRange, UnknownStrategy
 from .perms import (LANES_PER_BLOCK, block_dtype, ints, make_permutation,
                     shift_reduce)
 from .rng import BatchRng, lane_blocks, seeded_blocks
@@ -57,7 +57,8 @@ Blocks = Iterator[tuple[np.ndarray, BatchRng | None]]
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Resolved inputs of one simulation run."""
+    """Resolved inputs of one simulation run, refused as they are built when
+    the run cannot be honoured."""
 
     n: int
     trials: int = 100_000
@@ -74,11 +75,15 @@ class GameConfig:
         values = ints([getattr(self, name) for name in names],
                       ParameterOutOfRange, "n, trials, seed, workers or target")
         for name, value in zip(names, values):
+            if value < 1 and name in ("n", "trials", "workers"):
+                raise ParameterOutOfRange(f"{name} must be positive, got {value}")
             object.__setattr__(self, name, value)
-
-    def validate(self) -> None:
-        if self.n < 1 or self.trials < 1 or self.workers < 1:
-            raise ParameterOutOfRange("n, trials and workers must be positive")
+        if not isinstance(self.strategy, (str, Strategy)):
+            raise UnknownStrategy(f"strategy {self.strategy!r} is neither a "
+                                  "name nor a Strategy")
+        if not isinstance(self.exhaustive, bool):
+            raise ParameterOutOfRange(
+                f"exhaustive must be a bool, not {self.exhaustive!r}")
         if self.target_mode not in ("uniform", "fixed", "sweep"):
             raise ParameterOutOfRange(
                 f"unknown target mode {self.target_mode!r}")
@@ -183,34 +188,36 @@ def locker_wins(st: Strategy, block: np.ndarray,
 _KERNELS = {"needle": needle_wins, "locker": locker_wins}
 
 
-def _stream_blocks(perm_stream: PermStream, seed: int, n: int,
-                   trials: int) -> Blocks:
-    """Rows ``perm_stream(0 .. trials-1)``, each read by
-    ``make_permutation`` as a permutation of order n and held in
-    ``block_dtype(n)``, with the ``BatchRng`` of those trials' fresh
-    streams."""
-    for a, rng in lane_blocks(seed, 0, trials):
-        rows = [make_permutation(perm_stream(t)).image
-                for t in range(a, a + rng.lanes)]
-        if any(len(r) != n for r in rows):
+def _stream_block(perm_stream: PermStream, n: int, trials: range) -> np.ndarray:
+    """Rows ``perm_stream(t)`` for t in ``trials``, each read by
+    ``make_permutation`` as a permutation of order n and stored in the one
+    ``block_dtype(n)`` array as soon as it is read; the array is all that
+    outlives the call."""
+    block = np.empty((len(trials), n), dtype=block_dtype(n))
+    for row, t in zip(block, trials):
+        image = make_permutation(perm_stream(t)).image
+        if len(image) != n:
             raise NotABijection(f"the permutation stream must yield order-{n} rows")
-        yield np.array(rows, dtype=block_dtype(n)), rng
+        row[:] = image
+    return block
 
 
-def _source(n: int, trials: int, seed: int, exhaustive: bool,
-            perm_stream: PermStream | None) -> tuple[str, Blocks]:
+def _source(cfg: GameConfig, perm_stream: PermStream | None) -> tuple[str, Blocks]:
     """A run's mode and its blocks: all n! rows in lex blocks (with no lane
-    streams), a caller's permutation stream, or seeded trials 0..trials-1.
-    The exhaustive and seeded sources refuse here, before any block, and a
-    run cannot be both exhaustive and streamed."""
-    if exhaustive and perm_stream is not None:
+    streams), a caller's permutation stream, or seeded trials 0..trials-1,
+    each streamed or seeded block with the ``BatchRng`` of its trials. The
+    exhaustive and seeded sources refuse here, before any block, and a run
+    cannot be both exhaustive and streamed."""
+    if cfg.exhaustive and perm_stream is not None:
         raise ParameterOutOfRange(
             "an exhaustive run takes no permutation stream")
-    if exhaustive:
-        return "exhaustive", ((b, None) for b in row_blocks(n, SWEEP_GUARD))
+    if cfg.exhaustive:
+        return "exhaustive", ((b, None) for b in row_blocks(cfg.n, SWEEP_GUARD))
     if perm_stream is not None:
-        return "stream", _stream_blocks(perm_stream, seed, n, trials)
-    return "sampled", seeded_blocks(seed, n, 0, trials)
+        return "stream", ((_stream_block(perm_stream, cfg.n,
+                                         range(a, a + rng.lanes)), rng)
+                          for a, rng in lane_blocks(cfg.seed, 0, cfg.trials))
+    return "sampled", seeded_blocks(cfg.seed, cfg.n, 0, cfg.trials)
 
 
 def _targets(cfg: GameConfig, rng: BatchRng | None) -> np.ndarray | None:
@@ -287,14 +294,12 @@ def _report(game: str, cfg: GameConfig, wins: np.ndarray, runs: int,
 
 def _simulate(game: str, cfg: GameConfig,
               perm_stream: PermStream | None) -> SimulationReport:
-    cfg.validate()
     if game == "locker" and cfg.strategy_name() != "shift":
         raise ParameterOutOfRange(
             "the locker game is defined for the shift strategy only, "
             f"not {cfg.strategy_name()!r}")
     st = cfg.strategy_obj()   # refuses a bad name or order before any work
-    mode, blocks = _source(cfg.n, cfg.trials, cfg.seed, cfg.exhaustive,
-                           perm_stream)
+    mode, blocks = _source(cfg, perm_stream)
     wins = (_seeded_wins if mode == "sampled" else _wins)(game, cfg, st, blocks)
     if mode != "exhaustive":
         return _report(game, cfg, wins, cfg.trials, exact=False)
@@ -335,11 +340,9 @@ def max_shift_distribution(n: int, trials: int = 10_000, seed: int = 0,
                            exhaustive: bool = False,
                            perm_stream: PermStream | None = None,
                            ) -> MaxShiftReport:
-    n, trials, seed = ints((n, trials, seed), ParameterOutOfRange,
-                           "n, trials or seed")
-    if n < 1 or trials < 1:
-        raise ParameterOutOfRange("n and trials must be positive")
-    mode, blocks = _source(n, trials, seed, exhaustive, perm_stream)
+    cfg = GameConfig(n, trials, seed, exhaustive=exhaustive)
+    n = cfg.n
+    mode, blocks = _source(cfg, perm_stream)
     hist = sum(starmap(lambda block, _: np.bincount(shift_reduce(
         block, lambda c: c.max(axis=1)), minlength=n + 1), blocks))
     values = np.arange(n + 1)
@@ -349,5 +352,5 @@ def max_shift_distribution(n: int, trials: int = 10_000, seed: int = 0,
                  for q in (10, 50, 90, 99)}
     histogram = {int(k): int(c) for k, c in zip(values, hist) if c}
     typical = typical_max_shift(n) if n >= 6 else None
-    return MaxShiftReport(n, int(hist.sum()), seed, mode, histogram, mean,
+    return MaxShiftReport(n, int(hist.sum()), cfg.seed, mode, histogram, mean,
                           quantiles, typical)

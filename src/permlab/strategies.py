@@ -40,12 +40,17 @@ from .perms import ints, shift_reduce
 @dataclass(frozen=True)
 class Strategy:
     """A deterministic advice strategy for order n: ``hints`` gives each row
-    a message in 0..m-1, ``guesses`` the position probed for it and a target."""
+    a message in 0..m-1, ``guesses`` the position probed for it and a target.
+    Its order n is read by ``perms.ints`` when it is built."""
 
     name: str
     n: int
     hints: Callable[[np.ndarray], np.ndarray]
     guesses: Callable[[np.ndarray, np.ndarray | int], np.ndarray]
+
+    def __post_init__(self):
+        (n,) = ints((self.n,), ParameterOutOfRange, "the strategy's order n")
+        object.__setattr__(self, "n", n)
 
 
 def needle_wins(st: Strategy, block: np.ndarray,
@@ -110,9 +115,6 @@ def shift_strategy(n: int) -> Strategy:
 
 
 def naive_strategy(n: int) -> Strategy:
-    if n < 2:
-        raise ParameterOutOfRange("naive strategy needs n >= 2")
-
     def hints(block: np.ndarray) -> np.ndarray:
         return block[:, 0].astype(np.int64)
 
@@ -120,7 +122,10 @@ def naive_strategy(n: int) -> Strategy:
         # any fixed second position works; 1 keeps runs reproducible
         return np.where(s == h, 0, 1)
 
-    return Strategy("naive", n, hints, guesses)
+    st = Strategy("naive", n, hints, guesses)   # reads n before it is compared
+    if st.n < 2:
+        raise ParameterOutOfRange("naive strategy needs n >= 2")
+    return st
 
 
 def baseline_strategy(n: int) -> Strategy:

@@ -470,6 +470,11 @@ class TestUsageErrors:
         ("simulate", "needle", "--n", "5", "--trials", "10", "--target", "3"),
         ("simulate", "needle", "--n", "5", "--trials", "10", "--target", "3",
          "--target-mode", "sweep"),
+        ("simulate", "needle", "--n", "0", "--trials", "10"),
+        ("simulate", "locker", "--n", "5", "--trials", "10", "--workers", "0"),
+        ("simulate", "needle", "--n", "5", "--trials", "10",
+         "--target-mode", "fixed"),
+        ("dist", "--n", "5", "--trials", "-4", "--exhaustive"),
     ], ids=["locker-bogus", "locker-naive", "exact-naive-n1", "exact-n0",
             "exact-n128-past-int8",
             "dist-trials0", "dist-n0", "compatible-trials0",
@@ -479,7 +484,8 @@ class TestUsageErrors:
             "set-k-float", "pmf-n-negative", "cov-sampled-t-past-n",
             "compatible-guard-negative", "exact-guard-negative",
             "field-budget-negative", "target-in-uniform-mode",
-            "target-in-sweep-mode"])
+            "target-in-sweep-mode", "simulate-n0", "locker-workers0",
+            "fixed-without-target", "dist-exhaustive-trials-negative"])
     def test_exit_2(self, capsys, monkeypatch, argv):
         if "=" in argv[0]:   # a leading NAME=value sets the environment
             name, value = argv[0].split("=", 1)

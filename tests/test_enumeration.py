@@ -11,7 +11,7 @@ import pytest
 
 from permlab import enumeration
 from permlab.cli import main
-from permlab.errors import GuardRefusal
+from permlab.errors import GuardRefusal, ParameterOutOfRange
 from permlab.rng import LANES_PER_BLOCK, seeded_blocks
 from permlab.simulate import (GameConfig, max_shift_distribution,
                               simulate_locker, simulate_needle)
@@ -60,6 +60,21 @@ def test_past_the_guard_refused_before_any_row(monkeypatch):
         enumeration.row_blocks(11)
     with pytest.raises(GuardRefusal, match="past the guard n <= 9"):
         enumeration.perm_matrix(10, guard=9)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: enumeration.guard_value(True), "guard"),
+    (lambda: enumeration.guard_value(8.5), "guard"),
+    (lambda: enumeration.check_guard(3, True, "a sweep"), "guard"),
+    (lambda: enumeration.row_blocks(3.0), "n"),
+    (lambda: enumeration.row_blocks(3, guard="9"), "guard"),
+], ids=["guard-bool", "guard-float", "check-guard-bool", "sweep-n-float",
+        "sweep-guard-string"])
+def test_integer_arguments_read(call, what):
+    # a bool guard used to be compared as 1: "past the guard n <= True"
+    with pytest.raises(ParameterOutOfRange,
+                       match=f"^{what} holds a non-integer$"):
+        call()
 
 
 def test_sweep_memory_does_not_grow_with_n_factorial():
@@ -187,6 +202,25 @@ class TestSeededSampling:
         finally:
             tracemalloc.stop()
         assert peak < self.need(LANES_PER_BLOCK, 3000) + 2 ** 23
+
+    ROTATION = tuple(range(1, 1000)) + (0,)
+
+    @pytest.mark.parametrize("run", [
+        lambda row: simulate_needle(GameConfig(n=1000, trials=6144, seed=1),
+                                    perm_stream=lambda t: row),
+        lambda row: max_shift_distribution(1000, 6144, seed=1,
+                                           perm_stream=lambda t: row),
+    ], ids=["needle", "dist"])
+    def test_streamed_run_holds_one_block(self, run):
+        # a streamed block is filled row by row: neither a list of the
+        # rows read nor the previous block outlives it
+        tracemalloc.start()
+        try:
+            run(self.ROTATION)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.need(LANES_PER_BLOCK, 1000) + 2 ** 23
 
     def test_short_runs_count_their_own_lanes(self, monkeypatch):
         monkeypatch.setattr(enumeration, "memory_bytes",

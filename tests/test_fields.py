@@ -268,6 +268,23 @@ class TestBruteForce:
         assert result.field == 12 == 2 * factorial(3)
         assert aic_check(result.witness)
 
+    @pytest.mark.parametrize("call, what", [
+        (lambda: brute_force_field(3.0, 2), "n, m or budget"),
+        (lambda: brute_force_field(3, True), "n, m or budget"),
+        (lambda: brute_force_field(3, 2, budget=1.5), "n, m or budget"),
+        (lambda: brute_force_field(3, 2, guard=True), "guard"),
+        (lambda: magneticity(single_class_partition(3), 0, 1.0, 1),
+         "j, i or k"),
+        (lambda: partition_from_hint(3.0, 2, lambda p: 0), "n"),
+    ], ids=["search-n-float", "search-m-bool", "search-budget-float",
+            "search-guard-bool", "magneticity-position-float",
+            "hint-partition-n-float"])
+    def test_integer_arguments_read(self, call, what):
+        # read where they are received: no search runs, no traceback
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^{what} holds a non-integer$"):
+            call()
+
     def test_every_partition_below_max_n3(self):
         best = brute_force_field(3, 3).field
         for assignment in itertools.product(range(3), repeat=6):

@@ -109,6 +109,29 @@ class TestIntegerRule:
         with pytest.raises(error, match="holds a non-integer$"):
             call(x)
 
+    @pytest.mark.parametrize("call, what", [
+        (lambda: identity_permutation(2.0), "n"),
+        (lambda: apply_transposition(identity_permutation(3), 0, 1.0),
+         "positions"),
+        (lambda: apply_transposition(identity_permutation(3), True, 2),
+         "positions"),
+        (lambda: rotate_values(identity_permutation(3), 1.5), "l"),
+        (lambda: lex_unrank(3.0, 1), "n or rank"),
+        (lambda: lex_unrank(3, True), "n or rank"),
+    ], ids=["identity-n", "transposition-float", "transposition-bool",
+            "rotate-float", "unrank-n", "unrank-rank-bool"])
+    def test_integer_arguments_read(self, call, what):
+        # each function reads its n, positions and rank where it takes them
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^{what} holds a non-integer$"):
+            call()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_unrank_order_below_one_refused(self, n):
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^order n={n} is not positive$"):
+            lex_unrank(n, 0)
+
     def test_bool_image_refused(self):
         with pytest.raises(NotABijection):
             Permutation((True, False))

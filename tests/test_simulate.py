@@ -613,11 +613,10 @@ class TestWorstCaseTarget:
 class TestTargetOnlyInFixedMode:
     @pytest.mark.parametrize("mode", ["uniform", "sweep"])
     def test_target_outside_fixed_mode_refused(self, mode):
-        cfg = GameConfig(n=5, trials=10, target_mode=mode, target=3)
         with pytest.raises(ParameterOutOfRange,
                            match=f"^a target applies only to fixed mode, "
                                  f"not {mode}$"):
-            simulate_needle(cfg)
+            GameConfig(n=5, trials=10, target_mode=mode, target=3)
 
 
 class TestMaxShiftDistribution:
@@ -769,14 +768,42 @@ class TestStrategyOrder:
 
 
 class TestConfigValidation:
+    """A GameConfig is checked as it is built, so no run, pool chunk or
+    report ever holds one that cannot be honoured."""
+
     def test_bad_mode(self):
         with pytest.raises(ParameterOutOfRange):
-            GameConfig(n=4, trials=1, seed=0, target_mode="x").validate()
+            GameConfig(n=4, trials=1, seed=0, target_mode="x")
 
     def test_fixed_needs_target(self):
         with pytest.raises(ParameterOutOfRange):
-            GameConfig(n=4, trials=1, seed=0, target_mode="fixed").validate()
+            GameConfig(n=4, trials=1, seed=0, target_mode="fixed")
 
     def test_positive_counts(self):
         with pytest.raises(ParameterOutOfRange):
-            GameConfig(n=0, trials=1, seed=0).validate()
+            GameConfig(n=0, trials=1, seed=0)
+
+    @pytest.mark.parametrize("config,error,text", [
+        (dict(n=0), ParameterOutOfRange, "^n must be positive, got 0$"),
+        (dict(trials=0), ParameterOutOfRange,
+         "^trials must be positive, got 0$"),
+        (dict(workers=-2), ParameterOutOfRange,
+         "^workers must be positive, got -2$"),
+        (dict(strategy=5), UnknownStrategy,
+         "^strategy 5 is neither a name nor a Strategy$"),
+        (dict(exhaustive="no"), ParameterOutOfRange,
+         "^exhaustive must be a bool, not 'no'$"),
+        (dict(exhaustive=1), ParameterOutOfRange,
+         "^exhaustive must be a bool, not 1$"),
+    ], ids=repr)
+    def test_refused_when_built(self, config, error, text):
+        with pytest.raises(error, match=text):
+            GameConfig(**{"n": 5, "trials": 1, **config})
+
+    @pytest.mark.parametrize("exhaustive", ["no", 0, None])
+    def test_dist_refuses_a_non_bool_exhaustive(self, exhaustive):
+        # a truthy "no" used to run the whole 5! sweep and report
+        # "exhaustive": "no"
+        with pytest.raises(ParameterOutOfRange,
+                           match="^exhaustive must be a bool, not "):
+            max_shift_distribution(5, 10, exhaustive=exhaustive)

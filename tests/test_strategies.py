@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permlab.errors import NotLatin, TooLargeForEnumeration, UnknownStrategy
+from permlab.errors import (NotLatin, ParameterOutOfRange,
+                            TooLargeForEnumeration, UnknownStrategy)
 from permlab.fields import PartitionStrategy, aic_check, partition_from_hint
 from permlab.perms import (Permutation, argmax_shift, example_deck,
                            identity_permutation, shift_histogram)
 from permlab.rng import seeded_blocks
-from permlab.strategies import (LatinSquare, baseline_strategy,
+from permlab.strategies import (LatinSquare, Strategy, baseline_strategy,
                                 evaluate_success_exact, latin_strategy,
                                 naive_strategy, shift_strategy,
                                 strategy_by_name)
@@ -215,6 +216,29 @@ class TestStrategyByName:
     def test_unknown_name(self):
         with pytest.raises(UnknownStrategy):
             strategy_by_name("psychic", 5)
+
+
+class TestStrategyOrder:
+    @pytest.mark.parametrize("call", [
+        lambda: shift_strategy(5.0),
+        lambda: naive_strategy(5.0),
+        lambda: naive_strategy("5"),
+        lambda: baseline_strategy(True),
+        lambda: strategy_by_name("shift", "5"),
+        lambda: Strategy("own", 5.0, lambda block: block[:, 0],
+                         lambda h, s: h),
+    ], ids=["shift-float", "naive-float", "naive-string", "baseline-bool",
+            "by-name-string", "own-strategy-float"])
+    def test_order_read_when_built(self, call):
+        # every builder and a caller's own Strategy read n when built, so a
+        # float order cannot pass a run's order check (5.0 == 5)
+        with pytest.raises(ParameterOutOfRange,
+                           match="^the strategy's order n holds a non-integer$"):
+            call()
+
+    def test_numpy_order_read_as_int(self):
+        st = shift_strategy(np.int64(5))
+        assert type(st.n) is int and st.n == 5
 
 
 class TestBuiltinFloor:
