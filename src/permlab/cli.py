@@ -117,6 +117,25 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _fix_heap_thresholds() -> None:
+    """Keep freed numpy scratch on the heap for the rest of the process.
+
+    By default glibc maps each request of 128 KiB or more afresh, or serves
+    it from the heap once its dynamic threshold has risen, and trims the
+    heap top past twice that threshold. Each seeded block frees two 1 MiB
+    draw buffers, so the heap would be trimmed after every block and about
+    490 pages faulted back in by the next. Commands that run numpy blocks
+    call this first; the others do not, so they never import ``ctypes``.
+    Without glibc's ``mallopt`` it does nothing."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD: map only requests past 32 MiB
+    mallopt(-1, 128 << 20)   # M_TRIM_THRESHOLD: trim only past 128 MiB free
+
+
 def _header(args, **config) -> str:
     """The header line. Its config echoes every parsed option except
     --csv, --out and --workers, unless the command passes its own."""
@@ -129,6 +148,7 @@ def _header(args, **config) -> str:
 
 
 def _cmd_simulate(args) -> list[str]:
+    _fix_heap_thresholds()
     from .simulate import GameConfig, simulate_locker, simulate_needle
     cfg = GameConfig(n=args.n, trials=args.trials, seed=args.seed,
                      strategy=args.strategy, target_mode=args.target_mode,
@@ -155,6 +175,7 @@ def _cmd_simulate(args) -> list[str]:
 
 
 def _cmd_exact(args) -> list[str]:
+    _fix_heap_thresholds()
     from .strategies import evaluate_success_exact, strategy_by_name
     st = strategy_by_name(args.strategy, args.n)
     ev = evaluate_success_exact(st, guard=args.guard)
@@ -173,6 +194,7 @@ def _cmd_pmf(args) -> list[str]:
 
 
 def _cmd_dist(args) -> list[str]:
+    _fix_heap_thresholds()
     from .simulate import max_shift_distribution
     report = max_shift_distribution(args.n, trials=args.trials, seed=args.seed,
                                     exhaustive=args.exhaustive)

@@ -84,7 +84,10 @@ class Permutation:
         return len(self.image)
 
     def inverse_of(self, value: int) -> int:
-        """The position holding ``value``."""
+        """The position holding ``value``, an integer in 0..n-1."""
+        (value,) = ints((value,), ParameterOutOfRange, "value")
+        if not 0 <= value < self.n:
+            raise ParameterOutOfRange(f"value {value} not in 0..{self.n - 1}")
         return self.image.index(value)
 
     def to_json(self) -> str:

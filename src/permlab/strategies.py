@@ -146,6 +146,7 @@ def latin_strategy(square: LatinSquare) -> Strategy:
 
 def strategy_by_name(name: str, n: int) -> Strategy:
     """Resolve a CLI-style strategy name: shift | naive | baseline | latin:<file>."""
+    (n,) = ints((n,), ParameterOutOfRange, "the strategy's order n")
     if name == "shift":
         return shift_strategy(n)
     if name == "naive":

@@ -3,15 +3,18 @@
 import argparse
 import concurrent.futures
 import contextlib
+import ctypes
 import importlib
 import inspect
 import io
 import json
+import platform
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -899,6 +902,92 @@ class TestConsoleScript:
              "--n", "4"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+# minor page faults of 40 seeded blocks, run through ``main`` after one block
+# has run through it, in a fresh interpreter whose allocator is untouched
+_BLOCK_FAULTS = """
+import contextlib, io, resource, sys
+from permlab.cli import main
+argv = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(argv + ["--trials", "2048"]) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv + ["--trials", str(40 * 2048)]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+# whether a fresh interpreter has imported ctypes once a command has run
+_LOADS_CTYPES = """
+import contextlib, io, sys
+from permlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:   # --version
+        pass
+print("ctypes" in sys.modules)
+"""
+_SAMPLE = ("simulate", "needle", "--n", "64", "--strategy", "naive",
+           "--trials", "3000", "--seed", "5", "--workers", "1")
+
+
+class TestHeapThresholds:
+    """The commands that run numpy blocks fix glibc's heap thresholds first,
+    so freed draw buffers and tiles stay mapped from block to block."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the thresholds are glibc's")
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "needle", "--n", "64", "--strategy", "naive",
+         "--seed", "3", "--workers", "1"),
+        ("dist", "--n", "64", "--seed", "3"),
+    ], ids=["needle-naive", "dist"])
+    def test_blocks_fault_no_pages_back_in(self, argv):
+        # with glibc's dynamic thresholds each block trims the heap and
+        # faults about 490 pages back in: about 19,600 for 40 blocks
+        proc = subprocess.run([sys.executable, "-c", _BLOCK_FAULTS, *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 2000
+
+    @pytest.mark.parametrize("argv, calls", [
+        (_SAMPLE, 1),
+        (("dist", "--n", "8", "--trials", "100"), 1),
+        (("exact", "--strategy", "naive", "--n", "4"), 1),
+        (("pmf", "--n", "5"), 0),
+        (("field", "--brute", "--n", "3", "--m", "3"), 0),
+        (("example52",), 0),
+    ], ids=["simulate", "dist", "exact", "pmf", "field", "example52"])
+    def test_set_by_the_block_commands(self, capsys, monkeypatch, argv,
+                                       calls):
+        seen = []
+        libc = types.SimpleNamespace(mallopt=lambda *a: seen.append(a) or 1)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        assert seen == [(-3, 32 << 20), (-1, 128 << 20)] * calls
+
+    @pytest.mark.parametrize("libc", ["no-dlopen", "no-mallopt"])
+    def test_without_mallopt_does_nothing(self, capsys, monkeypatch, libc):
+        def cdll(name):
+            if libc == "no-dlopen":
+                raise OSError("no C library")
+            return types.SimpleNamespace()
+
+        _, want, _ = run_cli(capsys, *_SAMPLE)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        code, got, _ = run_cli(capsys, *_SAMPLE)
+        assert code == 0
+        assert strip_timestamp(got) == strip_timestamp(want)
+
+    @pytest.mark.parametrize("argv", [
+        ("--version",), ("pmf", "--n", "5"),
+        ("field", "--brute", "--n", "3", "--m", "3")],
+        ids=["version", "pmf", "field"])
+    def test_other_commands_leave_ctypes_unloaded(self, argv):
+        proc = subprocess.run([sys.executable, "-c", _LOADS_CTYPES, *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 # small values of every option, so that each example runs in milliseconds

@@ -321,6 +321,23 @@ class TestTransposition:
                            match=r"^positions \(0, 3\) not in 0\.\.2$"):
             apply_transposition(identity_permutation(3), 0, 3)
 
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None],
+                             ids=["bool", "float", "string", "none"])
+    def test_inverse_of_reads_its_value(self, value):
+        # tuple.index alone would find True and 1.0 at the position of 1
+        with pytest.raises(ParameterOutOfRange,
+                           match="^value holds a non-integer$"):
+            identity_permutation(3).inverse_of(value)
+
+    @pytest.mark.parametrize("value", [3, -1, 10 ** 30])
+    def test_inverse_of_out_of_range(self, value):
+        with pytest.raises(ParameterOutOfRange,
+                           match=rf"^value {value} not in 0\.\.2$"):
+            identity_permutation(3).inverse_of(value)
+
+    def test_inverse_of_numpy_value(self):
+        assert make_permutation([2, 0, 1]).inverse_of(np.int64(0)) == 1
+
     def test_deck_swap_puts_hint_card_first(self):
         deck = example_deck()
         pos = deck.inverse_of(29)

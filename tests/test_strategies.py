@@ -1,6 +1,7 @@
 """Strategy definitions and exact enumeration of success probabilities."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,23 @@ class TestStrategyOrder:
     def test_numpy_order_read_as_int(self):
         st = shift_strategy(np.int64(5))
         assert type(st.n) is int and st.n == 5
+
+    @pytest.fixture
+    def latin5(self, tmp_path):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(LatinSquare.cyclic(5).rows))
+        return f"latin:{path}"
+
+    @pytest.mark.parametrize("n", [5.0, True], ids=["float", "bool"])
+    def test_latin_by_name_reads_its_order(self, latin5, n):
+        # 5 == 5.0, so n is read before the square's order is compared
+        with pytest.raises(ParameterOutOfRange,
+                           match="^the strategy's order n holds a non-integer$"):
+            strategy_by_name(latin5, n)
+
+    def test_latin_by_name_numpy_order(self, latin5):
+        st = strategy_by_name(latin5, np.int64(5))
+        assert (st.name, type(st.n), st.n) == ("latin", int, 5)
 
 
 class TestBuiltinFloor:
