@@ -31,7 +31,7 @@ _matrix_cache: dict[int, np.ndarray] = {}
 def guard_value(guard: int | None) -> int:
     """``guard`` read by ``perms.ints``, or ``ENUMERATION_GUARD`` if None; a
     negative guard is refused as a usage error."""
-    from .perms import ints   # not at import: perms loads dataclasses
+    from .perms import ints   # lazy: --version loads this module, not perms
     (g,) = ints((ENUMERATION_GUARD if guard is None else guard,),
                 ParameterOutOfRange, "guard")
     if g < 0:

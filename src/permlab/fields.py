@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .enumeration import SWEEP_GUARD, check_guard, factorial_past
 from .errors import (GuardRefusal, MalformedPartition, NotABijection,
@@ -34,16 +34,14 @@ DEFAULT_BUDGET = 2_000_000
 BULK_LEAVES = 1 << 17   # potential leaves of a subtree the search counts in bulk
 
 
-@dataclass(frozen=True)
-class PartitionStrategy:
+class PartitionStrategy(NamedTuple("PartitionStrategy", [
+        ("n", int), ("m", int), ("assignment", tuple[int, ...])])):
     """Assignment of every permutation (by lex rank) to a class in 0..m-1."""
 
-    n: int
-    m: int
-    assignment: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, m, *assignment = ints((self.n, self.m, *self.assignment),
+    def __new__(cls, n: int, m: int, assignment: tuple[int, ...]):
+        n, m, *assignment = ints((n, m, *assignment),
                                  ParameterOutOfRange, "the partition")
         if n < 1:
             raise ParameterOutOfRange(f"partition order n={n} is not positive")
@@ -52,8 +50,7 @@ class PartitionStrategy:
                 f"assignment length {len(assignment)} != {n}!")
         if m < 1 or min(assignment) < 0 or max(assignment) >= m:
             raise ParameterOutOfRange(f"class indices must lie in 0..{m - 1}")
-        for key, value in (("n", n), ("m", m), ("assignment", tuple(assignment))):
-            object.__setattr__(self, key, value)
+        return super().__new__(cls, n, m, tuple(assignment))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -112,8 +109,7 @@ def magneticity(p: PartitionStrategy, j: int, i: int, k: int,
     return sum(1 for img in members if img[i] == k)
 
 
-@dataclass(frozen=True)
-class MagnetTable:
+class MagnetTable(NamedTuple):
     """Per class j and element k: the magnet position and its intensity."""
 
     n: int
@@ -235,8 +231,7 @@ def _bulk_count(cells: list[list[tuple[int, int]]], width: int, ones: int,
     return count
 
 
-@dataclass(frozen=True)
-class FieldSearchResult:
+class FieldSearchResult(NamedTuple):
     field: int
     witness: PartitionStrategy
     nodes: int
@@ -396,8 +391,7 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
         best_field, PartitionStrategy(n, m, best_assignment), nodes, restriction)
 
 
-@dataclass(frozen=True)
-class DedupStep:
+class DedupStep(NamedTuple):
     """One rewrite: elements (k1, k2) shared magnet i1; k2 re-anchored at i2."""
 
     class_index: int
@@ -410,8 +404,7 @@ class DedupStep:
     intensities_after: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DedupResult:
+class DedupResult(NamedTuple):
     classes: tuple[tuple[Permutation, ...], ...]
     steps: tuple[DedupStep, ...]
     final_magnets: tuple[tuple[int, ...] | None, ...]  # None for empty classes

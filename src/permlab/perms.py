@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from math import factorial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple,
+                    Sequence)
 
 from .errors import NotABijection, ParameterOutOfRange, PermlabError
 
@@ -61,23 +61,23 @@ def ints(values: Iterable, error: type[PermlabError],
     raise error(f"{what or repr(values)} holds a non-integer")
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple("Permutation", [("image", tuple[int, ...])])):
     """A bijection on 0..n-1, immutable and validated at construction. Its
     entries must be ints; :func:`make_permutation` reads any integers."""
 
-    image: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.image)
+    def __new__(cls, image: tuple[int, ...]):
+        n = len(image)
         if n == 0:
             raise NotABijection("a permutation needs at least one element")
         seen = [False] * n
-        for v in self.image:
+        for v in image:
             if type(v) is not int or not 0 <= v < n or seen[v]:
                 raise NotABijection(
-                    f"{self.image!r} is not a permutation of 0..{n - 1}")
+                    f"{image!r} is not a permutation of 0..{n - 1}")
             seen[v] = True
+        return super().__new__(cls, image)
 
     @property
     def n(self) -> int:
@@ -94,18 +94,18 @@ class Permutation:
         return json.dumps(list(self.image))
 
 
-@dataclass(frozen=True)
-class ShiftHistogram:
+class ShiftHistogram(NamedTuple("ShiftHistogram",
+                                 [("counts", tuple[int, ...])])):
     """Counts per displacement class; ``counts[l]`` is the size of class l."""
 
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        counts = ints(self.counts, ParameterOutOfRange)
+    def __new__(cls, counts: tuple[int, ...]):
+        counts = ints(counts, ParameterOutOfRange)
         n = len(counts)
         if sum(counts) != n or any(not 0 <= c <= n for c in counts):
             raise ParameterOutOfRange(f"invalid shift histogram {counts!r}")
-        object.__setattr__(self, "counts", counts)
+        return super().__new__(cls, counts)
 
 
 def make_permutation(values: Sequence[int]) -> Permutation:

@@ -1,14 +1,14 @@
 """JSON rendering of result objects.
 
 Exact rationals are rendered both ways ({"ratio": "p/q", "value": float});
-dataclasses, dicts and sequences flatten to plain JSON types. Serialization is
+records (named tuples) become objects of their fields, and dicts and other
+sequences flatten to plain JSON types. Serialization is
 key-sorted so identical results are byte-identical documents, and exact
 integer counts render at any size, past Python's int-to-str digit limit.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -43,9 +43,8 @@ def json_ready(obj):
         return obj
     if isinstance(obj, Fraction):
         return {"ratio": ratio_text(obj), "value": float(obj)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: json_ready(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):   # a record
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
 from math import factorial, log2
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,11 +54,7 @@ PermStream = Callable[[int], Sequence[int]]
 Blocks = Iterator[tuple[np.ndarray, BatchRng | None]]
 
 
-@dataclass(frozen=True)
-class GameConfig:
-    """Resolved inputs of one simulation run, refused as they are built when
-    the run cannot be honoured."""
-
+class _GameFields(NamedTuple):
     n: int
     trials: int = 100_000
     seed: int = 0
@@ -69,7 +64,15 @@ class GameConfig:
     exhaustive: bool = False
     workers: int = 1
 
-    def __post_init__(self):
+
+class GameConfig(_GameFields):
+    """Resolved inputs of one simulation run, refused as they are built when
+    the run cannot be honoured."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         names = ("n", "trials", "seed", "workers") + (
             () if self.target is None else ("target",))
         values = ints([getattr(self, name) for name in names],
@@ -77,7 +80,7 @@ class GameConfig:
         for name, value in zip(names, values):
             if value < 1 and name in ("n", "trials", "workers"):
                 raise ParameterOutOfRange(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
+        self = self._replace(**dict(zip(names, values)))
         if not isinstance(self.strategy, (str, Strategy)):
             raise UnknownStrategy(f"strategy {self.strategy!r} is neither a "
                                   "name nor a Strategy")
@@ -94,6 +97,7 @@ class GameConfig:
         elif self.target is not None:
             raise ParameterOutOfRange(
                 f"a target applies only to fixed mode, not {self.target_mode}")
+        return self
 
     def strategy_obj(self) -> Strategy:
         if isinstance(self.strategy, str):
@@ -107,8 +111,7 @@ class GameConfig:
         return self.strategy if isinstance(self.strategy, str) else self.strategy.name
 
 
-@dataclass(frozen=True)
-class TargetStat:
+class TargetStat(NamedTuple):
     target: int
     trials: int
     successes: int
@@ -118,8 +121,7 @@ class TargetStat:
     exact: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     game: str
     n: int
     trials: int
@@ -322,8 +324,7 @@ def simulate_locker(cfg: GameConfig,
     return _simulate("locker", cfg, perm_stream)
 
 
-@dataclass(frozen=True)
-class MaxShiftReport:
+class MaxShiftReport(NamedTuple):
     """Distribution of the size of the most populous shift class."""
 
     n: int

@@ -25,10 +25,9 @@ through cell (i, sigma(i)), so a row's class size is its agreement.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,20 +36,19 @@ from .errors import NotLatin, ParameterOutOfRange, UnknownStrategy
 from .perms import ints, shift_reduce
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple("Strategy", [
+        ("name", str), ("n", int), ("hints", Callable), ("guesses", Callable)])):
     """A deterministic advice strategy for order n: ``hints`` gives each row
     a message in 0..m-1, ``guesses`` the position probed for it and a target.
     Its order n is read by ``perms.ints`` when it is built."""
 
-    name: str
-    n: int
-    hints: Callable[[np.ndarray], np.ndarray]
-    guesses: Callable[[np.ndarray, np.ndarray | int], np.ndarray]
+    __slots__ = ()
 
-    def __post_init__(self):
-        (n,) = ints((self.n,), ParameterOutOfRange, "the strategy's order n")
-        object.__setattr__(self, "n", n)
+    def __new__(cls, name: str, n: int,
+                hints: Callable[[np.ndarray], np.ndarray],
+                guesses: Callable[[np.ndarray, np.ndarray | int], np.ndarray]):
+        (n,) = ints((n,), ParameterOutOfRange, "the strategy's order n")
+        return super().__new__(cls, name, n, hints, guesses)
 
 
 def needle_wins(st: Strategy, block: np.ndarray,
@@ -65,14 +63,14 @@ def needle_wins(st: Strategy, block: np.ndarray,
                      for s in cells], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class LatinSquare:
+class LatinSquare(NamedTuple("LatinSquare",
+                              [("rows", tuple[tuple[int, ...], ...])])):
     """n rows that are permutations of 0..n-1, with every column one too."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(ints(r, NotLatin) for r in self.rows)
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(ints(r, NotLatin) for r in rows)
         n = len(rows)
         cols = set(range(n))
         for r in rows:
@@ -81,7 +79,7 @@ class LatinSquare:
         for c in range(n):
             if {r[c] for r in rows} != cols:
                 raise NotLatin(f"column {c} repeats a value")
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, rows)
 
     @property
     def n(self) -> int:
@@ -164,8 +162,7 @@ def strategy_by_name(name: str, n: int) -> Strategy:
     raise UnknownStrategy(f"unknown strategy {name!r}")
 
 
-@dataclass(frozen=True)
-class ExactEvaluation:
+class ExactEvaluation(NamedTuple):
     """Exact per-target success probabilities of a strategy."""
 
     strategy: str

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
 from math import comb, factorial
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import counting
 from .enumeration import check_memory
@@ -42,22 +41,21 @@ from .errors import ParameterOutOfRange
 from .perms import LANES_PER_BLOCK, block_dtype, ints
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A set of positions inside the cyclic index space 0..n-1."""
+class IndexSet(NamedTuple("IndexSet",
+                           [("n", int), ("elements", tuple[int, ...])])):
+    """A set of positions inside the cyclic index space 0..n-1; its length
+    is its number of elements."""
 
-    n: int
-    elements: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, *elements = ints((self.n, *self.elements), ParameterOutOfRange,
+    def __new__(cls, n: int, elements: tuple[int, ...]):
+        n, *elements = ints((n, *elements), ParameterOutOfRange,
                             "the index set")
         if len(set(elements)) != len(elements) or any(
                 not 0 <= e < n for e in elements):
             raise ParameterOutOfRange(
                 f"{tuple(elements)!r} is not a set of indices in 0..{n - 1}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "elements", tuple(sorted(elements)))
+        return super().__new__(cls, n, tuple(sorted(elements)))
 
     @classmethod
     def of(cls, n: int, elements: Iterable) -> "IndexSet":
@@ -247,8 +245,7 @@ def count_optional_displacements(K: IndexSet, I: IndexSet, J: IndexSet,
     return placed * factorial(n - len(i | j | k))
 
 
-@dataclass(frozen=True)
-class ProbabilityReport:
+class ProbabilityReport(NamedTuple):
     """Exact or sampled probability together with its reference bound."""
 
     kind: str
@@ -521,8 +518,7 @@ def joint_shift_pmf(n: int, i: int, j: int, t: int) -> Fraction:
     return joint_shift_table(n, i, j).get((t, t), Fraction(0))
 
 
-@dataclass(frozen=True)
-class IndicatorStat:
+class IndicatorStat(NamedTuple):
     """Moments of the indicators [size of class i = t], [size of class j = t]."""
 
     n: int

@@ -384,7 +384,7 @@ def search_outcome(n, m, restriction=None, budget=2_000_000,
         got = search(n, m, restriction, budget=budget)
     except GuardRefusal as exc:
         return str(exc)
-    if isinstance(got, tuple):
+    if not hasattr(got, "witness"):   # the reference search's plain tuple
         return got
     return got.field, got.nodes, got.witness.assignment
 

@@ -1,7 +1,8 @@
 """The package surface: lazily loaded names, and numpy only where arrays are.
 
 ``permlab`` resolves its exported names and its submodules on first use, so
-a command that builds no array never imports numpy. These tests pin the
+a command that builds no array never imports numpy, and no module imports
+``dataclasses``, whose import pulls in ``inspect``. These tests pin the
 names, the submodules, the commands that stay numpy-free, that every
 ``from permlab... import`` in the demos and the README resolves, and that
 the fast demos run cleanly.
@@ -77,8 +78,10 @@ def run(argv):
 commands = json.loads(sys.argv[1])
 lean = [run(argv) for argv in commands]
 numpy_loaded = "numpy" in sys.modules
+dataclasses_loaded = "dataclasses" in sys.modules
 import numpy
 print(json.dumps({"numpy_loaded": numpy_loaded, "lean": lean,
+                  "dataclasses_loaded": dataclasses_loaded,
                   "with_numpy": [run(argv) for argv in commands]}))
 """
 
@@ -94,13 +97,37 @@ def _untimed(text):
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
 
 
-def test_lean_commands_never_import_numpy():
-    got = json.loads(_python(_RUN_TWICE, json.dumps(LEAN_COMMANDS)))
-    assert got["numpy_loaded"] is False
-    for argv, lean, full in zip(LEAN_COMMANDS, got["lean"], got["with_numpy"]):
+@pytest.fixture(scope="module")
+def lean_run():
+    return json.loads(_python(_RUN_TWICE, json.dumps(LEAN_COMMANDS)))
+
+
+def test_lean_commands_never_import_numpy(lean_run):
+    assert lean_run["numpy_loaded"] is False
+    for argv, lean, full in zip(LEAN_COMMANDS, lean_run["lean"],
+                                lean_run["with_numpy"]):
         assert lean[0] == 0, argv
         assert lean[1].strip(), argv
         assert _untimed(lean[1]) == _untimed(full[1]), argv
+
+
+def test_lean_commands_never_import_dataclasses(lean_run):
+    assert lean_run["dataclasses_loaded"] is False
+
+
+def test_no_module_imports_dataclasses():
+    # records are named tuples: importing dataclasses costs every command
+    # its inspect, ast, dis and tokenize imports
+    found = []
+    for path in sorted((ROOT / "src" / "permlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     else [])
+            found += [(path.name, name) for name in names
+                      if name and name.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 @pytest.mark.parametrize("name", EXPORTS)
