@@ -28,13 +28,13 @@ from typing import NamedTuple
 from .enumeration import SWEEP_GUARD, check_guard, factorial_past
 from .errors import (GuardRefusal, MalformedPartition, NotABijection,
                      ParameterOutOfRange)
-from .perms import Permutation, ints, make_permutation
+from .perms import Checked, Permutation, ints, make_permutation
 
 DEFAULT_BUDGET = 2_000_000
 BULK_LEAVES = 1 << 17   # potential leaves of a subtree the search counts in bulk
 
 
-class PartitionStrategy(NamedTuple("PartitionStrategy", [
+class PartitionStrategy(Checked, NamedTuple("PartitionStrategy", [
         ("n", int), ("m", int), ("assignment", tuple[int, ...])])):
     """Assignment of every permutation (by lex rank) to a class in 0..m-1."""
 
@@ -154,21 +154,20 @@ def aic_check(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> bool:
 
 
 def _bulk_count(cells: list[list[tuple[int, int]]], width: int, ones: int,
-                tops: int, deficits: list[int], field: int, used: int,
-                best: int, room: int) -> int | None:
+                tops: int, deficits: list[int], field: int, best: int,
+                room: int) -> int | None:
     """Nodes of the field search below one node, counted in bulk, or None.
 
     The node leaves len(cells) ranks unassigned, and ``cells``, ``width``,
     ``ones`` and ``tops`` are the walk's for those ranks, in its layout with
     one 16-bit lane per element. ``deficits`` are the packed deficits of
-    the classes the subtree can use, ``field`` and ``used`` the node's field
-    and used labels. A level is a set of rows, one per node: one uint64
-    array of deficits per class, and arrays of the rows' fields (less n per
-    rank assigned, so one floor serves every level) and used labels, the
-    latter dropped once every row has used every class. The incumbent
+    every class, each open to every row at every rank, and ``field`` is
+    the node's field. A level is a set of rows, one per node: one uint64
+    array of deficits per class and an array of the rows' fields, less n
+    per rank assigned, so one floor serves every level. The incumbent
     ``best`` stays fixed, so the count equals the walk's when no leaf beats
-    it; when one does, or when the count passes ``room``, the answer is None
-    and the walk takes the node's children back.
+    it; when one does, or when the count passes ``room``, the answer is
+    None and the walk takes the node's children back.
     """
     import numpy as np
     u64 = np.uint64
@@ -177,58 +176,38 @@ def _bulk_count(cells: list[list[tuple[int, int]]], width: int, ones: int,
     fill = np.uint16(sum(1 << (i * width) for i in range(n)))
     classes = [np.array([d], dtype=u64) for d in deficits]
     scores = np.array([field], dtype=np.int64)
-    useds: np.ndarray | None = np.array([used], dtype=np.int64)
     # keep a child iff child + n * (ranks left) > best: its score >= floor;
     # on the last rank, a kept child is a leaf that beats the incumbent
     floor = best + 1 - n * len(cells)
     count = 0
     for left, rank in zip(range(len(cells) - 1, -1, -1), cells):
+        count += len(scores) * len(classes)
+        if count > room:
+            return None
         mask = u64(sum(bit for bit, _ in rank) << (width - 1))
         # a push adds ones - cells, less the column of each cell whose
         # deficit is not 0 (mod 2**64): one lane per element, all n fields
         lift = u64(ones - sum(bit for bit, _ in rank))
-        rows, reach, least = len(scores), len(classes), len(classes)
-        if useds is not None:
-            least = int(useds.min())
-            if least == reach:
-                useds = None
-            else:
-                reach = min(reach, int(useds.max()) + 1)
         picks = []
-        for h in range(reach):
-            # first-use labels: a row may use h iff it has used h labels
-            first_use = None if h <= least else useds >= h
-            count += (rows if first_use is None
-                      else int(np.count_nonzero(first_use)))
-            if count > room:
-                return None
-            loose = classes[h] | tops_u
+        for deficit in classes:
+            loose = deficit | tops_u
             loose -= ones_u
-            loose &= mask   # top bits of the rank's cells not tight in h
+            loose &= mask   # top bits of the rank's cells not tight here
             after = scores - np.bitwise_count(loose)
-            keep = after >= floor
-            if first_use is not None:
-                keep &= first_use
-            idx = keep.nonzero()[0]
+            idx = (after >= floor).nonzero()[0]
             if not left and idx.size:
                 return None
             spread = (loose[idx].view(np.uint16) != 0) * fill
-            picks.append((h, idx, after[idx], lift - spread.view(u64)))
-        src = np.concatenate([idx for _, idx, _, _ in picks])
+            picks.append((idx, after[idx], lift - spread.view(u64)))
+        src = np.concatenate([idx for idx, _, _ in picks])
         if not src.size:
             return count
         classes = [c[src] for c in classes]
-        scores = np.concatenate([after for _, _, after, _ in picks])
-        if useds is not None:
-            useds = useds[src]
+        scores = np.concatenate([after for _, after, _ in picks])
         start = 0
-        for h, idx, _, delta in picks:
-            part = slice(start, start + idx.size)
-            classes[h][part] += delta
-            if useds is not None and h >= least:
-                np.maximum(useds[part], h + 1, out=useds[part])
-            start = part.stop
-    return count
+        for deficit, (idx, _, delta) in zip(classes, picks):
+            deficit[start:start + idx.size] += delta
+            start += idx.size
 
 
 class FieldSearchResult(NamedTuple):
@@ -263,19 +242,22 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     cells its members place, and a leaf passes iff some target s meets no
     cell (i, s) that every used class hits; no leaf builds a partition.
 
-    Without a restriction, and when a class fits one uint64 (n <= 4), the
-    walk counts subtrees in bulk: from the depth that leaves the fewest
-    ranks r with min(m, n!)**r >= ``BULK_LEAVES`` potential leaves down,
-    once an incumbent exists, :func:`_bulk_count` counts a node's subtree
-    level by level with the incumbent held fixed. The nodes of a subtree
-    depend only on the incumbent, which cannot change in a subtree where no
-    leaf beats it, so that count is the walk's. If a leaf beats the
-    incumbent, or the count passes the budget, the walk takes the node back:
-    it searches the node's own children as above and tries each child's
-    subtree in bulk again. Only the walk moves the incumbent, sets the
-    witness or refuses. A stored level holds at most min(m, n!)**(r-1) <
-    ``BULK_LEAVES`` rows (the leaves are tested, not stored), so memory is
-    bounded whatever m is. numpy is imported only when a bulk count runs.
+    Without a restriction, when a class fits one uint64 (n <= 4) and at
+    most three labels are in play (min(m, n!) <= 3), the walk counts
+    subtrees in bulk: from the depth that leaves the fewest ranks r with
+    min(m, n!)**r >= ``BULK_LEAVES`` potential leaves down, once an
+    incumbent exists, :func:`_bulk_count` counts a node's subtree level by
+    level with the incumbent held fixed and every label open to every row
+    (first-use labelling opens them all there; see the comment at the
+    gate). The nodes of a subtree depend only on the incumbent, which
+    cannot change in a subtree where no leaf beats it, so that count is the
+    walk's. If a leaf beats the incumbent, or the count passes the budget,
+    the walk takes the node back: it searches the node's own children as
+    above and tries each child's subtree in bulk again. Only the walk moves
+    the incumbent, sets the witness or refuses. A stored level holds at
+    most 3**(r-1) < ``BULK_LEAVES`` rows (the leaves are tested, not
+    stored). numpy is imported only when a bulk count runs. With four or
+    more labels the walk searches alone.
     Under the aic restriction every leaf above the incumbent that the rule
     rejects would send the subtree back, so restricted searches only walk.
     """
@@ -319,7 +301,11 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
     bulk_depth = -1
-    if not aic and n * lane <= 64:
+    # The walk enters every all-0 prefix before the first leaf, so every
+    # node after it has used labels 0 and 1, and with at most three labels
+    # first-use labelling opens every label to it: the bulk count, which
+    # needs an incumbent, then needs no first-use rule.
+    if not aic and n * lane <= 64 and labels <= 3:
         bulk_depth = next((total - r for r in range(1, total + 1)
                            if labels ** r >= BULK_LEAVES), -1)
 
@@ -336,8 +322,7 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
         nonlocal best_field, best_assignment, nodes
         if 0 <= bulk_depth <= depth and best_assignment is not None:
             counted = _bulk_count(
-                cells[depth:], width, ones, tops,
-                deficit[:used + total - depth], field, used, best_field,
+                cells[depth:], width, ones, tops, deficit, field, best_field,
                 budget - nodes)
             if counted is not None:
                 nodes += counted

@@ -61,7 +61,19 @@ def ints(values: Iterable, error: type[PermlabError],
     raise error(f"{what or repr(values)} holds a non-integer")
 
 
-class Permutation(NamedTuple("Permutation", [("image", tuple[int, ...])])):
+class Checked:
+    """Base of the validated named tuples, listed before the tuple: their
+    ``_make``, and so ``_replace``, build through the checked ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+
+class Permutation(Checked, NamedTuple("Permutation",
+                                      [("image", tuple[int, ...])])):
     """A bijection on 0..n-1, immutable and validated at construction. Its
     entries must be ints; :func:`make_permutation` reads any integers."""
 
@@ -94,8 +106,8 @@ class Permutation(NamedTuple("Permutation", [("image", tuple[int, ...])])):
         return json.dumps(list(self.image))
 
 
-class ShiftHistogram(NamedTuple("ShiftHistogram",
-                                 [("counts", tuple[int, ...])])):
+class ShiftHistogram(Checked, NamedTuple("ShiftHistogram",
+                                          [("counts", tuple[int, ...])])):
     """Counts per displacement class; ``counts[l]`` is the size of class l."""
 
     __slots__ = ()

@@ -43,8 +43,8 @@ import numpy as np
 from .counting import typical_max_shift
 from .enumeration import SWEEP_GUARD, row_blocks
 from .errors import NotABijection, ParameterOutOfRange, UnknownStrategy
-from .perms import (LANES_PER_BLOCK, block_dtype, ints, make_permutation,
-                    shift_reduce)
+from .perms import (LANES_PER_BLOCK, Checked, block_dtype, ints,
+                    make_permutation, shift_reduce)
 from .rng import BatchRng, lane_blocks, seeded_blocks
 from .strategies import Strategy, needle_wins, strategy_by_name
 
@@ -65,7 +65,7 @@ class _GameFields(NamedTuple):
     workers: int = 1
 
 
-class GameConfig(_GameFields):
+class GameConfig(Checked, _GameFields):
     """Resolved inputs of one simulation run, refused as they are built when
     the run cannot be honoured."""
 
@@ -80,7 +80,8 @@ class GameConfig(_GameFields):
         for name, value in zip(names, values):
             if value < 1 and name in ("n", "trials", "workers"):
                 raise ParameterOutOfRange(f"{name} must be positive, got {value}")
-        self = self._replace(**dict(zip(names, values)))
+        self = super().__new__(
+            cls, **(self._asdict() | dict(zip(names, values))))
         if not isinstance(self.strategy, (str, Strategy)):
             raise UnknownStrategy(f"strategy {self.strategy!r} is neither a "
                                   "name nor a Strategy")

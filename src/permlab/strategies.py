@@ -33,10 +33,10 @@ import numpy as np
 
 from .enumeration import SWEEP_GUARD, row_blocks
 from .errors import NotLatin, ParameterOutOfRange, UnknownStrategy
-from .perms import ints, shift_reduce
+from .perms import Checked, ints, shift_reduce
 
 
-class Strategy(NamedTuple("Strategy", [
+class Strategy(Checked, NamedTuple("Strategy", [
         ("name", str), ("n", int), ("hints", Callable), ("guesses", Callable)])):
     """A deterministic advice strategy for order n: ``hints`` gives each row
     a message in 0..m-1, ``guesses`` the position probed for it and a target.
@@ -63,8 +63,8 @@ def needle_wins(st: Strategy, block: np.ndarray,
                      for s in cells], dtype=np.int64)
 
 
-class LatinSquare(NamedTuple("LatinSquare",
-                              [("rows", tuple[tuple[int, ...], ...])])):
+class LatinSquare(Checked, NamedTuple("LatinSquare", [
+        ("rows", tuple[tuple[int, ...], ...])])):
     """n rows that are permutations of 0..n-1, with every column one too."""
 
     __slots__ = ()

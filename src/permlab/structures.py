@@ -38,11 +38,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import counting
 from .enumeration import check_memory
 from .errors import ParameterOutOfRange
-from .perms import LANES_PER_BLOCK, block_dtype, ints
+from .perms import LANES_PER_BLOCK, Checked, block_dtype, ints
 
 
-class IndexSet(NamedTuple("IndexSet",
-                           [("n", int), ("elements", tuple[int, ...])])):
+class IndexSet(Checked, NamedTuple("IndexSet", [
+        ("n", int), ("elements", tuple[int, ...])])):
     """A set of positions inside the cyclic index space 0..n-1; its length
     is its number of elements."""
 

@@ -392,8 +392,8 @@ def search_outcome(n, m, restriction=None, budget=2_000_000,
 @pytest.fixture(params=[4, 16])
 def bulk_exits(request, monkeypatch):
     """Count subtrees in bulk from a few potential leaves up, so searches at
-    n <= 3 reach the bulk count; collects how each bulk count ended and how
-    many ranks it had left."""
+    n <= 3 with m <= 3 reach the bulk count; collects how each bulk count
+    ended and how many ranks it had left."""
     monkeypatch.setattr(fields, "BULK_LEAVES", request.param)
     exits = []
     count = fields._bulk_count
@@ -466,7 +466,7 @@ class TestBulkCount:
         got = search_outcome(n, m, restriction)
         assert got == search_outcome(n, m, restriction,
                                      search=reference_field_search)
-        if restriction == "aic" or m == 1:
+        if restriction == "aic" or m in (1, 4):   # m = 4: four labels
             assert bulk_exits == []
 
     @pytest.mark.parametrize("budget", [1, 40, 100, 127, 128])
@@ -496,14 +496,11 @@ class TestBulkCount:
 
     @pytest.mark.parametrize("bulk_exits", [16], indirect=True)
     def test_counted_again_below_a_takeback(self, bulk_exits):
-        # the walk tries the bulk count again at each child of a subtree
-        # it took back, so some counts start deeper than a beaten subtree
-        for m in (2, 3, 4):
-            for budget in (40, 100, 2_000_000):
-                search_outcome(3, m, budget=budget)
-        beaten = max(r for kind, r in bulk_exits if kind == "beaten")
-        assert sum(kind == "counted" and r < beaten
-                   for kind, r in bulk_exits) == 6
+        # the walk tries the bulk count again at each child of a subtree it
+        # took back: in the (4, 2) search the second count, two ranks from
+        # the leaves, is beaten, and the third, at its first child, counted
+        search_outcome(4, 2, budget=100)
+        assert bulk_exits[1:3] == [("beaten", 2), ("counted", 1)]
 
 
 @pytest.fixture(params=["bulk", "walk"])
@@ -514,7 +511,83 @@ def bulk_on_off(request, monkeypatch):
         monkeypatch.setattr(fields, "BULK_LEAVES", 1 << 200)
 
 
+def walked_count(cells, width, ones, tops, deficits, field, best, room):
+    """What the walk visits below a node where every label is open, on
+    per-cell deficits unpacked from ``_bulk_count``'s arguments: its node
+    count, or None where a leaf beats ``best`` or the count passes
+    ``room``."""
+    n, top = len(cells[0]), 1 << (width - 1)
+    # deficit[h][i][k]; element k's n fields fill a 16-bit lane at n <= 4
+    deficit = [[[(d >> (k * 16 + i * width)) % top for k in range(n)]
+                for i in range(n)] for d in deficits]
+    images = [[k for _, k in row] for row in cells]
+    count = 0
+
+    def walk(depth, field):
+        nonlocal count
+        img, last = images[depth], depth == len(images) - 1
+        for d in deficit:
+            count += 1
+            if count > room:
+                return False
+            child = field + sum(d[i][k] == 0 for i, k in enumerate(img))
+            if last:
+                if child > best:
+                    return False
+                continue
+            if child + n * (len(images) - depth - 1) <= best:
+                continue
+            saved = [row[:] for row in d]
+            for i, k in enumerate(img):
+                if d[i][k]:
+                    d[i][k] -= 1
+                else:   # a tight cell raises k's intensity
+                    for other in range(n):
+                        if other != i:
+                            d[other][k] += 1
+            ok = walk(depth + 1, child)
+            d[:] = saved
+            if not ok:
+                return False
+        return True
+
+    return count if walk(0, field) else None
+
+
 class TestBulkCountN4:
+    @pytest.mark.parametrize("m, budget, calls", [(2, 10 ** 5, 113),
+                                                  (3, 10 ** 5, 226)])
+    def test_each_count_is_the_walks(self, monkeypatch, m, budget, calls):
+        # every bulk count, counted, beaten or over budget, against a plain
+        # walk of its subtree, and the outcome against the walk alone
+        count = fields._bulk_count
+        kinds = []
+
+        def spy(*args):
+            got = count(*args)
+            assert got == walked_count(*args)
+            kinds.append("counted" if got is not None else "back")
+            return got
+
+        monkeypatch.setattr(fields, "_bulk_count", spy)
+        got = search_outcome(4, m, budget=budget)
+        monkeypatch.setattr(fields, "BULK_LEAVES", 1 << 200)
+        assert got == search_outcome(4, m, budget=budget)
+        assert len(kinds) == calls and set(kinds) == {"counted", "back"}
+
+    @pytest.mark.parametrize("m, field, nodes", [
+        (21, 90, 773_771), (22, 92, 26_381), (23, 94, 3_886)])
+    def test_four_labels_or_more_only_walk(self, monkeypatch, m, field,
+                                           nodes):
+        # four labels or more: the walk alone; the witness puts the first
+        # 25 - m ranks in class 0 and each later rank in a class of its own
+        calls = []
+        monkeypatch.setattr(fields, "_bulk_count",
+                            lambda *args: calls.append(args))
+        witness = (0,) * (25 - m) + tuple(range(1, m))
+        assert search_outcome(4, m) == (field, nodes, witness)
+        assert calls == []
+
     @pytest.mark.parametrize("budget", [10 ** 5, 10 ** 6])
     def test_refusals_at_n4m3(self, bulk_on_off, budget):
         assert search_outcome(4, 3, budget=budget) == (

@@ -2,8 +2,9 @@
 
 A record renders through ``reporting.dumps`` as a JSON object of its fields,
 nested records included; assigning an attribute raises ``AttributeError``;
-and a ``GameConfig``, which crosses to pool workers by pickle, survives the
-round trip, its checks re-run on values they already normalised.
+a ``GameConfig``, which crosses to pool workers by pickle, survives the
+round trip, its checks re-run on values they already normalised; and
+``_make`` and ``_replace`` build a validated type through its checks.
 """
 
 import json
@@ -12,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from permlab.errors import NotABijection, NotLatin, ParameterOutOfRange
 from permlab.fields import (PartitionStrategy, brute_force_field,
                             deduplicate_magnets, magnet_table)
 from permlab.perms import Permutation, ShiftHistogram
@@ -105,3 +107,42 @@ def test_game_config_survives_pickle():
         assert back == cfg and type(back) is GameConfig
         assert type(back.n) is int and type(back.trials) is int
 
+
+
+# per validated type: a value, a _replace its checks accept, and a _replace
+# they refuse with the error
+VALIDATED = {
+    "Permutation": (lambda: Permutation((0, 1)), {"image": (1, 0)},
+                    {"image": (5, 5)}, NotABijection),
+    "ShiftHistogram": (lambda: ShiftHistogram((0, 0, 3)),
+                       {"counts": (np.int64(3), 0, 0)}, {"counts": (4, 0, 0)},
+                       ParameterOutOfRange),
+    "Strategy": (lambda: shift_strategy(3), {"n": np.int64(4)}, {"n": 3.0},
+                 ParameterOutOfRange),
+    "LatinSquare": (lambda: LatinSquare.cyclic(3),
+                    {"rows": ((0, 1, 2), (2, 0, 1), (1, 2, 0))},
+                    {"rows": ((0, 1, 2),) * 3}, NotLatin),
+    "PartitionStrategy": (lambda: PartitionStrategy(2, 2, (0, 1)),
+                          {"assignment": [1, 0]}, {"m": 1},
+                          ParameterOutOfRange),
+    "IndexSet": (lambda: IndexSet(5, (3, 1, 2)), {"n": 6}, {"n": 2},
+                 ParameterOutOfRange),
+    "GameConfig": (lambda: GameConfig(n=5), {"trials": np.int64(9)},
+                   {"trials": 0, "workers": -3}, ParameterOutOfRange),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATED))
+def test_replace_and_make_run_the_checks(name):
+    make, good, bad, error = VALIDATED[name]
+    value = make()
+    cls = type(value)
+    assert repr(cls._make(value)) == repr(value)
+    # the value the constructor builds, numpy integers read as ints
+    want = cls(**(value._asdict() | good))
+    assert repr(value._replace(**good)) == repr(want)
+    assert repr(cls._make((value._asdict() | good).values())) == repr(want)
+    with pytest.raises(error):
+        value._replace(**bad)
+    with pytest.raises(error):
+        cls._make((value._asdict() | bad).values())

@@ -4,6 +4,7 @@ determinism, fixtures."""
 import concurrent.futures
 import itertools
 import json
+import multiprocessing
 import os
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
@@ -342,6 +343,32 @@ class TestDeterminism:
         simulate_needle(GameConfig(n=9, trials=50_000, seed=4,
                                    workers=100_000_000_000))
         assert sizes == [3, 4]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    @pytest.mark.parametrize("game", ["needle", "locker"])
+    def test_pool_under_start_method(self, monkeypatch, method, game):
+        # fork is Linux's default before Python 3.14, forkserver after it,
+        # and macOS spawns: workers that start fresh import permlab again
+        # and unpickle the GameConfig
+        run = simulate_needle if game == "needle" else simulate_locker
+        serial = run(GameConfig(n=9, trials=5000, seed=4, workers=1))
+        real, sizes = concurrent.futures.ProcessPoolExecutor, []
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers,
+                        mp_context=multiprocessing.get_context(method))
+
+        def in_process(*args):
+            raise AssertionError("the run fell back to the serial loop")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # fresh workers import their own simulate._wins, not this one
+        monkeypatch.setattr(simulate, "_wins", in_process)
+        # 5000 trials on two workers are two chunks of 4096 and 904
+        assert run(GameConfig(n=9, trials=5000, seed=4, workers=2)) == serial
+        assert sizes == [2]
 
     class UnstartablePool:
         """Stands in for a process pool the platform cannot start."""
