@@ -125,6 +125,7 @@ def _fix_heap_thresholds() -> None:
     heap top past twice that threshold. Each seeded block frees two 1 MiB
     draw buffers, so the heap would be trimmed after every block and about
     490 pages faulted back in by the next. Commands that run numpy blocks
+    (``simulate``, ``dist``, ``exact`` and ``structure`` in sampled mode)
     call this first; the others do not, so they never import ``ctypes``.
     Without glibc's ``mallopt`` it does nothing."""
     import ctypes
@@ -239,6 +240,8 @@ def _cmd_field(args) -> list[str]:
 
 
 def _cmd_structure(args) -> list[str]:
+    if args.mode == "sampled":
+        _fix_heap_thresholds()
     from . import structures as S
     kind, n, seed = args.kind, args.n, args.seed
     guard_value(args.guard)   # a negative guard is a usage error for any kind

@@ -54,58 +54,50 @@ PermStream = Callable[[int], Sequence[int]]
 Blocks = Iterator[tuple[np.ndarray, BatchRng | None]]
 
 
-class _GameFields(NamedTuple):
-    n: int
-    trials: int = 100_000
-    seed: int = 0
-    strategy: str | Strategy = "shift"
-    target_mode: str = "uniform"   # uniform | fixed | sweep
-    target: int | None = None
-    exhaustive: bool = False
-    workers: int = 1
-
-
-class GameConfig(Checked, _GameFields):
+class GameConfig(Checked, NamedTuple("GameConfig", [
+        ("n", int), ("trials", int), ("seed", int),
+        ("strategy", str | Strategy), ("target_mode", str),
+        ("target", int | None), ("exhaustive", bool), ("workers", int)])):
     """Resolved inputs of one simulation run, refused as they are built when
     the run cannot be honoured."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        names = ("n", "trials", "seed", "workers") + (
-            () if self.target is None else ("target",))
-        values = ints([getattr(self, name) for name in names],
-                      ParameterOutOfRange, "n, trials, seed, workers or target")
-        for name, value in zip(names, values):
-            if value < 1 and name in ("n", "trials", "workers"):
+    def __new__(cls, n: int, trials: int = 100_000, seed: int = 0,
+                strategy: str | Strategy = "shift",
+                target_mode: str = "uniform", target: int | None = None,
+                exhaustive: bool = False, workers: int = 1):
+        n, trials, seed, workers, *target = ints(
+            (n, trials, seed, workers) + (() if target is None else (target,)),
+            ParameterOutOfRange, "n, trials, seed, workers or target")
+        target = target[0] if target else None
+        for name, value in zip(("n", "trials", "workers"), (n, trials, workers)):
+            if value < 1:
                 raise ParameterOutOfRange(f"{name} must be positive, got {value}")
-        self = super().__new__(
-            cls, **(self._asdict() | dict(zip(names, values))))
-        if not isinstance(self.strategy, (str, Strategy)):
-            raise UnknownStrategy(f"strategy {self.strategy!r} is neither a "
+        if not isinstance(strategy, (str, Strategy)):
+            raise UnknownStrategy(f"strategy {strategy!r} is neither a "
                                   "name nor a Strategy")
-        if not isinstance(self.exhaustive, bool):
+        if isinstance(strategy, Strategy) and strategy.n != n:
+            raise ParameterOutOfRange(f"strategy {strategy.name!r} is of "
+                                      f"order {strategy.n}, not n={n}")
+        if not isinstance(exhaustive, bool):
             raise ParameterOutOfRange(
-                f"exhaustive must be a bool, not {self.exhaustive!r}")
-        if self.target_mode not in ("uniform", "fixed", "sweep"):
-            raise ParameterOutOfRange(
-                f"unknown target mode {self.target_mode!r}")
-        if self.target_mode == "fixed":
-            if self.target is None or not 0 <= self.target < self.n:
+                f"exhaustive must be a bool, not {exhaustive!r}")
+        if target_mode not in ("uniform", "fixed", "sweep"):
+            raise ParameterOutOfRange(f"unknown target mode {target_mode!r}")
+        if target_mode == "fixed":
+            if target is None or not 0 <= target < n:
                 raise ParameterOutOfRange(
-                    f"fixed mode needs a target in 0..{self.n - 1}")
-        elif self.target is not None:
+                    f"fixed mode needs a target in 0..{n - 1}")
+        elif target is not None:
             raise ParameterOutOfRange(
-                f"a target applies only to fixed mode, not {self.target_mode}")
-        return self
+                f"a target applies only to fixed mode, not {target_mode}")
+        return super().__new__(cls, n, trials, seed, strategy, target_mode,
+                               target, exhaustive, workers)
 
     def strategy_obj(self) -> Strategy:
         if isinstance(self.strategy, str):
             return strategy_by_name(self.strategy, self.n)
-        if self.strategy.n != self.n:
-            raise ParameterOutOfRange(f"strategy {self.strategy.name!r} is of "
-                                      f"order {self.strategy.n}, not n={self.n}")
         return self.strategy
 
     def strategy_name(self) -> str:
@@ -253,8 +245,11 @@ def _seeded_wins(game: str, cfg: GameConfig, st: Strategy,
     name (a Strategy's closures do not pickle) and spans more than one
     chunk, else ``_wins`` over ``blocks``; the result never depends on the
     split. Chunks are cut at whole batches, and the pool never outnumbers
-    the cores or the chunks."""
-    cap = min(cfg.workers, os.cpu_count() or 1)
+    the chunks or the cores this process may run on: its CPU affinity set
+    where the platform has one, else every core."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    cap = min(cfg.workers, cores)
     per = -(-cfg.trials // (cap * LANES_PER_BLOCK)) * LANES_PER_BLOCK
     starts = range(0, cfg.trials, per)
     workers = min(cap, len(starts))
@@ -301,7 +296,7 @@ def _simulate(game: str, cfg: GameConfig,
         raise ParameterOutOfRange(
             "the locker game is defined for the shift strategy only, "
             f"not {cfg.strategy_name()!r}")
-    st = cfg.strategy_obj()   # refuses a bad name or order before any work
+    st = cfg.strategy_obj()   # refuses a bad name before any work
     mode, blocks = _source(cfg, perm_stream)
     wins = (_seeded_wins if mode == "sampled" else _wins)(game, cfg, st, blocks)
     if mode != "exhaustive":

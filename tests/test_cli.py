@@ -941,7 +941,9 @@ class TestHeapThresholds:
         ("simulate", "needle", "--n", "64", "--strategy", "naive",
          "--seed", "3", "--workers", "1"),
         ("dist", "--n", "64", "--seed", "3"),
-    ], ids=["needle-naive", "dist"])
+        ("structure", "cov", "--n", "64", "--t", "1", "--mode", "sampled",
+         "--seed", "3"),
+    ], ids=["needle-naive", "dist", "cov-sampled"])
     def test_blocks_fault_no_pages_back_in(self, argv):
         # with glibc's dynamic thresholds each block trims the heap and
         # faults about 490 pages back in: about 19,600 for 40 blocks
@@ -957,7 +959,11 @@ class TestHeapThresholds:
         (("pmf", "--n", "5"), 0),
         (("field", "--brute", "--n", "3", "--m", "3"), 0),
         (("example52",), 0),
-    ], ids=["simulate", "dist", "exact", "pmf", "field", "example52"])
+        (("structure", "cov", "--n", "8", "--t", "1", "--mode", "sampled",
+          "--trials", "100"), 1),
+        (("structure", "phi", "--n", "5", "--set-i", "0", "--set-j", "1"), 0),
+    ], ids=["simulate", "dist", "exact", "pmf", "field", "example52",
+            "cov-sampled", "phi"])
     def test_set_by_the_block_commands(self, capsys, monkeypatch, argv,
                                        calls):
         seen = []

@@ -293,6 +293,13 @@ class TestEngineEquivalence:
             assert _report_counts(simulate_locker(cfg)) == wins.tolist()
 
 
+def _usable_cores(monkeypatch, count):
+    """Let this process run on ``count`` cores of a larger machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count + 4)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
 class TestDeterminism:
     def test_same_config_same_report(self):
         cfg = GameConfig(n=64, trials=2_000, seed=7, strategy="shift")
@@ -334,7 +341,7 @@ class TestDeterminism:
         # simulate imports the pool class where it starts one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        _usable_cores(monkeypatch, 4)
         huge = simulate_needle(GameConfig(n=9, trials=5000, seed=4,
                                           workers=100_000_000_000))
         assert sizes == [3]    # 4 cores, but 5000 trials are 3 batches
@@ -363,7 +370,7 @@ class TestDeterminism:
             raise AssertionError("the run fell back to the serial loop")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _usable_cores(monkeypatch, 2)
         # fresh workers import their own simulate._wins, not this one
         monkeypatch.setattr(simulate, "_wins", in_process)
         # 5000 trials on two workers are two chunks of 4096 and 904
@@ -398,7 +405,7 @@ class TestDeterminism:
         run = simulate_needle if game == "needle" else simulate_locker
         serial = run(GameConfig(n=9, trials=5000, seed=4, workers=1))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        _usable_cores(monkeypatch, 4)
         assert run(GameConfig(n=9, trials=5000, seed=4, workers=4)) == serial
 
 
@@ -415,9 +422,18 @@ class TestDeterminism:
         serial = run(cfg)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             self.RefusingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        _usable_cores(monkeypatch, 4)
         assert run(GameConfig(n=9, trials=5000, seed=4,
                               strategy=shift_strategy(9), workers=4)) == serial
+
+    def test_one_usable_core_starts_no_pool(self, monkeypatch):
+        serial = simulate_needle(GameConfig(n=9, trials=8192, seed=4))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            self.RefusingPool)
+        _usable_cores(monkeypatch, 1)
+        # 8192 trials on four workers would be four chunks of 2048
+        assert simulate_needle(GameConfig(n=9, trials=8192, seed=4,
+                                          workers=4)) == serial
 
     def test_serial_run_resolves_a_named_strategy_once(self, monkeypatch,
                                                        tmp_path):
@@ -778,20 +794,29 @@ class TestWilson:
 
 
 class TestStrategyOrder:
-    """A Strategy object must be of the run's order n."""
+    """A Strategy object must be of the run's order n; its GameConfig is
+    refused when it is built, before any run."""
 
     @pytest.mark.parametrize("order", [4, 9])
     @pytest.mark.parametrize("mode", ["sampled", "exhaustive", "stream"])
     @pytest.mark.parametrize("game", ["needle", "locker"])
     def test_other_order_refused(self, game, mode, order):
         run = simulate_needle if game == "needle" else simulate_locker
-        cfg = GameConfig(n=5, trials=300, seed=2, strategy=shift_strategy(order),
-                         exhaustive=mode == "exhaustive")
         stream = (lambda t: tuple(range(5))) if mode == "stream" else None
         with pytest.raises(ParameterOutOfRange,
                            match=f"^strategy 'shift' is of order {order}, "
                                  f"not n=5$"):
-            run(cfg, stream)
+            run(GameConfig(n=5, trials=300, seed=2,
+                           strategy=shift_strategy(order),
+                           exhaustive=mode == "exhaustive"), stream)
+
+    def test_replace_and_make_refuse_other_order(self):
+        cfg = GameConfig(n=5, trials=300, strategy=shift_strategy(5))
+        text = "^strategy 'shift' is of order 5, not n=6$"
+        with pytest.raises(ParameterOutOfRange, match=text):
+            cfg._replace(n=6)
+        with pytest.raises(ParameterOutOfRange, match=text):
+            GameConfig._make((6, *cfg[1:]))
 
 
 class TestConfigValidation:
@@ -822,10 +847,27 @@ class TestConfigValidation:
          "^exhaustive must be a bool, not 'no'$"),
         (dict(exhaustive=1), ParameterOutOfRange,
          "^exhaustive must be a bool, not 1$"),
+        # a Strategy's repr holds its closures' addresses
+        pytest.param(dict(strategy=shift_strategy(4)), ParameterOutOfRange,
+                     "^strategy 'shift' is of order 4, not n=5$",
+                     id="{'strategy': shift_strategy(4)}"),
     ], ids=repr)
     def test_refused_when_built(self, config, error, text):
         with pytest.raises(error, match=text):
             GameConfig(**{"n": 5, "trials": 1, **config})
+
+    def test_defaults_and_positions(self):
+        spelled = GameConfig(n=5, trials=100_000, seed=0, strategy="shift",
+                             target_mode="uniform", target=None,
+                             exhaustive=False, workers=1)
+        assert GameConfig(5) == spelled
+        assert GameConfig(5, 64, 3, "naive", "fixed", 2, True, 2) == \
+            GameConfig(n=5, trials=64, seed=3, strategy="naive",
+                       target_mode="fixed", target=2, exhaustive=True,
+                       workers=2)
+        assert GameConfig._fields == ("n", "trials", "seed", "strategy",
+                                      "target_mode", "target", "exhaustive",
+                                      "workers")
 
     @pytest.mark.parametrize("exhaustive", ["no", 0, None])
     def test_dist_refuses_a_non_bool_exhaustive(self, exhaustive):
