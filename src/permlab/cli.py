@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .enumeration import SWEEP_GUARD, guard_value
 from .errors import GuardRefusal, PermlabError, TooLargeForEnumeration
-from .reporting import dumps, json_ready
+from .reporting import dumps
 
 
 def _integer(text: str, what: str) -> int:
@@ -184,8 +184,9 @@ def _cmd_exact(args) -> list[str]:
 
 
 def _cmd_pmf(args) -> list[str]:
-    from .counting import shift_pmf
-    pmf = [json_ready(p) for p in shift_pmf(args.n)]   # rendered once
+    from .counting import shift_pmf_ratios
+    pmf = [{"ratio": text, "value": float(q)}          # rendered once
+           for q, text in shift_pmf_ratios(args.n)]
     rows = [{"k": k, "probability": p} for k, p in enumerate(pmf)]
     lines = [_header(args), dumps({"n": args.n, "pmf": rows})]
     if args.csv:

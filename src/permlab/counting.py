@@ -1,11 +1,14 @@
 """Exact counting: factorials, derangements, rencontres numbers, shift pmf.
 
 Everything here is integer or rational arithmetic, the crowding threshold
-included: floats never enter a decision.
+included: floats never enter a decision. The pmf's printed ratios come
+from the same recurrence on integer Decimals: no big int becomes text.
 """
 
 from __future__ import annotations
 
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
+                     localcontext)
 from fractions import Fraction
 from math import comb, factorial
 
@@ -63,8 +66,32 @@ def _row_bytes(n: int) -> int:
     """Bytes to allow for a pmf row and its document. Each of the row's
     2(n+1) numerators and denominators is at most n! < 2^(n*b), b the bit
     length of n; the document's decimal copies of them peak at about a byte
-    per bit of that bound, and twice that is allowed."""
+    per bit of that bound, and twice that is allowed; the Decimal terms they
+    are written from are freed before that peak."""
     return 4 * (n + 1) * n * n.bit_length()
+
+
+def _recurrence(n: int, one):
+    """D_0..D_n and 0!..n! as multiples of ``one``: the int 1, or a Decimal
+    1 under an exact context. D_m = (m-1)(D_{m-1} + D_{m-2}) and
+    m! = (m-1)!*m take only small factors, so both types run the same steps."""
+    d = [one, 0 * one]                  # D_0, D_1
+    for m in range(2, n + 1):
+        d.append((m - 1) * (d[-1] + d[-2]))
+    f = [one]
+    for m in range(1, n + 1):
+        f.append(f[-1] * m)
+    return d, f
+
+
+def _row(n: int) -> tuple[list[int], list[Fraction]]:
+    """D_0..D_n and the pmf row, checked and refused as ``shift_pmf`` is."""
+    (n,) = ints((n,), ParameterOutOfRange, "n")
+    if n < 0:
+        raise ParameterOutOfRange(f"order n must be non-negative, got {n}")
+    enumeration.check_memory(_row_bytes(n), f"the exact pmf at n={n}")
+    d, f = _recurrence(n, 1)
+    return d, [Fraction(d[n - k], f[k] * f[n - k]) for k in range(n + 1)]
 
 
 def shift_pmf(n: int) -> list[Fraction]:
@@ -72,20 +99,45 @@ def shift_pmf(n: int) -> list[Fraction]:
     derangement recurrence and one running factorial.
 
     P(k) = D_{n-k}/(k!(n-k)!), which is C(n,k)D_{n-k}/n! with smaller
-    operands for the reduction. Refused before the work when a bound on the
-    row's bytes exceeds what this process may use.
+    operands for the reduction; the gcd of that reduction is most of the
+    cost. Refused before the work when a bound on the row's bytes exceeds
+    what this process may use.
     """
-    (n,) = ints((n,), ParameterOutOfRange, "n")
-    if n < 0:
-        raise ParameterOutOfRange(f"order n must be non-negative, got {n}")
-    enumeration.check_memory(_row_bytes(n), f"the exact pmf at n={n}")
-    d = [1, 0]                          # D_0, D_1
-    for m in range(2, n + 1):
-        d.append((m - 1) * (d[-1] + d[-2]))
-    f = [1]                             # 0!, 1!, ..., n!
-    for m in range(1, n + 1):
-        f.append(f[-1] * m)
-    return [Fraction(d[n - k], f[k] * f[n - k]) for k in range(n + 1)]
+    return _row(n)[1]
+
+
+def shift_pmf_ratios(n: int) -> list[tuple[Fraction, str]]:
+    """``shift_pmf(n)``, each term with its ``reporting.ratio_text``.
+
+    The text comes from a second run of the recurrence on integer Decimals
+    under an exact context (an inexact step raises), each term divided by
+    the factor g that the Fraction's gcd removed: Decimal digits print in
+    linear time, a big int's in about quadratic time. Rows k and n-k share
+    their denominator, and their terms are freed once both are written.
+    """
+    d, row = _row(n)
+    gs = [d[n - k] // q.numerator if q else 0 for k, q in enumerate(row)]
+    del d
+    texts: list[str] = [""] * (n + 1)
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                    traps=[Inexact])
+    with localcontext(exact):
+        d, f = _recurrence(n, Decimal(1))
+        for k in range(n // 2 + 1):
+            j = n - k
+            den = f[k] * f[j]
+            texts[k] = _ratio_digits(row[k], gs[k], d[j], den)
+            if j != k:
+                texts[j] = _ratio_digits(row[j], gs[j], d[k], den)
+            d[j] = d[k] = f[k] = f[j] = None
+    return list(zip(row, texts))
+
+
+def _ratio_digits(q: Fraction, g: int, p: Decimal, den: Decimal) -> str:
+    """``ratio_text(q)`` for q = p/den, which g reduces; in Decimal."""
+    if not q:
+        return "0/1"
+    return f"{p / g}/{den / g}"
 
 
 def typical_max_shift(n: int) -> int:

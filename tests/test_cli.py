@@ -4,7 +4,9 @@ import argparse
 import concurrent.futures
 import contextlib
 import ctypes
+import decimal
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -16,6 +18,7 @@ import time
 import tracemalloc
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hs
@@ -24,6 +27,8 @@ import permlab
 import permlab.cli
 from permlab.cli import build_parser, main
 from permlab.errors import PermlabError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -82,14 +87,20 @@ class TestPmf:
         assert "k,ratio,decimal" in out
 
     def test_csv_renders_each_ratio_once(self, monkeypatch, capsys):
-        from permlab import reporting
-        render, calls = reporting.ratio_text, []
+        # rows come from counting's Decimal renderer, once each, even with
+        # --csv; the int renderer is not on this path
+        from permlab import counting, reporting
+        render, calls = counting._ratio_digits, []
 
-        def counted(q):
-            calls.append(q)
-            return render(q)
-        monkeypatch.setattr(reporting, "ratio_text", counted)
-        monkeypatch.setattr(permlab.cli, "ratio_text", counted, raising=False)
+        def counted(*args):
+            calls.append(args)
+            return render(*args)
+
+        def refused(q):
+            raise AssertionError("ratio_text called on the pmf path")
+        monkeypatch.setattr(counting, "_ratio_digits", counted)
+        monkeypatch.setattr(reporting, "ratio_text", refused)
+        monkeypatch.setattr(permlab.cli, "ratio_text", refused, raising=False)
         code, lines, _ = run_cli(capsys, "pmf", "--n", "40", "--csv")
         assert code == 0
         assert len(calls) == len(lines[1]["pmf"]) == 41
@@ -99,21 +110,62 @@ class TestPmf:
         assert code == 0
         assert lines[1]["pmf"][0]["probability"]["ratio"] == "1/1"
 
-    def test_memory_bound_covers_the_document(self, capsys):
+    @pytest.mark.parametrize("n, chars", [(300, 300_000), (1000, 7_000_000)])
+    def test_memory_bound_covers_the_document(self, capsys, n, chars):
         # the bytes the refusal compares with memory cover the traced peak
-        # of the row, its JSON and CSV renderings and the written output
+        # of the row, its Decimal terms, its JSON and CSV renderings and the
+        # written output
         from permlab.counting import _row_bytes
         main(["pmf", "--n", "2"])   # imports are not the work
         capsys.readouterr()
         tracemalloc.start()
         try:
-            code = main(["pmf", "--n", "300", "--csv"])
+            code = main(["pmf", "--n", str(n), "--csv"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert len(capsys.readouterr().out) > 300_000
-        assert peak <= _row_bytes(300)
+        assert len(capsys.readouterr().out) > chars
+        assert peak <= _row_bytes(n)
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_matches_the_benchmark_digest(self, capsys, monkeypatch, n):
+        # perfbench checks these bytes on one Python; this checks them on
+        # every Python and numpy that runs the tests
+        spec = importlib.util.spec_from_file_location(
+            "_perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        assert main(["pmf", "--n", str(n)]) == 0
+        raw = capsys.readouterr().out.encode()
+        assert workloads.stdout_digest(raw) == \
+            workloads.load_digests()[f"pmf --n {n}"]
+
+    def test_caller_decimal_context_kept(self, capsys):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 7
+            ctx.traps[decimal.Inexact] = False
+            ctx.clear_flags()
+            before = (ctx.prec, dict(ctx.traps), dict(ctx.flags))
+            assert main(["pmf", "--n", "300"]) == 0
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, dict(ctx.traps), dict(ctx.flags)) == before
+        capsys.readouterr()
+
+    def test_no_big_int_becomes_text(self, capsys):
+        # 640 is the lowest limit Python allows; 2000! has 5736 digits
+        def document():
+            assert main(["pmf", "--n", "2000", "--csv"]) == 0
+            out = capsys.readouterr().out
+            return re.sub(r'"timestamp": "[^"]*"', "", out, count=1)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            low = document()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert low == document()
 
     def test_n_2000_admitted_in_256_mb(self):
         from permlab.counting import _row_bytes

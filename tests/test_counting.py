@@ -8,9 +8,11 @@ import pytest
 
 from permlab import enumeration
 from permlab.counting import (_row_bytes, derangements, factorial, rencontres,
-                              shift_count_pmf, shift_pmf, typical_max_shift)
+                              shift_count_pmf, shift_pmf, shift_pmf_ratios,
+                              typical_max_shift)
 from permlab.errors import OutOfMemory, ParameterOutOfRange
 from permlab.perms import Permutation, shift_histogram
+from permlab.reporting import ratio_text
 
 
 def e_bounds(order):
@@ -215,9 +217,18 @@ class TestShiftPmf:
                   for n in (294, 295)]
         assert widest[0] <= 2000 < widest[1]
 
+    @pytest.mark.parametrize("n", [*range(0, 61), 294, 295, 296, 700, 1000])
+    def test_ratios_match_ratio_text(self, n):
+        # the Decimal digits against the int renderer, row by row; odd and
+        # even n pair rows k and n-k with and without a middle row
+        row = shift_pmf(n)
+        assert shift_pmf_ratios(n) == [(q, ratio_text(q)) for q in row]
+
     def test_negative_order(self):
         with pytest.raises(ParameterOutOfRange):
             shift_pmf(-1)
+        with pytest.raises(ParameterOutOfRange):
+            shift_pmf_ratios(-1)
 
     def test_refused_past_memory(self, monkeypatch):
         n = 200
@@ -229,6 +240,8 @@ class TestShiftPmf:
                 f"^the exact pmf at n=200 needs {_row_bytes(n)} bytes; "
                 f"this process may use {_row_bytes(n) - 1}$")):
             shift_pmf(n)
+        with pytest.raises(OutOfMemory):
+            shift_pmf_ratios(n)
 
 
 class TestTypicalMaxShift:
@@ -295,4 +308,5 @@ class TestIntegerInputs:
         assert shift_count_pmf(np.int32(6), np.int64(1)) == \
             shift_count_pmf(6, 1)
         assert shift_pmf(np.int64(5)) == shift_pmf(5)
+        assert shift_pmf_ratios(np.int64(5)) == shift_pmf_ratios(5)
         assert typical_max_shift(np.uint16(52)) == 3
