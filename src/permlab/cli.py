@@ -3,7 +3,7 @@
 Every run prints JSON lines: a header holding the tool version, the resolved
 configuration and a timestamp, then one result object per line (and, with
 ``--csv``, CSV rows). A command returns its lines; ``main`` alone writes
-stdout, in one call after the command returned, so a run that fails, even
+stdout, and only after the command returned, so a run that fails, even
 while rendering, writes nothing to stdout. Re-running the printed
 configuration reproduces the document byte for byte apart from the
 timestamp; the worker count is an execution detail and never changes any
@@ -342,17 +342,14 @@ def main(argv: list[str] | None = None) -> int:
             args.seed = _integer(os.environ.get("PERMLAB_SEED", "0"),
                                  "PERMLAB_SEED")
         lines = _DISPATCH[args.command](args)
-        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        print(*lines, sep="\n")   # each line once, never joined
         return 0
     except GuardRefusal as exc:
         lift = isinstance(exc, TooLargeForEnumeration) and "guard" in args
         hint = "; re-run with a larger --guard" if lift else ""
         print(f"refused: {exc}{hint}", file=sys.stderr)
         return 3
-    except PermlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:   # an input file to read or an --out to write
+    except (PermlabError, OSError) as exc:   # OSError: a file to read or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

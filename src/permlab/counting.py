@@ -91,7 +91,8 @@ def _row(n: int) -> tuple[list[int], list[Fraction]]:
         raise ParameterOutOfRange(f"order n must be non-negative, got {n}")
     enumeration.check_memory(_row_bytes(n), f"the exact pmf at n={n}")
     d, f = _recurrence(n, 1)
-    return d, [Fraction(d[n - k], f[k] * f[n - k]) for k in range(n + 1)]
+    dens = [f[k] * f[n - k] for k in range(n // 2 + 1)]   # rows k, n-k share
+    return d, [Fraction(d[n - k], dens[min(k, n - k)]) for k in range(n + 1)]
 
 
 def shift_pmf(n: int) -> list[Fraction]:

@@ -160,7 +160,7 @@ def theory_reference_values(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def locker_wins(st: Strategy, block: np.ndarray,
-                targets: np.ndarray | None = None) -> np.ndarray:
+                targets: int | np.ndarray | None = None) -> np.ndarray:
     """Locker-game successes on the rows of ``block``, counted as
     ``needle_wins`` counts them. The adviser swaps the hint card into
     position 0; the seeker wins at once when the target is the hint, else
@@ -215,19 +215,20 @@ def _source(cfg: GameConfig, perm_stream: PermStream | None) -> tuple[str, Block
     return "sampled", seeded_blocks(cfg.seed, cfg.n, 0, cfg.trials)
 
 
-def _targets(cfg: GameConfig, rng: BatchRng | None) -> np.ndarray | None:
-    """Per-lane targets, drawn next from each trial's stream when uniform;
-    None (every target) in sweep mode or for a block with no lane streams."""
+def _targets(cfg: GameConfig, rng: BatchRng | None) -> int | np.ndarray | None:
+    """The fixed target itself, one int for every source; None (every
+    target) in sweep mode or for a uniform run's blocks with no lane streams;
+    else per-lane targets, drawn next from each trial's stream."""
+    if cfg.target_mode == "fixed":
+        return cfg.target
     if rng is None or cfg.target_mode == "sweep":
         return None
-    if cfg.target_mode == "fixed":
-        return np.full(rng.lanes, cfg.target, dtype=np.int64)
     return rng.randbelow(cfg.n)
 
 
 def _wins(game: str, cfg: GameConfig, st: Strategy, blocks: Blocks) -> np.ndarray:
-    """Successes over ``blocks``: per target in sweep mode or for blocks
-    with no lane streams, else one total."""
+    """Successes over ``blocks``: per target in sweep mode or for a uniform
+    run's blocks with no lane streams, else one total."""
     return sum(starmap(lambda block, rng: _KERNELS[game](
         st, block, _targets(cfg, rng)), blocks))
 
@@ -269,12 +270,14 @@ def _seeded_wins(game: str, cfg: GameConfig, st: Strategy,
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _report(game: str, cfg: GameConfig, wins: np.ndarray, runs: int,
-            exact: bool) -> SimulationReport:
-    """Report ``wins`` (per target in sweep mode) over ``runs`` permutations
-    per target; an exact run also carries each rate as a fraction."""
+def _report(game: str, cfg: GameConfig, wins: np.ndarray) -> SimulationReport:
+    """Report ``wins`` (per target in sweep mode) over the run's trials per
+    target, or all n! permutations in an exhaustive run, which also carries
+    each rate as a fraction."""
+    runs = factorial(cfg.n) if cfg.exhaustive else cfg.trials
+
     def rate(w: int, t: int) -> Fraction | None:
-        return Fraction(w, t) if exact else None
+        return Fraction(w, t) if cfg.exhaustive else None
 
     per_target = None
     if cfg.target_mode == "sweep":
@@ -299,11 +302,7 @@ def _simulate(game: str, cfg: GameConfig,
     st = cfg.strategy_obj()   # refuses a bad name before any work
     mode, blocks = _source(cfg, perm_stream)
     wins = (_seeded_wins if mode == "sampled" else _wins)(game, cfg, st, blocks)
-    if mode != "exhaustive":
-        return _report(game, cfg, wins, cfg.trials, exact=False)
-    if cfg.target_mode == "fixed":
-        wins = wins[cfg.target:cfg.target + 1]
-    return _report(game, cfg, wins, factorial(cfg.n), exact=True)
+    return _report(game, cfg, wins)
 
 
 def simulate_needle(cfg: GameConfig,

@@ -52,10 +52,10 @@ class Strategy(Checked, NamedTuple("Strategy", [
 
 
 def needle_wins(st: Strategy, block: np.ndarray,
-                targets: np.ndarray | None = None) -> np.ndarray:
+                targets: int | np.ndarray | None = None) -> np.ndarray:
     """Successes of ``st`` on the rows of ``block``: one count per target
-    0..n-1 when ``targets`` is None, else one count for the per-row
-    ``targets`` given."""
+    0..n-1 when ``targets`` is None, else one count for the ``targets``
+    given, one int for every row or one per row."""
     rows = np.arange(len(block))
     h = st.hints(block)
     cells = range(st.n) if targets is None else [targets]

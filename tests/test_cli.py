@@ -536,6 +536,7 @@ class TestUsageErrors:
         ("simulate", "needle", "--n", "5", "--trials", "10",
          "--target-mode", "fixed"),
         ("dist", "--n", "5", "--trials", "-4", "--exhaustive"),
+        ("field",),
     ], ids=["locker-bogus", "locker-naive", "exact-naive-n1", "exact-n0",
             "exact-n128-past-int8",
             "dist-trials0", "dist-n0", "compatible-trials0",
@@ -546,7 +547,8 @@ class TestUsageErrors:
             "compatible-guard-negative", "exact-guard-negative",
             "field-budget-negative", "target-in-uniform-mode",
             "target-in-sweep-mode", "simulate-n0", "locker-workers0",
-            "fixed-without-target", "dist-exhaustive-trials-negative"])
+            "fixed-without-target", "dist-exhaustive-trials-negative",
+            "field-neither-partition-nor-brute"])
     def test_exit_2(self, capsys, monkeypatch, argv):
         if "=" in argv[0]:   # a leading NAME=value sets the environment
             name, value = argv[0].split("=", 1)
@@ -829,7 +831,7 @@ class TestUsageErrors:
 
 
 class TestOneWriter:
-    """``main`` writes stdout once, after the command returned its lines."""
+    """``main`` writes stdout only after the command returned its lines."""
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "needle", "--n", "6", "--trials", "10", "--seed", "1",
@@ -912,11 +914,18 @@ class TestBigRatios:
         assert len(str(count)) > 4300
         assert count == expected
 
-    @pytest.mark.parametrize("digits", [1, 603, 604, 4300, 4301, 20000])
-    def test_ratio_text_in_full(self, restore_int_digits, digits):
+    @pytest.mark.parametrize("digits, limit", [
+        (1, None), (603, None), (604, None), (4300, None), (4301, None),
+        (20000, None), (20000, 640)],
+        ids=["1", "603", "604", "4300", "4301", "20000", "20000-limit-640"])
+    def test_ratio_text_in_full(self, restore_int_digits, digits, limit):
         from permlab.reporting import ratio_text
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
         q = Fraction(-(10 ** digits - 7), 10 ** digits + 3)
         text = ratio_text(q)
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
         sys.set_int_max_str_digits(0)
         assert text == f"{q.numerator}/{q.denominator}"
 

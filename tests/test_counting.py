@@ -94,6 +94,11 @@ class TestDerangements:
         assert derangements(0) == 1
         assert derangements(1) == 0
 
+    def test_negative_order_refused(self):
+        with pytest.raises(ParameterOutOfRange,
+                           match="^order n must be non-negative, got -1$"):
+            derangements(-1)
+
     def test_small_values(self):
         assert derangements(4) == 9
         assert derangements(6) == 265
@@ -212,7 +217,8 @@ class TestShiftPmf:
 
     def test_first_denominator_past_the_decimal_split(self):
         # 295 is the first order whose reduced denominators need more than
-        # the 2000 bits at which reporting._decimal splits a number
+        # 2000 bits (603 digits, under 640, the lowest int-to-str limit
+        # Python allows); the ratio tests below cross it at 294..296
         widest = [max(p.denominator.bit_length() for p in shift_pmf(n))
                   for n in (294, 295)]
         assert widest[0] <= 2000 < widest[1]

@@ -268,6 +268,11 @@ class TestBruteForce:
         assert result.field == 12 == 2 * factorial(3)
         assert aic_check(result.witness)
 
+    def test_unknown_restriction_refused(self):
+        with pytest.raises(ParameterOutOfRange,
+                           match="^unknown restriction 'x'$"):
+            brute_force_field(3, 3, restriction="x")
+
     @pytest.mark.parametrize("call, what", [
         (lambda: brute_force_field(3.0, 2), "n, m or budget"),
         (lambda: brute_force_field(3, True), "n, m or budget"),

@@ -243,6 +243,13 @@ class TestEngineEquivalence:
         with pytest.raises(NotABijection):
             max_shift_distribution(4, trials=2, perm_stream=rows.__getitem__)
 
+    @pytest.mark.parametrize("run", [simulate_needle, simulate_locker])
+    def test_stream_of_another_order_refused(self, run):
+        with pytest.raises(NotABijection, match="^the permutation stream "
+                                                "must yield order-4 rows$"):
+            run(GameConfig(n=4, trials=2, seed=0),
+                perm_stream=lambda t: (0, 1, 2))
+
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
     @pytest.mark.parametrize("mode", ["uniform", "sweep"])
     def test_numpy_integer_rows_read_as_tuples(self, dtype, mode):
@@ -518,6 +525,32 @@ class TestExhaustiveMode:
         with pytest.raises(ParameterOutOfRange, match=self.NO_STREAM):
             max_shift_distribution(3, 5, exhaustive=True,
                                    perm_stream=lambda t: (0, 1, 2))
+
+
+class TestFixedTarget:
+    """A fixed target reaches the game kernel as the one int it is, from
+    every block source, and an exhaustive run counts it as the sweep does."""
+
+    @pytest.mark.parametrize("game", ["needle", "locker"])
+    @pytest.mark.parametrize("source", ["exhaustive", "seeded", "stream"])
+    def test_kernel_gets_the_int(self, monkeypatch, game, source):
+        seen, kernel = [], simulate._KERNELS[game]
+
+        def spy(st, block, targets):
+            seen.append(targets)
+            return kernel(st, block, targets)
+
+        monkeypatch.setitem(simulate._KERNELS, game, spy)
+        run = simulate_needle if game == "needle" else simulate_locker
+        cfg = GameConfig(n=5, trials=300, seed=2, target_mode="fixed",
+                         target=3, exhaustive=source == "exhaustive")
+        report = run(cfg, perm_stream=_stream(5) if source == "stream" else None)
+        assert seen and all(type(t) is int and t == 3 for t in seen)
+        if source == "exhaustive":
+            swept = run(GameConfig(n=5, trials=300, seed=2, target_mode="sweep",
+                                   exhaustive=True)).per_target[3]
+            assert (report.trials, report.successes, report.exact) == \
+                (factorial(5), swept.successes, swept.exact)
 
 
 class TestLockerProtocol:

@@ -700,6 +700,11 @@ class TestCompatiblePairStats:
         with pytest.raises(ParameterOutOfRange):
             compatible_pair_stats(6, 3, 1)
 
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ParameterOutOfRange,
+                           match="^mode must be exact or sampled, not 'x'$"):
+            compatible_pair_stats(8, 1, 1, mode="x")
+
 
 def scan_compatible_pair(n, t, s):
     """Oracle: the lex-first compatible pair by a scan over all t-sets."""
