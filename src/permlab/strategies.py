@@ -72,6 +72,8 @@ class LatinSquare(Checked, NamedTuple("LatinSquare", [
     def __new__(cls, rows: tuple[tuple[int, ...], ...]):
         rows = tuple(ints(r, NotLatin) for r in rows)
         n = len(rows)
+        if n == 0:
+            raise NotLatin("a latin square needs at least one row")
         cols = set(range(n))
         for r in rows:
             if len(r) != n or set(r) != cols:

@@ -331,16 +331,16 @@ def _is_exact(mode: str, trials: int) -> bool:
 
 
 def _estimate(kind: str, params: dict, bound: Fraction, trials: int,
-              seed: int, pool: Sequence[int], size: int, split: int,
+              seed: int, size: int, split: int, excluded: Sequence[int] = (),
               blocked: Sequence[int] = ()) -> ProbabilityReport:
-    """How often a partial shuffle's first ``size`` entries x of ``pool`` hit:
-    x, x[:split] - s and x[split:] + s distinct mod n, none of x ``blocked``.
-    Lane i of a ``rng.lane_blocks`` block runs trial a + i; a block holds at
-    most 2^22 entries, with fewer lanes for a long pool."""
+    """How often a partial shuffle's first ``size`` entries x of 0..n-1 less
+    ``excluded`` hit: x, x[:split] - s and x[split:] + s distinct mod n, none
+    of x ``blocked``. Lane i of a ``rng.lane_blocks`` block runs trial a + i;
+    a block holds at most 2^22 entries, with fewer lanes for a long pool."""
     import numpy as np
     from .rng import lane_blocks
     n, s = params["n"], params["s"]
-    pool = np.fromiter(pool, dtype=block_dtype(n), count=len(pool))
+    pool = np.delete(np.arange(n, dtype=block_dtype(n)), excluded)
     lanes = _sample_lanes(len(pool), trials)
     buf, hits = np.empty((lanes, len(pool)), dtype=pool.dtype), 0
     for _, rng in lane_blocks(seed, 0, trials, lanes):
@@ -380,7 +380,7 @@ def compatible_pair_stats(n: int, t: int, s: int, mode: str = "exact",
         p = Fraction(comb(2 * t, t) * _spread_sets(n, s, 2 * t, set()),
                      comb(n, t) * comb(n - t, t))
         return ProbabilityReport("compatible_pair", params, float(p), bound, p)
-    return _estimate("compatible_pair", params, bound, trials, seed, range(n),
+    return _estimate("compatible_pair", params, bound, trials, seed,
                      2 * t, t)   # I - s and J + s
 
 
@@ -393,9 +393,9 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
     a run of m usable pairs in a row holds at most (m + 1) // 2 disjoint
     ones and a whole cycle of length L at most L // 2. The search picks the
     elements of I, then those of J, in ascending order, and drops a prefix
-    as soon as the free positions cannot hold what it still needs: the rest
-    of its own set, above its last element, and the rest of all 2t pairs,
-    anywhere. That test is exact for J, so only I ever backtracks.
+    as soon as the free positions cannot hold the rest of all 2t pairs:
+    anywhere at an I step, above its last element at a J step. The test is
+    exact for J; an I prefix it passes with no completion is taken back.
     """
     n, t = ints((n, t), ParameterOutOfRange, "n or t")
     if t < 0:
@@ -404,18 +404,17 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
     cycles = _cycles(n, s)
     taken: set[int] = set()
 
-    def room(above: int, top: int) -> int:
-        """The most disjoint free pairs {x, x + s} with (x + top) mod n
-        above ``above``."""
+    def room(above: int) -> int:
+        """The most disjoint free pairs {x, x + s} with x above ``above``."""
         total = 0
         for cycle in cycles:
-            runs = _runs([(x + top) % n > above and x not in taken
+            runs = _runs([x > above and x not in taken
                           and (x + s) % n not in taken for x in cycle])
             total += (len(cycle) // 2 if runs is None
                       else sum((m + 1) // 2 for m in runs))
         return total
 
-    if room(-1, 0) < 2 * t:
+    if room(-1) < 2 * t:
         raise ParameterOutOfRange(
             f"no compatible pair of size {t} exists for n={n}, s={s}")
 
@@ -436,8 +435,7 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
         cells = pair(k, e)
         if not cells & taken:
             taken.update(cells)
-            top, end = (s, t) if k < t else (0, 2 * t)
-            if room(-1, 0) >= 2 * t - k - 1 and room(e, top) >= end - k - 1:
+            if room(-1 if k < t else e) >= 2 * t - k - 1:
                 chosen.append(e)
                 e = 0 if k + 1 == t else e + 1
                 continue
@@ -460,8 +458,8 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
     check_memory(_count_bytes(n, k) if exact
                  else _sample_bytes(n, n - 2 * t, k, trials),
                  f"the feasible set {'count' if exact else 'sample'} at n={n}")
-    I, J = canonical_compatible_pair(n, t, s)   # checks t, s and their room
     s = _require_nonzero_shift(n, s)
+    I, J = canonical_compatible_pair(n, t, s)   # checks t and its room
     blocked = _blocked(I.as_set(), J.as_set(), s, n)
     bound = (1 - Fraction(2 * t + k, n - 2 * t - k)) ** k
     params = {"n": n, "t": t, "k": k, "s": s, "mode": mode,
@@ -469,9 +467,8 @@ def feasible_set_stats(n: int, t: int, k: int, s: int, mode: str = "exact",
     if exact:
         p = Fraction(_spread_sets(n, s, k, blocked), comb(n - 2 * t, k))
         return ProbabilityReport("feasible_set", params, float(p), bound, p)
-    complement = sorted(set(range(n)) - I.as_set() - J.as_set())
-    return _estimate("feasible_set", params, bound, trials, seed, complement,
-                     k, 0, sorted(blocked))   # K + s
+    return _estimate("feasible_set", params, bound, trials, seed, k, 0,
+                     I.elements + J.elements, sorted(blocked))   # K + s
 
 
 def _require_classes(n: int, i: int, j: int,

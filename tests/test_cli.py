@@ -684,6 +684,14 @@ class TestUsageErrors:
         argv = command + ("--strategy", f"latin:{path}")
         assert self.usage_error_stdout(capsys, argv) == ""
 
+    def test_empty_latin_file(self, capsys, tmp_path):
+        # an empty square has the order --n 0 asks for, so only the
+        # square's own check can refuse it
+        path = tmp_path / "square.json"
+        path.write_text("[]")
+        argv = ("exact", "--n", "0", "--strategy", f"latin:{path}")
+        assert self.usage_error_stdout(capsys, argv) == ""
+
     @pytest.mark.parametrize("name", list(_GUARD_REFUSALS),
                              ids=list(_GUARD_REFUSALS))
     def test_guard_refusal_prints_nothing(self, capsys, tmp_path, name):

@@ -102,6 +102,14 @@ class TestLatinStrategy:
         with pytest.raises(NotLatin):
             LatinSquare(((0, 0), (1, 1)))
 
+    def test_empty_square_refused(self):
+        # as a permutation needs one element, a square needs one row
+        for make in (lambda: LatinSquare(()),
+                     lambda: LatinSquare.from_json("[]")):
+            with pytest.raises(NotLatin,
+                               match="^a latin square needs at least one row$"):
+                make()
+
     def test_identity_row_square(self):
         sq = LatinSquare.cyclic(4)
         st = latin_strategy(sq)

@@ -649,8 +649,8 @@ class TestBoardMemory:
             assert peak <= bound(n), (n, peak)
 
     def test_sample_bound_covers_the_pair_search(self):
-        # a long pool in one lane: the pool, its complement and the pair
-        # search take the bytes
+        # a long pool in one lane: the pair search's cycles and the pool
+        # array, built once from 0..n-1, take the bytes
         feasible_set_stats(100, 1, 1, 1, "sampled", 3)   # imports
         for n in (1000, 30000):
             tracemalloc.start()
@@ -660,6 +660,18 @@ class TestBoardMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= structures._sample_bytes(n, n - 2, 1, 3), (n, peak)
+
+    def test_sample_pool_is_one_array(self):
+        # 5.0 MB traced at n = 10^5; a pool made from a Python set and list
+        # of the n positions takes 11.6 MB
+        feasible_set_stats(100, 1, 1, 1, "sampled", 3)   # imports
+        tracemalloc.start()
+        try:
+            feasible_set_stats(10 ** 5, 1, 1, 1, "sampled", 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
 
 
 class TestCompatiblePairStats:
@@ -722,6 +734,53 @@ def scan_compatible_pair(n, t, s):
         f"no compatible pair of size {t} exists for n={n}, s={s}")
 
 
+def two_test_compatible_pair(n, t, s):
+    """Reference: the pair search with two room tests a step, the rest of all
+    2t pairs anywhere and the rest of the step's own set above its last
+    element, its pairs labelled x + s for I and x for J."""
+    s %= n
+    cycles = structures._cycles(n, s)
+    taken = set()
+
+    def room(above, top):
+        total = 0
+        for cycle in cycles:
+            runs = structures._runs([(x + top) % n > above and x not in taken
+                                     and (x + s) % n not in taken
+                                     for x in cycle])
+            total += (len(cycle) // 2 if runs is None
+                      else sum((m + 1) // 2 for m in runs))
+        return total
+
+    if room(-1, 0) < 2 * t:
+        raise ParameterOutOfRange(
+            f"no compatible pair of size {t} exists for n={n}, s={s}")
+
+    def pair(k, e):
+        x = e - s if k < t else e
+        return {x % n, (x + s) % n}
+
+    chosen, e = [], 0
+    while len(chosen) < 2 * t:
+        k = len(chosen)
+        if e == n:
+            e = chosen.pop()
+            taken.difference_update(pair(k - 1, e))
+            e += 1
+            continue
+        cells = pair(k, e)
+        if not cells & taken:
+            taken.update(cells)
+            top, end = (s, t) if k < t else (0, 2 * t)
+            if room(-1, 0) >= 2 * t - k - 1 and room(e, top) >= end - k - 1:
+                chosen.append(e)
+                e = 0 if k + 1 == t else e + 1
+                continue
+            taken.difference_update(cells)
+        e += 1
+    return IndexSet(n, tuple(chosen[:t])), IndexSet(n, tuple(chosen[t:]))
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -740,6 +799,20 @@ class TestCanonicalPair:
                         (n, t, s)
                     refused += want[0] == "refused"
         assert 0 < refused < 264   # both branches are compared
+
+    def test_matches_the_two_test_search(self):
+        # one room test a step picks the same pair, or refuses alike, as the
+        # search that also tested the rest of the step's own set
+        cases = refused = 0
+        for n in range(1, 41):
+            for s in range(1, n):
+                for t in range(n // 2 + 1):
+                    want = outcome(two_test_compatible_pair, n, t, s)
+                    assert outcome(canonical_compatible_pair, n, t, s) == want, \
+                        (n, t, s)
+                    cases += 1
+                    refused += want[0] == "refused"
+        assert cases == 11_250 and 0 < refused < cases
 
     @pytest.mark.parametrize("n,t,s", [(40, 6, 1), (28, 7, 3), (25, 6, 7),
                                        (1000, 250, 7)])
