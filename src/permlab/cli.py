@@ -151,10 +151,7 @@ def _header(args, **config) -> str:
 def _cmd_simulate(args) -> list[str]:
     _fix_heap_thresholds()
     from .simulate import GameConfig, simulate_locker, simulate_needle
-    cfg = GameConfig(n=args.n, trials=args.trials, seed=args.seed,
-                     strategy=args.strategy, target_mode=args.target_mode,
-                     target=args.target, exhaustive=args.exhaustive,
-                     workers=args.workers)
+    cfg = GameConfig._make(getattr(args, f) for f in GameConfig._fields)
     run = simulate_needle if args.game == "needle" else simulate_locker
     report = run(cfg)
     lines = [_header(args), dumps(report)]
@@ -218,15 +215,12 @@ def _cmd_field(args) -> list[str]:
         restriction = "aic" if args.aic else None
         result = brute_force_field(args.n, args.m, restriction=restriction,
                                    budget=budget, guard=args.guard)
-        witness = result.witness.to_json()
         lines = [_header(args, brute=True, n=args.n, m=args.m, aic=args.aic,
                          budget=budget, guard=args.guard),
-                 dumps({"field": result.field, "nodes": result.nodes,
-                        "restriction": result.restriction,
-                        "witness": json.loads(witness)})]
+                 dumps(result)]
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(witness + "\n")
+                fh.write(result.witness.to_json() + "\n")
         return lines
     if not args.partition:
         raise PermlabError("field needs --partition FILE or --brute")

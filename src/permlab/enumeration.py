@@ -24,6 +24,7 @@ if TYPE_CHECKING:
 ENUMERATION_GUARD = 10  # library sweeps
 SWEEP_GUARD = 8      # exact, simulate/dist --exhaustive, field, dedup
 _TAIL = 7            # a block is the 7! permutations of the last 7 positions
+MEMINFO = "/proc/meminfo"   # Linux; its MemAvailable line is in KiB
 
 _matrix_cache: dict[int, np.ndarray] = {}
 
@@ -58,10 +59,18 @@ def check_guard(n: int, guard: int | None, what: str) -> None:
 
 
 def memory_bytes() -> int:
-    """The most memory this process may use: the machine's physical memory,
-    or the soft address-space limit if that is lower."""
+    """The most memory this process may use: the memory the kernel reports
+    available (``MemAvailable`` in :data:`MEMINFO`), or the machine's
+    physical memory where that is not reported, capped by the soft
+    address-space limit. Control-group limits are not read."""
     import resource
     total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    try:
+        with open(MEMINFO, encoding="ascii") as fh:
+            total = next((int(line.split()[1]) << 10 for line in fh
+                          if line.startswith("MemAvailable:")), total)
+    except (OSError, ValueError, IndexError):   # no file, or not as expected
+        pass
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     return total if soft == resource.RLIM_INFINITY else min(total, soft)
 

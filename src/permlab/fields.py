@@ -238,9 +238,9 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     popcount, read without a push. The parent loop applies the child's prune
     or leaf test, so only children that recurse are pushed (a delta cached per
     rank and tight pattern is added) and popped; every child counts as a node.
-    Under the aic rule a class also carries its hit mask, the top bits of the
-    cells its members place, and a leaf passes iff some target s meets no
-    cell (i, s) that every used class hits; no leaf builds a partition.
+    A class also carries its hit mask, the top bits of the cells its members
+    place. Under the aic rule a leaf passes iff some target s meets no cell
+    (i, s) that every used class hits; no leaf builds a partition.
 
     Without a restriction, when a class fits one uint64 (n <= 4) and at
     most three labels are in play (min(m, n!) <= 3), the walk counts
@@ -353,19 +353,14 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
                 delta = cached[pattern] = sum(
                     column[k] - bit if pattern & (bit << (width - 1))
                     else -bit for bit, k in cells[depth])
-            old_deficit, old_tight = deficit[h], tight[h]
-            deficit[h] = d = old_deficit + delta
+            saved = deficit[h], tight[h], hits[h]
+            deficit[h] = d = saved[0] + delta
             # a field's top bit survives (d | tops) - ones iff its deficit > 0
             tight[h] = ~((d | tops) - ones) & tops
+            hits[h] |= mask
             assignment[depth] = h
-            if aic:
-                old_hits = hits[h]
-                hits[h] = old_hits | mask
-                dfs(depth + 1, child, used + 1 if h == used else used)
-                hits[h] = old_hits
-            else:
-                dfs(depth + 1, child, used + 1 if h == used else used)
-            deficit[h], tight[h] = old_deficit, old_tight
+            dfs(depth + 1, child, used + 1 if h == used else used)
+            deficit[h], tight[h], hits[h] = saved
 
     dfs(0, 0, 0)
     if best_assignment is None:
@@ -438,8 +433,7 @@ def _dedup_one_class(ci: int, members: set[tuple[int, ...]], n: int,
             raise RuntimeError("magnet deduplication failed to terminate")
         k1, k2 = pair
         i1 = magnets[k1]
-        free = sorted(set(range(n)) - set(magnets))
-        i2 = free[0]
+        i2 = min(set(range(n)) - set(magnets))   # two elements share i1
         before = tuple(intensities)
         replaced = 0
         for img in sorted(m for m in members if m[i1] == k2):

@@ -147,12 +147,10 @@ def latin_strategy(square: LatinSquare) -> Strategy:
 def strategy_by_name(name: str, n: int) -> Strategy:
     """Resolve a CLI-style strategy name: shift | naive | baseline | latin:<file>."""
     (n,) = ints((n,), ParameterOutOfRange, "the strategy's order n")
-    if name == "shift":
-        return shift_strategy(n)
-    if name == "naive":
-        return naive_strategy(n)
-    if name == "baseline":
-        return baseline_strategy(n)
+    named = {"shift": shift_strategy, "naive": naive_strategy,
+             "baseline": baseline_strategy}.get(name)
+    if named is not None:
+        return named(n)
     if name.startswith("latin:"):
         path = name.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:

@@ -249,11 +249,15 @@ class TestField:
 
     def test_witness_out_file(self, capsys, tmp_path):
         out = tmp_path / "witness.json"
-        code, _, _ = run_cli(capsys, "field", "--brute", "--n", "3",
-                             "--m", "2", "--out", str(out))
+        code, lines, _ = run_cli(capsys, "field", "--brute", "--n", "3",
+                                 "--m", "2", "--out", str(out))
         assert code == 0
-        data = json.loads(out.read_text())
+        text = out.read_text()
+        data = json.loads(text)
         assert data["m"] == 2 and len(data["assignment"]) == 6
+        # the file is the document's witness object, on one line
+        assert data == lines[1]["witness"]
+        assert text.count("\n") == 1 and text.endswith("\n")
 
 
 class TestStructure:
@@ -329,6 +333,12 @@ class TestDedup:
 
 
 class TestSimulate:
+    def test_parser_names_every_config_field(self):
+        # _cmd_simulate builds GameConfig from the dests of its fields
+        from permlab.simulate import GameConfig
+        args = build_parser().parse_args(["simulate", "needle", "--n", "5"])
+        assert set(GameConfig._fields) <= set(vars(args))
+
     def test_needle_document(self, capsys):
         code, lines, _ = run_cli(capsys, "simulate", "needle", "--n", "16",
                                  "--trials", "4000", "--seed", "21",

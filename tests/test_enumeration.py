@@ -2,7 +2,9 @@
 sampling blocks are refused before they allocate more than the machine
 holds."""
 
+import os
 import re
+import resource
 import tracemalloc
 from math import factorial
 
@@ -11,7 +13,7 @@ import pytest
 
 from permlab import enumeration
 from permlab.cli import main
-from permlab.errors import GuardRefusal, ParameterOutOfRange
+from permlab.errors import GuardRefusal, OutOfMemory, ParameterOutOfRange
 from permlab.rng import LANES_PER_BLOCK, seeded_blocks
 from permlab.simulate import (GameConfig, max_shift_distribution,
                               simulate_locker, simulate_needle)
@@ -248,3 +250,58 @@ class TestSeededSampling:
             "refused: sampling in blocks of 2048 permutations of order 1000 "
             f"needs {self.need(2048, 1000)} bytes; "
             "this process may use 1000000\n")
+
+
+class TestMemoryBytes:
+    """The memory a check admits is what the kernel reports available, or
+    the physical total where it does not say, under the soft RLIMIT_AS."""
+
+    @staticmethod
+    def capped(total):
+        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+        return total if soft == resource.RLIM_INFINITY else min(total, soft)
+
+    @staticmethod
+    def meminfo(monkeypatch, path, text=None):
+        if text is not None:
+            path.write_text(text)
+        monkeypatch.setattr(enumeration, "MEMINFO", str(path))
+
+    def test_reads_mem_available(self, monkeypatch, tmp_path):
+        self.meminfo(monkeypatch, tmp_path / "meminfo",
+                     "MemTotal:       8222320 kB\n"
+                     "MemFree:        7339328 kB\n"
+                     "MemAvailable:     10240 kB\n")
+        assert enumeration.memory_bytes() == self.capped(10240 * 1024)
+
+    def test_block_past_available_refused_at_the_call(self, monkeypatch,
+                                                      tmp_path):
+        # 2048 uint32 lanes of order 10^5 are 819 MB: refused before any
+        # shuffle buffer exists, however much memory the machine has
+        self.meminfo(monkeypatch, tmp_path / "meminfo",
+                     "MemAvailable:     10240 kB\n")
+        with pytest.raises(OutOfMemory, match=(
+                "^sampling in blocks of 2048 permutations of order 100000 "
+                "needs 819200000 bytes; this process may use ")):
+            seeded_blocks(0, 100_000, 0, 2048)
+
+    def test_cli_refuses_past_available(self, monkeypatch, tmp_path, capsys):
+        self.meminfo(monkeypatch, tmp_path / "meminfo",
+                     "MemAvailable:     10240 kB\n")
+        code = main(["simulate", "needle", "--n", "100000", "--trials",
+                     "2048", "--workers", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            "refused: sampling in blocks of 2048 permutations of order "
+            "100000 needs 819200000 bytes; this process may use "
+            f"{self.capped(10240 * 1024)}\n")
+
+    @pytest.mark.parametrize("text", [
+        "MemTotal:       8222320 kB\nMemFree:        7339328 kB\n",
+        "MemAvailable:\n", "MemAvailable: many kB\n", None],
+        ids=["no MemAvailable line", "no value", "not a number", "no file"])
+    def test_physical_total_otherwise(self, monkeypatch, tmp_path, text):
+        self.meminfo(monkeypatch, tmp_path / "meminfo", text)
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert enumeration.memory_bytes() == self.capped(physical)
