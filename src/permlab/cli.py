@@ -182,8 +182,8 @@ def _cmd_exact(args) -> list[str]:
 
 def _cmd_pmf(args) -> list[str]:
     from .counting import shift_pmf_ratios
-    pmf = [{"ratio": text, "value": float(q)}          # rendered once
-           for q, text in shift_pmf_ratios(args.n)]
+    pmf = [{"ratio": text, "value": value}             # rendered once
+           for text, value in shift_pmf_ratios(args.n)]
     rows = [{"k": k, "probability": p} for k, p in enumerate(pmf)]
     lines = [_header(args), dumps({"n": args.n, "pmf": rows})]
     if args.csv:

@@ -2,7 +2,8 @@
 
 Everything here is integer or rational arithmetic, the crowding threshold
 included: floats never enter a decision. The pmf's printed ratios come
-from the same recurrence on integer Decimals: no big int becomes text.
+from the same recurrence on integer Decimals, their reducing factors from
+residues mod primes p <= n: no big int becomes text, no big gcd runs.
 """
 
 from __future__ import annotations
@@ -84,41 +85,83 @@ def _recurrence(n: int, one):
     return d, f
 
 
-def _row(n: int) -> tuple[list[int], list[Fraction]]:
-    """D_0..D_n and the pmf row, checked and refused as ``shift_pmf`` is."""
+def _order(n) -> int:
+    """``n`` read as a pmf order, refused when negative, and before any
+    arithmetic when ``_row_bytes(n)`` exceeds what this process may use."""
     (n,) = ints((n,), ParameterOutOfRange, "n")
     if n < 0:
         raise ParameterOutOfRange(f"order n must be non-negative, got {n}")
     enumeration.check_memory(_row_bytes(n), f"the exact pmf at n={n}")
-    d, f = _recurrence(n, 1)
-    dens = [f[k] * f[n - k] for k in range(n // 2 + 1)]   # rows k, n-k share
-    return d, [Fraction(d[n - k], dens[min(k, n - k)]) for k in range(n + 1)]
+    return n
 
 
 def shift_pmf(n: int) -> list[Fraction]:
     """``shift_count_pmf(n, k)`` for k = 0..n, from one pass of the
     derangement recurrence and one running factorial.
 
-    P(k) = D_{n-k}/(k!(n-k)!), which is C(n,k)D_{n-k}/n! with smaller
-    operands for the reduction; the gcd of that reduction is most of the
-    cost. Refused before the work when a bound on the row's bytes exceeds
-    what this process may use.
+    P(k) = D_{n-k}/(k!(n-k)!): C(n,k)D_{n-k}/n! with smaller operands for
+    the gcd that reduces it, most of the cost. Refused as ``_order`` is.
     """
-    return _row(n)[1]
+    n = _order(n)
+    d, f = _recurrence(n, 1)
+    dens = [f[k] * f[n - k] for k in range(n // 2 + 1)]   # rows k, n-k share
+    return [Fraction(d[n - k], dens[min(k, n - k)]) for k in range(n + 1)]
 
 
-def shift_pmf_ratios(n: int) -> list[tuple[Fraction, str]]:
-    """``shift_pmf(n)``, each term with its ``reporting.ratio_text``.
+def _legendre(m: int, p: int) -> int:
+    """The power of the prime p in m!, by Legendre's formula."""
+    return m and m // p + _legendre(m // p, p)
 
-    The text comes from a second run of the recurrence on integer Decimals
-    under an exact context (an inexact step raises), each term divided by
-    the factor g that the Fraction's gcd removed: Decimal digits print in
-    linear time, a big int's in about quadratic time. Rows k and n-k share
-    their denominator, and their terms are freed once both are written.
+
+def _reducers(n: int, d: list[int]) -> list[int]:
+    """gcd(D_m, (n-m)! m!) for m = 0..n, from D = D_0..D_n, with no big gcd.
+
+    Its primes p are at most n, each to the power v_p(D_m) capped at
+    v_p((n-m)!) + v_p(m!), a cap that is 0 unless m >= p or m <= n - p.
+    Mod p, the terms (-1)^(m-t) m!/(m-t)! of D_m vanish for t >= p and are
+    +-those of D_r for t < p, r = m mod p, so D_m = +-D_r. One pass of the
+    recurrence mod p over r <= min(p-1, n-p) thus finds every m with
+    p | D_m and a cap, and D_m mod p^2, p^3, ... gives the power. D_1 = 0
+    reaches every cap: its gcd is (n-1)!, and its row prints as 0/1.
     """
-    d, row = _row(n)
-    gs = [d[n - k] // q.numerator if q else 0 for k, q in enumerate(row)]
-    del d
+    g, sieve = [1] * (n + 1), bytearray([1]) * (n + 1)
+    for p in range(2, n + 1):
+        if not sieve[p]:                    # Eratosthenes
+            continue
+        sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+        a, b, zeros = 1, 0, [1]             # D_0, D_1 mod p; p | D_1
+        for r in range(2, min(p, n - p + 1)):
+            a, b = b, (r - 1) * (a + b) % p
+            if not b:
+                zeros.append(r)
+        for r in zeros:
+            for m in range(r, n + 1, p):
+                cap = _legendre(m, p) + _legendre(n - m, p)
+                e = min(cap, 1)                 # p | D_m
+                while e < cap and not d[m] % p ** (e + 1):
+                    e += 1
+                g[m] *= p ** e
+    return g
+
+
+def shift_pmf_ratios(n: int) -> list[tuple[str, float]]:
+    """``shift_pmf(n)`` as each term's ``reporting.ratio_text`` and float,
+    with no big gcd and no Fraction; refused as ``shift_pmf`` is.
+
+    Row k is D_m/(k! m!), m = n - k, reduced by ``_reducers``' g; its
+    float is the int quotient, rounded once as the reduced pair's is. The
+    text comes from a second pass on integer Decimals under an exact
+    context (an inexact step raises): Decimal digits print in linear time,
+    a big int's in about quadratic time. Rows k and n-k share k! m!.
+    """
+    n = _order(n)
+    d, f = _recurrence(n, 1)
+    gs = _reducers(n, d)
+    values = [0.0] * (n + 1)
+    for k in range(n // 2 + 1):
+        den = f[k] * f[n - k]
+        values[k], values[n - k] = d[n - k] / den, d[k] / den
+    del d, f
     texts: list[str] = [""] * (n + 1)
     exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                     traps=[Inexact])
@@ -127,17 +170,15 @@ def shift_pmf_ratios(n: int) -> list[tuple[Fraction, str]]:
         for k in range(n // 2 + 1):
             j = n - k
             den = f[k] * f[j]
-            texts[k] = _ratio_digits(row[k], gs[k], d[j], den)
+            texts[k] = _ratio_digits(gs[j], d[j], den)
             if j != k:
-                texts[j] = _ratio_digits(row[j], gs[j], d[k], den)
+                texts[j] = _ratio_digits(gs[k], d[k], den)
             d[j] = d[k] = f[k] = f[j] = None
-    return list(zip(row, texts))
+    return list(zip(texts, values))
 
 
-def _ratio_digits(q: Fraction, g: int, p: Decimal, den: Decimal) -> str:
-    """``ratio_text(q)`` for q = p/den, which g reduces; in Decimal."""
-    if not q:
-        return "0/1"
+def _ratio_digits(g: int, p: Decimal, den: Decimal) -> str:
+    """``ratio_text`` of p/den, which g reduces; in Decimal."""
     return f"{p / g}/{den / g}"
 
 

@@ -147,7 +147,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def theory_reference_values(n: int) -> dict:
-    refs = {"no_advice": 1.0 / n, "naive_exact": 2.0 / n}
+    refs = {"no_advice": 1.0 / n}
+    if n >= 2:                   # the naive strategy refuses n < 2
+        refs["naive_exact"] = 2.0 / n
     if n >= 4:
         refs["shift_growth"] = log2(n) / (n * log2(log2(n)))
     if n >= 6:

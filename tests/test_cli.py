@@ -5,6 +5,7 @@ import concurrent.futures
 import contextlib
 import ctypes
 import decimal
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -105,6 +106,18 @@ class TestPmf:
         assert code == 0
         assert len(calls) == len(lines[1]["pmf"]) == 41
 
+    def test_no_fraction_on_the_pmf_path(self, monkeypatch, capsys):
+        # the rows are reduced without a gcd, so no Fraction is built
+        from permlab import counting
+
+        def refused(*args):
+            raise AssertionError("Fraction built on the pmf path")
+        monkeypatch.setattr(counting, "Fraction", refused)
+        code, lines, out = run_cli(capsys, "pmf", "--n", "40", "--csv")
+        assert code == 0
+        assert len(lines[1]["pmf"]) == 41
+        assert "k,ratio,decimal" in out
+
     def test_order_zero(self, capsys):
         code, lines, _ = run_cli(capsys, "pmf", "--n", "0")
         assert code == 0
@@ -147,6 +160,22 @@ class TestPmf:
         raw = capsys.readouterr().out.encode()
         assert workloads.stdout_digest(raw) == \
             workloads.load_digests()[f"pmf --n {n}"]
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("--n", "2000", "--csv"),
+         "e985bee360298fb6371026fefa40cc952c41962f471e50a2bedbfdf717913a84"),
+        (("--n", "3000"),
+         "40592b87bc4ca5a550a282e926b0bfde229b07501ae385882ffef9a7d781c6c6"),
+    ], ids=["n2000-csv", "n3000"])
+    def test_matches_the_digest_past_the_benchmark(self, capsys, argv,
+                                                   digest):
+        # sha256 of the document with its timestamp blanked, as perfbench
+        # digests are; recorded at commit 65b2e1f, whose rows a big gcd
+        # reduced
+        assert main(["pmf", *argv]) == 0
+        raw = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""',
+                     capsys.readouterr().out.encode(), count=1)
+        assert hashlib.sha256(raw).hexdigest() == digest
 
     def test_caller_decimal_context_kept(self, capsys):
         with decimal.localcontext() as ctx:

@@ -2,14 +2,14 @@
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial as pyfactorial
+from math import comb, factorial as pyfactorial, gcd
 
 import pytest
 
 from permlab import enumeration
-from permlab.counting import (_row_bytes, derangements, factorial, rencontres,
-                              shift_count_pmf, shift_pmf, shift_pmf_ratios,
-                              typical_max_shift)
+from permlab.counting import (_reducers, _row_bytes, derangements, factorial,
+                              rencontres, shift_count_pmf, shift_pmf,
+                              shift_pmf_ratios, typical_max_shift)
 from permlab.errors import OutOfMemory, ParameterOutOfRange
 from permlab.perms import Permutation, shift_histogram
 from permlab.reporting import ratio_text
@@ -228,7 +228,7 @@ class TestShiftPmf:
         # the Decimal digits against the int renderer, row by row; odd and
         # even n pair rows k and n-k with and without a middle row
         row = shift_pmf(n)
-        assert shift_pmf_ratios(n) == [(q, ratio_text(q)) for q in row]
+        assert shift_pmf_ratios(n) == [(ratio_text(q), float(q)) for q in row]
 
     def test_negative_order(self):
         with pytest.raises(ParameterOutOfRange):
@@ -248,6 +248,39 @@ class TestShiftPmf:
             shift_pmf(n)
         with pytest.raises(OutOfMemory):
             shift_pmf_ratios(n)
+
+
+def primes_by_trial_division(top):
+    return [p for p in range(2, top + 1)
+            if all(p % q for q in range(2, p))]
+
+
+class TestReducers:
+    """The pmf's reducing factors from residues and Legendre's formula,
+    against the lemma they rest on and against the gcd they replace."""
+
+    def test_derangements_mod_p_repeat_with_period_p(self):
+        # D_m = (-1)^(m-r) D_r (mod p), r = m mod p
+        d = derangements_by_recurrence(600)
+        for p in primes_by_trial_division(211):
+            for m in range(601):
+                r = m % p
+                assert (d[m] - (-1) ** (m - r) * d[r]) % p == 0, (p, m)
+
+    @staticmethod
+    def gcds(n):
+        d = derangements_by_recurrence(n)
+        return [gcd(d[m], pyfactorial(n - m) * pyfactorial(m))
+                for m in range(n + 1)]
+
+    def test_factor_is_the_gcd_to_300(self):
+        for n in range(301):
+            assert _reducers(n, derangements_by_recurrence(n)) == \
+                self.gcds(n), n
+
+    def test_factor_is_the_gcd_at_1000(self):
+        assert _reducers(1000, derangements_by_recurrence(1000)) == \
+            self.gcds(1000)
 
 
 class TestTypicalMaxShift:

@@ -826,6 +826,18 @@ class TestWilson:
         assert high == pytest.approx(1.0, abs=1e-9)
 
 
+class TestTheoryReferences:
+    def test_no_naive_reference_below_two_cards(self):
+        # the naive strategy refuses n < 2, where 2/n would exceed 1
+        assert simulate.theory_reference_values(1) == {"no_advice": 1.0}
+        report = simulate_needle(GameConfig(n=1, trials=5))
+        assert report.theory_refs == {"no_advice": 1.0}
+
+    def test_naive_reference_from_two_cards(self):
+        assert simulate.theory_reference_values(2) == {
+            "no_advice": 0.5, "naive_exact": 1.0}
+
+
 class TestStrategyOrder:
     """A Strategy object must be of the run's order n; its GameConfig is
     refused when it is built, before any run."""
