@@ -22,14 +22,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "counting": ("derangements", "factorial", "rencontres",
                  "shift_count_pmf", "shift_pmf", "typical_max_shift"),
-    "fields": ("MagnetTable", "PartitionStrategy", "aic_check",
-               "brute_force_field", "deduplicate_magnets",
-               "field_of_partition", "magnet_table", "magneticity",
+    "fields": ("PartitionStrategy", "aic_check", "brute_force_field",
+               "deduplicate_magnets", "field_of_partition",
                "partition_from_hint", "success_upper_bound"),
     "perms": ("Permutation", "ShiftHistogram", "apply_transposition",
               "argmax_shift", "example_deck", "identity_permutation",
-              "lex_rank", "lex_unrank", "make_permutation", "rotate_values",
-              "shift_histogram", "shift_vector"),
+              "make_permutation", "shift_histogram", "shift_vector"),
     "rng": ("BatchRng",),
     "simulate": ("GameConfig", "MaxShiftReport", "SimulationReport",
                  "max_shift_distribution", "simulate_locker",

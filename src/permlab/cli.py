@@ -224,7 +224,9 @@ def _cmd_field(args) -> list[str]:
         return lines
     if not args.partition:
         raise PermlabError("field needs --partition FILE or --brute")
-    with open(args.partition, "r", encoding="utf-8") as fh:
+    if args.out:
+        raise PermlabError("--out needs --brute")
+    with open(args.partition, "rb") as fh:
         part = PartitionStrategy.from_json(fh.read())
     field = field_of_partition(part, args.guard)
     body = {"n": part.n, "m": part.m, "field": field,
@@ -270,7 +272,7 @@ def _cmd_structure(args) -> list[str]:
 
 def _cmd_dedup(args) -> list[str]:
     from .fields import PartitionStrategy, class_members, deduplicate_magnets
-    with open(args.partition, "r", encoding="utf-8") as fh:
+    with open(args.partition, "rb") as fh:
         part = PartitionStrategy.from_json(fh.read())
     classes = class_members(part, args.guard)
     result = deduplicate_magnets([classes.get(h, ()) for h in range(part.m)],

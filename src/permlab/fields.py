@@ -57,10 +57,11 @@ class PartitionStrategy(Checked, NamedTuple("PartitionStrategy", [
             {"n": self.n, "m": self.m, "assignment": list(self.assignment)})
 
     @classmethod
-    def from_json(cls, text: str) -> "PartitionStrategy":
+    def from_json(cls, text: str | bytes) -> "PartitionStrategy":
         try:
-            data = json.loads(text)
-        except ValueError as exc:   # bad JSON, or an int past str's digit limit
+            data = json.loads(text.decode() if isinstance(text, bytes) else text)
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, bad JSON, too deep, or an int past str's digit limit
             raise MalformedPartition(
                 f"partition file is not readable JSON: {exc}")
         if not (isinstance(data, dict)
@@ -97,35 +98,6 @@ def _magnetism(members: list[tuple[int, ...]], n: int,
         magnets.append(column.index(best))
         intensities.append(best)
     return mag, magnets, intensities
-
-
-def magneticity(p: PartitionStrategy, j: int, i: int, k: int,
-                guard: int = SWEEP_GUARD) -> int:
-    """How many members of class j place element k at position i."""
-    j, i, k = ints((j, i, k), ParameterOutOfRange, "j, i or k")
-    if not (0 <= j < p.m and 0 <= i < p.n and 0 <= k < p.n):
-        raise ParameterOutOfRange(f"(j={j}, i={i}, k={k}) out of range")
-    members = class_members(p, guard).get(j, ())
-    return sum(1 for img in members if img[i] == k)
-
-
-class MagnetTable(NamedTuple):
-    """Per class j and element k: the magnet position and its intensity."""
-
-    n: int
-    m: int
-    magnets: tuple[tuple[int, ...], ...]      # [j][k] -> position
-    intensities: tuple[tuple[int, ...], ...]  # [j][k] -> count
-
-
-def magnet_table(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> MagnetTable:
-    """One row per label; an empty class reads magnet 0, intensity 0."""
-    empty = (0,) * p.n
-    magnets, intensities = [empty] * p.m, [empty] * p.m
-    for h, members in class_members(p, guard).items():
-        _, mg, it = _magnetism(members, p.n)
-        magnets[h], intensities[h] = tuple(mg), tuple(it)
-    return MagnetTable(p.n, p.m, tuple(magnets), tuple(intensities))
 
 
 def field_of_partition(p: PartitionStrategy, guard: int = SWEEP_GUARD) -> int:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import operator
-from math import factorial
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple,
                     Sequence)
 
@@ -101,9 +100,6 @@ class Permutation(Checked, NamedTuple("Permutation",
         if not 0 <= value < self.n:
             raise ParameterOutOfRange(f"value {value} not in 0..{self.n - 1}")
         return self.image.index(value)
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.image))
 
 
 class ShiftHistogram(Checked, NamedTuple("ShiftHistogram",
@@ -225,41 +221,6 @@ def apply_transposition(p: Permutation, a: int, b: int) -> Permutation:
     img = list(p.image)
     img[a], img[b] = img[b], img[a]
     return Permutation(tuple(img))
-
-
-def rotate_values(p: Permutation, l: int) -> Permutation:
-    """The permutation ``i -> (sigma(i) + l) mod n``."""
-    n = p.n
-    (l,) = ints((l,), ParameterOutOfRange, "l")
-    return Permutation(tuple((s + l) % n for s in p.image))
-
-
-def lex_rank(p: Permutation) -> int:
-    """Rank of ``p`` among all permutations of its order, in lex order."""
-    n = p.n
-    remaining = list(range(n))
-    rank = 0
-    for i, s in enumerate(p.image):
-        pos = remaining.index(s)
-        rank += pos * factorial(n - 1 - i)
-        remaining.pop(pos)
-    return rank
-
-
-def lex_unrank(n: int, rank: int) -> Permutation:
-    """Inverse of :func:`lex_rank`: the rank-th permutation in lex order."""
-    n, rank = ints((n, rank), ParameterOutOfRange, "n or rank")
-    if n < 1:
-        raise ParameterOutOfRange(f"order n={n} is not positive")
-    if not 0 <= rank < factorial(n):
-        raise ParameterOutOfRange(f"rank {rank} not in 0..{n}!-1")
-    remaining = list(range(n))
-    image = []
-    for i in range(n):
-        f = factorial(n - 1 - i)
-        pos, rank = divmod(rank, f)
-        image.append(remaining.pop(pos))
-    return Permutation(tuple(image))
 
 
 def example_deck() -> Permutation:

@@ -93,10 +93,11 @@ class LatinSquare(Checked, NamedTuple("LatinSquare", [
         return cls(tuple(tuple((i - r) % n for i in range(n)) for r in range(n)))
 
     @classmethod
-    def from_json(cls, text: str) -> "LatinSquare":
+    def from_json(cls, text: str | bytes) -> "LatinSquare":
         try:
-            data = json.loads(text)
-        except ValueError as exc:   # bad JSON, or an int past str's digit limit
+            data = json.loads(text.decode() if isinstance(text, bytes) else text)
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, bad JSON, too deep, or an int past str's digit limit
             raise NotLatin(f"latin square file is not readable JSON: {exc}")
         if not isinstance(data, list):
             raise NotLatin("latin square file must hold a JSON matrix of "
@@ -153,7 +154,7 @@ def strategy_by_name(name: str, n: int) -> Strategy:
         return named(n)
     if name.startswith("latin:"):
         path = name.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             square = LatinSquare.from_json(fh.read())
         if square.n != n:
             raise UnknownStrategy(

@@ -660,12 +660,14 @@ class TestUsageErrors:
         '{"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1' + "0" * 5000 + "]}",
         '{"n": 0, "m": 1, "assignment": [0]}',
         '{"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, true]}',
+        b"\xff",
+        b"[" * 5000,
     ], ids=["not-json", "array", "no-m", "5000-digit-entry", "n-zero",
-            "assignment-bool"])
+            "assignment-bool", "not-utf8", "nested-5000"])
     @pytest.mark.parametrize("command", ["field", "dedup"])
     def test_malformed_partition_file(self, capsys, tmp_path, command, text):
         path = tmp_path / "part.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         argv = (command, "--partition", str(path))
         assert self.usage_error_stdout(capsys, argv) == ""
 
@@ -698,6 +700,17 @@ class TestUsageErrors:
             == ""
         assert not out.parent.exists()
 
+    def test_out_without_brute_writes_nothing(self, capsys, tmp_path):
+        # only the search has a witness to write, so even a writable
+        # --out is refused
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps(
+            {"n": 3, "m": 2, "assignment": [0, 0, 1, 1, 1, 1]}))
+        out = tmp_path / "witness.json"
+        argv = ("field", "--partition", str(part), "--out", str(out))
+        assert self.usage_error_stdout(capsys, argv) == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["field", "dedup"])
     def test_partition_is_a_directory(self, capsys, tmp_path, command):
         argv = (command, "--partition", str(tmp_path))
@@ -711,15 +724,18 @@ class TestUsageErrors:
         "[[0, 1], 7]",
         '{"rows": [[0, 1], [1, 0]]}',
         "[[0, 1" + "0" * 5000 + "], [1, 0]]",
+        b"\xff",
+        b"[" * 5000,
     ], ids=["not-json", "string-entry", "bool-entry", "float-entry",
-            "row-not-list", "object", "5000-digit-entry"])
+            "row-not-list", "object", "5000-digit-entry", "not-utf8",
+            "nested-5000"])
     @pytest.mark.parametrize("command", [
         ("simulate", "needle", "--n", "2", "--trials", "10", "--workers", "1"),
         ("exact", "--n", "2"),
     ], ids=["simulate", "exact"])
     def test_malformed_latin_file(self, capsys, tmp_path, command, text):
         path = tmp_path / "square.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         argv = command + ("--strategy", f"latin:{path}")
         assert self.usage_error_stdout(capsys, argv) == ""
 

@@ -16,8 +16,7 @@ from permlab.errors import (GuardRefusal, MalformedPartition, NotABijection,
 from permlab.fields import (DedupResult, PartitionStrategy, aic_check,
                             brute_force_field, class_members,
                             deduplicate_magnets, field_of_partition,
-                            magnet_table, magneticity, partition_from_hint,
-                            success_upper_bound)
+                            partition_from_hint, success_upper_bound)
 from permlab.perms import Permutation, argmax_shift, shift_histogram
 from permlab.rng import Rng, derive_seed
 from permlab.strategies import evaluate_success_exact, naive_strategy
@@ -157,70 +156,6 @@ class TestPartitionSerialization:
             PartitionStrategy.from_json(text)
 
 
-class TestMagneticity:
-    def test_singleton_class(self):
-        # one-permutation class: magneticity 1 exactly on its graph
-        part = singleton_partition(3)
-        perms = list(itertools.permutations(range(3)))
-        for j, img in enumerate(perms):
-            for i in range(3):
-                for k in range(3):
-                    expect = 1 if img[i] == k else 0
-                    assert magneticity(part, j, i, k) == expect
-
-    def test_full_group_class(self):
-        part = single_class_partition(3)
-        for i in range(3):
-            for k in range(3):
-                assert magneticity(part, 0, i, k) == 2  # (n-1)!
-
-    def test_empty_class(self):
-        # labels 1 and 3 of the second partition hold no permutation
-        for part, empty in EMPTY_LABELS:
-            assert set(class_members(part)).isdisjoint(empty)
-            for j in empty:
-                for i in range(3):
-                    for k in range(3):
-                        assert magneticity(part, j, i, k) == 0
-
-    def test_index_errors(self):
-        part = single_class_partition(3, m=2)
-        with pytest.raises(ParameterOutOfRange,
-                           match=r"^\(j=2, i=0, k=0\) out of range$"):
-            magneticity(part, 2, 0, 0)
-        with pytest.raises(ParameterOutOfRange,
-                           match=r"^\(j=0, i=3, k=0\) out of range$"):
-            magneticity(part, 0, 3, 0)
-
-
-class TestMagnetAndIntensity:
-    def test_singleton_class(self):
-        table = magnet_table(singleton_partition(3))
-        perms = list(itertools.permutations(range(3)))
-        for j, img in enumerate(perms):
-            for k in range(3):
-                assert (table.magnets[j][k], table.intensities[j][k]) == \
-                    (img.index(k), 1)
-
-    def test_full_group_ties_to_position_zero(self):
-        table = magnet_table(single_class_partition(3))
-        assert (table.magnets[0], table.intensities[0]) == ((0, 0, 0),
-                                                            (2, 2, 2))
-
-    def test_naive_class_anchors_its_hint(self):
-        table = magnet_table(naive_partition(4))
-        for h in range(4):
-            assert (table.magnets[h][h], table.intensities[h][h]) == (0, 6)
-
-    def test_empty_class_zero_intensity(self):
-        # one row per label; an empty class's magnets tie to position 0
-        for part, empty in EMPTY_LABELS:
-            table = magnet_table(part)
-            assert len(table.magnets) == len(table.intensities) == part.m
-            for j in empty:
-                assert table.intensities[j] == table.magnets[j] == (0, 0, 0)
-
-
 class TestField:
     def test_naive_n3(self):
         assert field_of_partition(naive_partition(3)) == 12
@@ -236,6 +171,11 @@ class TestField:
     def test_singletons_full_information(self):
         for n in range(1, 5):
             assert field_of_partition(singleton_partition(n)) == n * factorial(n)
+
+    def test_empty_labels_are_not_classes(self):
+        # labels that hold no permutation are not listed as classes
+        for part, empty in EMPTY_LABELS:
+            assert set(class_members(part)).isdisjoint(empty)
 
     def test_upper_bound_values(self):
         assert success_upper_bound(naive_partition(3)) == Fraction(2, 3)
@@ -256,7 +196,7 @@ class TestBruteForce:
     def test_diagonal_n3(self):
         result = brute_force_field(3, 3)
         assert result.field == 12
-        # independent re-score of the witness through the magnet table
+        # independent re-score of the witness by its classes' intensities
         assert field_of_partition(result.witness) == 12
 
     def test_m_sweep_regression(self):
@@ -278,12 +218,9 @@ class TestBruteForce:
         (lambda: brute_force_field(3, True), "n, m or budget"),
         (lambda: brute_force_field(3, 2, budget=1.5), "n, m or budget"),
         (lambda: brute_force_field(3, 2, guard=True), "guard"),
-        (lambda: magneticity(single_class_partition(3), 0, 1.0, 1),
-         "j, i or k"),
         (lambda: partition_from_hint(3.0, 2, lambda p: 0), "n"),
     ], ids=["search-n-float", "search-m-bool", "search-budget-float",
-            "search-guard-bool", "magneticity-position-float",
-            "hint-partition-n-float"])
+            "search-guard-bool", "hint-partition-n-float"])
     def test_integer_arguments_read(self, call, what):
         # read where they are received: no search runs, no traceback
         with pytest.raises(ParameterOutOfRange,

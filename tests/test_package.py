@@ -26,13 +26,11 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPORTS = [
     "derangements", "factorial", "rencontres",
     "shift_count_pmf", "shift_pmf", "typical_max_shift",
-    "MagnetTable", "PartitionStrategy", "aic_check", "brute_force_field",
-    "deduplicate_magnets", "field_of_partition",
-    "magnet_table", "magneticity", "partition_from_hint",
+    "PartitionStrategy", "aic_check", "brute_force_field",
+    "deduplicate_magnets", "field_of_partition", "partition_from_hint",
     "success_upper_bound",
     "Permutation", "ShiftHistogram", "apply_transposition", "argmax_shift",
-    "example_deck", "identity_permutation", "lex_rank",
-    "lex_unrank", "make_permutation", "rotate_values",
+    "example_deck", "identity_permutation", "make_permutation",
     "shift_histogram", "shift_vector",
     "BatchRng",
     "GameConfig", "MaxShiftReport", "SimulationReport",
@@ -273,4 +271,4 @@ def test_one_random_engine():
             found += [(path.name, name) for name in names if name in scalar]
     assert found == []
     assert {"Rng", "derive_seed", "mix64"} <= set(vars(permlab.rng))
-    assert len(permlab.__all__) == 54
+    assert len(permlab.__all__) == 48

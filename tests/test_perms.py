@@ -17,9 +17,9 @@ from permlab.fields import (PartitionStrategy, deduplicate_magnets,
                             partition_from_hint)
 from permlab.perms import (TILE, Permutation, ShiftHistogram,
                            apply_transposition, argmax_shift, example_deck,
-                           identity_permutation, lex_rank, lex_unrank,
-                           make_permutation, rotate_values, shift_counts,
-                           shift_histogram, shift_reduce, shift_vector)
+                           identity_permutation, make_permutation,
+                           shift_counts, shift_histogram, shift_reduce,
+                           shift_vector)
 from permlab.rng import BatchRng, Rng, batch_seeds
 from permlab.simulate import GameConfig, simulate_needle
 from permlab.strategies import LatinSquare, shift_strategy
@@ -115,22 +115,12 @@ class TestIntegerRule:
          "positions"),
         (lambda: apply_transposition(identity_permutation(3), True, 2),
          "positions"),
-        (lambda: rotate_values(identity_permutation(3), 1.5), "l"),
-        (lambda: lex_unrank(3.0, 1), "n or rank"),
-        (lambda: lex_unrank(3, True), "n or rank"),
-    ], ids=["identity-n", "transposition-float", "transposition-bool",
-            "rotate-float", "unrank-n", "unrank-rank-bool"])
+    ], ids=["identity-n", "transposition-float", "transposition-bool"])
     def test_integer_arguments_read(self, call, what):
-        # each function reads its n, positions and rank where it takes them
+        # each function reads its n and positions where it takes them
         with pytest.raises(ParameterOutOfRange,
                            match=f"^{what} holds a non-integer$"):
             call()
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_unrank_order_below_one_refused(self, n):
-        with pytest.raises(ParameterOutOfRange,
-                           match=f"^order n={n} is not positive$"):
-            lex_unrank(n, 0)
 
     def test_bool_image_refused(self):
         with pytest.raises(NotABijection):
@@ -201,7 +191,8 @@ class TestShiftStatistics:
                 p = Permutation(img)
                 base = shift_histogram(p).counts
                 for l in range(n):
-                    rotated = shift_histogram(rotate_values(p, l)).counts
+                    rotated = shift_histogram(Permutation(
+                        tuple((s + l) % n for s in img))).counts
                     assert rotated == tuple(base[(j + l) % n] for j in range(n))
 
 
@@ -364,36 +355,6 @@ class TestFixedPoints:
 
     def test_single(self):
         assert shift_histogram(make_permutation([0, 2, 1])).counts[0] == 1
-
-
-class TestLexRank:
-    def test_identity_is_rank_zero(self):
-        assert lex_rank(identity_permutation(3)) == 0
-
-    def test_last_permutation(self):
-        assert lex_unrank(3, 5).image == (2, 1, 0)
-
-    def test_round_trip_exhaustive(self):
-        for n in range(1, 7):
-            for r, img in enumerate(itertools.permutations(range(n))):
-                p = Permutation(img)
-                assert lex_rank(p) == r
-                assert lex_unrank(n, r) == p
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(ParameterOutOfRange,
-                           match=r"^rank 6 not in 0\.\.3!-1$"):
-            lex_unrank(3, 6)
-        with pytest.raises(ParameterOutOfRange,
-                           match=r"^rank -1 not in 0\.\.3!-1$"):
-            lex_unrank(3, -1)
-
-
-class TestSerialization:
-    def test_json_array(self):
-        import json
-        p = make_permutation([2, 0, 1])
-        assert json.loads(p.to_json()) == [2, 0, 1]
 
 
 def shuffled(n, rng):

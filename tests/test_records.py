@@ -15,7 +15,7 @@ import pytest
 
 from permlab.errors import NotABijection, NotLatin, ParameterOutOfRange
 from permlab.fields import (PartitionStrategy, brute_force_field,
-                            deduplicate_magnets, magnet_table)
+                            deduplicate_magnets)
 from permlab.perms import Permutation, ShiftHistogram
 from permlab.reporting import dumps
 from permlab.simulate import (GameConfig, max_shift_distribution,
@@ -37,7 +37,6 @@ RECORDS = {
     "SimulationReport": lambda: _sweep(),
     "MaxShiftReport": lambda: max_shift_distribution(4, exhaustive=True),
     "PartitionStrategy": lambda: PartitionStrategy(2, 2, (0, 1)),
-    "MagnetTable": lambda: magnet_table(PartitionStrategy(2, 2, (0, 1))),
     "FieldSearchResult": lambda: brute_force_field(3, 2),
     "DedupStep": lambda: _dedup().steps[0],
     "DedupResult": lambda: _dedup(),
