@@ -391,20 +391,25 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
     {b, b + s}, and (I, J) is compatible exactly when these 2t pairs are
     disjoint. Both are pairs {x, x + s} along the cycles of x -> x + s, where
     a run of m usable pairs in a row holds at most (m + 1) // 2 disjoint
-    ones and a whole cycle of length L at most L // 2. The search picks the
-    elements of I, then those of J, in ascending order, and drops a prefix
-    as soon as the free positions cannot hold the rest of all 2t pairs:
-    anywhere at an I step, above its last element at a J step. The test is
-    exact for J; an I prefix it passes with no completion is taken back.
+    ones and a whole cycle of length L at most L // 2. One ascending pass
+    picks I, then J, each element the least after which the free positions
+    hold the rest of the 2t pairs: anywhere at an I step, above it at a J step.
+
+    No choice is taken back: some candidate always fits next. At a J step
+    the least of the room above does. Once step k picks e in I, label t-k-1
+    of the 2t-k-1 free pairs left I (a = x + s), the rest J (b = x): that
+    completes a compatible (I*, J*). An extra a' < e in I* would have been
+    picked in place of the first choice above it, whose step tried a' first
+    with the rest of (I*, J*) fitting beside it. So all extra a' exceed e,
+    and the least fits next. The room check before the search is step 0.
     """
     n, t = ints((n, t), ParameterOutOfRange, "n or t")
     if t < 0:
         raise ParameterOutOfRange(f"pair size t must be non-negative, got {t}")
     s = _require_nonzero_shift(n, s)
     cycles = _cycles(n, s)
-    taken: set[int] = set()
 
-    def room(above: int) -> int:
+    def room(above: int, taken: set[int]) -> int:
         """The most disjoint free pairs {x, x + s} with x above ``above``."""
         total = 0
         for cycle in cycles:
@@ -414,7 +419,7 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
                       else sum((m + 1) // 2 for m in runs))
         return total
 
-    if room(-1) < 2 * t:
+    if room(-1, set()) < 2 * t:
         raise ParameterOutOfRange(
             f"no compatible pair of size {t} exists for n={n}, s={s}")
 
@@ -423,24 +428,14 @@ def canonical_compatible_pair(n: int, t: int, s: int) -> tuple[IndexSet, IndexSe
         x = e - s if k < t else e
         return {x % n, (x + s) % n}
 
-    chosen: list[int] = []   # the elements of I, then those of J
-    e = 0                    # the next candidate for element len(chosen)
-    while len(chosen) < 2 * t:
-        k = len(chosen)
-        if e == n:           # none fits here: move the last element on
-            e = chosen.pop()
-            taken.difference_update(pair(k - 1, e))
-            e += 1
-            continue
-        cells = pair(k, e)
-        if not cells & taken:
-            taken.update(cells)
-            if room(-1 if k < t else e) >= 2 * t - k - 1:
-                chosen.append(e)
-                e = 0 if k + 1 == t else e + 1
-                continue
-            taken.difference_update(cells)
-        e += 1
+    chosen, taken = [], set()   # the elements of I, then J; their positions
+    for k in range(2 * t):
+        e = next(c for c in range(0 if k in (0, t) else e + 1, n)
+                 if not pair(k, c) & taken
+                 and room(-1 if k < t else c, taken | pair(k, c))
+                 >= 2 * t - k - 1)
+        chosen.append(e)
+        taken |= pair(k, e)
     return IndexSet(n, tuple(chosen[:t])), IndexSet(n, tuple(chosen[t:]))
 
 

@@ -20,8 +20,8 @@ from permlab.counting import (derangements, rencontres, shift_count_pmf,
 from permlab.enumeration import displacement_matrix, perm_matrix
 from permlab.fields import (aic_check, brute_force_field, deduplicate_magnets,
                             success_upper_bound)
-from permlab.perms import (Permutation, argmax_shift, example_deck,
-                           shift_histogram, shift_vector)
+from permlab.perms import (argmax_shift, example_deck, shift_histogram,
+                           shift_vector)
 from permlab.rng import Rng, derive_seed
 from permlab.simulate import (GameConfig, max_shift_distribution,
                               simulate_locker, simulate_needle)

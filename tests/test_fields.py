@@ -13,11 +13,11 @@ import pytest
 from permlab import fields
 from permlab.errors import (GuardRefusal, MalformedPartition, NotABijection,
                             ParameterOutOfRange, TooLargeForEnumeration)
-from permlab.fields import (DedupResult, PartitionStrategy, aic_check,
-                            brute_force_field, class_members,
-                            deduplicate_magnets, field_of_partition,
-                            partition_from_hint, success_upper_bound)
-from permlab.perms import Permutation, argmax_shift, shift_histogram
+from permlab.fields import (PartitionStrategy, aic_check, brute_force_field,
+                            class_members, deduplicate_magnets,
+                            field_of_partition, partition_from_hint,
+                            success_upper_bound)
+from permlab.perms import Permutation
 from permlab.rng import Rng, derive_seed
 from permlab.strategies import evaluate_success_exact, naive_strategy
 

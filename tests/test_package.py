@@ -272,3 +272,23 @@ def test_one_random_engine():
     assert found == []
     assert {"Rng", "derive_seed", "mix64"} <= set(vars(permlab.rng))
     assert len(permlab.__all__) == 48
+
+
+def test_every_import_is_used():
+    # no linter ships with the toolchain, so this AST walk stands in for
+    # one: a name an import binds and its module never reads is dead weight
+    unused = []
+    for folder in ("src/permlab", "tests", "tests/golden", "demos"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import) or (
+                        isinstance(node, ast.ImportFrom)
+                        and node.module != "__future__"):
+                    bound = [alias.asname or alias.name.split(".")[0]
+                             for alias in node.names]
+                    unused += [(f"{folder}/{path.name}", name)
+                               for name in bound if name not in read]
+    assert unused == []

@@ -22,8 +22,7 @@ from permlab.errors import (NotABijection, ParameterOutOfRange,
 from permlab.perms import (Permutation, argmax_shift, example_deck,
                            shift_histogram, shift_reduce)
 from permlab.rng import BatchRng, Rng, batch_seeds, derive_seed, seeded_blocks
-from permlab.simulate import (GameConfig, MaxShiftReport, SimulationReport,
-                              locker_wins, max_shift_distribution,
+from permlab.simulate import (GameConfig, locker_wins, max_shift_distribution,
                               simulate_locker, simulate_needle,
                               wilson_interval)
 from permlab.structures import joint_shift_table

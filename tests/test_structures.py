@@ -737,7 +737,8 @@ def scan_compatible_pair(n, t, s):
 def two_test_compatible_pair(n, t, s):
     """Reference: the pair search with two room tests a step, the rest of all
     2t pairs anywhere and the rest of the step's own set above its last
-    element, its pairs labelled x + s for I and x for J."""
+    element, its pairs labelled x + s for I and x for J, and a take-back
+    where no candidate fits."""
     s %= n
     cycles = structures._cycles(n, s)
     taken = set()
@@ -815,12 +816,15 @@ class TestCanonicalPair:
         assert cases == 11_250 and 0 < refused < cases
 
     @pytest.mark.parametrize("n,t,s", [(40, 6, 1), (28, 7, 3), (25, 6, 7),
+                                       (96, 24, 1), (126, 31, 3), (250, 62, 7),
                                        (1000, 250, 7)])
     def test_large_and_tight(self, n, t, s):
-        # 4t = n or close to it: the pairs must tile whole cycles
+        # 4t = n or close to it: the pairs must tile whole cycles, and the
+        # one pass still picks what the search with a take-back picks
         I, J = canonical_compatible_pair(n, t, s)
         assert len(I) == len(J) == t
         assert is_compatible(I, J, s)
+        assert (I, J) == two_test_compatible_pair(n, t, s)
 
     @pytest.mark.parametrize("n,t,s", [(21, 5, 9), (24, 6, 8), (999, 249, 333)])
     def test_no_pair_on_odd_cycles(self, n, t, s):
