@@ -166,12 +166,15 @@ class TestPmf:
          "e985bee360298fb6371026fefa40cc952c41962f471e50a2bedbfdf717913a84"),
         (("--n", "3000"),
          "40592b87bc4ca5a550a282e926b0bfde229b07501ae385882ffef9a7d781c6c6"),
-    ], ids=["n2000-csv", "n3000"])
+        (("--n", "4000"),
+         "4cd546ba97c2b9b52feb837c0ca68db80064817c228d850b97a4db265fb46b55"),
+    ], ids=["n2000-csv", "n3000", "n4000"])
     def test_matches_the_digest_past_the_benchmark(self, capsys, argv,
                                                    digest):
         # sha256 of the document with its timestamp blanked, as perfbench
-        # digests are; recorded at commit 65b2e1f, whose rows a big gcd
-        # reduced
+        # digests are; 2000 and 3000 recorded at commit 65b2e1f, whose rows
+        # a big gcd reduced, 4000 at 6a3ddba, whose denominators were
+        # products of two factorials
         assert main(["pmf", *argv]) == 0
         raw = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""',
                      capsys.readouterr().out.encode(), count=1)
