@@ -124,10 +124,12 @@ def _fix_heap_thresholds() -> None:
     it from the heap once its dynamic threshold has risen, and trims the
     heap top past twice that threshold. Each seeded block frees two 1 MiB
     draw buffers, so the heap would be trimmed after every block and about
-    490 pages faulted back in by the next. Commands that run numpy blocks
-    (``simulate``, ``dist``, ``exact`` and ``structure`` in sampled mode)
-    call this first; the others do not, so they never import ``ctypes``.
-    Without glibc's ``mallopt`` it does nothing."""
+    490 pages faulted back in by the next; a field search's bulk count
+    frees level arrays of up to 1 MiB at every level. Commands that run
+    numpy blocks (``simulate``, ``dist``, ``exact``, ``structure`` in
+    sampled mode and ``field --brute`` where it counts in bulk) call this
+    first; the others do not, so they never import ``ctypes``. Without
+    glibc's ``mallopt`` it does nothing."""
     import ctypes
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -207,12 +209,14 @@ def _cmd_dist(args) -> list[str]:
 def _cmd_field(args) -> list[str]:
     from fractions import Fraction
     from .fields import (PartitionStrategy, brute_force_field,
-                         field_of_partition, DEFAULT_BUDGET)
+                         bulk_count_depth, field_of_partition, DEFAULT_BUDGET)
     if args.brute:
         if args.n is None or args.m is None:
             raise PermlabError("--brute needs --n and --m")
         budget = args.budget if args.budget is not None else DEFAULT_BUDGET
         restriction = "aic" if args.aic else None
+        if bulk_count_depth(args.n, args.m, restriction) >= 0:
+            _fix_heap_thresholds()
         result = brute_force_field(args.n, args.m, restriction=restriction,
                                    budget=budget, guard=args.guard)
         lines = [_header(args, brute=True, n=args.n, m=args.m, aic=args.aic,

@@ -3,7 +3,9 @@
 Everything here is integer or rational arithmetic, the crowding threshold
 included: floats never enter a decision. The pmf's printed ratios come
 from the same recurrence on integer Decimals, their reducing factors from
-residues mod primes p <= n: no big int becomes text, no big gcd runs.
+residues mod primes p <= n, and each row's denominator from the last by a
+small multiply and an exact small division: no big int becomes text, and
+no big gcd or big-by-big product runs.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      localcontext)
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 
 from . import enumeration
-from .errors import ParameterOutOfRange
-from .perms import ints
+from .errors import ParameterOutOfRange, ints
 
 
 def derangements(n: int) -> int:
@@ -73,15 +76,13 @@ def _row_bytes(n: int) -> int:
 
 
 def _recurrence(n: int, one):
-    """D_0..D_n and 0!..n! as multiples of ``one``: the int 1, or a Decimal
-    1 under an exact context. D_m = (m-1)(D_{m-1} + D_{m-2}) and
+    """D_0..D_n and n! as multiples of ``one``: the int 1, or a Decimal 1
+    under an exact context. D_m = (m-1)(D_{m-1} + D_{m-2}) and
     m! = (m-1)!*m take only small factors, so both types run the same steps."""
-    d = [one, 0 * one]                  # D_0, D_1
+    d, f = [one, 0 * one], one          # D_0, D_1; 1!
     for m in range(2, n + 1):
         d.append((m - 1) * (d[-1] + d[-2]))
-    f = [one]
-    for m in range(1, n + 1):
-        f.append(f[-1] * m)
+        f *= m
     return d, f
 
 
@@ -97,13 +98,16 @@ def _order(n) -> int:
 
 def shift_pmf(n: int) -> list[Fraction]:
     """``shift_count_pmf(n, k)`` for k = 0..n, from one pass of the
-    derangement recurrence and one running factorial.
+    derangement recurrence.
 
     P(k) = D_{n-k}/(k!(n-k)!): C(n,k)D_{n-k}/n! with smaller operands for
-    the gcd that reduces it, most of the cost. Refused as ``_order`` is.
+    the gcd that reduces it, most of the cost. The denominators are
+    products of two factorials, the oracle for ``shift_pmf_ratios``'
+    carried ones. Refused as ``_order`` is.
     """
     n = _order(n)
-    d, f = _recurrence(n, 1)
+    d, _ = _recurrence(n, 1)
+    f = list(accumulate(range(1, n + 1), mul, initial=1))   # 0!..n!
     dens = [f[k] * f[n - k] for k in range(n // 2 + 1)]   # rows k, n-k share
     return [Fraction(d[n - k], dens[min(k, n - k)]) for k in range(n + 1)]
 
@@ -119,27 +123,36 @@ def _reducers(n: int, d: list[int]) -> list[int]:
     Its primes p are at most n, each to the power v_p(D_m) capped at
     v_p((n-m)!) + v_p(m!), a cap that is 0 unless m >= p or m <= n - p.
     Mod p, the terms (-1)^(m-t) m!/(m-t)! of D_m vanish for t >= p and are
-    +-those of D_r for t < p, r = m mod p, so D_m = +-D_r. One pass of the
-    recurrence mod p over r <= min(p-1, n-p) thus finds every m with
-    p | D_m and a cap, and D_m mod p^2, p^3, ... gives the power. D_1 = 0
-    reaches every cap: its gcd is (n-1)!, and its row prints as 0/1.
+    +-those of D_r for t < p, r = m mod p, so D_m = +-D_r. One pass of
+    y_r = (-1)^r D_r = 1 - r y_{r-1} mod p over r <= min(p-1, n-p) thus
+    finds every m with p | D_m and a cap. The power is read from D_m's low
+    cap bits for p = 2, an int of at most cap bits, and from D_m mod p^2,
+    p^3, ... for odd p. D_1 = 0 reaches every cap: its gcd is (n-1)!, and
+    its row prints as 0/1.
     """
     g, sieve = [1] * (n + 1), bytearray([1]) * (n + 1)
     for p in range(2, n + 1):
         if not sieve[p]:                    # Eratosthenes
             continue
         sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-        a, b, zeros = 1, 0, [1]             # D_0, D_1 mod p; p | D_1
+        y, zeros = 0, [1]                   # y_1 = 0: p | D_1
         for r in range(2, min(p, n - p + 1)):
-            a, b = b, (r - 1) * (a + b) % p
-            if not b:
+            y = (1 - r * y) % p
+            if not y:
                 zeros.append(r)
         for r in zeros:
             for m in range(r, n + 1, p):
                 cap = _legendre(m, p) + _legendre(n - m, p)
-                e = min(cap, 1)                 # p | D_m
-                while e < cap and not d[m] % p ** (e + 1):
-                    e += 1
+                x = d[m]
+                if p == 2:
+                    low = x & ((1 << cap) - 1)  # D_m mod 2^cap
+                    e = (low & -low).bit_length() - 1 if low else cap
+                elif not x:
+                    e = cap
+                else:
+                    e, q = 1, p * p             # p | D_m
+                    while e < cap and not x % q:
+                        e, q = e + 1, q * p
                 g[m] *= p ** e
     return g
 
@@ -152,28 +165,32 @@ def shift_pmf_ratios(n: int) -> list[tuple[str, float]]:
     float is the int quotient, rounded once as the reduced pair's is. The
     text comes from a second pass on integer Decimals under an exact
     context (an inexact step raises): Decimal digits print in linear time,
-    a big int's in about quadratic time. Rows k and n-k share k! m!.
+    a big int's in about quadratic time. Rows k and n-k share k! m!, which
+    each pass carries from n! by k!m! = (k-1)!(m+1)! * k / (m+1): a small
+    multiply and a small division, exact since m+1 divides (m+1)!.
     """
     n = _order(n)
-    d, f = _recurrence(n, 1)
+    d, den = _recurrence(n, 1)
     gs = _reducers(n, d)
     values = [0.0] * (n + 1)
     for k in range(n // 2 + 1):
-        den = f[k] * f[n - k]
+        if k:
+            den = den * k // (n - k + 1)
         values[k], values[n - k] = d[n - k] / den, d[k] / den
-    del d, f
+    del d, den
     texts: list[str] = [""] * (n + 1)
     exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                     traps=[Inexact])
     with localcontext(exact):
-        d, f = _recurrence(n, Decimal(1))
+        d, den = _recurrence(n, Decimal(1))
         for k in range(n // 2 + 1):
             j = n - k
-            den = f[k] * f[j]
+            if k:
+                den = den * k / (j + 1)
             texts[k] = _ratio_digits(gs[j], d[j], den)
             if j != k:
                 texts[j] = _ratio_digits(gs[k], d[k], den)
-            d[j] = d[k] = f[k] = f[j] = None
+            d[j] = d[k] = None
     return list(zip(texts, values))
 
 

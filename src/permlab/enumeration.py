@@ -16,7 +16,8 @@ from itertools import permutations
 from math import factorial
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import OutOfMemory, ParameterOutOfRange, TooLargeForEnumeration
+from .errors import (OutOfMemory, ParameterOutOfRange, TooLargeForEnumeration,
+                     ints)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,9 +31,8 @@ _matrix_cache: dict[int, np.ndarray] = {}
 
 
 def guard_value(guard: int | None) -> int:
-    """``guard`` read by ``perms.ints``, or ``ENUMERATION_GUARD`` if None; a
+    """``guard`` read by ``errors.ints``, or ``ENUMERATION_GUARD`` if None; a
     negative guard is refused as a usage error."""
-    from .perms import ints   # lazy: --version loads this module, not perms
     (g,) = ints((ENUMERATION_GUARD if guard is None else guard,),
                 ParameterOutOfRange, "guard")
     if g < 0:
@@ -96,7 +96,6 @@ def row_blocks(n: int, guard: int | None = None) -> Iterator[np.ndarray]:
     rows: each lex prefix of the first n - 7 positions, followed by the
     remaining values in lex order. Refused at the call, before any row is
     built, past the guard."""
-    from .perms import ints
     (n,) = ints((n,), ParameterOutOfRange, "n")
     check_guard(n, guard, "an exhaustive sweep")
     if not 1 <= n <= 127:   # values fit int8

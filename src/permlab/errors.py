@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``ints``, its one rule
+for reading an integer from outside, which every module imports from here.
 
 ``cli.main`` maps a ``GuardRefusal`` to exit 3, a one-line ``refused:``
 message, and every other ``PermlabError`` to exit 2, a one-line ``error:``
@@ -6,6 +7,9 @@ message. Only ``TooLargeForEnumeration`` offers a larger ``--guard``. A class
 is kept only where some caller tells it apart from its parent: a new one
 needs such a caller, or it is its parent with the same message.
 """
+
+import operator
+from typing import Iterable
 
 
 class PermlabError(ValueError):
@@ -44,3 +48,18 @@ class TooLargeForEnumeration(GuardRefusal):
 
 class OutOfMemory(GuardRefusal):
     """The work needs more memory than this process may use (exit 3)."""
+
+
+def ints(values: Iterable, error: type[PermlabError],
+         what: str = "") -> tuple[int, ...]:
+    """``values`` as ints, by the package's one rule for an outside integer:
+    a Python or numpy integer is read; a bool, float, string or None is
+    refused with ``error``: ``what`` (``values`` by default) holds a
+    non-integer. ``Permutation`` alone tests for an exact ``int``."""
+    try:
+        items = tuple(values)
+        if bool not in set(map(type, items)):   # a bool is an int, no entry
+            return tuple(map(operator.index, items))
+    except TypeError:
+        pass
+    raise error(f"{what or repr(values)} holds a non-integer")

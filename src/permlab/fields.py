@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 from .enumeration import SWEEP_GUARD, check_guard, factorial_past
 from .errors import (GuardRefusal, MalformedPartition, NotABijection,
-                     ParameterOutOfRange)
-from .perms import Checked, Permutation, ints, make_permutation
+                     ParameterOutOfRange, ints)
+from .perms import Checked, Permutation, make_permutation
 
 DEFAULT_BUDGET = 2_000_000
 BULK_LEAVES = 1 << 17   # potential leaves of a subtree the search counts in bulk
@@ -189,6 +189,30 @@ class FieldSearchResult(NamedTuple):
     restriction: str | None
 
 
+def bulk_count_depth(n: int, m: int, restriction: str | None = None) -> int:
+    """The depth from which :func:`brute_force_field` counts subtrees in
+    bulk, or -1 where it never does. It takes any ints, checked or not, so
+    ``cli`` can ask before the search runs.
+
+    It does without a restriction, when a class fits one uint64 (n <= 4)
+    and two or three labels are in play (min(m, n!) <= 3), from the depth
+    that leaves the fewest ranks r with min(m, n!)**r >= ``BULK_LEAVES``
+    potential leaves, if n! ranks reach that many. The walk enters every
+    all-0 prefix before the first leaf, so every node after it has used
+    labels 0 and 1, and with at most three labels first-use labelling opens
+    every label to it: the bulk count, which needs an incumbent, then needs
+    no first-use rule.
+    """
+    if restriction is not None or not 1 <= n <= 4:
+        return -1
+    total = factorial(n)
+    labels = min(m, total)
+    if not 2 <= labels <= 3:
+        return -1
+    return next((total - r for r in range(1, total + 1)
+                 if labels ** r >= BULK_LEAVES), -1)
+
+
 def brute_force_field(n: int, m: int, restriction: str | None = None,
                       budget: int = DEFAULT_BUDGET,
                       guard: int = SWEEP_GUARD) -> FieldSearchResult:
@@ -214,22 +238,19 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     place. Under the aic rule a leaf passes iff some target s meets no cell
     (i, s) that every used class hits; no leaf builds a partition.
 
-    Without a restriction, when a class fits one uint64 (n <= 4) and at
-    most three labels are in play (min(m, n!) <= 3), the walk counts
-    subtrees in bulk: from the depth that leaves the fewest ranks r with
-    min(m, n!)**r >= ``BULK_LEAVES`` potential leaves down, once an
+    From :func:`bulk_count_depth` down, where it is not -1, once an
     incumbent exists, :func:`_bulk_count` counts a node's subtree level by
     level with the incumbent held fixed and every label open to every row
-    (first-use labelling opens them all there; see the comment at the
-    gate). The nodes of a subtree depend only on the incumbent, which
-    cannot change in a subtree where no leaf beats it, so that count is the
-    walk's. If a leaf beats the incumbent, or the count passes the budget,
-    the walk takes the node back: it searches the node's own children as
-    above and tries each child's subtree in bulk again. Only the walk moves
-    the incumbent, sets the witness or refuses. A stored level holds at
-    most 3**(r-1) < ``BULK_LEAVES`` rows (the leaves are tested, not
-    stored). numpy is imported only when a bulk count runs. With four or
-    more labels the walk searches alone.
+    (first-use labelling opens them all there). The nodes of a subtree
+    depend only on the incumbent, which cannot change in a subtree where no
+    leaf beats it, so that count is the walk's. If a leaf beats the
+    incumbent, or the count passes the budget, the walk takes the node
+    back: it searches the node's own children as above and tries each
+    child's subtree in bulk again. Only the walk moves the incumbent, sets
+    the witness or refuses. A stored level holds at most 3**(r-1) <
+    ``BULK_LEAVES`` rows (the leaves are tested, not stored). numpy is
+    imported only when a bulk count runs. With four or more labels the
+    walk searches alone.
     Under the aic restriction every leaf above the incumbent that the rule
     rejects would send the subtree back, so restricted searches only walk.
     """
@@ -272,14 +293,7 @@ def brute_force_field(n: int, m: int, restriction: str | None = None,
     best_field = -1
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
-    bulk_depth = -1
-    # The walk enters every all-0 prefix before the first leaf, so every
-    # node after it has used labels 0 and 1, and with at most three labels
-    # first-use labelling opens every label to it: the bulk count, which
-    # needs an incumbent, then needs no first-use rule.
-    if not aic and n * lane <= 64 and labels <= 3:
-        bulk_depth = next((total - r for r in range(1, total + 1)
-                           if labels ** r >= BULK_LEAVES), -1)
+    bulk_depth = bulk_count_depth(n, m, restriction)
 
     def passes_aic(h: int, used: int, mask: int) -> bool:
         """The aic rule at a leaf that puts its last rank in class h: some

@@ -26,11 +26,10 @@ copied whole and its memory doubled, so larger n read the block in place.
 from __future__ import annotations
 
 import json
-import operator
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple,
                     Sequence)
 
-from .errors import NotABijection, ParameterOutOfRange, PermlabError
+from .errors import NotABijection, ParameterOutOfRange, ints
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,21 +42,6 @@ TILE = 1 << 16
 # of ``shift_reduce`` (64 x 256 uint16 cells are 32 KB), and the most cells
 # that scratch holds: 2^20, 2 MB
 GROUP, SLICE, SCRATCH = 64, 256, 1 << 20
-
-
-def ints(values: Iterable, error: type[PermlabError],
-         what: str = "") -> tuple[int, ...]:
-    """``values`` as ints, by the package's one rule for an outside integer:
-    a Python or numpy integer is read; a bool, float, string or None is
-    refused with ``error``: ``what`` (``values`` by default) holds a
-    non-integer. ``Permutation`` alone tests for an exact ``int``."""
-    try:
-        items = tuple(values)
-        if bool not in set(map(type, items)):   # a bool is an int, no entry
-            return tuple(map(operator.index, items))
-    except TypeError:
-        pass
-    raise error(f"{what or repr(values)} holds a non-integer")
 
 
 class Checked:

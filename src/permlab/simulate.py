@@ -42,9 +42,10 @@ import numpy as np
 
 from .counting import typical_max_shift
 from .enumeration import SWEEP_GUARD, row_blocks
-from .errors import NotABijection, ParameterOutOfRange, UnknownStrategy
-from .perms import (LANES_PER_BLOCK, Checked, block_dtype, ints,
-                    make_permutation, shift_reduce)
+from .errors import (NotABijection, ParameterOutOfRange, UnknownStrategy,
+                     ints)
+from .perms import (LANES_PER_BLOCK, Checked, block_dtype, make_permutation,
+                    shift_reduce)
 from .rng import BatchRng, lane_blocks, seeded_blocks
 from .strategies import Strategy, needle_wins, strategy_by_name
 

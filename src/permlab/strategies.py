@@ -32,15 +32,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .enumeration import SWEEP_GUARD, row_blocks
-from .errors import NotLatin, ParameterOutOfRange, UnknownStrategy
-from .perms import Checked, ints, shift_reduce
+from .errors import NotLatin, ParameterOutOfRange, UnknownStrategy, ints
+from .perms import Checked, shift_reduce
 
 
 class Strategy(Checked, NamedTuple("Strategy", [
         ("name", str), ("n", int), ("hints", Callable), ("guesses", Callable)])):
     """A deterministic advice strategy for order n: ``hints`` gives each row
     a message in 0..m-1, ``guesses`` the position probed for it and a target.
-    Its order n is read by ``perms.ints`` when it is built."""
+    Its order n is read by ``errors.ints`` when it is built."""
 
     __slots__ = ()
 

@@ -37,8 +37,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import counting
 from .enumeration import check_memory
-from .errors import ParameterOutOfRange
-from .perms import LANES_PER_BLOCK, Checked, block_dtype, ints
+from .errors import ParameterOutOfRange, ints
+from .perms import LANES_PER_BLOCK, Checked, block_dtype
 
 
 class IndexSet(Checked, NamedTuple("IndexSet", [

@@ -223,7 +223,8 @@ class TestShiftPmf:
                   for n in (294, 295)]
         assert widest[0] <= 2000 < widest[1]
 
-    @pytest.mark.parametrize("n", [*range(0, 61), 294, 295, 296, 700, 1000])
+    @pytest.mark.parametrize("n", [*range(0, 61), 294, 295, 296, 700, 1000,
+                                   1001])
     def test_ratios_match_ratio_text(self, n):
         # the Decimal digits against the int renderer, row by row; odd and
         # even n pair rows k and n-k with and without a middle row
@@ -282,6 +283,11 @@ class TestReducers:
         assert _reducers(1000, derangements_by_recurrence(1000)) == \
             self.gcds(1000)
 
+    def test_factor_is_the_gcd_at_2000(self):
+        # twice the largest order the benchmark prints
+        assert _reducers(2000, derangements_by_recurrence(2000)) == \
+            self.gcds(2000)
+
 
 class TestTypicalMaxShift:
     def test_reference_points(self):
@@ -327,7 +333,7 @@ class TestTypicalMaxShift:
 
 
 class TestIntegerInputs:
-    """Every integer a caller passes is read by ``perms.ints``: a bool, float
+    """Every integer a caller passes is read by ``errors.ints``: a bool, float
     or string is refused, never truncated or compared as given."""
 
     @pytest.mark.parametrize("call", [

@@ -3,9 +3,10 @@
 ``permlab`` resolves its exported names and its submodules on first use, so
 a command that builds no array never imports numpy, and no module imports
 ``dataclasses``, whose import pulls in ``inspect``. These tests pin the
-names, the submodules, the commands that stay numpy-free, that every
-``from permlab... import`` in the demos and the README resolves, and that
-the fast demos run cleanly.
+names, the submodules, the commands that stay free of numpy and ``ctypes``
+(which only the heap policy of numpy commands loads), that ``pmf`` loads
+no ``perms``, that every ``from permlab... import`` in the demos and the
+README resolves, and that the fast demos run cleanly.
 """
 
 import ast
@@ -77,9 +78,11 @@ commands = json.loads(sys.argv[1])
 lean = [run(argv) for argv in commands]
 numpy_loaded = "numpy" in sys.modules
 dataclasses_loaded = "dataclasses" in sys.modules
+ctypes_loaded = "ctypes" in sys.modules
 import numpy
 print(json.dumps({"numpy_loaded": numpy_loaded, "lean": lean,
                   "dataclasses_loaded": dataclasses_loaded,
+                  "ctypes_loaded": ctypes_loaded,
                   "with_numpy": [run(argv) for argv in commands]}))
 """
 
@@ -111,6 +114,36 @@ def test_lean_commands_never_import_numpy(lean_run):
 
 def test_lean_commands_never_import_dataclasses(lean_run):
     assert lean_run["dataclasses_loaded"] is False
+
+
+def test_lean_commands_never_import_ctypes(lean_run):
+    # only commands that run numpy scratch set the heap policy through it
+    assert lean_run["ctypes_loaded"] is False
+
+
+def test_pmf_never_imports_perms():
+    # counting reads its integers by errors.ints, not through perms
+    code = ("import contextlib, io, sys\n"
+            "from permlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['pmf', '--n', '5']) == 0\n"
+            "print('permlab.perms' in sys.modules)\n")
+    assert _python(code).strip() == "False"
+
+
+@pytest.mark.parametrize("n, m, sets", [(4, 2, True), (3, 3, False)])
+def test_field_search_sets_the_heap_policy_where_it_bulk_counts(
+        monkeypatch, capsys, n, m, sets):
+    # the (4, 2) search frees numpy level arrays; the (3, m) searches run
+    # no numpy and keep ctypes unloaded
+    from permlab import cli
+    calls = []
+    monkeypatch.setattr(cli, "_fix_heap_thresholds",
+                        lambda: calls.append(True))
+    assert cli.main(["field", "--brute", "--n", str(n), "--m", str(m),
+                     "--budget", "10000000"]) == 0
+    capsys.readouterr()
+    assert calls == ([True] if sets else [])
 
 
 def test_no_module_imports_dataclasses():

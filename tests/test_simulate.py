@@ -780,7 +780,7 @@ class TestMaxShiftDistributionInputs:
 
 
 class TestIntegerInputs:
-    """A run's integer inputs are read by ``perms.ints``: a report never
+    """A run's integer inputs are read by ``errors.ints``: a report never
     names an input that did not run."""
 
     @pytest.mark.parametrize("config", [

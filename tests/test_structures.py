@@ -1088,7 +1088,7 @@ class TestCovarianceEstimate:
 
 
 class TestIntegerInputs:
-    """Every integer a caller passes is read by ``perms.ints``: a count or
+    """Every integer a caller passes is read by ``errors.ints``: a count or
     report never runs on, or names, a bool, float or string."""
 
     @pytest.mark.parametrize("call", [
