@@ -14,11 +14,23 @@ Every sampler draws on the lanes of `BatchRng`, cut into blocks by
 ``lane_blocks``, the one owner of that rule. The scalar `Rng` and
 ``derive_seed`` are the reference it replays lane for lane, pinned by tests.
 
-Every seeded block is one ``(n, lanes)`` shuffle buffer held in
+Every seeded block is one ``(n, width)`` shuffle buffer held in
 ``perms.block_dtype(n)``, the narrowest unsigned type that holds n - 1: 512
-KB for 2048 lanes at n = 256 (uint8) and 41 MB at n = 10000 (uint16). The
+KB for 2048 lanes at n = 256 (uint8) and 41.6 MB at n = 10000 (uint16). The
 draws and swap indices stay 64-bit, so the rows and the lane states do not
 depend on the dtype.
+
+``block_layout`` sets the width and the lanes shuffled at once. A block of
+at most 2 MiB, as every 2048-lane block is up to n = 512, is one tile of
+all its lanes in rows of ``lanes`` cells. A larger block of more than 1024
+lanes is shuffled in 1024-lane tiles, one after another, each through all
+n - 1 steps with its own draws, so a step's gathers and scatters stay in
+the tile's half of each row. Its rows are padded by 64 bytes, one cache
+line: 2048 uint16 lanes make a row of exactly 4 KiB, so without the pad
+every row's tile segment falls in the same cache sets and the tile evicts
+itself. At n = 10000 one block's shuffle took 610 ms untiled, 560 ms in
+tiles and 516 ms in padded tiles (one core). Each lane has its own stream,
+so the tiles change no row and no lane state.
 
 ``BatchRng.permutations`` shuffles in that position-major buffer, so the
 row of the position being fixed is contiguous and each swap is one gather
@@ -33,7 +45,8 @@ below k/2^64), the chunk is replayed step by step through ``randbelow``,
 which redraws exactly the rejected lanes, so the stream is the one
 ``Rng.shuffle`` consumes. Step i fixes position i in the buffer itself:
 row i takes the drawn cells and its old values go to them. The block is
-the buffer's transposed ``(lanes, n)`` view; no row-major copy is made.
+the transposed ``(lanes, n)`` view of the buffer's first ``lanes`` columns;
+no row-major copy is made.
 """
 
 from __future__ import annotations
@@ -51,12 +64,18 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Fisher-Yates steps drawn at once: two (_CHUNK, 2048) uint64 buffers, 2 MB
+# Fisher-Yates steps drawn at once: two (_CHUNK, lanes) uint64 buffers per
+# tile, 2 MB at most
 _CHUNK = 64
 # counter-form strides: row c is the state advance after c + 1 draws
 # (uint64 products wrap mod 2^64)
 _STRIDES = (np.arange(1, _CHUNK + 1, dtype=np.uint64)
             * np.uint64(GOLDEN))[:, None]
+# a block of more than _TILE lanes whose buffer passes _TILE_BYTES is
+# shuffled _TILE lanes at a time, in position rows padded by _PAD bytes
+_TILE = 1024
+_TILE_BYTES = 2 << 20
+_PAD = 64
 
 
 def mix64(z: int) -> int:
@@ -153,15 +172,28 @@ class BatchRng:
     def permutations(self, n: int) -> np.ndarray:
         """One permutation of 0..n-1 per lane, Fisher-Yates order: the
         ``(lanes, n)`` view of the position-major ``block_dtype(n)`` buffer
-        shuffled. Row ``t`` equals what ``Rng.shuffle`` produces on lane
-        ``t``'s stream, and the lanes end in the states that shuffle leaves.
+        shuffled, in the tiles and rows of :func:`block_layout`. Row ``t``
+        equals what ``Rng.shuffle`` produces on lane ``t``'s stream, and the
+        lanes end in the states that shuffle leaves.
         """
-        lanes, dtype = self.lanes, block_dtype(n)
-        buf = np.arange(n, dtype=dtype).repeat(lanes)  # [i*lanes + t]
-        lane_ids = np.arange(lanes, dtype=np.int64)
+        lanes = self.lanes
+        tile, width = block_layout(lanes, n)
+        buf = np.arange(n, dtype=block_dtype(n)).repeat(width)  # [i*width + t]
+        for a in range(0, lanes, tile):
+            part = BatchRng(self.states[a:a + tile])
+            part._shuffle(buf, width, a)
+            self.states[a:a + tile] = part.states
+        return buf.reshape(n, width)[:, :lanes].T
+
+    def _shuffle(self, buf: np.ndarray, width: int, first: int) -> None:
+        """Fisher-Yates on this generator's lanes, which own columns
+        ``first .. first+lanes-1`` of ``buf``'s position rows of ``width``
+        cells."""
+        lanes, n = self.lanes, buf.size // width
+        lane_ids = np.arange(first, first + lanes, dtype=np.int64)
         draws = np.empty((_CHUNK, lanes), dtype=np.uint64)
         tmp = np.empty_like(draws)
-        top_row = np.empty(lanes, dtype=dtype)
+        top_row = np.empty(lanes, dtype=buf.dtype)
         for top in range(n - 1, 0, -_CHUNK):
             low = max(top - _CHUNK, 0)          # this chunk fixes low+1..top
             steps = top - low
@@ -172,22 +204,21 @@ class BatchRng:
             # largest accepted draw per step: 2^64 - 1 - (2^64 mod bound)
             ok_max = MASK64 - (MASK64 % bounds + np.uint64(1)) % bounds
             if (z.max(axis=1, initial=0) > ok_max).any():
-                picks = (self.randbelow(i + 1) * lanes + lane_ids
+                picks = (self.randbelow(i + 1) * width + lane_ids
                          for i in range(top, low, -1))
             else:
                 self.states += _STRIDES[steps - 1]
                 z %= bounds[:, None]
                 picks = z.view(np.int64)
-                picks *= lanes
+                picks *= width
                 picks += lane_ids
             for i, pick in zip(range(top, low, -1), picks):
-                row = buf[i * lanes:(i + 1) * lanes]
+                row = buf[i * width + first:i * width + first + lanes]
                 top_row[...] = row
-                # lane t touches only cells t mod lanes, so gathering into
+                # lane t touches only cells t mod width, so gathering into
                 # row is safe; every pick is in range, "clip" skips a check
                 buf.take(pick, out=row, mode="clip")
                 buf[pick] = top_row
-        return buf.reshape(n, lanes).T
 
 
 def batch_seeds(master: int, start: int, count: int) -> np.ndarray:
@@ -207,21 +238,41 @@ def lane_blocks(master: int, start: int, count: int,
         yield a, BatchRng(batch_seeds(master, a, min(lanes, start + count - a)))
 
 
+def block_layout(lanes: int, n: int) -> tuple[int, int]:
+    """The lanes of one Fisher-Yates tile and the width, in cells, of each
+    position row of the shuffle buffer of ``lanes`` permutations of order n:
+    one tile of all the lanes in rows of ``lanes`` cells, or, where more than
+    ``_TILE`` lanes pass ``_TILE_BYTES``, tiles of ``_TILE`` lanes in rows
+    padded by ``_PAD`` bytes."""
+    itemsize = block_dtype(n).itemsize
+    if lanes <= _TILE or lanes * n * itemsize <= _TILE_BYTES:
+        return max(lanes, 1), lanes     # a positive step at 0 lanes
+    return _TILE, lanes + _PAD // itemsize
+
+
+def check_block(lanes: int, n: int, width: int) -> None:
+    """Refuse, before any allocation, blocks of up to ``lanes`` permutations
+    of order n whose one ``block_dtype(n)`` array holds n rows of ``width``
+    cells (``width`` is ``lanes`` for a row-major block) when one would not
+    fit in :func:`enumeration.memory_bytes`."""
+    enumeration.check_memory(
+        n * width * block_dtype(n).itemsize,
+        f"sampling in blocks of {lanes} permutations of order {n}")
+
+
 def seeded_blocks(master: int, n: int, start: int,
                   count: int) -> Iterator[tuple[np.ndarray, BatchRng]]:
     """Permutations of trials ``start .. start+count-1`` in blocks of up to
     ``LANES_PER_BLOCK`` rows, each with the ``BatchRng`` whose lanes continue
     those trials' streams after the shuffle.
 
-    Each block is the view of its one ``lanes x n`` shuffle buffer of
-    ``block_dtype(n)``, refused at the call, before any allocation, when it
-    would not fit in :func:`enumeration.memory_bytes`. The check counts one
-    block, so a caller drops each block before drawing the next, as
+    Each block is the view of its one shuffle buffer of ``block_dtype(n)``,
+    laid out by :func:`block_layout` and refused by :func:`check_block` at
+    the call, before any allocation. The check counts one block, so a
+    caller drops each block before drawing the next, as
     ``sum(starmap(score, blocks))`` does: a run holds one block at a time.
     """
     lanes = min(LANES_PER_BLOCK, count)
-    enumeration.check_memory(
-        lanes * n * block_dtype(n).itemsize,
-        f"sampling in blocks of {lanes} permutations of order {n}")
+    check_block(lanes, n, block_layout(lanes, n)[1])
     return ((rng.permutations(n), rng)
             for _, rng in lane_blocks(master, start, count))

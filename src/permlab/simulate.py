@@ -11,12 +11,13 @@ Each game has one kernel that scores a ``(B, n)`` block of permutation rows:
 ``perms.shift_reduce``, so only a tile of rows' histograms exists at once,
 and ``locker_wins`` reads the one swapped cell each row probes rather than
 copying the block. Blocks come from one of three sources: seeded
-(``rng.seeded_blocks``, refused before any allocation when a block would
-not fit in memory), exhaustive (``enumeration.row_blocks``, int8 lex blocks
-of at most 7! rows whatever n is; counts become exact fractions) or a
-caller's permutation stream (never with an exhaustive run). A seeded
-block is the transposed view of its shuffle buffer, the others are
-row-major, and the kernels read either order. ``_wins`` and
+(``rng.seeded_blocks``), exhaustive (``enumeration.row_blocks``, int8 lex
+blocks of at most 7! rows whatever n is; counts become exact fractions) or
+a caller's permutation stream (never with an exhaustive run). A seeded or
+streamed block is refused by ``rng.check_block`` before any allocation
+when it would not fit in memory. A seeded block is the transposed view of
+its shuffle buffer, the others are row-major, and the kernels read either
+order. ``_wins`` and
 ``max_shift_distribution`` read them as ``sum(starmap(score, blocks))``,
 which drops each block before the next is drawn, so a run holds one block
 at a time (each pool worker one), the one block the memory check counts.
@@ -46,7 +47,7 @@ from .errors import (NotABijection, ParameterOutOfRange, UnknownStrategy,
                      ints)
 from .perms import (LANES_PER_BLOCK, Checked, block_dtype, make_permutation,
                     shift_reduce)
-from .rng import BatchRng, lane_blocks, seeded_blocks
+from .rng import BatchRng, check_block, lane_blocks, seeded_blocks
 from .strategies import Strategy, needle_wins, strategy_by_name
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -203,15 +204,17 @@ def _stream_block(perm_stream: PermStream, n: int, trials: range) -> np.ndarray:
 def _source(cfg: GameConfig, perm_stream: PermStream | None) -> tuple[str, Blocks]:
     """A run's mode and its blocks: all n! rows in lex blocks (with no lane
     streams), a caller's permutation stream, or seeded trials 0..trials-1,
-    each streamed or seeded block with the ``BatchRng`` of its trials. The
-    exhaustive and seeded sources refuse here, before any block, and a run
-    cannot be both exhaustive and streamed."""
+    each streamed or seeded block with the ``BatchRng`` of its trials. Every
+    source refuses here, before any block (a streamed block is one row-major
+    array with no pad), and a run cannot be both exhaustive and streamed."""
     if cfg.exhaustive and perm_stream is not None:
         raise ParameterOutOfRange(
             "an exhaustive run takes no permutation stream")
     if cfg.exhaustive:
         return "exhaustive", ((b, None) for b in row_blocks(cfg.n, SWEEP_GUARD))
     if perm_stream is not None:
+        lanes = min(LANES_PER_BLOCK, cfg.trials)
+        check_block(lanes, cfg.n, lanes)
         return "stream", ((_stream_block(perm_stream, cfg.n,
                                          range(a, a + rng.lanes)), rng)
                           for a, rng in lane_blocks(cfg.seed, 0, cfg.trials))

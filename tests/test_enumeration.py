@@ -153,10 +153,14 @@ class TestSeededSampling:
     """Seeded blocks refuse, at the call, a shuffle that cannot fit."""
 
     @staticmethod
-    def need(lanes, n):
+    def need(lanes, n, padded=True):
         # the one shuffle buffer, whose view is the rows: uint8 to n = 256,
-        # else uint16
-        return lanes * n * (1 if n <= 256 else 2)
+        # else uint16; where a block of more than 1024 lanes passes 2 MiB,
+        # each of its n position rows has a 64-byte pad. A streamed block
+        # is row-major and has none
+        size = 1 if n <= 256 else 2
+        pad = padded and lanes > 1024 and lanes * n * size > 2 << 20
+        return n * (lanes * size + 64 * pad)
 
     def test_refused_one_byte_short(self, monkeypatch):
         for n in (100, 1000):   # uint8 and uint16 blocks
@@ -222,7 +226,32 @@ class TestSeededSampling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < self.need(LANES_PER_BLOCK, 1000) + 2 ** 23
+        assert peak < self.need(LANES_PER_BLOCK, 1000, padded=False) + 2 ** 23
+
+    @pytest.mark.parametrize("run", [
+        lambda stream: simulate_needle(GameConfig(n=1000, trials=2048),
+                                       perm_stream=stream),
+        lambda stream: max_shift_distribution(1000, 2048, perm_stream=stream),
+    ], ids=["needle", "dist"])
+    def test_streamed_run_refused_one_byte_short(self, monkeypatch, run):
+        # a streamed block is checked as a seeded one is, with the same
+        # text, before the stream is read
+        need = self.need(LANES_PER_BLOCK, 1000, padded=False)
+        calls = []
+
+        def stream(t):
+            calls.append(t)
+            return self.ROTATION
+
+        monkeypatch.setattr(enumeration, "memory_bytes", lambda: need - 1)
+        with pytest.raises(OutOfMemory, match=(
+                "^sampling in blocks of 2048 permutations of order 1000 "
+                f"needs {need} bytes; this process may use {need - 1}$")):
+            run(stream)
+        assert calls == []
+        monkeypatch.setattr(enumeration, "memory_bytes", lambda: need)
+        run(stream)
+        assert calls == list(range(2048))
 
     def test_short_runs_count_their_own_lanes(self, monkeypatch):
         monkeypatch.setattr(enumeration, "memory_bytes",
@@ -276,13 +305,14 @@ class TestMemoryBytes:
 
     def test_block_past_available_refused_at_the_call(self, monkeypatch,
                                                       tmp_path):
-        # 2048 uint32 lanes of order 10^5 are 819 MB: refused before any
-        # shuffle buffer exists, however much memory the machine has
+        # 2048 uint32 lanes of order 10^5, in rows padded by 64 bytes, are
+        # 826 MB: refused before any shuffle buffer exists, however much
+        # memory the machine has
         self.meminfo(monkeypatch, tmp_path / "meminfo",
                      "MemAvailable:     10240 kB\n")
         with pytest.raises(OutOfMemory, match=(
                 "^sampling in blocks of 2048 permutations of order 100000 "
-                "needs 819200000 bytes; this process may use ")):
+                "needs 825600000 bytes; this process may use ")):
             seeded_blocks(0, 100_000, 0, 2048)
 
     def test_cli_refuses_past_available(self, monkeypatch, tmp_path, capsys):
@@ -294,7 +324,7 @@ class TestMemoryBytes:
         assert (code, captured.out) == (3, "")
         assert captured.err == (
             "refused: sampling in blocks of 2048 permutations of order "
-            "100000 needs 819200000 bytes; this process may use "
+            "100000 needs 825600000 bytes; this process may use "
             f"{self.capped(10240 * 1024)}\n")
 
     @pytest.mark.parametrize("text", [

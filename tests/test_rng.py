@@ -128,16 +128,27 @@ def narrowest_unsigned(n):
                     np.uint16 if n <= 65536 else np.uint32)
 
 
+def row_width(lanes, n):
+    """Cells per position row of a seeded block's buffer: ``lanes``, plus
+    one 64-byte cache line of pad where a block of more than 1024 lanes
+    passes 2 MiB."""
+    size = narrowest_unsigned(n).itemsize
+    tiled = lanes > 1024 and lanes * n * size > 2 << 20
+    return lanes + tiled * 64 // size
+
+
 def assert_position_major_view(got, lanes, n):
-    """``got`` is the ``(lanes, n)`` transposed view of one position-major
-    buffer: entry [t, i] sits at flat index i * lanes + t, and no second
-    array holds the rows."""
+    """``got`` is the ``(lanes, n)`` transposed view of the first ``lanes``
+    columns of one position-major buffer of ``row_width`` cells a row:
+    entry [t, i] sits at flat index i * width + t, and no second array holds
+    the rows."""
+    width = row_width(lanes, n)
     assert got.dtype == narrowest_unsigned(n)
     assert got.shape == (lanes, n)
     buf = got.base
-    assert buf is not None and buf.ndim == 1 and buf.size == lanes * n
-    assert got.strides == (got.itemsize, lanes * got.itemsize)
-    assert np.array_equal(got, buf.reshape(n, lanes).T)
+    assert buf is not None and buf.ndim == 1 and buf.size == width * n
+    assert got.strides == (got.itemsize, width * got.itemsize)
+    assert np.array_equal(got, buf.reshape(n, width)[:, :lanes].T)
 
 
 def assert_permutations_match_reference(seeds, n):
@@ -150,10 +161,12 @@ def assert_permutations_match_reference(seeds, n):
     return fast
 
 
-# at n = 0 and 1 the chunk loop never runs, and at n = 2 it runs one step
+# at n = 0 and 1 the chunk loop never runs, and at n = 2 it runs one step;
+# 2048 lanes are shuffled in two tiles from n = 513, the first uint16 block
+# past 2 MiB, and 1500 lanes in a full tile and a ragged one
 @pytest.mark.parametrize("n", [0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
-                               2 * _CHUNK + 1, 1000])
-@pytest.mark.parametrize("lanes", [1, 7, 2048])
+                               2 * _CHUNK + 1, 513, 1000, 3000])
+@pytest.mark.parametrize("lanes", [1, 7, 1500, 2048])
 def test_batch_permutations_equal_reference_loop(n, lanes):
     seeds = batch_seeds(n * 31 + lanes, 0, lanes).tolist()
     fast = assert_permutations_match_reference(seeds, n)
@@ -175,20 +188,21 @@ def _seed_rejecting_draw(d):
     return (_unmix64(MASK64) - (d + 1) * GOLDEN) & MASK64
 
 
-@pytest.mark.parametrize("draws", [
-    [_CHUNK],                      # first step of the second chunk
-    [_CHUNK + _CHUNK // 2],        # a middle step
-    [2 * _CHUNK - 1],              # the last step of a chunk
-    [_CHUNK + 3, _CHUNK + 40],     # two lanes rejecting in one chunk
-    [0],                           # the very first draw
-], ids=["first", "middle", "last", "two-lanes", "draw0"])
-def test_batch_permutations_replay_rejected_chunk(draws):
-    n = 3 * _CHUNK + 5
+@pytest.mark.parametrize("draws, lanes, n", [
+    ([_CHUNK], 9, 3 * _CHUNK + 5),                   # first step of chunk 2
+    ([_CHUNK + _CHUNK // 2], 9, 3 * _CHUNK + 5),     # a middle step
+    ([2 * _CHUNK - 1], 9, 3 * _CHUNK + 5),           # the last step of a chunk
+    ([_CHUNK + 3, _CHUNK + 40], 9, 3 * _CHUNK + 5),  # two lanes in one chunk
+    ([0], 9, 3 * _CHUNK + 5),                        # the very first draw
+    ([_CHUNK], 2048, 9 * _CHUNK + 5),                # in the second tile
+], ids=["first", "middle", "last", "two-lanes", "draw0", "second-tile"])
+def test_batch_permutations_replay_rejected_chunk(draws, lanes, n):
     # draw d of a shuffle of n has bound n - d; rejection needs a bound
     # that does not divide 2^64
     assert all((n - d) & (n - d - 1) for d in draws)
-    seeds = batch_seeds(17, 0, 9).tolist()
-    forced = {2 + 3 * k: d for k, d in enumerate(draws)}
+    seeds = batch_seeds(17, 0, lanes).tolist()
+    # lanes 2 and 5 of 9; lane 2041 of 2048 sits in the 1024-lane second tile
+    forced = {lanes - 7 + 3 * k: d for k, d in enumerate(draws)}
     for lane, d in forced.items():
         seeds[lane] = _seed_rejecting_draw(d)
     fast = assert_permutations_match_reference(seeds, n)
