@@ -20,17 +20,16 @@ KB for 2048 lanes at n = 256 (uint8) and 41.6 MB at n = 10000 (uint16). The
 draws and swap indices stay 64-bit, so the rows and the lane states do not
 depend on the dtype.
 
-``block_layout`` sets the width and the lanes shuffled at once. A block of
-at most 2 MiB, as every 2048-lane block is up to n = 512, is one tile of
-all its lanes in rows of ``lanes`` cells. A larger block of more than 1024
-lanes is shuffled in 1024-lane tiles, one after another, each through all
-n - 1 steps with its own draws, so a step's gathers and scatters stay in
-the tile's half of each row. Its rows are padded by 64 bytes, one cache
-line: 2048 uint16 lanes make a row of exactly 4 KiB, so without the pad
-every row's tile segment falls in the same cache sets and the tile evicts
-itself. At n = 10000 one block's shuffle took 610 ms untiled, 560 ms in
-tiles and 516 ms in padded tiles (one core). Each lane has its own stream,
-so the tiles change no row and no lane state.
+``block_layout`` sets the row width and the lanes shuffled at once. A
+block past 2 MiB (past n = 512 at 2048 lanes) with more than 1024 lanes is
+shuffled in 1024-lane tiles, one after another, each through all n - 1
+steps with its own draws, and its rows are padded by 64 bytes, one cache
+line. The pad is what pays: a row of 2048 uint16 lanes is exactly 4 KiB,
+so without it every row's tile segment falls in the same cache sets. At
+n = 10000, on one core, one block's shuffle took a median 669 ms untiled,
+614 ms in tiles and 531 ms in padded tiles. Each lane has its own stream,
+so tiles and pad change no row and no lane state. Smaller blocks are one
+tile in unpadded rows.
 
 ``BatchRng.permutations`` shuffles in that position-major buffer, so the
 row of the position being fixed is contiguous and each swap is one gather
@@ -71,8 +70,7 @@ _CHUNK = 64
 # (uint64 products wrap mod 2^64)
 _STRIDES = (np.arange(1, _CHUNK + 1, dtype=np.uint64)
             * np.uint64(GOLDEN))[:, None]
-# a block of more than _TILE lanes whose buffer passes _TILE_BYTES is
-# shuffled _TILE lanes at a time, in position rows padded by _PAD bytes
+# lanes per tile, the block size past which tiles apply, row pad in bytes
 _TILE = 1024
 _TILE_BYTES = 2 << 20
 _PAD = 64
@@ -239,11 +237,10 @@ def lane_blocks(master: int, start: int, count: int,
 
 
 def block_layout(lanes: int, n: int) -> tuple[int, int]:
-    """The lanes of one Fisher-Yates tile and the width, in cells, of each
-    position row of the shuffle buffer of ``lanes`` permutations of order n:
-    one tile of all the lanes in rows of ``lanes`` cells, or, where more than
-    ``_TILE`` lanes pass ``_TILE_BYTES``, tiles of ``_TILE`` lanes in rows
-    padded by ``_PAD`` bytes."""
+    """The lanes of one Fisher-Yates tile and the cells of one position row
+    in the shuffle buffer of ``lanes`` permutations of order n: ``_TILE``
+    lanes in rows padded by ``_PAD`` bytes where more than ``_TILE`` lanes
+    pass ``_TILE_BYTES``, else all the lanes in rows of ``lanes`` cells."""
     itemsize = block_dtype(n).itemsize
     if lanes <= _TILE or lanes * n * itemsize <= _TILE_BYTES:
         return max(lanes, 1), lanes     # a positive step at 0 lanes

@@ -17,10 +17,10 @@ a caller's permutation stream (never with an exhaustive run). A seeded or
 streamed block is refused by ``rng.check_block`` before any allocation
 when it would not fit in memory. A seeded block is the transposed view of
 its shuffle buffer, the others are row-major, and the kernels read either
-order. ``_wins`` and
-``max_shift_distribution`` read them as ``sum(starmap(score, blocks))``,
-which drops each block before the next is drawn, so a run holds one block
-at a time (each pool worker one), the one block the memory check counts.
+order. ``_wins`` and ``max_shift_distribution`` read them as
+``sum(starmap(score, blocks))``, which drops each block before the next is
+drawn, so a run holds one block at a time (each pool worker one), the one
+block the memory check counts.
 Seeded and streamed blocks hold ``perms.block_dtype(n)``, the narrowest
 unsigned type that holds n - 1; the kernels compare its values and promote
 them to int64 before any arithmetic, so an unsigned block never wraps.

@@ -281,7 +281,7 @@ class TestLaneGroups:
         assert_tiled_equals_whole(seeded(9, 65, n), table)
 
     @pytest.mark.parametrize("lanes, n", [
-        (2048, 10000),                    # 41 MB of uint16
+        (2048, 10000),                    # 41.6 MB of uint16, padded rows
         (64, TILE + 3),                   # 16.8 MB of uint32: not copied
     ])
     def test_hint_allocates_a_group_not_the_block(self, lanes, n):
